@@ -19,6 +19,7 @@ from .deletions import (
     detect_deletions,
     deletion_threshold,
     enumerate_remappings,
+    infer_alphabet_size,
 )
 from .estimation import (
     DistributionEstimate,
@@ -48,15 +49,15 @@ from .infotheory import (
     repetition_table,
 )
 from .matching import (
-    ERASURE,
     MatchResult,
     PipelineResult,
     SegmentedDatabase,
     deanonymize,
+    estimate_stages,
     match_rows,
     pattern_from_detections,
+    replica_decisions,
     segment,
-    typicality_deviation,
 )
 from .model import (
     DatabasePair,
@@ -77,6 +78,7 @@ from .replicas import (
     column_runs,
     detect_replicas,
     factorial_moments,
+    replica_free,
     running_hamming,
 )
 

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import deletions, estimation, matching, replicas
+from . import deletions, matching, replicas
 from .dbio import load_model_spec, read_matrix, write_matrix
 from .experiment import ExperimentConfig, InfeasibleSizeError, emit, run_experiment
 from .infotheory import capacity
@@ -53,9 +53,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    config = ExperimentConfig.from_dict(raw)
+    config = ExperimentConfig.from_json_file(args.config)
     out_dir = _out_path(args.out)
     os.makedirs(out_dir, exist_ok=True)
     pair, seeds = sample_instance(
@@ -83,7 +81,7 @@ def _cmd_gen(args) -> int:
 def _cmd_detect_replicas(args) -> int:
     d2 = read_matrix(args.d2)
     h = replicas.running_hamming(d2)
-    decisions = h <= d2.shape[0] * replicas.blischke_estimate(h, d2.shape[0]).tau
+    decisions = replicas.detect_replicas(d2)
     lines = ["j,hamming,is_replica"]
     lines += [f"{j},{h[j]},{int(decisions[j])}" for j in range(h.size)]
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -94,11 +92,10 @@ def _cmd_detect_deletions(args) -> int:
     g1 = read_matrix(args.g1)
     g2 = read_matrix(args.g2)
     if args.dedup:
-        starts, _ = replicas.column_runs(replicas.detect_replicas(g2))
-        g2 = g2[:, starts]
+        g2 = replicas.replica_free(g2, replicas.detect_replicas(g2))
     if args.dump_l is not None:
         phi = deletions.enumerate_remappings(
-            args.alphabet_size or int(max(g1.max(), g2.max()))
+            args.alphabet_size or deletions.infer_alphabet_size(g1, g2)
         )[0]
         cross = deletions.cross_hamming(g1, g2, phi, args.threshold_constant)
         rows = [",".join(str(v) for v in row) for row in cross.l]
@@ -118,21 +115,18 @@ def _cmd_detect_deletions(args) -> int:
 def _cmd_estimate(args) -> int:
     g1 = read_matrix(args.g1)
     g2 = read_matrix(args.g2)
-    alphabet_size = args.alphabet_size or int(max(g1.max(), g2.max()))
-    if args.s_max is not None and args.s_max <= 1:
-        is_rep = np.zeros(max(g2.shape[1] - 1, 0), dtype=bool)
-    else:
-        is_rep = replicas.detect_replicas(g2)
-    starts, _ = replicas.column_runs(is_rep)
-    g2_dedup = g2[:, starts]
-    retention = deletions.detect_deletions(
-        g1, g2_dedup, alphabet_size, args.threshold_constant
+    # The seeds share the database's pattern, so g2 also fixes the pattern.
+    result = matching.estimate_stages(
+        g2,
+        g1,
+        g2,
+        args.alphabet_size or deletions.infer_alphabet_size(g1, g2),
+        args.s_max,
+        args.threshold_constant,
     )
-    pattern = matching.pattern_from_detections(is_rep, retention, g1.shape[1])
-    est = estimation.estimate_from_seeds(
-        g1, g2_dedup, retention, pattern, alphabet_size, s_max=args.s_max
-    )
-    _write_text(args.out, json.dumps(est.to_dict(), indent=2) + "\n")
+    if result.error is not None:
+        raise result.error
+    _write_text(args.out, json.dumps(result.estimate.to_dict(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -141,7 +135,7 @@ def _cmd_match(args) -> int:
     d2 = read_matrix(args.d2)
     g1 = read_matrix(args.g1)
     g2 = read_matrix(args.g2)
-    alphabet_size = args.alphabet_size or int(max(d1.max(), d2.max()))
+    alphabet_size = args.alphabet_size or deletions.infer_alphabet_size(d1, d2)
     result = matching.deanonymize(
         d1,
         d2,
@@ -251,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
-    p.add_argument("--s-max", type=int, default=None)
+    p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--threshold-constant", type=float, default=2.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_estimate)

@@ -75,9 +75,3 @@ def model_spec_from_dict(d: dict) -> ModelSpec:
 def load_model_spec(path) -> ModelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return model_spec_from_dict(json.load(fh))
-
-
-def dump_model_spec(spec: ModelSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")

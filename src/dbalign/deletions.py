@@ -74,6 +74,11 @@ def enumerate_remappings(alphabet_size: int) -> list[np.ndarray]:
     return [np.array(p, dtype=np.uint8) for p in itertools.permutations(symbols)]
 
 
+def infer_alphabet_size(*mats: np.ndarray) -> int:
+    """Alphabet size when unknown: the largest symbol in any matrix, empty or not."""
+    return max(int(np.max(mat, initial=0)) for mat in mats)
+
+
 def deletion_threshold(num_seeds: int, n: int, constant: float = 2.0) -> float:
     """Outlier threshold: constant * Lambda^(2/3) * (log2 n)^(1/3).
 
@@ -146,8 +151,9 @@ def detect_deletions(
     """Infer which original columns survived, from replica-free seeds.
 
     g2 must already be replica-free (one column per retained original
-    column). Sweeps remappings in lexicographic order and returns the
-    retention set of the first useful one.
+    column; with none, every original column is deleted). Sweeps
+    remappings in lexicographic order and returns the retention set of
+    the first useful one.
 
     Raises MisdetectionError on an inconsistent outlier pattern and
     NoUsefulRemappingError when the sweep is exhausted.
@@ -163,11 +169,7 @@ def detect_deletions(
     if kt > n:
         raise ValueError("replica-free g2 cannot have more columns than g1")
     if alphabet_size is None:
-        alphabet_size = int(max(g1.max(), g2.max())) if kt else int(g1.max())
-    if kt == 0:
-        return RetentionResult(
-            retained=np.zeros(0, dtype=np.int64), deleted=np.arange(n), n=n
-        )
+        alphabet_size = infer_alphabet_size(g1, g2)
     for phi in enumerate_remappings(alphabet_size):
         rows = scan_remapping(cross_hamming(g1, g2, phi, threshold_constant))
         if rows is not None:

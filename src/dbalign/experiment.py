@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -35,6 +35,9 @@ CSV_COLUMNS = (
 )
 
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
+
+# Report keys that differ from the dataclass field names.
+KEY_NAMES = {"num_seeds": "lambda", "growth_rate": "R"}
 
 
 class InfeasibleSizeError(RuntimeError):
@@ -126,8 +129,34 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
+def _plain(value):
+    if is_dataclass(value):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+class _Record:
+    """Dict form of a report dataclass: its fields in order, keys renamed
+    by KEY_NAMES, tuples as lists and nested records as dicts."""
+
+    def to_dict(self) -> dict:
+        return {
+            KEY_NAMES.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict, **parsed):
+        """Inverse of ``to_dict`` for flat fields; ``parsed`` supplies the
+        rest. Keys missing from ``d`` take the field default."""
+        keys = {f.name: KEY_NAMES.get(f.name, f.name) for f in fields(cls)}
+        present = {name: d[key] for name, key in keys.items() if key in d}
+        return cls(**{**present, **parsed})
+
+
 @dataclass
-class TrialRecord:
+class TrialRecord(_Record):
     trial: int
     n: int
     m: int
@@ -141,60 +170,26 @@ class TrialRecord:
     seed: int
     failed_stage: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "n": self.n,
-            "m": self.m,
-            "lambda": self.num_seeds,
-            "R": self.growth_rate,
-            "capacity": self.capacity,
-            "replica_ok": self.replica_ok,
-            "deletion_ok": self.deletion_ok,
-            "est_tv": self.est_tv,
-            "row_error_rate": self.row_error_rate,
-            "seed": self.seed,
-            "failed_stage": self.failed_stage,
-        }
-
 
 @dataclass
-class PointSummary:
+class PointSummary(_Record):
     m: int
     n: int
     growth_rate: float
     capacity: float
-    trials: list
     replica_rate: float
     replica_ci: tuple
     deletion_rate: float
     deletion_ci: tuple
     mean_est_tv: float
     mean_row_error_rate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "R": self.growth_rate,
-            "capacity": self.capacity,
-            "replica_rate": self.replica_rate,
-            "replica_ci": list(self.replica_ci),
-            "deletion_rate": self.deletion_rate,
-            "deletion_ci": list(self.deletion_ci),
-            "mean_est_tv": self.mean_est_tv,
-            "mean_row_error_rate": self.mean_row_error_rate,
-            "trials": [t.to_dict() for t in self.trials],
-        }
+    trials: list  # last: the field order is the JSON report's key order
 
 
 @dataclass
-class ExperimentReport:
+class ExperimentReport(_Record):
     config: dict
     points: list
-
-    def to_dict(self) -> dict:
-        return {"config": self.config, "points": [p.to_dict() for p in self.points]}
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
@@ -210,8 +205,6 @@ def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float,
 
 def _true_adjacency(pattern) -> np.ndarray:
     cols = np.repeat(np.arange(pattern.n), pattern.s)
-    if cols.size < 2:
-        return np.zeros(0, dtype=bool)
     return cols[1:] == cols[:-1]
 
 
@@ -389,38 +382,13 @@ def emit(report: ExperimentReport, fmt: str, path) -> None:
 
 
 def report_from_dict(d: dict) -> ExperimentReport:
-    points = []
-    for p in d["points"]:
-        trials = [
-            TrialRecord(
-                trial=t["trial"],
-                n=t["n"],
-                m=t["m"],
-                num_seeds=t["lambda"],
-                growth_rate=t["R"],
-                capacity=t["capacity"],
-                replica_ok=t["replica_ok"],
-                deletion_ok=t["deletion_ok"],
-                est_tv=t["est_tv"],
-                row_error_rate=t["row_error_rate"],
-                seed=t["seed"],
-                failed_stage=t.get("failed_stage"),
-            )
-            for t in p["trials"]
-        ]
-        points.append(
-            PointSummary(
-                m=p["m"],
-                n=p["n"],
-                growth_rate=p["R"],
-                capacity=p["capacity"],
-                trials=trials,
-                replica_rate=p["replica_rate"],
-                replica_ci=tuple(p["replica_ci"]),
-                deletion_rate=p["deletion_rate"],
-                deletion_ci=tuple(p["deletion_ci"]),
-                mean_est_tv=p["mean_est_tv"],
-                mean_row_error_rate=p["mean_row_error_rate"],
-            )
+    points = [
+        PointSummary.from_dict(
+            p,
+            replica_ci=tuple(p["replica_ci"]),
+            deletion_ci=tuple(p["deletion_ci"]),
+            trials=[TrialRecord.from_dict(t) for t in p["trials"]],
         )
+        for p in d["points"]
+    ]
     return ExperimentReport(config=d["config"], points=points)

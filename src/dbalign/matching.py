@@ -4,12 +4,12 @@ Composes the two detectors, plug-in estimation, and marker segmentation,
 then matches rows by three-part weak typicality: a candidate pair is
 accepted when the joint and both marginal empirical log-likelihood rates
 sit within epsilon of the corresponding plug-in entropies, and exactly
-one candidate survives.
+one candidate survives. Everything before matching is one shared stage
+function, ``estimate_stages``, which the CLI also calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +18,6 @@ from . import deletions, estimation, replicas
 from .deletions import RetentionResult
 from .estimation import DistributionEstimate
 from .model import RepetitionPattern
-
-#: Cell placeholder for a deleted column.
-ERASURE = "*"
 
 # Finite stand-in for log2(0) inside the vectorized accumulation; large
 # enough that a single zero-probability observation pushes the deviation
@@ -42,10 +39,9 @@ STATUS_NAMES = {
 class SegmentedDatabase:
     """The repeated database with columns grouped into per-origin cells.
 
-    Row i has one cell per original column: a tuple of the run's symbols
-    for a retained column, or the erasure placeholder for a deleted one.
-    Cells are materialized lazily through ``cell``/``row_cells``; the
-    matcher works directly off the column offsets.
+    Row i has one cell per original column: the run of ``pattern.s[j]``
+    symbols starting at column ``offsets[j]``, empty (an erasure) for a
+    deleted column. The matcher works directly off the column offsets.
     """
 
     d2: np.ndarray
@@ -60,16 +56,6 @@ class SegmentedDatabase:
     def n(self) -> int:
         return self.pattern.n
 
-    def cell(self, i: int, j: int):
-        s = int(self.pattern.s[j])
-        if s == 0:
-            return ERASURE
-        start = self.offsets[j]
-        return tuple(int(v) for v in self.d2[i, start : start + s])
-
-    def row_cells(self, i: int) -> list:
-        return [self.cell(i, j) for j in range(self.n)]
-
 
 def segment(d2: np.ndarray, pattern: RepetitionPattern) -> SegmentedDatabase:
     """Group the repeated database's columns into runs per the pattern."""
@@ -81,46 +67,6 @@ def segment(d2: np.ndarray, pattern: RepetitionPattern) -> SegmentedDatabase:
         )
     offsets = np.concatenate(([0], np.cumsum(pattern.s)[:-1]))
     return SegmentedDatabase(d2=d2, pattern=pattern, offsets=offsets)
-
-
-def _cell_code(cell, alphabet_size: int) -> int:
-    code = 0
-    for v in cell:
-        code = code * alphabet_size + (v - 1)
-    return code
-
-
-def typicality_deviation(x_row, cells, est: DistributionEstimate):
-    """Reference (per-pair) typicality deviations.
-
-    Returns (dev_joint, dev_x, dev_y): absolute gaps between the
-    empirical per-column log-likelihood rates of the pair and the
-    estimate's entropies. Any zero-probability observation makes the
-    corresponding deviation infinite.
-    """
-    x_row = np.asarray(x_row)
-    n = len(cells)
-    if x_row.size != n:
-        raise ValueError("row length must equal the number of cells")
-    k = est.alphabet_size
-    ll_joint = ll_x = ll_y = 0.0
-    for xval, cell in zip(x_row, cells):
-        px = est.p_x[xval - 1]
-        ll_x += math.log2(px) if px > 0.0 else -math.inf
-        if cell is ERASURE:
-            s, code = 0, 0
-        else:
-            s, code = len(cell), _cell_code(cell, k)
-        table = est.tables[s]
-        pj = table[xval - 1, code]
-        ll_joint += math.log2(pj) if pj > 0.0 else -math.inf
-        qy = float(table[:, code].sum())
-        ll_y += math.log2(qy) if qy > 0.0 else -math.inf
-    return (
-        abs(-ll_joint / n - est.joint_entropy),
-        abs(-ll_x / n - est.x_entropy),
-        abs(-ll_y / n - est.y_entropy),
-    )
 
 
 @dataclass(frozen=True)
@@ -204,11 +150,10 @@ def match_rows(
     orig = np.repeat(np.arange(n), s)
     log_channel = _safe_log2(est.p_y_given_x)
     joint_ll = np.zeros((m1, m2))
-    if orig.size:
-        d2_idx = d2.astype(np.intp) - 1
-        for x in range(k):
-            indicator = (d1_idx[:, orig] == x).astype(float)
-            joint_ll += indicator @ log_channel[x][d2_idx].T
+    d2_idx = d2.astype(np.intp) - 1
+    for x in range(k):
+        indicator = (d1_idx[:, orig] == x).astype(float)
+        joint_ll += indicator @ log_channel[x][d2_idx].T
     joint_ll += log_px[d1_idx].sum(axis=1)[:, None]
     # in place: dev_joint = |(-joint_ll / n) - joint_entropy|
     joint_ll *= -1.0 / n
@@ -253,15 +198,18 @@ def match_rows(
 
 
 def pattern_from_detections(
-    is_replica: np.ndarray, retention: RetentionResult, n: int
+    is_replica: np.ndarray,
+    retention: RetentionResult,
+    n: int,
+    num_columns: int | None = None,
 ) -> RepetitionPattern:
     """Reconstruct the repetition pattern from both detector outputs.
 
     Replica runs give the repetition count of each retained column in
     order; deleted columns get 0. The run count must equal the retained
-    count.
+    count. ``num_columns`` is as in ``replicas.column_runs``.
     """
-    _, lengths = replicas.column_runs(is_replica)
+    _, lengths = replicas.column_runs(is_replica, num_columns)
     if lengths.size != retention.num_retained:
         raise ValueError(
             f"{lengths.size} replica runs for {retention.num_retained} retained columns"
@@ -275,9 +223,9 @@ def pattern_from_detections(
 class PipelineResult:
     """Everything the de-anonymization pipeline produced.
 
-    ``failed_stage`` is None on full completion, else one of
-    'replica', 'deletion', 'pattern' with the exception message in
-    ``failure``; later fields stay None after a failure.
+    ``failed_stage`` is None on full completion, else one of 'replica',
+    'deletion', 'pattern' with the exception in ``error``; later fields
+    stay None after a failure.
     """
 
     is_replica: np.ndarray | None = None
@@ -287,11 +235,19 @@ class PipelineResult:
     estimate: DistributionEstimate | None = None
     match: MatchResult | None = None
     failed_stage: str | None = None
-    failure: str | None = None
+    error: Exception | None = None
 
     @property
     def ok(self) -> bool:
         return self.failed_stage is None
+
+    @property
+    def failure(self) -> str | None:
+        return None if self.error is None else str(self.error)
+
+    def fail(self, stage: str, error: Exception) -> "PipelineResult":
+        self.failed_stage, self.error = stage, error
+        return self
 
     def stage_flags(self) -> dict:
         return {
@@ -301,6 +257,70 @@ class PipelineResult:
             "estimate": self.estimate is not None,
             "match": self.match is not None,
         }
+
+
+def replica_decisions(d2: np.ndarray, s_max: int) -> np.ndarray:
+    """Replica decisions for the adjacent columns of ``d2``.
+
+    With s_max <= 1 replicas are impossible: every pair is independent,
+    and the estimator, whose series would be single-component, is skipped.
+    """
+    if s_max <= 1:
+        return np.zeros(max(d2.shape[1] - 1, 0), dtype=bool)
+    return replicas.detect_replicas(d2)
+
+
+def estimate_stages(
+    d2: np.ndarray,
+    g1: np.ndarray,
+    g2: np.ndarray,
+    alphabet_size: int,
+    s_max: int,
+    threshold_constant: float = 2.0,
+) -> PipelineResult:
+    """Every stage before matching: replicas, deletions, pattern, estimate.
+
+    The pattern comes from d2's replica runs; with seeds alone, g2 can
+    stand in for d2 since it shares the pattern. The estimate covers
+    repetition counts up to s_max or the largest detected one. Detection
+    failures are recorded in the result instead of raising.
+    """
+    d2, g1, g2 = np.asarray(d2), np.asarray(g1), np.asarray(g2)
+    if g2.shape[1] != d2.shape[1]:
+        raise ValueError("g2 must share the database's repetition pattern")
+    n = g1.shape[1]
+    result = PipelineResult()
+
+    try:
+        result.is_replica = replica_decisions(d2, s_max)
+        result.is_replica_seeds = replica_decisions(g2, s_max)
+    except replicas.SingleComponentError as exc:
+        return result.fail("replica", exc)
+    g2_free = replicas.replica_free(g2, result.is_replica_seeds)
+    if g2_free.shape[1] > n:
+        return result.fail(
+            "replica", ValueError(f"{g2_free.shape[1]} replica runs for {n} original columns")
+        )
+
+    try:
+        result.retention = deletions.detect_deletions(
+            g1, g2_free, alphabet_size, threshold_constant
+        )
+    except (deletions.MisdetectionError, deletions.NoUsefulRemappingError) as exc:
+        return result.fail("deletion", exc)
+
+    try:
+        result.pattern = pattern_from_detections(
+            result.is_replica, result.retention, n, d2.shape[1]
+        )
+    except ValueError as exc:
+        return result.fail("pattern", exc)
+
+    s_max = max(s_max, int(result.pattern.s.max()))
+    result.estimate = estimation.estimate_from_seeds(
+        g1, g2_free, result.retention, result.pattern, alphabet_size, s_max=s_max
+    )
+    return result
 
 
 def deanonymize(
@@ -313,63 +333,13 @@ def deanonymize(
     epsilon: float = 0.05,
     threshold_constant: float = 2.0,
 ) -> PipelineResult:
-    """Full pipeline: detect replicas, detect deletions, estimate, match.
+    """Full pipeline: ``estimate_stages``, then match rows.
 
-    ``alphabet_size`` and ``s_max`` are assumed known. When s_max <= 1
-    replicas are impossible and the replica stage is vacuous (the
-    distance series would be single-component by construction).
-    Algorithmic detection failures are recorded in the result instead of
-    raising, so a Monte Carlo harness never aborts.
+    ``alphabet_size`` and ``s_max`` are assumed known. Algorithmic
+    failures are recorded, never raised, so a Monte Carlo harness never
+    aborts.
     """
-    d1 = np.asarray(d1)
-    d2 = np.asarray(d2)
-    g1 = np.asarray(g1)
-    g2 = np.asarray(g2)
-    if g2.shape[1] != d2.shape[1]:
-        raise ValueError("g2 must share the database's repetition pattern")
-    n = d1.shape[1]
-    result = PipelineResult()
-
-    try:
-        if s_max <= 1:
-            result.is_replica = np.zeros(max(d2.shape[1] - 1, 0), dtype=bool)
-            result.is_replica_seeds = result.is_replica.copy()
-        else:
-            result.is_replica = replicas.detect_replicas(d2)
-            result.is_replica_seeds = replicas.detect_replicas(g2)
-    except replicas.SingleComponentError as exc:
-        result.failed_stage, result.failure = "replica", str(exc)
-        return result
-
-    if d2.shape[1] == 0:
-        retention = RetentionResult(
-            retained=np.zeros(0, dtype=np.int64), deleted=np.arange(n), n=n
-        )
-        g2_dedup = g2
-    else:
-        starts, _ = replicas.column_runs(result.is_replica_seeds)
-        g2_dedup = g2[:, starts]  # first column of each replica run
-        try:
-            retention = deletions.detect_deletions(
-                g1, g2_dedup, alphabet_size, threshold_constant
-            )
-        except (deletions.MisdetectionError, deletions.NoUsefulRemappingError) as exc:
-            result.failed_stage, result.failure = "deletion", str(exc)
-            return result
-    result.retention = retention
-
-    try:
-        if d2.shape[1] == 0:
-            pattern = RepetitionPattern(np.zeros(n, dtype=np.int64))
-        else:
-            pattern = pattern_from_detections(result.is_replica, retention, n)
-    except ValueError as exc:
-        result.failed_stage, result.failure = "pattern", str(exc)
-        return result
-    result.pattern = pattern
-
-    result.estimate = estimation.estimate_from_seeds(
-        g1, g2_dedup, retention, pattern, alphabet_size, s_max=max(s_max, int(pattern.s.max())),
-    )
-    result.match = match_rows(d1, segment(d2, pattern), result.estimate, epsilon)
+    result = estimate_stages(d2, g1, g2, alphabet_size, s_max, threshold_constant)
+    if result.ok:
+        result.match = match_rows(d1, segment(d2, result.pattern), result.estimate, epsilon)
     return result

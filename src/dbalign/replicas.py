@@ -46,12 +46,10 @@ class MixtureEstimate:
 def running_hamming(d2: np.ndarray) -> np.ndarray:
     """Hamming distance between each pair of adjacent columns.
 
-    Returns a length K-1 vector; K < 2 yields an empty vector since
-    there are no adjacent pairs.
+    Returns a length K-1 vector, empty when K < 2 since there are no
+    adjacent pairs.
     """
     d2 = np.asarray(d2)
-    if d2.shape[1] < 2:
-        return np.zeros(0, dtype=np.int64)
     return (d2[:, 1:] != d2[:, :-1]).sum(axis=0, dtype=np.int64)
 
 
@@ -115,15 +113,25 @@ def detect_replicas(d2: np.ndarray) -> np.ndarray:
     return h <= m * est.tau
 
 
-def column_runs(is_replica: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def column_runs(
+    is_replica: np.ndarray, num_columns: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Group columns into same-origin runs given adjacency decisions.
 
     A True at position j glues columns j and j+1 into one run. Returns
     (first column index of each run, run lengths); lengths sum to the
-    column count K = len(is_replica) + 1.
+    column count K. K defaults to len(is_replica) + 1, which holds for
+    every K >= 1; pass it when it may be 0.
     """
     is_replica = np.asarray(is_replica, dtype=bool)
-    k = is_replica.size + 1
-    starts = np.flatnonzero(np.concatenate(([True], ~is_replica)))
+    k = is_replica.size + 1 if num_columns is None else num_columns
+    starts = np.flatnonzero(np.concatenate(([True], ~is_replica))[:k])
     lengths = np.diff(np.append(starts, k))
     return starts, lengths
+
+
+def replica_free(mat: np.ndarray, is_replica: np.ndarray) -> np.ndarray:
+    """The first column of each replica run of ``mat``, for any column count."""
+    mat = np.asarray(mat)
+    starts, _ = column_runs(is_replica, mat.shape[1])
+    return mat[:, starts]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dbalign import detect_replicas, running_hamming, sample_instance
+from dbalign import deanonymize, detect_replicas, running_hamming, sample_instance
 from dbalign.cli import (
     EXIT_CONFIG,
     EXIT_DETECTION,
@@ -14,7 +14,7 @@ from dbalign.cli import (
 )
 from dbalign.dbio import read_matrix, write_matrix
 
-from conftest import bsc_spec
+from conftest import bsc_spec, symmetric_spec
 
 
 @pytest.fixture
@@ -199,3 +199,71 @@ def test_out_dir_env_override(tmp_path, config_file, monkeypatch, capsys):
     monkeypatch.setenv("DBALIGN_OUT_DIR", str(tmp_path))
     assert main(["capacity", "--config", str(config_file), "--out", "cap.json"]) == EXIT_OK
     assert (tmp_path / "cap.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [bsc_spec(p_s=(0.2, 0.8)), symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2))],
+    ids=["s_max=1", "s_max=3"],
+)
+def test_estimate_command_matches_pipeline(tmp_path, capsys, spec):
+    pair, seeds = sample_instance(1000, 30, 5000, spec, master_seed=1)
+    write_matrix(tmp_path / "g1.dbm", seeds.g1)
+    write_matrix(tmp_path / "g2.dbm", seeds.g2)
+    rc = main(
+        [
+            "estimate",
+            "--g1", str(tmp_path / "g1.dbm"),
+            "--g2", str(tmp_path / "g2.dbm"),
+            "--s-max", str(spec.s_max),
+        ]
+    )
+    assert rc == EXIT_OK
+    result = deanonymize(
+        pair.d1,
+        pair.d2,
+        seeds.g1,
+        seeds.g2,
+        alphabet_size=spec.alphabet_size,
+        s_max=spec.s_max,
+        epsilon=0.3,
+    )
+    assert result.failed_stage is None
+    assert json.loads(capsys.readouterr().out) == result.estimate.to_dict()
+
+
+def test_all_deleted_instance_commands(tmp_path, config_file, capsys):
+    cfg = json.loads(config_file.read_text())
+    cfg.update(p_s=[1.0, 0.0], s_max=1, m=16, n=6, master_seed=7)
+    cfg_path = tmp_path / "deleted.json"
+    cfg_path.write_text(json.dumps(cfg))
+    inst = tmp_path / "inst"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(inst)]) == EXIT_OK
+    assert read_matrix(inst / "d2.dbm").shape == (16, 0)
+    seeds = ["--g1", str(inst / "g1.dbm"), "--g2", str(inst / "g2.dbm")]
+    capsys.readouterr()
+
+    assert main(["detect-deletions", *seeds, "--dedup", "--dump-l", str(tmp_path / "l.csv")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["deleted"] == list(range(6))
+
+    assert main(["estimate", *seeds, "--s-max", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["p_s"] == [1.0, 0.0]
+
+    database = ["--d1", str(inst / "d1.dbm"), "--d2", str(inst / "d2.dbm")]
+    assert main(["match", *database, *seeds, "--s-max", "1", "--epsilon", "0.3"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["failed_stage"] is None
+    assert out["status_counts"]["ambiguous"] == 16
+
+
+def test_estimate_requires_s_max(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")])
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_detect_replicas_without_pairs_prints_header(tmp_path, capsys):
+    path = tmp_path / "one.dbm"
+    write_matrix(path, np.ones((5, 1), dtype=np.uint8))
+    assert main(["detect-replicas", "--d2", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "j,hamming,is_replica\n"

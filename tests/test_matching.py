@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dbalign import (
-    ERASURE,
     ModelSpec,
     RepetitionPattern,
     deanonymize,
@@ -15,12 +14,12 @@ from dbalign import (
     sample_instance,
     segment,
     substream,
-    typicality_deviation,
 )
 from dbalign.deletions import RetentionResult
 from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
 
 from conftest import bsc_spec, noiseless_spec
+from oracles import ERASURE, cell, row_cells, typicality_deviation
 
 
 def brute_force_match(d1, segmented, est, epsilon):
@@ -30,7 +29,7 @@ def brute_force_match(d1, segmented, est, epsilon):
     assigned = np.full(m2, -1, dtype=np.int64)
     n_candidates = np.zeros(m2, dtype=np.int64)
     for l in range(m2):
-        cells = segmented.row_cells(l)
+        cells = row_cells(segmented, l)
         hits = [
             i
             for i in range(m1)
@@ -50,15 +49,15 @@ def brute_force_match(d1, segmented, est, epsilon):
 def test_segment_all_single_columns(rng):
     d2 = rng.integers(1, 3, size=(4, 5)).astype(np.uint8)
     seg = segment(d2, RepetitionPattern(np.ones(5, dtype=int)))
-    assert seg.row_cells(0) == [(int(v),) for v in d2[0]]
+    assert row_cells(seg, 0) == [(int(v),) for v in d2[0]]
 
 
 def test_segment_deletion_and_replication():
     d2 = np.array([[5, 6, 7]], dtype=np.uint8)
     seg = segment(d2, RepetitionPattern([1, 0, 2]))
-    assert seg.cell(0, 0) == (5,)
-    assert seg.cell(0, 1) is ERASURE
-    assert seg.cell(0, 2) == (6, 7)
+    assert cell(seg, 0, 0) == (5,)
+    assert cell(seg, 0, 1) is ERASURE
+    assert cell(seg, 0, 2) == (6, 7)
 
 
 def test_segment_illustration_pattern(rng):
@@ -67,9 +66,9 @@ def test_segment_illustration_pattern(rng):
     # erasure cell.
     d2 = rng.integers(1, 3, size=(6, 6)).astype(np.uint8)
     seg = segment(d2, RepetitionPattern([1, 2, 1, 0, 1, 1]))
-    assert len(seg.cell(2, 1)) == 2
-    assert seg.cell(2, 3) is ERASURE
-    assert [len(c) if c is not ERASURE else 0 for c in seg.row_cells(0)] == [1, 2, 1, 0, 1, 1]
+    assert len(cell(seg, 2, 1)) == 2
+    assert cell(seg, 2, 3) is ERASURE
+    assert [len(c) if c is not ERASURE else 0 for c in row_cells(seg, 0)] == [1, 2, 1, 0, 1, 1]
 
 
 def test_segment_arity_mismatch():
@@ -99,7 +98,7 @@ def test_typicality_deviation_concentrates_for_true_pairs():
     hits = 0
     for seed in range(100):
         pair, _ = sample_instance(1, n, 1, spec, master_seed=seed)
-        cells = segment(pair.d2, pair.pattern).row_cells(pair.sigma[0])
+        cells = row_cells(segment(pair.d2, pair.pattern), pair.sigma[0])
         dev_joint, _, _ = typicality_deviation(pair.d1[0], cells, est)
         hits += dev_joint <= 0.05
     assert hits >= 99
@@ -285,3 +284,32 @@ def test_deanonymize_validates_shared_pattern():
         deanonymize(
             pair.d1, pair.d2, seeds.g1, seeds.g2[:, :-1], alphabet_size=2, s_max=1
         )
+
+
+def test_deanonymize_all_deleted_instance():
+    # Every column deleted: d2 and g2 have no columns, so the pattern is
+    # all zeros and no repeated row tells one anonymized row from another.
+    spec = bsc_spec(p_s=(1.0, 0.0))
+    pair, seeds = sample_instance(16, 6, 2000, spec, master_seed=7)
+    assert pair.d2.shape[1] == 0
+    result = deanonymize(
+        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=1, epsilon=0.3
+    )
+    assert result.failed_stage is None
+    assert np.array_equal(result.pattern.s, np.zeros(6))
+    assert np.array_equal(result.retention.deleted, np.arange(6))
+    assert result.match.status_counts()["ambiguous"] == 16
+
+
+def test_deanonymize_understated_s_max_is_recorded():
+    # s_max=1 rules replicas out, so the replica-free seeds keep every
+    # repeated column: more than there are original columns.
+    spec = bsc_spec(flip=0.1, p_s=(0.2, 0.5, 0.3))
+    pair, seeds = sample_instance(64, 20, 5000, spec, master_seed=0)
+    assert pair.d2.shape[1] > 20
+    result = deanonymize(
+        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=1, epsilon=0.3
+    )
+    assert result.failed_stage == "replica"
+    assert "replica runs" in result.failure
+    assert result.retention is None and result.match is None

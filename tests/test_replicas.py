@@ -12,6 +12,7 @@ from dbalign import (
     factorial_moments,
     generate_database,
     mixture_truth,
+    replica_free,
     running_hamming,
     substream,
 )
@@ -172,3 +173,13 @@ def test_column_runs():
     starts, lengths = column_runs(np.zeros(0, dtype=bool))
     assert np.array_equal(starts, [0])
     assert np.array_equal(lengths, [1])
+
+
+def test_replica_free_any_column_count():
+    mat = np.arange(1, 13, dtype=np.uint8).reshape(2, 6)
+    free = replica_free(mat, np.array([True, False, True, True, False]))
+    assert np.array_equal(free, mat[:, [0, 2, 5]])
+    assert np.array_equal(replica_free(mat[:, :1], np.zeros(0, dtype=bool)), mat[:, :1])
+    assert replica_free(mat[:, :0], np.zeros(0, dtype=bool)).shape == (2, 0)
+    starts, lengths = column_runs(np.zeros(0, dtype=bool), 0)
+    assert starts.size == 0 and lengths.size == 0
