@@ -93,16 +93,14 @@ def _cmd_detect_deletions(args) -> int:
     g2 = read_matrix(args.g2)
     if args.dedup:
         g2 = replicas.replica_free(g2, replicas.detect_replicas(g2))
+    alphabet_size = args.alphabet_size or deletions.infer_alphabet_size(g1, g2)
     if args.dump_l is not None:
-        phi = deletions.enumerate_remappings(
-            args.alphabet_size or deletions.infer_alphabet_size(g1, g2)
-        )[0]
+        deletions.check_symbols(alphabet_size, g1, g2)
+        phi = deletions.enumerate_remappings(alphabet_size)[0]
         cross = deletions.cross_hamming(g1, g2, phi, args.threshold_constant)
         rows = [",".join(str(v) for v in row) for row in cross.l]
         _write_text(args.dump_l, "\n".join(rows) + "\n")
-    result = deletions.detect_deletions(
-        g1, g2, args.alphabet_size, args.threshold_constant
-    )
+    result = deletions.detect_deletions(g1, g2, alphabet_size, args.threshold_constant)
     out = {
         "retained": result.retained.tolist(),
         "deleted": result.deleted.tolist(),
@@ -135,7 +133,7 @@ def _cmd_match(args) -> int:
     d2 = read_matrix(args.d2)
     g1 = read_matrix(args.g1)
     g2 = read_matrix(args.g2)
-    alphabet_size = args.alphabet_size or deletions.infer_alphabet_size(d1, d2)
+    alphabet_size = args.alphabet_size or deletions.infer_alphabet_size(d1, d2, g1, g2)
     result = matching.deanonymize(
         d1,
         d2,

@@ -42,6 +42,8 @@ def read_matrix(path) -> np.ndarray:
         body = fh.read()
     if len(body) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} bytes, got {len(body)}")
+    if 0 in body:  # one-byte symbols cannot exceed the cap, only fall below 1
+        raise ValueError(f"{path}: symbols must lie in 1..{MAX_ALPHABET}")
     return np.frombuffer(body, dtype=np.uint8).reshape(rows, cols).copy()
 
 

@@ -79,6 +79,13 @@ def infer_alphabet_size(*mats: np.ndarray) -> int:
     return max(int(np.max(mat, initial=0)) for mat in mats)
 
 
+def check_symbols(alphabet_size: int, *mats: np.ndarray) -> None:
+    """Raise ValueError unless every symbol in every matrix lies in 1..alphabet_size."""
+    for mat in mats:
+        if np.size(mat) and (np.min(mat) < 1 or np.max(mat) > alphabet_size):
+            raise ValueError(f"symbols must lie in 1..{alphabet_size}")
+
+
 def deletion_threshold(num_seeds: int, n: int, constant: float = 2.0) -> float:
     """Outlier threshold: constant * Lambda^(2/3) * (log2 n)^(1/3).
 
@@ -170,6 +177,7 @@ def detect_deletions(
         raise ValueError("replica-free g2 cannot have more columns than g1")
     if alphabet_size is None:
         alphabet_size = infer_alphabet_size(g1, g2)
+    check_symbols(alphabet_size, g1, g2)
     for phi in enumerate_remappings(alphabet_size):
         rows = scan_remapping(cross_hamming(g1, g2, phi, threshold_constant))
         if rows is not None:

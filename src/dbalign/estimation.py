@@ -1,9 +1,9 @@
 """Plug-in estimation of the source, noise, and repetition distributions.
 
 Everything is estimated from the seed matrices and the detected
-repetition pattern: raw empirical frequencies, no smoothing by default.
-The assembled per-repetition-count joint tables (plus their entropies)
-are what the typicality matcher consumes.
+repetition pattern as raw empirical frequencies.
+The assembled per-repetition-count joint tables give the entropies that
+the typicality matcher compares its empirical rates against.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .deletions import check_symbols
 from .infotheory import entropy, repetition_table
 from .model import ModelSpec
 
@@ -25,8 +26,9 @@ class DistributionEstimate:
     erasure. ``unsupported_x`` flags symbols never observed among the
     retained original seed columns: their conditional rows are all-zero
     rather than silently normalized, so the matcher treats those events
-    as probability zero. The three entropies are derived from the same
-    tables used for scoring.
+    as probability zero. The three entropies are derived from the
+    tables, which factor through the same p_x and p_y_given_x that the
+    matcher scores cells with.
     """
 
     p_x: np.ndarray
@@ -56,21 +58,14 @@ class DistributionEstimate:
         }
 
 
-def estimate_p_x(g1: np.ndarray, alphabet_size: int, smoothing: float = 0.0) -> np.ndarray:
-    """Empirical symbol frequencies over all seed entries.
-
-    ``smoothing`` adds a pseudo-count to every symbol (1/num_seeds is a
-    reasonable choice for small seed batches); the default is raw
-    frequencies.
-    """
+def estimate_p_x(g1: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """Empirical symbol frequencies over all seed entries."""
     g1 = np.asarray(g1)
     if g1.size == 0:
         raise ValueError("seed matrix is empty")
+    check_symbols(alphabet_size, g1)
     counts = np.bincount(g1.ravel().astype(np.intp), minlength=alphabet_size + 1)
-    if counts[0] or counts.size > alphabet_size + 1:
-        raise ValueError("symbols outside 1..alphabet_size")
-    smoothed = counts[1:] + smoothing
-    return smoothed / smoothed.sum()
+    return counts[1:] / g1.size
 
 
 def estimate_p_y_given_x(
@@ -78,7 +73,6 @@ def estimate_p_y_given_x(
     g2: np.ndarray,
     retained,
     alphabet_size: int,
-    smoothing: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical noise matrix from aligned seed entry pairs.
 
@@ -87,21 +81,20 @@ def estimate_p_y_given_x(
     pair are normalized by the occurrences of x, making each supported
     row a proper conditional distribution. Returns (matrix, unsupported)
     where unsupported flags symbols with no observations; their rows are
-    left all-zero. A positive ``smoothing`` pseudo-count (1/num_seeds is
-    a reasonable small-seed choice) removes both zeros and flags.
+    left all-zero.
     """
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
     retained = np.asarray(getattr(retained, "retained", retained), dtype=np.int64)
     if retained.size != g2.shape[1]:
         raise ValueError("retained index count must match g2 column count")
+    check_symbols(alphabet_size, g1, g2)
     k = alphabet_size
     if retained.size == 0:
         return np.zeros((k, k)), np.ones(k, dtype=bool)
     x = g1[:, retained].astype(np.intp).ravel()
     y = g2.astype(np.intp).ravel()
     joint = np.bincount((x - 1) * k + (y - 1), minlength=k * k).reshape(k, k)
-    joint = joint + smoothing
     totals = joint.sum(axis=1)
     unsupported = totals == 0
     matrix = np.zeros((k, k))
@@ -203,12 +196,9 @@ def estimate_from_seeds(
     pattern,
     alphabet_size: int,
     s_max: int | None = None,
-    smoothing: float = 0.0,
 ) -> DistributionEstimate:
     """Full plug-in estimate from seeds plus the detected pattern."""
-    p_x = estimate_p_x(g1, alphabet_size, smoothing)
-    p_y_given_x, unsupported = estimate_p_y_given_x(
-        g1, g2_replicafree, retained, alphabet_size, smoothing
-    )
+    p_x = estimate_p_x(g1, alphabet_size)
+    p_y_given_x, unsupported = estimate_p_y_given_x(g1, g2_replicafree, retained, alphabet_size)
     p_s = estimate_p_s(pattern, s_max)
     return assemble_joint(p_x, p_y_given_x, p_s, unsupported)

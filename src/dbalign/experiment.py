@@ -228,8 +228,9 @@ def estimate_tv_distance(spec: ModelSpec, est: estimation.DistributionEstimate) 
 
 
 def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
+    """Working set of one trial, dominated by the matcher's m x m arrays."""
     k_max = n * max(s_max, 1)
-    match_working = 17 * m * m  # joint + deviation doubles, typicality bytes
+    match_working = 10 * m * m  # float64 score matrix plus two bool masks
     instance = 2 * m * (n + k_max) + 4 * num_seeds * (n + k_max)
     cross = 8 * n * n
     return int(1.5 * (match_working + instance + cross))
@@ -299,12 +300,13 @@ def run_trial(
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """All sweep points and trials; deterministic for a fixed master seed."""
     points = config.points()
+    concurrent = min(config.workers, config.trials)  # each thread holds its own trial
     for m, n in points:
-        need = _estimated_bytes(m, n, config.num_seeds, config.spec.s_max)
+        need = concurrent * _estimated_bytes(m, n, config.num_seeds, config.spec.s_max)
         if need > config.memory_cap_bytes:
             raise InfeasibleSizeError(
-                f"point m={m} n={n} needs ~{need} bytes, cap is "
-                f"{config.memory_cap_bytes}"
+                f"point m={m} n={n} needs ~{need} bytes for {concurrent} concurrent "
+                f"trial(s), cap is {config.memory_cap_bytes}"
             )
         if config.spec.alphabet_size ** (config.spec.s_max + 1) > TABLE_LIMIT:
             raise InfeasibleSizeError("joint table enumeration is infeasible")

@@ -136,46 +136,40 @@ def match_rows(
     m2 = d2.shape[0]
     if m1 != m2:
         raise ValueError("row matching needs equal row counts on both sides")
-    s = segmented.pattern.s
     k = est.alphabet_size
+    deletions.check_symbols(k, d1, d2)
     d1_idx = d1.astype(np.intp) - 1
+    retained = np.flatnonzero(segmented.pattern.s)
 
     # X-marginal deviation: depends on the anonymized row only.
     log_px = _safe_log2(est.p_x)
-    dev_x = np.abs(-log_px[d1_idx].sum(axis=1) / n - est.x_entropy)
+    ll_x = log_px[d1_idx].sum(axis=1)
+    dev_x = np.abs(-ll_x / n - est.x_entropy)
 
-    # Joint log-likelihood. The joint factorizes through the channel, so
-    # the pairwise part is a sum over repeated columns of a score that
-    # depends on (original entry, repeated entry): one matmul per symbol.
-    orig = np.repeat(np.arange(n), s)
+    # cell_ll[x, j, l]: log2 p(cell j of repeated row l | X = x) over the
+    # retained cells; the copies are conditionally independent given x,
+    # and the runs tile d2's columns in order. An erasure is certain
+    # whatever x is, so it adds nothing to the joint or Y log-likelihood.
     log_channel = _safe_log2(est.p_y_given_x)
-    joint_ll = np.zeros((m1, m2))
     d2_idx = d2.astype(np.intp) - 1
-    for x in range(k):
-        indicator = (d1_idx[:, orig] == x).astype(float)
-        joint_ll += indicator @ log_channel[x][d2_idx].T
-    joint_ll += log_px[d1_idx].sum(axis=1)[:, None]
+    cell_ll = np.add.reduceat(
+        log_channel[:, d2_idx.T], segmented.offsets[retained], axis=1
+    )
+
+    # Joint log-likelihood: d1's one-hot cells against cell_ll in one GEMM.
+    width = k * retained.size
+    onehot = d1_idx[:, None, retained] == np.arange(k)[:, None]
+    joint_ll = onehot.reshape(m1, width).astype(float) @ cell_ll.reshape(width, m2)
+    joint_ll += ll_x[:, None]
     # in place: dev_joint = |(-joint_ll / n) - joint_entropy|
     joint_ll *= -1.0 / n
     joint_ll -= est.joint_entropy
     dev_joint = np.abs(joint_ll, out=joint_ll)
 
-    # Y-marginal deviation: depends on the repeated row only. Cells are
-    # scored through the estimated output-tuple distribution per s.
-    ll_y = np.zeros(m2)
-    for sv in np.unique(s):
-        sv = int(sv)
-        if sv == 0:
-            continue  # erasure cells are certain, log-probability 0
-        cols = np.flatnonzero(s == sv)
-        log_qy = _safe_log2(est.tables[sv].sum(axis=0))
-        for j in cols:
-            start = segmented.offsets[j]
-            codes = np.zeros(m2, dtype=np.intp)
-            for t in range(sv):
-                codes = codes * k + (d2[:, start + t].astype(np.intp) - 1)
-            ll_y += log_qy[codes]
-    dev_y = np.abs(-ll_y / n - est.y_entropy)
+    # Y-marginal deviation: depends on the repeated row only; each cell's
+    # probability is its likelihood averaged over the source symbol.
+    q_y = np.tensordot(est.p_x, np.exp2(cell_ll), axes=1)
+    dev_y = np.abs(-_safe_log2(q_y).sum(axis=0) / n - est.y_entropy)
 
     typical = (dev_joint <= epsilon) & (dev_x <= epsilon)[:, None]
     typical &= (dev_y <= epsilon)[None, :]

@@ -267,3 +267,50 @@ def test_detect_replicas_without_pairs_prints_header(tmp_path, capsys):
     write_matrix(path, np.ones((5, 1), dtype=np.uint8))
     assert main(["detect-replicas", "--d2", str(path)]) == EXIT_OK
     assert capsys.readouterr().out == "j,hamming,is_replica\n"
+
+
+SYMBOL_INPUTS = {
+    "detect-replicas": ["d2"],
+    "detect-deletions": ["g1", "g2"],
+    "estimate": ["g1", "g2"],
+    "match": ["d1", "d2", "g1", "g2"],
+}
+
+
+@pytest.mark.parametrize("command", SYMBOL_INPUTS)
+def test_bad_symbols_exit_config(tmp_path, capsys, command):
+    pair, seeds = sample_instance(32, 12, 5000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
+    mats = {"d1": pair.d1, "d2": pair.d2, "g1": seeds.g1, "g2": seeds.g2}
+    argv = [command]
+    for name in SYMBOL_INPUTS[command]:
+        write_matrix(tmp_path / f"{name}.dbm", mats[name])
+        argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
+    if command == "detect-deletions":
+        argv += ["--dump-l", str(tmp_path / "l.csv")]
+    if command in ("estimate", "match"):
+        argv += ["--s-max", "2"]
+
+    # An alphabet smaller than the largest symbol.
+    if command != "detect-replicas":
+        assert main([*argv, "--alphabet-size", "1"]) == EXIT_CONFIG
+        assert "symbols must lie in 1..1" in capsys.readouterr().err
+
+    # A 0 byte, which the matrix writer refuses to produce.
+    first = tmp_path / f"{SYMBOL_INPUTS[command][0]}.dbm"
+    raw = bytearray(first.read_bytes())
+    raw[-1] = 0
+    first.write_bytes(bytes(raw))
+    assert main(argv) == EXIT_CONFIG
+    assert "symbols must lie in 1..255" in capsys.readouterr().err
+
+
+def test_match_infers_alphabet_from_seeds_too(tmp_path, capsys):
+    # The database never shows symbol 3, the seeds do: the alphabet is 3.
+    pair, seeds = sample_instance(8, 12, 3000, symmetric_spec(3, 0.8, (0.2, 0.5, 0.3)), master_seed=2)
+    mats = {"d1": np.minimum(pair.d1, 2), "d2": np.minimum(pair.d2, 2), "g1": seeds.g1, "g2": seeds.g2}
+    argv = ["match", "--s-max", "2", "--epsilon", "0.3"]
+    for name, mat in mats.items():
+        write_matrix(tmp_path / f"{name}.dbm", mat)
+        argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"]["alphabet_size"] == 3

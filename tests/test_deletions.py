@@ -215,6 +215,16 @@ def test_detect_deletions_preconditions(rng):
         detect_deletions(g1, g2, alphabet_size=2)
 
 
+@pytest.mark.parametrize("side, value", [("g1", 0), ("g2", 3)])
+def test_detect_deletions_rejects_symbols_outside_alphabet(side, value):
+    spec = bsc_spec(flip=0.1, p_s=(0.3, 0.7))
+    seeds = generate_seeds(5000, 10, _deletion_pattern(10, (2, 7)), spec, substream(3, 0))
+    mats = {"g1": seeds.g1.copy(), "g2": seeds.g2.copy()}
+    mats[side][0, 0] = value
+    with pytest.raises(ValueError, match="1..2"):
+        detect_deletions(mats["g1"], mats["g2"], alphabet_size=2)
+
+
 def test_all_columns_deleted_trivial_result(rng):
     g1 = rng.integers(1, 3, size=(100, 5)).astype(np.uint8)
     g2 = np.zeros((100, 0), dtype=np.uint8)

@@ -173,16 +173,13 @@ def test_estimation_error_halves_when_seeds_quadruple():
     assert 0.3 <= mean_err[2000] / mean_err[500] <= 0.75
 
 
-def test_additive_smoothing_removes_zero_rows():
-    g1 = np.array([[1]], dtype=np.uint8)
-    g2 = np.array([[2]], dtype=np.uint8)
-    matrix, unsupported = estimate_p_y_given_x(g1, g2, np.array([0]), 3, smoothing=1.0)
-    assert not unsupported.any()
-    assert np.allclose(matrix.sum(axis=1), 1.0)
-    assert matrix[0, 1] == pytest.approx(2 / 4)  # one observation plus pseudo-counts
-    smoothed_px = estimate_p_x(g1, 3, smoothing=1.0)
-    assert np.allclose(smoothed_px, [2 / 4, 1 / 4, 1 / 4])
-    assert smoothed_px.sum() == pytest.approx(1.0)
+def test_estimators_reject_symbols_outside_alphabet():
+    # A 0 in g2 would otherwise be counted as the pair (x - 1, k).
+    g1 = np.array([[2]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="1..2"):
+        estimate_p_y_given_x(g1, np.array([[0]], dtype=np.uint8), np.array([0]), 2)
+    with pytest.raises(ValueError, match="1..2"):
+        estimate_p_x(np.array([[3]], dtype=np.uint8), 2)
 
 
 def test_estimate_serialization_round_trip():

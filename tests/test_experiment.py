@@ -12,7 +12,12 @@ from dbalign import (
     run_experiment,
     wilson_interval,
 )
-from dbalign.experiment import CSV_COLUMNS, estimate_tv_distance, report_from_dict
+from dbalign.experiment import (
+    CSV_COLUMNS,
+    _estimated_bytes,
+    estimate_tv_distance,
+    report_from_dict,
+)
 
 from conftest import bsc_spec, noiseless_spec
 
@@ -161,6 +166,17 @@ def test_json_report_round_trip(tmp_path):
 def test_infeasible_size_rejected_up_front():
     with pytest.raises(InfeasibleSizeError):
         run_experiment(small_config(memory_cap_bytes=1000))
+
+
+def test_memory_cap_counts_concurrent_trials():
+    # Each worker thread holds its own trial's working set.
+    config = small_config()
+    one_trial = _estimated_bytes(config.m, config.n, config.num_seeds, config.spec.s_max)
+    cap = one_trial * 3 // 2
+    with pytest.raises(InfeasibleSizeError, match="2 concurrent"):
+        run_experiment(small_config(workers=2, memory_cap_bytes=cap))
+    report = run_experiment(small_config(workers=1, memory_cap_bytes=cap))
+    assert len(report.points[0].trials) == config.trials
 
 
 def test_emit_unknown_format_and_io_error(tmp_path):

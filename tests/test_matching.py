@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbalign import (
     ModelSpec,
     RepetitionPattern,
+    assemble_joint,
     deanonymize,
     from_model_spec,
     generate_database,
@@ -16,9 +19,10 @@ from dbalign import (
     substream,
 )
 from dbalign.deletions import RetentionResult
+from dbalign.estimation import from_dict
 from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
 
-from conftest import bsc_spec, noiseless_spec
+from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 from oracles import ERASURE, cell, row_cells, typicality_deviation
 
 
@@ -127,9 +131,30 @@ def test_match_rows_small_noiseless_exact():
     assert exact >= 95
 
 
-def test_match_rows_agrees_with_brute_force_oracle():
-    spec = bsc_spec(flip=0.15, p_s=(0.2, 0.5, 0.3))
-    est = from_model_spec(spec)
+def _unsupported_symbol_case():
+    # Symbol 3 was never seen in a retained seed column: its channel row
+    # is all zero, so every cell scored against it has probability zero.
+    spec = symmetric_spec(3, 0.8, (0.2, 0.5, 0.3))
+    chan = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.0, 0.0, 0.0]]
+    est = from_dict({"p_x": spec.p_x.tolist(), "p_y_given_x": chan, "p_s": spec.p_s.tolist()})
+    return spec, est
+
+
+ORACLE_CASES = {
+    "bsc": (bsc_spec(flip=0.15, p_s=(0.2, 0.5, 0.3)), None),
+    "skewed_source": (bsc_spec(flip=0.15, p_s=(0.2, 0.5, 0.3), p_x=(0.8, 0.2)), None),
+    "unit_trace_cyclic": (unit_trace_cyclic_spec((0.2, 0.5, 0.3)), None),
+    "ternary": (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), None),
+    "quaternary": (symmetric_spec(4, 0.7, (0.2, 0.5, 0.3)), None),
+    "all_deleted": (bsc_spec(flip=0.15, p_s=(1.0, 0.0)), None),
+    "unsupported_symbol": _unsupported_symbol_case(),
+}
+
+
+@pytest.mark.parametrize("spec, est", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_match_rows_agrees_with_brute_force_oracle(spec, est):
+    if est is None:
+        est = from_model_spec(spec)
     for seed in range(8):
         pair, _ = sample_instance(12, 9, 1, spec, master_seed=900 + seed)
         seg = segment(pair.d2, pair.pattern)
@@ -141,6 +166,44 @@ def test_match_rows_agrees_with_brute_force_oracle():
             assert np.array_equal(matched, assigned >= 0)
             no_cand = n_candidates == 0
             assert np.array_equal(fast.status == 2, no_cand)
+
+
+RELABEL_SPECS = [
+    bsc_spec(flip=0.15, p_s=(0.2, 0.5, 0.3), p_x=(0.7, 0.3)),
+    unit_trace_cyclic_spec((0.2, 0.5, 0.3)),
+    symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)),
+    symmetric_spec(4, 0.7, (0.2, 0.5, 0.3)),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    spec=st.sampled_from(RELABEL_SPECS),
+    seed=st.integers(0, 10_000),
+    epsilon=st.sampled_from([0.2, 0.5, 1.0]),
+    data=st.data(),
+)
+def test_match_rows_symbol_relabelling_equivariance(spec, seed, epsilon, data):
+    # Renaming the symbols of d1 and of d2, with the distributions renamed
+    # to match, is the same instance: the matching must not change.
+    k = spec.alphabet_size
+    perm_x = np.array(data.draw(st.permutations(range(k))))
+    perm_y = np.array(data.draw(st.permutations(range(k))))
+    pair, _ = sample_instance(16, 12, 1, spec, master_seed=seed)
+    base = match_rows(pair.d1, segment(pair.d2, pair.pattern), from_model_spec(spec), epsilon)
+
+    p_x = np.empty(k)
+    p_x[perm_x] = spec.p_x
+    chan = np.empty((k, k))
+    chan[np.ix_(perm_x, perm_y)] = spec.p_y_given_x
+    relabelled = match_rows(
+        (perm_x + 1).astype(np.uint8)[pair.d1 - 1],
+        segment((perm_y + 1).astype(np.uint8)[pair.d2 - 1], pair.pattern),
+        assemble_joint(p_x, chan, spec.p_s),
+        epsilon,
+    )
+    assert np.array_equal(relabelled.assigned, base.assigned)
+    assert np.array_equal(relabelled.status, base.status)
 
 
 def test_match_result_accessors():
@@ -275,6 +338,18 @@ def test_match_rows_requires_equal_row_counts():
     seg = segment(np.ones((5, 3), dtype=np.uint8), RepetitionPattern([1, 1, 1]))
     with pytest.raises(ValueError):
         match_rows(d1, seg, est, epsilon=0.1)
+
+
+@pytest.mark.parametrize("side, value", [("d1", 0), ("d2", 3), ("g2", 3)])
+def test_deanonymize_rejects_symbols_outside_alphabet(side, value):
+    spec = bsc_spec(flip=0.1, p_s=(0.2, 0.5, 0.3))
+    pair, seeds = sample_instance(32, 12, 5000, spec, master_seed=1)
+    mats = {"d1": pair.d1.copy(), "d2": pair.d2.copy(), "g1": seeds.g1, "g2": seeds.g2.copy()}
+    mats[side][0, 0] = value
+    with pytest.raises(ValueError, match="1..2"):
+        deanonymize(
+            mats["d1"], mats["d2"], mats["g1"], mats["g2"], alphabet_size=2, s_max=2, epsilon=0.3
+        )
 
 
 def test_deanonymize_validates_shared_pattern():

@@ -221,6 +221,17 @@ def test_matrix_io_rejects_corruption(tmp_path, rng):
         write_matrix(tmp_path / "zeros.dbm", np.zeros((2, 2), dtype=int))
 
 
+def test_matrix_io_rejects_zero_symbol_on_read(tmp_path, rng):
+    # The writer refuses symbols outside 1..255; the reader must too.
+    path = tmp_path / "mat.dbm"
+    write_matrix(path, generate_database(4, 4, bsc_spec(), rng))
+    raw = bytearray(path.read_bytes())
+    raw[-1] = 0
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="1..255"):
+        read_matrix(path)
+
+
 def test_model_spec_json_round_trip(tmp_path):
     spec = bsc_spec(flip=0.2, p_s=(0.1, 0.6, 0.3))
     d = model_spec_to_dict(spec)
