@@ -7,7 +7,8 @@ n-1 entries in its column concentrate around it. Some channels hide the
 correlated entry under the identity map, so the scan sweeps bijective
 symbol remappings of the repeated side until one separates an outlier
 in every column. The outlier's row index is the retained original
-column.
+column. The seeds are read once, into symbol co-occurrence counts, and
+every remapping's distance matrix is read off those counts.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import numpy as np
 MAX_REMAP_ALPHABET = 8  # 8! = 40320 remappings; larger sweeps are rejected
 
 MIN_COLUMNS = 3  # an outlier needs a bulk to stand out from
+
+# Seed rows one-hot encoded at a time by `cooccurrence`; bounds its
+# working set independently of the seed count.
+SEED_BLOCK = 2048
 
 
 class MisdetectionError(RuntimeError):
@@ -96,13 +101,48 @@ def deletion_threshold(num_seeds: int, n: int, constant: float = 2.0) -> float:
     return constant * num_seeds ** (2.0 / 3.0) * math.log2(n) ** (1.0 / 3.0)
 
 
+def cooccurrence(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """Symbol co-occurrence counts between every g1 and every g2 column.
+
+    ``C[x, i, y, j]`` is the number of seed rows where g1 column i holds
+    symbol x+1 and g2 column j holds y+1. Built by one float64 one-hot
+    GEMM per block of SEED_BLOCK rows; each block's sums are integers
+    below 2^53, so the int64 totals are exact.
+    """
+    g1 = np.asarray(g1)
+    g2 = np.asarray(g2)
+    if g1.shape[0] != g2.shape[0]:
+        raise ValueError("seed matrices must have the same row count")
+    num_seeds, n = g1.shape
+    kt = g2.shape[1]
+    k = alphabet_size
+    symbols = np.arange(1, k + 1).reshape(k, 1)
+    counts = np.zeros((k * n, k * kt), dtype=np.int64)
+    for start in range(0, num_seeds, SEED_BLOCK):
+        b1 = g1[start : start + SEED_BLOCK]
+        b2 = g2[start : start + SEED_BLOCK]
+        hot1 = (b1[:, None, :] == symbols).reshape(b1.shape[0], k * n)
+        hot2 = (b2[:, None, :] == symbols).reshape(b2.shape[0], k * kt)
+        counts += (hot1.T.astype(np.float64) @ hot2.astype(np.float64)).astype(np.int64)
+    return counts.reshape(k, n, k, kt)
+
+
 def cross_hamming(
     g1: np.ndarray,
     g2: np.ndarray,
     phi: np.ndarray,
     threshold_constant: float = 2.0,
+    counts: np.ndarray | None = None,
 ) -> CrossDistanceMatrix:
-    """Distances between every g1 column and every remapped g2 column."""
+    """Distances between every g1 column and every remapped g2 column.
+
+    Read off the co-occurrence counts: g1 column i agrees with remapped
+    g2 column j on every row where g2 holds y and g1 holds phi(y), so
+    ``l = Lambda - sum_y C[phi(y)-1, :, y-1, :]``. Pass ``counts`` (from
+    `cooccurrence` with ``alphabet_size == len(phi)``) to share them
+    across remappings; they are computed here when omitted, after
+    checking that every symbol lies in 1..len(phi).
+    """
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
     if g1.shape[0] != g2.shape[0]:
@@ -110,10 +150,14 @@ def cross_hamming(
     num_seeds, n = g1.shape
     kt = g2.shape[1]
     phi = np.asarray(phi)
-    mapped = phi[g2.astype(np.intp) - 1]
-    l = np.empty((n, kt), dtype=np.int64)
-    for i in range(n):
-        l[i] = (g1[:, i : i + 1] != mapped).sum(axis=0)
+    k = phi.size
+    if counts is None:
+        check_symbols(k, g1, g2)
+        counts = cooccurrence(g1, g2, k)
+    if counts.shape != (k, n, k, kt):
+        raise ValueError(f"counts must have shape {(k, n, k, kt)}")
+    agree = counts[phi.astype(np.intp) - 1, :, np.arange(k), :].sum(axis=0)
+    l = num_seeds - agree
     return CrossDistanceMatrix(
         l=l,
         mu=float(l.mean()) if l.size else 0.0,
@@ -178,8 +222,11 @@ def detect_deletions(
     if alphabet_size is None:
         alphabet_size = infer_alphabet_size(g1, g2)
     check_symbols(alphabet_size, g1, g2)
-    for phi in enumerate_remappings(alphabet_size):
-        rows = scan_remapping(cross_hamming(g1, g2, phi, threshold_constant))
+    remappings = enumerate_remappings(alphabet_size)  # rejects a large alphabet first
+    counts = cooccurrence(g1, g2, alphabet_size)
+    for phi in remappings:
+        cross = cross_hamming(g1, g2, phi, threshold_constant, counts=counts)
+        rows = scan_remapping(cross)
         if rows is not None:
             deleted = np.setdiff1d(np.arange(n), rows)
             return RetentionResult(retained=rows, deleted=deleted, n=n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from . import estimation, matching
+from . import deletions, estimation, matching
 from .dbio import model_spec_from_dict, model_spec_to_dict
 from .infotheory import TABLE_LIMIT, capacity
 from .model import ModelSpec, sample_instance, substream
@@ -227,12 +227,15 @@ def estimate_tv_distance(spec: ModelSpec, est: estimation.DistributionEstimate) 
     return 0.5 * total
 
 
-def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
+def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int) -> int:
     """Working set of one trial, dominated by the matcher's m x m arrays."""
     k_max = n * max(s_max, 1)
     match_working = 10 * m * m  # float64 score matrix plus two bool masks
     instance = 2 * m * (n + k_max) + 4 * num_seeds * (n + k_max)
-    cross = 8 * n * n
+    # int64 co-occurrence counts (at most n replica-free g2 columns) plus
+    # one seed block's float64 one-hots of g1 and g2.
+    block = min(num_seeds, deletions.SEED_BLOCK)
+    cross = 8 * alphabet_size**2 * n * n + 8 * block * alphabet_size * 2 * n
     return int(1.5 * (match_working + instance + cross))
 
 
@@ -302,7 +305,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     points = config.points()
     concurrent = min(config.workers, config.trials)  # each thread holds its own trial
     for m, n in points:
-        need = concurrent * _estimated_bytes(m, n, config.num_seeds, config.spec.s_max)
+        need = concurrent * _estimated_bytes(
+            m, n, config.num_seeds, config.spec.s_max, config.spec.alphabet_size
+        )
         if need > config.memory_cap_bytes:
             raise InfeasibleSizeError(
                 f"point m={m} n={n} needs ~{need} bytes for {concurrent} concurrent "

@@ -1,4 +1,4 @@
-"""Scalar reference code the vectorized matcher is checked against."""
+"""Scalar reference code the vectorized pipeline stages are checked against."""
 
 import math
 
@@ -59,3 +59,17 @@ def typicality_deviation(x_row, cells, est):
         abs(-ll_x / n - est.x_entropy),
         abs(-ll_y / n - est.y_entropy),
     )
+
+
+def cross_hamming_loop(g1, g2, phi):
+    """Reference distance matrix: one column comparison at a time.
+
+    ``l[i, j]`` counts seed rows where g1 column i differs from g2
+    column j after mapping each g2 symbol y to ``phi[y - 1]``.
+    """
+    g1 = np.asarray(g1)
+    mapped = np.asarray(phi)[np.asarray(g2).astype(np.intp) - 1]
+    l = np.empty((g1.shape[1], mapped.shape[1]), dtype=np.int64)
+    for i in range(g1.shape[1]):
+        l[i] = (g1[:, i : i + 1] != mapped).sum(axis=0)
+    return l

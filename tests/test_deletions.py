@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbalign import (
     MisdetectionError,
@@ -13,9 +15,11 @@ from dbalign import (
     mixture_truth,
     substream,
 )
-from dbalign.deletions import CrossDistanceMatrix, scan_remapping
+from dbalign import deletions
+from dbalign.deletions import SEED_BLOCK, CrossDistanceMatrix, cooccurrence, scan_remapping
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
+from oracles import cross_hamming_loop
 
 
 def _deletion_pattern(n, deleted):
@@ -78,6 +82,51 @@ def test_cross_hamming_small_retention_outlier_profile():
         assert 9050 <= col[high][0] <= 9350
 
 
+ORACLE_SPECS = {
+    "bsc": bsc_spec(flip=0.1, p_s=(0.3, 0.7)),
+    "symmetric3": symmetric_spec(3, diag=0.8, p_s=(0.3, 0.7)),
+    "symmetric4": symmetric_spec(4, diag=0.08, p_s=(0.3, 0.7)),
+    "unit_trace_cyclic": unit_trace_cyclic_spec(),
+    "noiseless": noiseless_spec(size=2, p_s=(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("deleted", [(2, 5), tuple(range(8))], ids=["kt=6", "kt=0"])
+@pytest.mark.parametrize("num_seeds", [500, SEED_BLOCK, 2 * SEED_BLOCK + 37])
+@pytest.mark.parametrize("spec_name", sorted(ORACLE_SPECS))
+def test_cross_hamming_matches_column_loop_oracle(spec_name, num_seeds, deleted):
+    # Seed counts below, at and off a multiple of the block size cover
+    # the partial and exact last blocks of the co-occurrence counts.
+    spec = ORACLE_SPECS[spec_name]
+    pattern = _deletion_pattern(8, deleted)
+    seeds = generate_seeds(num_seeds, 8, pattern, spec, substream(17, num_seeds))
+    counts = cooccurrence(seeds.g1, seeds.g2, spec.alphabet_size)
+    for phi in enumerate_remappings(spec.alphabet_size):
+        expected = cross_hamming_loop(seeds.g1, seeds.g2, phi)
+        for cross in (
+            cross_hamming(seeds.g1, seeds.g2, phi),
+            cross_hamming(seeds.g1, seeds.g2, phi, counts=counts),
+        ):
+            assert cross.l.dtype == expected.dtype
+            assert np.array_equal(cross.l, expected)
+            assert cross.mu == (float(expected.mean()) if expected.size else 0.0)
+
+
+def test_cross_hamming_rejects_counts_of_another_shape(rng):
+    g1 = rng.integers(1, 4, size=(50, 4)).astype(np.uint8)
+    g2 = g1[:, [0, 2]]
+    with pytest.raises(ValueError, match="shape"):
+        cross_hamming(g1, g2, np.array([1, 2]), counts=cooccurrence(g1, g2, 3))
+
+
+@pytest.mark.parametrize("side, value", [("g1", 0), ("g2", 3)])
+def test_cross_hamming_rejects_symbols_outside_alphabet(rng, side, value):
+    mats = {name: rng.integers(1, 3, size=(50, 4)).astype(np.uint8) for name in ("g1", "g2")}
+    mats[side][0, 0] = value
+    with pytest.raises(ValueError, match="1..2"):
+        cross_hamming(mats["g1"], mats["g2"], np.array([1, 2]))
+
+
 def test_cross_hamming_dimension_mismatch(rng):
     g1 = rng.integers(1, 3, size=(10, 4)).astype(np.uint8)
     g2 = rng.integers(1, 3, size=(11, 3)).astype(np.uint8)
@@ -115,6 +164,42 @@ def test_scan_remapping_useless_before_later_misdetection():
     l = np.full((5, 3), 100.0)
     l[1, 1] = l[3, 1] = 900.0
     assert scan_remapping(CrossDistanceMatrix(l=l, mu=100.0, tau_hat=400.0)) is None
+
+
+def _counting_cross_hamming(monkeypatch):
+    calls = []
+    original = deletions.cross_hamming
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(deletions, "cross_hamming", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, deleted, expect_sweep",
+    [
+        (bsc_spec(flip=0.1, p_s=(0.3, 0.7)), (1, 4), False),
+        (unit_trace_cyclic_spec(), (2, 6), True),
+    ],
+    ids=["bsc", "unit_trace_cyclic"],
+)
+def test_detect_deletions_calls_cross_hamming_per_remapping(monkeypatch, spec, deleted, expect_sweep):
+    # The benchmark's traced run wraps `deletions.cross_hamming` and reads
+    # g1 and g2 from its first two positional arguments: one call per
+    # swept remapping, in sweep order, looked up through the module.
+    seeds = generate_seeds(10_000, 10, _deletion_pattern(10, deleted), spec, substream(13, 0))
+    calls = _counting_cross_hamming(monkeypatch)
+    result = detect_deletions(seeds.g1, seeds.g2, alphabet_size=spec.alphabet_size)
+    assert np.array_equal(result.deleted, deleted)
+    assert (len(calls) > 1) if expect_sweep else (len(calls) == 1)
+    remappings = enumerate_remappings(spec.alphabet_size)
+    for args, phi in zip(calls, remappings):
+        assert np.array_equal(args[0], seeds.g1)
+        assert np.array_equal(args[1], seeds.g2)
+        assert np.array_equal(args[2], phi)
 
 
 def test_fig3_style_exact_recovery():
@@ -240,3 +325,30 @@ def test_detection_is_deterministic():
     a = detect_deletions(seeds.g1, seeds.g2, alphabet_size=4)
     b = detect_deletions(seeds.g1, seeds.g2, alphabet_size=4)
     assert np.array_equal(a.retained, b.retained)
+
+
+def _retention_or_error(g1, g2, alphabet_size):
+    try:
+        result = detect_deletions(g1, g2, alphabet_size=alphabet_size)
+    except (MisdetectionError, NoUsefulRemappingError) as exc:
+        return type(exc)
+    return result.retained.tolist(), result.deleted.tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    spec=st.sampled_from(list(ORACLE_SPECS.values())),
+    seed=st.integers(0, 10_000),
+    num_seeds=st.sampled_from([300, 3000]),
+)
+def test_detect_deletions_row_permutation_property(spec, seed, num_seeds):
+    # Seed rows are exchangeable: one row permutation applied to both
+    # seed matrices is the same evidence, whatever the outcome.
+    rng = substream(seed, 0)
+    pattern = RepetitionPattern(rng.binomial(1, 0.7, size=10))
+    seeds = generate_seeds(num_seeds, 10, pattern, spec, rng)
+    perm = rng.permutation(num_seeds)
+    k = spec.alphabet_size
+    assert _retention_or_error(seeds.g1[perm], seeds.g2[perm], k) == _retention_or_error(
+        seeds.g1, seeds.g2, k
+    )

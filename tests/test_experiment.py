@@ -171,12 +171,21 @@ def test_infeasible_size_rejected_up_front():
 def test_memory_cap_counts_concurrent_trials():
     # Each worker thread holds its own trial's working set.
     config = small_config()
-    one_trial = _estimated_bytes(config.m, config.n, config.num_seeds, config.spec.s_max)
+    one_trial = _estimated_bytes(
+        config.m, config.n, config.num_seeds, config.spec.s_max, config.spec.alphabet_size
+    )
     cap = one_trial * 3 // 2
     with pytest.raises(InfeasibleSizeError, match="2 concurrent"):
         run_experiment(small_config(workers=2, memory_cap_bytes=cap))
     report = run_experiment(small_config(workers=1, memory_cap_bytes=cap))
     assert len(report.points[0].trials) == config.trials
+
+
+def test_memory_estimate_grows_with_alphabet_size():
+    # Deletion detection holds k^2 * n * kt co-occurrence counts and one
+    # seed block's one-hots, both growing with the alphabet.
+    sizes = [_estimated_bytes(256, 240, 5000, 3, k) for k in (2, 3, 4, 8)]
+    assert sizes == sorted(set(sizes))
 
 
 def test_emit_unknown_format_and_io_error(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbalign import (
     RepetitionPattern,
@@ -17,7 +19,7 @@ from dbalign import (
     substream,
 )
 
-from conftest import bsc_spec, noiseless_spec
+from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 
 
 def test_running_hamming_identical_columns():
@@ -131,6 +133,36 @@ def test_detect_replicas_row_permutation_invariant(rng):
     d2 = apply_channel(d1, pattern, np.arange(500), spec, substream(3, 2))
     base = detect_replicas(d2)
     assert np.array_equal(base, detect_replicas(d2[rng.permutation(500)]))
+
+
+def _replica_decisions_or_error(d2):
+    try:
+        return detect_replicas(d2).tolist()
+    except SingleComponentError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    spec=st.sampled_from(
+        [
+            bsc_spec(p_s=(0.0, 0.5, 0.5)),
+            symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)),
+            unit_trace_cyclic_spec((0.2, 0.5, 0.3)),
+            noiseless_spec(size=2, p_s=(0.1, 0.5, 0.4)),
+        ]
+    ),
+    seed=st.integers(0, 10_000),
+    m=st.sampled_from([40, 400]),
+)
+def test_detect_replicas_row_permutation_property(spec, seed, m):
+    # Database rows are exchangeable: any row order of d2 gives the same
+    # adjacent distances, hence the same decisions or the same refusal.
+    d1 = generate_database(m, 30, spec, substream(seed, 0))
+    pattern = draw_pattern(30, spec, substream(seed, 1))
+    d2 = apply_channel(d1, pattern, np.arange(m), spec, substream(seed, 2))
+    perm = substream(seed, 3).permutation(m)
+    assert _replica_decisions_or_error(d2[perm]) == _replica_decisions_or_error(d2)
 
 
 def test_independent_databases_give_no_separation(rng):
