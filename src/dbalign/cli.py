@@ -19,7 +19,7 @@ import numpy as np
 
 from . import deletions, matching, replicas
 from .dbio import load_model_spec, read_matrix, write_matrix
-from .experiment import ExperimentConfig, InfeasibleSizeError, emit, run_experiment
+from .experiment import ExperimentConfig, InfeasibleSizeError, render, run_experiment
 from .infotheory import capacity
 from .model import sample_instance
 
@@ -196,11 +196,7 @@ def _cmd_experiment(args) -> int:
     if args.sweep_values is not None:
         raw["sweep_values"] = [int(v) for v in args.sweep_values.split(",") if v]
     config = ExperimentConfig.from_dict(raw)
-    report = run_experiment(config)
-    if args.out is None:
-        emit(report, args.format, "/dev/stdout")
-    else:
-        emit(report, args.format, _out_path(args.out))
+    _write_text(args.out, render(run_experiment(config), args.format))
     return EXIT_OK
 
 

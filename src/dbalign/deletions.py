@@ -8,7 +8,8 @@ correlated entry under the identity map, so the scan sweeps bijective
 symbol remappings of the repeated side until one separates an outlier
 in every column. The outlier's row index is the retained original
 column. The seeds are read once, into symbol co-occurrence counts, and
-every remapping's distance matrix is read off those counts.
+every remapping's distance matrix is read off those counts, as is the
+symbol-pair table at the detected column pairs.
 """
 
 from __future__ import annotations
@@ -53,11 +54,16 @@ class CrossDistanceMatrix:
 
 @dataclass(frozen=True)
 class RetentionResult:
-    """Detected retained/deleted original column indices (0-based)."""
+    """Detected retained/deleted original column indices (0-based).
+
+    ``pair_counts[x, y]`` counts seed entries where a retained original
+    column holds x+1 and its replica-free seed column holds y+1.
+    """
 
     retained: np.ndarray
     deleted: np.ndarray
     n: int
+    pair_counts: np.ndarray
 
     @property
     def num_retained(self) -> int:
@@ -96,8 +102,10 @@ def deletion_threshold(num_seeds: int, n: int, constant: float = 2.0) -> float:
 
     Grows sublinearly in the seed count, so true outliers (which deviate
     proportionally to Lambda) clear it while bulk fluctuations stay
-    below.
+    below. The constant must be finite and positive.
     """
+    if not 0.0 < constant < math.inf:
+        raise ValueError("threshold_constant must be finite and positive")
     return constant * num_seeds ** (2.0 / 3.0) * math.log2(n) ** (1.0 / 3.0)
 
 
@@ -204,7 +212,7 @@ def detect_deletions(
     g2 must already be replica-free (one column per retained original
     column; with none, every original column is deleted). Sweeps
     remappings in lexicographic order and returns the retention set of
-    the first useful one.
+    the first useful one, with the symbol-pair counts at its column pairs.
 
     Raises MisdetectionError on an inconsistent outlier pattern and
     NoUsefulRemappingError when the sweep is exhausted.
@@ -229,5 +237,6 @@ def detect_deletions(
         rows = scan_remapping(cross)
         if rows is not None:
             deleted = np.setdiff1d(np.arange(n), rows)
-            return RetentionResult(retained=rows, deleted=deleted, n=n)
+            pair_counts = counts[:, rows, :, np.arange(kt)].sum(axis=0)
+            return RetentionResult(retained=rows, deleted=deleted, n=n, pair_counts=pair_counts)
     raise NoUsefulRemappingError("all remappings useless")

@@ -1,7 +1,8 @@
 """Plug-in estimation of the source, noise, and repetition distributions.
 
-Everything is estimated from the seed matrices and the detected
-repetition pattern as raw empirical frequencies.
+Everything is estimated as raw empirical frequencies: the source from
+the original seeds, the channel from deletion detection's pair counts,
+and the repetition counts from the detected pattern.
 The assembled per-repetition-count joint tables give the entropies that
 the typicality matcher compares its empirical rates against.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deletions import check_symbols
+from .deletions import RetentionResult, check_symbols
 from .infotheory import entropy, repetition_table
 from .model import ModelSpec
 
@@ -68,36 +69,21 @@ def estimate_p_x(g1: np.ndarray, alphabet_size: int) -> np.ndarray:
     return counts[1:] / g1.size
 
 
-def estimate_p_y_given_x(
-    g1: np.ndarray,
-    g2: np.ndarray,
-    retained,
-    alphabet_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical noise matrix from aligned seed entry pairs.
+def estimate_p_y_given_x(pair_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical noise matrix from aligned seed entry pair counts.
 
-    ``retained`` maps each replica-free g2 column to its original g1
-    column (a RetentionResult or an index array). Counts of each (x, y)
-    pair are normalized by the occurrences of x, making each supported
+    ``pair_counts`` is a k x k table such as ``RetentionResult.pair_counts``.
+    Each row is normalized by the occurrences of x, making each supported
     row a proper conditional distribution. Returns (matrix, unsupported)
     where unsupported flags symbols with no observations; their rows are
     left all-zero.
     """
-    g1 = np.asarray(g1)
-    g2 = np.asarray(g2)
-    retained = np.asarray(getattr(retained, "retained", retained), dtype=np.int64)
-    if retained.size != g2.shape[1]:
-        raise ValueError("retained index count must match g2 column count")
-    check_symbols(alphabet_size, g1, g2)
-    k = alphabet_size
-    if retained.size == 0:
-        return np.zeros((k, k)), np.ones(k, dtype=bool)
-    x = g1[:, retained].astype(np.intp).ravel()
-    y = g2.astype(np.intp).ravel()
-    joint = np.bincount((x - 1) * k + (y - 1), minlength=k * k).reshape(k, k)
+    joint = np.asarray(pair_counts)
+    if joint.ndim != 2 or joint.shape[0] != joint.shape[1]:
+        raise ValueError("pair counts must be a square 2-D table")
     totals = joint.sum(axis=1)
     unsupported = totals == 0
-    matrix = np.zeros((k, k))
+    matrix = np.zeros(joint.shape)
     rows = ~unsupported
     matrix[rows] = joint[rows] / totals[rows, None]
     return matrix, unsupported
@@ -191,14 +177,15 @@ def from_dict(d: dict) -> DistributionEstimate:
 
 def estimate_from_seeds(
     g1: np.ndarray,
-    g2_replicafree: np.ndarray,
-    retained,
+    retention: RetentionResult,
     pattern,
     alphabet_size: int,
     s_max: int | None = None,
 ) -> DistributionEstimate:
-    """Full plug-in estimate from seeds plus the detected pattern."""
+    """Full plug-in estimate from the original seeds and both detector outputs."""
+    if np.shape(retention.pair_counts) != (alphabet_size, alphabet_size):
+        raise ValueError(f"pair counts must be a {alphabet_size} x {alphabet_size} table")
     p_x = estimate_p_x(g1, alphabet_size)
-    p_y_given_x, unsupported = estimate_p_y_given_x(g1, g2_replicafree, retained, alphabet_size)
+    p_y_given_x, unsupported = estimate_p_y_given_x(retention.pair_counts)
     p_s = estimate_p_s(pattern, s_max)
     return assemble_joint(p_x, p_y_given_x, p_s, unsupported)

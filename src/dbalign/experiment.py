@@ -66,8 +66,10 @@ class ExperimentConfig:
             raise ValueError("m, n, and lambda must be positive")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if not 0.0 < self.threshold_constant < math.inf:
+            raise ValueError("threshold_constant must be finite and positive")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
         if self.sweep_axis not in (None, "m", "n"):
@@ -369,21 +371,24 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit(report: ExperimentReport, fmt: str, path) -> None:
-    """Write the report as CSV (per-trial rows) or JSON (full schema)."""
-    if fmt not in ("csv", "json"):
+def render(report: ExperimentReport, fmt: str) -> str:
+    """The report as CSV (per-trial rows) or JSON (full schema) text."""
+    if fmt == "json":
+        return json.dumps(report.to_dict(), indent=2) + "\n"
+    if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
+    rows = [r.to_dict() for point in report.points for r in point.trials]
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def emit(report: ExperimentReport, fmt: str, path) -> None:
+    """Write ``render(report, fmt)`` to the file at ``path``."""
+    text = render(report, fmt)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            if fmt == "json":
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
-                return
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for point in report.points:
-                for r in point.trials:
-                    row = r.to_dict()
-                    fh.write(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 

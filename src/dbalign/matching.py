@@ -10,6 +10,7 @@ function, ``estimate_stages``, which the CLI also calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,8 +127,8 @@ def match_rows(
     same anonymized row, both are demoted to ambiguous so that matched
     assignments stay injective.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
     d1 = np.asarray(d1)
     m1, n = d1.shape
     if segmented.n != n:
@@ -312,7 +313,7 @@ def estimate_stages(
 
     s_max = max(s_max, int(result.pattern.s.max()))
     result.estimate = estimation.estimate_from_seeds(
-        g1, g2_free, result.retention, result.pattern, alphabet_size, s_max=s_max
+        g1, result.retention, result.pattern, alphabet_size, s_max=s_max
     )
     return result
 

@@ -73,3 +73,15 @@ def cross_hamming_loop(g1, g2, phi):
     for i in range(g1.shape[1]):
         l[i] = (g1[:, i : i + 1] != mapped).sum(axis=0)
     return l
+
+
+def aligned_pair_counts(g1, g2_free, retained, alphabet_size):
+    """Reference channel counts: one bincount over the aligned seed entries.
+
+    ``[x, y]`` counts seed rows where g1 column ``retained[j]`` holds x+1
+    and replica-free column j holds y+1, summed over j.
+    """
+    k = alphabet_size
+    x = np.asarray(g1)[:, np.asarray(retained, dtype=np.intp)].astype(np.intp).ravel()
+    y = np.asarray(g2_free).astype(np.intp).ravel()
+    return np.bincount((x - 1) * k + (y - 1), minlength=k * k).reshape(k, k).astype(np.int64)

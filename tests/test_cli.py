@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dbalign
 from dbalign import deanonymize, detect_replicas, running_hamming, sample_instance
 from dbalign.cli import (
     EXIT_CONFIG,
@@ -185,6 +190,31 @@ def test_experiment_bad_config_exit(tmp_path):
     assert main(["experiment", "--config", str(bad)]) == EXIT_CONFIG
     missing = tmp_path / "nope.json"
     assert main(["experiment", "--config", str(missing)]) == EXIT_CONFIG
+
+
+def test_experiment_without_out_appends_to_redirected_stdout(tmp_path, config_file):
+    # `dbalign experiment >> log` must write at the log's end, not truncate it.
+    path = [str(Path(dbalign.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    log = tmp_path / "log.txt"
+    log.write_text("before\n")
+    with open(log, "a", encoding="utf-8") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dbalign.cli", "experiment", "--config", str(config_file)],
+            stdout=fh,
+            env=env,
+        )
+    assert proc.returncode == EXIT_OK
+    report = tmp_path / "report.csv"
+    assert main(["experiment", "--config", str(config_file), "--out", str(report)]) == EXIT_OK
+    assert log.read_text() == "before\n" + report.read_text()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("flag", ["--epsilon", "--threshold-constant"])
+def test_experiment_rejects_knobs_not_finite_and_positive(config_file, capsys, flag, value):
+    assert main(["experiment", "--config", str(config_file), f"{flag}={value}"]) == EXIT_CONFIG
+    assert "must be finite and positive" in capsys.readouterr().err
 
 
 def test_experiment_infeasible_exit(tmp_path, config_file):

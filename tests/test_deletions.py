@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from dbalign import deletions
 from dbalign.deletions import SEED_BLOCK, CrossDistanceMatrix, cooccurrence, scan_remapping
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
-from oracles import cross_hamming_loop
+from oracles import aligned_pair_counts, cross_hamming_loop
 
 
 def _deletion_pattern(n, deleted):
@@ -112,6 +114,28 @@ def test_cross_hamming_matches_column_loop_oracle(spec_name, num_seeds, deleted)
             assert cross.mu == (float(expected.mean()) if expected.size else 0.0)
 
 
+# The 4-symbol channel with diagonal 0.08 needs about 5000 seeds to be
+# detected at n=8; a stronger one keeps these seed counts detectable.
+DETECTABLE_SPECS = dict(ORACLE_SPECS, symmetric4=symmetric_spec(4, diag=0.6, p_s=(0.3, 0.7)))
+
+
+@pytest.mark.parametrize("deleted", [(2, 5), tuple(range(8))], ids=["kt=6", "kt=0"])
+@pytest.mark.parametrize("num_seeds", [1500, 2 * SEED_BLOCK + 37])
+@pytest.mark.parametrize("spec_name", sorted(DETECTABLE_SPECS))
+def test_detect_deletions_pair_counts_match_bincount_oracle(spec_name, num_seeds, deleted):
+    # The channel counts read off the co-occurrence tensor equal one
+    # bincount over the aligned seed entries, exactly and as int64.
+    spec = DETECTABLE_SPECS[spec_name]
+    k = spec.alphabet_size
+    seeds = generate_seeds(num_seeds, 8, _deletion_pattern(8, deleted), spec, substream(23, num_seeds))
+    result = detect_deletions(seeds.g1, seeds.g2, alphabet_size=k)
+    expected = aligned_pair_counts(seeds.g1, seeds.g2, result.retained, k)
+    assert result.pair_counts.dtype == np.int64
+    assert result.pair_counts.shape == (k, k)
+    assert np.array_equal(result.pair_counts, expected)
+    assert result.pair_counts.sum() == num_seeds * (8 - len(deleted))
+
+
 def test_cross_hamming_rejects_counts_of_another_shape(rng):
     g1 = rng.integers(1, 4, size=(50, 4)).astype(np.uint8)
     g2 = g1[:, [0, 2]]
@@ -141,6 +165,12 @@ def test_threshold_formula():
     assert deletion_threshold(10_000, 10, constant=1.0) == pytest.approx(
         10_000 ** (2 / 3) * np.log2(10) ** (1 / 3)
     )
+
+
+@pytest.mark.parametrize("constant", [math.nan, math.inf, 0.0, -1.0])
+def test_deletion_threshold_rejects_constant_not_finite_and_positive(constant):
+    with pytest.raises(ValueError, match="threshold_constant must be finite and positive"):
+        deletion_threshold(10_000, 10, constant)
 
 
 def test_scan_remapping_misdetection_and_order():
@@ -332,7 +362,7 @@ def _retention_or_error(g1, g2, alphabet_size):
         result = detect_deletions(g1, g2, alphabet_size=alphabet_size)
     except (MisdetectionError, NoUsefulRemappingError) as exc:
         return type(exc)
-    return result.retained.tolist(), result.deleted.tolist()
+    return result.retained.tolist(), result.deleted.tolist(), result.pair_counts.tolist()
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

@@ -15,10 +15,11 @@ from dbalign import (
     repetition_table,
     substream,
 )
-from dbalign.deletions import RetentionResult
+from dbalign.deletions import RetentionResult, detect_deletions
 from dbalign.estimation import from_dict
 
 from conftest import bsc_spec, noiseless_spec
+from oracles import aligned_pair_counts
 
 
 def test_estimate_p_x_point_mass():
@@ -42,7 +43,9 @@ def test_estimate_p_y_given_x_identity_channel():
     spec = noiseless_spec(size=3, p_s=(0.0, 1.0))
     pattern = RepetitionPattern(np.ones(20, dtype=int))
     seeds = generate_seeds(5000, 20, pattern, spec, substream(9, 0))
-    matrix, unsupported = estimate_p_y_given_x(seeds.g1, seeds.g2, np.arange(20), 3)
+    matrix, unsupported = estimate_p_y_given_x(
+        aligned_pair_counts(seeds.g1, seeds.g2, np.arange(20), 3)
+    )
     assert not unsupported.any()
     assert np.allclose(matrix, np.eye(3), atol=0.01)
 
@@ -51,7 +54,7 @@ def test_estimate_p_y_given_x_bsc():
     spec = bsc_spec(flip=0.1)
     pattern = RepetitionPattern(np.ones(20, dtype=int))
     seeds = generate_seeds(5000, 20, pattern, spec, substream(10, 0))
-    matrix, _ = estimate_p_y_given_x(seeds.g1, seeds.g2, np.arange(20), 2)
+    matrix, _ = estimate_p_y_given_x(aligned_pair_counts(seeds.g1, seeds.g2, np.arange(20), 2))
     assert abs(matrix[0, 1] - 0.1) <= 0.01
     assert abs(matrix[1, 0] - 0.1) <= 0.01
     assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
@@ -60,21 +63,22 @@ def test_estimate_p_y_given_x_bsc():
 def test_estimate_p_y_given_x_single_observation_flags_rows():
     g1 = np.array([[1]], dtype=np.uint8)
     g2 = np.array([[2]], dtype=np.uint8)
-    matrix, unsupported = estimate_p_y_given_x(g1, g2, np.array([0]), 3)
+    matrix, unsupported = estimate_p_y_given_x(aligned_pair_counts(g1, g2, np.array([0]), 3))
     assert np.array_equal(matrix[0], [0.0, 1.0, 0.0])
     assert np.array_equal(unsupported, [False, True, True])
     assert np.all(matrix[1:] == 0.0)
 
 
-def test_estimate_p_y_given_x_accepts_retention_result():
-    g1 = np.array([[1, 2, 1], [2, 1, 2]], dtype=np.uint8)
-    retention = RetentionResult(
-        retained=np.array([0, 2]), deleted=np.array([1]), n=3
-    )
-    matrix, _ = estimate_p_y_given_x(g1, g1[:, [0, 2]], retention, 2)
-    assert np.allclose(matrix, np.eye(2))
-    with pytest.raises(ValueError):
-        estimate_p_y_given_x(g1, g1, retention, 2)
+def test_estimate_p_y_given_x_all_zero_table_flags_every_row():
+    matrix, unsupported = estimate_p_y_given_x(np.zeros((3, 3), dtype=np.int64))
+    assert np.array_equal(matrix, np.zeros((3, 3)))
+    assert unsupported.all()
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), ()])
+def test_estimate_p_y_given_x_rejects_non_square_table(shape):
+    with pytest.raises(ValueError, match="square"):
+        estimate_p_y_given_x(np.ones(shape, dtype=np.int64))
 
 
 def test_estimate_p_s_direct_count():
@@ -167,17 +171,16 @@ def test_estimation_error_halves_when_seeds_quadruple():
         errs = []
         for seed in range(30):
             seeds = generate_seeds(lam, 10, pattern, spec, substream(seed, lam))
-            matrix, _ = estimate_p_y_given_x(seeds.g1, seeds.g2, np.arange(10), 2)
+            counts = aligned_pair_counts(seeds.g1, seeds.g2, np.arange(10), 2)
+            matrix, _ = estimate_p_y_given_x(counts)
             errs.append(np.abs(matrix - spec.p_y_given_x).sum())
         mean_err[lam] = np.mean(errs)
     assert 0.3 <= mean_err[2000] / mean_err[500] <= 0.75
 
 
 def test_estimators_reject_symbols_outside_alphabet():
-    # A 0 in g2 would otherwise be counted as the pair (x - 1, k).
-    g1 = np.array([[2]], dtype=np.uint8)
-    with pytest.raises(ValueError, match="1..2"):
-        estimate_p_y_given_x(g1, np.array([[0]], dtype=np.uint8), np.array([0]), 2)
+    # A bad g2 symbol is rejected by deletion detection, which owns the
+    # channel counts; the estimator reads only g1.
     with pytest.raises(ValueError, match="1..2"):
         estimate_p_x(np.array([[3]], dtype=np.uint8), 2)
 
@@ -208,8 +211,22 @@ def test_estimate_from_seeds_full_pipeline():
     s[[2, 8]] = 0
     pattern = RepetitionPattern(s)
     seeds = generate_seeds(20_000, 12, pattern, spec, substream(55, 0))
-    retained = pattern.retained_indices()
-    est = estimate_from_seeds(seeds.g1, seeds.g2, retained, pattern, 2, s_max=1)
+    retention = detect_deletions(seeds.g1, seeds.g2, alphabet_size=2)
+    assert np.array_equal(retention.retained, pattern.retained_indices())
+    est = estimate_from_seeds(seeds.g1, retention, pattern, 2, s_max=1)
     assert np.allclose(est.p_x, spec.p_x, atol=0.01)
     assert np.allclose(est.p_y_given_x, spec.p_y_given_x, atol=0.01)
     assert np.array_equal(est.p_s, estimate_p_s(pattern, s_max=1))
+
+
+@pytest.mark.parametrize("counts_size", [2, 4])
+def test_estimate_from_seeds_rejects_pair_counts_of_another_alphabet(counts_size):
+    g1 = np.array([[1, 2, 3], [3, 2, 1]], dtype=np.uint8)
+    retention = RetentionResult(
+        retained=np.arange(3),
+        deleted=np.array([], dtype=np.int64),
+        n=3,
+        pair_counts=np.ones((counts_size, counts_size), dtype=np.int64),
+    )
+    with pytest.raises(ValueError, match="3 x 3"):
+        estimate_from_seeds(g1, retention, RepetitionPattern(np.ones(3, dtype=int)), 3)

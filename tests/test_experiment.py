@@ -36,6 +36,16 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+BAD_KNOB_VALUES = [math.nan, math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("value", BAD_KNOB_VALUES)
+@pytest.mark.parametrize("key", ["epsilon", "threshold_constant"])
+def test_config_rejects_knobs_that_are_not_finite_and_positive(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+        small_config(**{key: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(trials=0)

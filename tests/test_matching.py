@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbalign import (
@@ -245,27 +245,36 @@ def test_match_equivariance_under_row_relabeling(rng):
     assert relabeled.row_error_rate(pi[pair.sigma]) == base.row_error_rate(pair.sigma)
 
 
-def test_pattern_from_detections_round_trip(rng):
-    for _ in range(20):
-        n = int(rng.integers(3, 12))
-        s = rng.integers(0, 3, size=n)
-        if s.sum() == 0:
-            continue
-        pattern = RepetitionPattern(s)
-        cols = np.repeat(np.arange(n), s)
-        is_replica = cols[1:] == cols[:-1]
-        retention = RetentionResult(
-            retained=pattern.retained_indices(),
-            deleted=pattern.deleted_indices(),
-            n=n,
-        )
-        rebuilt = pattern_from_detections(is_replica, retention, n)
-        assert np.array_equal(rebuilt.s, s)
-        assert rebuilt.total == pattern.total
+def _retention(retained, deleted):
+    # pattern_from_detections reads only the column indices.
+    return RetentionResult(
+        retained=retained,
+        deleted=deleted,
+        n=retained.size + deleted.size,
+        pair_counts=np.zeros((2, 2), dtype=np.int64),
+    )
+
+
+@settings(derandomize=True, deadline=None)
+@given(s=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+@example(s=[0, 0, 0])
+def test_pattern_from_detections_round_trip(s):
+    # Any pattern, all-deleted included: segmenting a database whose
+    # columns name their origin gives each origin its run, and the run
+    # decisions plus the retention set give the pattern back.
+    pattern = RepetitionPattern(s)
+    origin = np.repeat(np.arange(pattern.n), pattern.s)
+    seg = segment(origin[None, :] + 1, pattern)
+    for j, count in enumerate(s):
+        assert cell(seg, 0, j) == ((j + 1,) * count if count else ERASURE)
+    is_replica = origin[1:] == origin[:-1]
+    retention = _retention(pattern.retained_indices(), pattern.deleted_indices())
+    rebuilt = pattern_from_detections(is_replica, retention, pattern.n, origin.size)
+    assert np.array_equal(rebuilt.s, pattern.s)
 
 
 def test_pattern_from_detections_mismatch():
-    retention = RetentionResult(retained=np.array([0, 2]), deleted=np.array([1]), n=3)
+    retention = _retention(np.array([0, 2]), np.array([1]))
     with pytest.raises(ValueError):
         pattern_from_detections(np.array([False, False]), retention, 3)
 
@@ -338,6 +347,15 @@ def test_match_rows_requires_equal_row_counts():
     seg = segment(np.ones((5, 3), dtype=np.uint8), RepetitionPattern([1, 1, 1]))
     with pytest.raises(ValueError):
         match_rows(d1, seg, est, epsilon=0.1)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+def test_match_rows_rejects_epsilon_not_finite_and_positive(epsilon):
+    spec = noiseless_spec(size=2)
+    d1 = np.ones((4, 3), dtype=np.uint8)
+    seg = segment(d1.copy(), RepetitionPattern([1, 1, 1]))
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        match_rows(d1, seg, from_model_spec(spec), epsilon)
 
 
 @pytest.mark.parametrize("side, value", [("d1", 0), ("d2", 3), ("g2", 3)])

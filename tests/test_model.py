@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dbalign import (
     DatabasePair,
@@ -204,6 +207,25 @@ def test_matrix_io_round_trip(tmp_path, rng):
     write_matrix(path, mat)
     back = read_matrix(path)
     assert back.dtype == np.uint8
+    assert np.array_equal(back, mat)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    mat=arrays(
+        np.uint8,
+        array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+        elements=st.integers(1, 255),
+    )
+)
+@example(mat=np.zeros((0, 5), dtype=np.uint8))
+@example(mat=np.zeros((5, 0), dtype=np.uint8))
+def test_matrix_io_round_trip_property(tmp_path_factory, mat):
+    path = tmp_path_factory.mktemp("dbm") / "mat.dbm"
+    write_matrix(path, mat)
+    back = read_matrix(path)
+    assert back.dtype == np.uint8
+    assert back.shape == mat.shape
     assert np.array_equal(back, mat)
 
 
