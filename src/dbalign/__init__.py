@@ -34,7 +34,6 @@ from .experiment import (
     ExperimentConfig,
     ExperimentReport,
     InfeasibleSizeError,
-    emit,
     run_experiment,
     run_trial,
     wilson_interval,
@@ -42,7 +41,6 @@ from .experiment import (
 from .infotheory import (
     CapacityReport,
     MixtureTruth,
-    bernoulli_kl,
     capacity,
     entropy,
     mixture_truth,

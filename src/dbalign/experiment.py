@@ -17,7 +17,7 @@ import numpy as np
 
 from . import deletions, estimation, matching
 from .dbio import model_spec_from_dict, model_spec_to_dict
-from .infotheory import TABLE_LIMIT, capacity
+from .infotheory import TABLE_LIMIT, capacity, repetition_table
 from .model import ModelSpec, sample_instance, substream
 
 CSV_COLUMNS = (
@@ -212,20 +212,13 @@ def _true_adjacency(pattern) -> np.ndarray:
 
 def estimate_tv_distance(spec: ModelSpec, est: estimation.DistributionEstimate) -> float:
     """Total variation between true and estimated joints over (s, x, y^s)."""
-    truth = estimation.from_model_spec(spec)
-    s_max = max(truth.s_max, est.s_max)
     total = 0.0
-    for s in range(s_max + 1):
-        t = truth.tables.get(s)
-        e = est.tables.get(s)
-        pt = float(truth.p_s[s]) if s <= truth.s_max else 0.0
+    for s in range(max(spec.s_max, est.s_max) + 1):
+        pt = float(spec.p_s[s]) if s <= spec.s_max else 0.0
         pe = float(est.p_s[s]) if s <= est.s_max else 0.0
-        if t is None:
-            total += pe * float(np.abs(e).sum())
-        elif e is None:
-            total += pt * float(np.abs(t).sum())
-        else:
-            total += float(np.abs(pt * t - pe * e).sum())
+        t = repetition_table(spec.p_x, spec.p_y_given_x, s)
+        e = repetition_table(est.p_x, est.p_y_given_x, s)
+        total += float(np.abs(pt * t - pe * e).sum())
     return 0.5 * total
 
 
@@ -381,16 +374,6 @@ def render(report: ExperimentReport, fmt: str) -> str:
     lines = [",".join(CSV_COLUMNS)]
     lines += [",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def emit(report: ExperimentReport, fmt: str, path) -> None:
-    """Write ``render(report, fmt)`` to the file at ``path``."""
-    text = render(report, fmt)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
 def report_from_dict(d: dict) -> ExperimentReport:

@@ -28,25 +28,6 @@ def entropy(p) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def bernoulli_kl(p: float, q: float) -> float:
-    """D(p || q) between Bernoulli(p) and Bernoulli(q) in bits.
-
-    Infinite when q is degenerate and p puts mass where q has none.
-    """
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ValueError("arguments must lie in [0, 1]")
-    total = 0.0
-    if p > 0.0:
-        if q == 0.0:
-            return math.inf
-        total += p * math.log2(p / q)
-    if p < 1.0:
-        if q == 1.0:
-            return math.inf
-        total += (1.0 - p) * math.log2((1.0 - p) / (1.0 - q))
-    return total
-
-
 def repetition_table(p_x: np.ndarray, p_y_given_x: np.ndarray, s: int) -> np.ndarray:
     """Joint distribution of (X, Y^s): shape (|alphabet|, |alphabet|**s).
 
@@ -67,6 +48,19 @@ def repetition_table(p_x: np.ndarray, p_y_given_x: np.ndarray, s: int) -> np.nda
     for _ in range(s):
         table = (table[:, :, None] * p_y_given_x[:, None, :]).reshape(size, -1)
     return table
+
+
+def repetition_entropies(
+    p_x: np.ndarray, p_y_given_x: np.ndarray, s_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """H(Y^s) and H(X, Y^s) for s = 0..s_max, one repetition table each."""
+    h_y = np.empty(s_max + 1)
+    h_xy = np.empty(s_max + 1)
+    for s in range(s_max + 1):
+        table = repetition_table(p_x, p_y_given_x, s)
+        h_y[s] = entropy(table.sum(axis=0))
+        h_xy[s] = entropy(table)
+    return h_y, h_xy
 
 
 @dataclass(frozen=True)
@@ -100,10 +94,8 @@ def capacity(spec: ModelSpec) -> CapacityReport:
     (the exact quantity is nonnegative).
     """
     h_x = entropy(spec.p_x)
-    per_s = np.zeros(spec.s_max + 1)
-    for s in range(spec.s_max + 1):
-        table = repetition_table(spec.p_x, spec.p_y_given_x, s)
-        per_s[s] = max(0.0, h_x + entropy(table.sum(axis=0)) - entropy(table))
+    h_y, h_xy = repetition_entropies(spec.p_x, spec.p_y_given_x, spec.s_max)
+    per_s = np.maximum(0.0, h_x + h_y - h_xy)
     return CapacityReport(
         capacity=float(spec.p_s @ per_s),
         per_s=per_s,

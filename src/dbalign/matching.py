@@ -182,13 +182,10 @@ def match_rows(
     ).astype(np.int8)
 
     # Two repeated rows claiming one anonymized row cannot both be right.
-    matched_rows = np.flatnonzero(unique)
-    targets, hits = np.unique(assigned[matched_rows], return_counts=True)
-    for target, count in zip(targets, hits):
-        if count > 1:
-            collided = matched_rows[assigned[matched_rows] == target]
-            status[collided] = STATUS_AMBIGUOUS
-            assigned[collided] = -1
+    claims = np.bincount(assigned[unique], minlength=m1)
+    collided = unique & (claims[assigned] > 1)
+    status[collided] = STATUS_AMBIGUOUS
+    assigned[collided] = -1
     return MatchResult(assigned=assigned, status=status)
 
 

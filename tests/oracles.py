@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from dbalign.infotheory import repetition_table
+
 #: Cell placeholder for a deleted column.
 ERASURE = "*"
 
@@ -41,6 +43,7 @@ def typicality_deviation(x_row, cells, est):
     if x_row.size != n:
         raise ValueError("row length must equal the number of cells")
     k = est.alphabet_size
+    tables = [repetition_table(est.p_x, est.p_y_given_x, s) for s in range(est.s_max + 1)]
     ll_joint = ll_x = ll_y = 0.0
     for xval, c in zip(x_row, cells):
         px = est.p_x[xval - 1]
@@ -49,7 +52,7 @@ def typicality_deviation(x_row, cells, est):
             s, code = 0, 0
         else:
             s, code = len(c), cell_code(c, k)
-        table = est.tables[s]
+        table = tables[s]
         pj = table[xval - 1, code]
         ll_joint += math.log2(pj) if pj > 0.0 else -math.inf
         qy = float(table[:, code].sum())

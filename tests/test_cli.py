@@ -100,6 +100,14 @@ def test_detect_replicas_single_component_exit_code(tmp_path, capsys):
     assert main(["detect-replicas", "--d2", str(path)]) == EXIT_DETECTION
 
 
+def test_detect_replicas_two_columns_exit_code(tmp_path, capsys):
+    # One adjacent distance cannot show two components.
+    path = tmp_path / "two.dbm"
+    write_matrix(path, np.array([[1, 1], [2, 1], [1, 2]], dtype=np.uint8))
+    assert main(["detect-replicas", "--d2", str(path)]) == EXIT_DETECTION
+    assert "at least two" in capsys.readouterr().err
+
+
 def test_detect_deletions_command(tmp_path, capsys):
     from dbalign import RepetitionPattern, generate_seeds, substream
 
@@ -152,9 +160,9 @@ def test_estimate_command_round_trips(tmp_path, config_file, capsys):
     )
     assert rc == EXIT_OK
     est = json.loads(capsys.readouterr().out)
-    from dbalign.estimation import from_dict
+    from dbalign.estimation import assemble_joint
 
-    rebuilt = from_dict(est)
+    rebuilt = assemble_joint(est["p_x"], est["p_y_given_x"], est["p_s"])
     assert abs(rebuilt.p_x.sum() - 1.0) < 1e-9
     assert abs(rebuilt.p_x[0] - 0.5) < 0.05
 

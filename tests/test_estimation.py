@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from dbalign import (
     estimate_p_s,
     estimate_p_x,
     estimate_p_y_given_x,
+    entropy,
     from_model_spec,
     generate_database,
     generate_seeds,
@@ -16,7 +19,6 @@ from dbalign import (
     substream,
 )
 from dbalign.deletions import RetentionResult, detect_deletions
-from dbalign.estimation import from_dict
 
 from conftest import bsc_spec, noiseless_spec
 from oracles import aligned_pair_counts
@@ -43,10 +45,8 @@ def test_estimate_p_y_given_x_identity_channel():
     spec = noiseless_spec(size=3, p_s=(0.0, 1.0))
     pattern = RepetitionPattern(np.ones(20, dtype=int))
     seeds = generate_seeds(5000, 20, pattern, spec, substream(9, 0))
-    matrix, unsupported = estimate_p_y_given_x(
-        aligned_pair_counts(seeds.g1, seeds.g2, np.arange(20), 3)
-    )
-    assert not unsupported.any()
+    matrix = estimate_p_y_given_x(aligned_pair_counts(seeds.g1, seeds.g2, np.arange(20), 3))
+    assert not assemble_joint(np.full(3, 1 / 3), matrix, [0.0, 1.0]).unsupported_x.any()
     assert np.allclose(matrix, np.eye(3), atol=0.01)
 
 
@@ -54,7 +54,7 @@ def test_estimate_p_y_given_x_bsc():
     spec = bsc_spec(flip=0.1)
     pattern = RepetitionPattern(np.ones(20, dtype=int))
     seeds = generate_seeds(5000, 20, pattern, spec, substream(10, 0))
-    matrix, _ = estimate_p_y_given_x(aligned_pair_counts(seeds.g1, seeds.g2, np.arange(20), 2))
+    matrix = estimate_p_y_given_x(aligned_pair_counts(seeds.g1, seeds.g2, np.arange(20), 2))
     assert abs(matrix[0, 1] - 0.1) <= 0.01
     assert abs(matrix[1, 0] - 0.1) <= 0.01
     assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
@@ -63,16 +63,17 @@ def test_estimate_p_y_given_x_bsc():
 def test_estimate_p_y_given_x_single_observation_flags_rows():
     g1 = np.array([[1]], dtype=np.uint8)
     g2 = np.array([[2]], dtype=np.uint8)
-    matrix, unsupported = estimate_p_y_given_x(aligned_pair_counts(g1, g2, np.array([0]), 3))
+    matrix = estimate_p_y_given_x(aligned_pair_counts(g1, g2, np.array([0]), 3))
     assert np.array_equal(matrix[0], [0.0, 1.0, 0.0])
-    assert np.array_equal(unsupported, [False, True, True])
+    est = assemble_joint([1.0, 0.0, 0.0], matrix, [0.0, 1.0])
+    assert np.array_equal(est.unsupported_x, [False, True, True])
     assert np.all(matrix[1:] == 0.0)
 
 
 def test_estimate_p_y_given_x_all_zero_table_flags_every_row():
-    matrix, unsupported = estimate_p_y_given_x(np.zeros((3, 3), dtype=np.int64))
+    matrix = estimate_p_y_given_x(np.zeros((3, 3), dtype=np.int64))
     assert np.array_equal(matrix, np.zeros((3, 3)))
-    assert unsupported.all()
+    assert assemble_joint(np.full(3, 1 / 3), matrix, [0.0, 1.0]).unsupported_x.all()
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), ()])
@@ -107,19 +108,20 @@ def test_estimate_p_s_concentration():
 
 def test_assemble_joint_erasure_case():
     est = from_model_spec(bsc_spec(flip=0.1, p_s=(0.5, 0.5)))
-    assert est.tables[0].shape == (2, 1)
-    assert np.allclose(est.tables[0][:, 0], est.p_x)
+    table = repetition_table(est.p_x, est.p_y_given_x, 0)
+    assert table.shape == (2, 1)
+    assert np.allclose(table[:, 0], est.p_x)
 
 
 def test_assemble_joint_single_copy_value():
     est = from_model_spec(bsc_spec(flip=0.1))
-    assert est.tables[1][0, 0] == pytest.approx(0.45, abs=1e-12)
+    assert repetition_table(est.p_x, est.p_y_given_x, 1)[0, 0] == pytest.approx(0.45, abs=1e-12)
 
 
 def test_assemble_joint_product_structure():
     spec = bsc_spec(flip=0.2, p_s=(0.2, 0.3, 0.5))
     est = from_model_spec(spec)
-    table = est.tables[2]
+    table = repetition_table(est.p_x, est.p_y_given_x, 2)
     assert table.shape == (2, 4)
     for x in range(2):
         for y1 in range(2):
@@ -140,7 +142,8 @@ def test_assemble_joint_tables_are_distributions():
         chan = rng.dirichlet(np.ones(k), size=k)
         p_s = rng.dirichlet(np.ones(3))
         est = assemble_joint(p_x, chan, p_s)
-        for s, table in est.tables.items():
+        for s in range(est.s_max + 1):
+            table = repetition_table(est.p_x, est.p_y_given_x, s)
             assert np.all(table >= 0.0)
             assert table.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -153,11 +156,40 @@ def test_assemble_joint_table_limit():
         assemble_joint(p_x, chan, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        (([0.5, 0.6], [[0.9, 0.1], [0.1, 0.9]], [0.0, 1.0]), "p_x mass"),
+        (([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], [0.5, 0.4]), "p_s mass"),
+        (([0.5, 0.5], [[0.9, 0.2], [0.1, 0.9]], [0.0, 1.0]), "channel row"),
+        (([0.5, 0.5], [[0.9, 0.1], [0.0, 1e-3]], [0.0, 1.0]), "channel row"),
+        (([0.5, 0.5], [[0.9, 0.1], [np.nan, 0.0]], [0.0, 1.0]), "channel row"),
+        (([np.nan, 0.5], [[0.9, 0.1], [0.1, 0.9]], [0.0, 1.0]), "p_x mass"),
+    ],
+)
+def test_assemble_joint_rejects_components_that_are_not_distributions(components, message):
+    with pytest.raises(ValueError, match=message):
+        assemble_joint(*components)
+
+
+def test_assemble_joint_entropies_from_repetition_tables():
+    # Each entropy is the p_s-average of the same enumeration the
+    # capacity uses, including an all-zero (unsupported) channel row.
+    p_x = np.array([0.6, 0.4])
+    chan = np.array([[0.8, 0.2], [0.0, 0.0]])
+    p_s = np.array([0.2, 0.3, 0.5])
+    est = assemble_joint(p_x, chan, p_s)
+    tables = [repetition_table(p_x, chan, s) for s in range(3)]
+    assert est.x_entropy == entropy(p_x)
+    assert est.y_entropy == pytest.approx(sum(p * entropy(t.sum(axis=0)) for p, t in zip(p_s, tables)))
+    assert est.joint_entropy == pytest.approx(sum(p * entropy(t) for p, t in zip(p_s, tables)))
+
+
 def test_truth_assembly_matches_capacity_module():
     spec = bsc_spec(flip=0.1, p_s=(0.2, 0.5, 0.3))
     est = from_model_spec(spec)
-    for s in range(spec.s_max + 1):
-        assert np.array_equal(est.tables[s], repetition_table(spec.p_x, spec.p_y_given_x, s))
+    for name in ("p_x", "p_y_given_x", "p_s"):
+        assert np.array_equal(getattr(est, name), getattr(spec, name))
     # I(X; Y^S | S) from the assembled entropies equals the capacity oracle.
     info = est.x_entropy + est.y_entropy - est.joint_entropy
     assert info == pytest.approx(capacity(spec).capacity, abs=1e-12)
@@ -172,7 +204,7 @@ def test_estimation_error_halves_when_seeds_quadruple():
         for seed in range(30):
             seeds = generate_seeds(lam, 10, pattern, spec, substream(seed, lam))
             counts = aligned_pair_counts(seeds.g1, seeds.g2, np.arange(10), 2)
-            matrix, _ = estimate_p_y_given_x(counts)
+            matrix = estimate_p_y_given_x(counts)
             errs.append(np.abs(matrix - spec.p_y_given_x).sum())
         mean_err[lam] = np.mean(errs)
     assert 0.3 <= mean_err[2000] / mean_err[500] <= 0.75
@@ -185,10 +217,15 @@ def test_estimators_reject_symbols_outside_alphabet():
         estimate_p_x(np.array([[3]], dtype=np.uint8), 2)
 
 
+def _round_trip(est):
+    d = json.loads(json.dumps(est.to_dict()))
+    return assemble_joint(d["p_x"], d["p_y_given_x"], d["p_s"])
+
+
 def test_estimate_serialization_round_trip():
     spec = bsc_spec(flip=0.15, p_s=(0.3, 0.7))
     est = from_model_spec(spec)
-    back = from_dict(est.to_dict())
+    back = _round_trip(est)
     assert np.allclose(back.p_x, est.p_x)
     assert np.allclose(back.p_y_given_x, est.p_y_given_x)
     assert np.allclose(back.p_s, est.p_s)
@@ -199,9 +236,9 @@ def test_estimate_serialization_round_trip():
         np.array([0.5, 0.5]),
         np.array([[0.9, 0.1], [0.0, 0.0]]),
         np.array([0.5, 0.5]),
-        unsupported_x=np.array([False, True]),
     )
-    again = from_dict(flagged.to_dict())
+    assert np.array_equal(flagged.unsupported_x, [False, True])
+    again = _round_trip(flagged)
     assert np.array_equal(again.unsupported_x, [False, True])
 
 

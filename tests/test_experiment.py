@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from dbalign import (
     ExperimentConfig,
     InfeasibleSizeError,
-    emit,
     from_model_spec,
     run_experiment,
     wilson_interval,
@@ -16,10 +16,11 @@ from dbalign.experiment import (
     CSV_COLUMNS,
     _estimated_bytes,
     estimate_tv_distance,
+    render,
     report_from_dict,
 )
 
-from conftest import bsc_spec, noiseless_spec
+from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 
 
 def small_config(**overrides):
@@ -115,20 +116,20 @@ def test_trivial_experiment_all_stages_succeed():
 def test_emitted_csv_is_deterministic(tmp_path):
     config = small_config()
     for name in ("a.csv", "b.csv"):
-        emit(run_experiment(config), "csv", tmp_path / name)
+        (tmp_path / name).write_text(render(run_experiment(config), "csv"))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_worker_count_does_not_change_results(tmp_path):
-    emit(run_experiment(small_config(workers=1)), "csv", tmp_path / "w1.csv")
-    emit(run_experiment(small_config(workers=3)), "csv", tmp_path / "w3.csv")
+    (tmp_path / "w1.csv").write_text(render(run_experiment(small_config(workers=1)), "csv"))
+    (tmp_path / "w3.csv").write_text(render(run_experiment(small_config(workers=3)), "csv"))
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
 
 
 def test_empty_sweep_emits_header_only(tmp_path):
     report = run_experiment(small_config(sweep_axis="n", sweep_values=[]))
     path = tmp_path / "empty.csv"
-    emit(report, "csv", path)
+    path.write_text(render(report, "csv"))
     assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
@@ -137,7 +138,7 @@ def test_sweep_rows_and_growth_rates(tmp_path):
         small_config(trials=2, sweep_axis="n", sweep_values=[10, 12])
     )
     path = tmp_path / "sweep.csv"
-    emit(report, "csv", path)
+    path.write_text(render(report, "csv"))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + 4  # 2 points x 2 trials
@@ -165,10 +166,10 @@ def test_aggregates_recomputable_from_trials():
 def test_json_report_round_trip(tmp_path):
     report = run_experiment(small_config(trials=2))
     path = tmp_path / "report.json"
-    emit(report, "json", path)
+    path.write_text(render(report, "json"))
     loaded = report_from_dict(json.loads(path.read_text()))
     path2 = tmp_path / "report2.json"
-    emit(loaded, "json", path2)
+    path2.write_text(render(loaded, "json"))
     assert path.read_bytes() == path2.read_bytes()
     assert loaded.config["lambda"] == 4000
 
@@ -198,12 +199,10 @@ def test_memory_estimate_grows_with_alphabet_size():
     assert sizes == sorted(set(sizes))
 
 
-def test_emit_unknown_format_and_io_error(tmp_path):
+def test_render_unknown_format():
     report = run_experiment(small_config(trials=1))
-    with pytest.raises(ValueError):
-        emit(report, "xml", tmp_path / "nope")
-    with pytest.raises(OSError, match="missing-dir"):
-        emit(report, "csv", tmp_path / "missing-dir" / "out.csv")
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        render(report, "xml")
 
 
 def test_estimate_tv_distance_scale():
@@ -234,6 +233,24 @@ def test_sweep_error_rate_decreases_across_capacity():
     assert errors[-1] <= 0.1  # well below capacity
 
 
+def test_two_column_trial_is_recorded_not_raised():
+    # Trial 0 draws pattern [2, 0, 0], whose single adjacent distance
+    # cannot feed the replica estimator.
+    config = ExperimentConfig(
+        spec=bsc_spec(flip=0.1, p_s=(0.3, 0.3, 0.4)),
+        m=64,
+        n=3,
+        num_seeds=2000,
+        trials=3,
+        master_seed=5,
+        epsilon=0.3,
+    )
+    records = run_experiment(config).points[0].trials
+    assert len(records) == 3
+    assert records[0].failed_stage == "replica"
+    assert records[0].row_error_rate == 1.0
+
+
 def test_failed_trials_count_as_full_error():
     # Independent channel: deletion detection cannot work; the harness
     # records the stage and a worst-case row error rather than aborting.
@@ -258,3 +275,27 @@ def test_failed_trials_count_as_full_error():
         assert math.isnan(record.est_tv)
         assert not record.deletion_ok
     assert math.isnan(report.points[0].mean_est_tv)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (spec, m, n, lambda) of each committed report; every run uses master
+# seed 7, 3 trials, epsilon 0.3 and 2 workers.
+GOLDEN_CONFIGS = {
+    "bsc": (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 512, 60, 10_000),
+    "cyclic": (unit_trace_cyclic_spec((0.3, 0.7)), 256, 60, 30_000),
+    "ternary": (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 256, 120, 5000),
+    "deleted": (bsc_spec(flip=0.1, p_s=(1.0, 0.0)), 16, 6, 2000),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+def test_report_csv_is_byte_identical_to_committed(name):
+    # A refactor that keeps the arithmetic keeps every byte of the report;
+    # a change that alters a figure must regenerate the file on purpose.
+    spec, m, n, num_seeds = GOLDEN_CONFIGS[name]
+    config = ExperimentConfig(
+        spec=spec, m=m, n=n, num_seeds=num_seeds, trials=3, master_seed=7, epsilon=0.3, workers=2
+    )
+    expected = (GOLDEN / f"report_{name}.csv").read_text()
+    assert render(run_experiment(config), "csv") == expected

@@ -4,9 +4,29 @@ import math
 import numpy as np
 import pytest
 
-from dbalign import ModelSpec, bernoulli_kl, capacity, entropy, mixture_truth, repetition_table
+from dbalign import ModelSpec, capacity, entropy, mixture_truth, repetition_table
+from dbalign.infotheory import repetition_entropies
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
+
+
+def bernoulli_kl(p, q):
+    """D(p || q) between Bernoulli(p) and Bernoulli(q) in bits.
+
+    Infinite when q is degenerate and p puts mass where q has none.
+    """
+    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+        raise ValueError("arguments must lie in [0, 1]")
+    total = 0.0
+    if p > 0.0:
+        if q == 0.0:
+            return math.inf
+        total += p * math.log2(p / q)
+    if p < 1.0:
+        if q == 1.0:
+            return math.inf
+        total += (1.0 - p) * math.log2((1.0 - p) / (1.0 - q))
+    return total
 
 
 def brute_force_capacity(spec):
@@ -140,6 +160,17 @@ def test_repetition_table_shapes_and_mass():
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         repetition_table(np.full(40, 1 / 40), np.full((40, 40), 1 / 40), 4)
+
+
+def test_repetition_entropies_are_those_of_the_tables():
+    spec = bsc_spec(flip=0.15, p_s=(0.2, 0.3, 0.5), p_x=(0.7, 0.3))
+    h_y, h_xy = repetition_entropies(spec.p_x, spec.p_y_given_x, spec.s_max)
+    for s in range(spec.s_max + 1):
+        table = repetition_table(spec.p_x, spec.p_y_given_x, s)
+        assert h_y[s] == entropy(table.sum(axis=0))
+        assert h_xy[s] == entropy(table)
+    report = capacity(spec)
+    assert np.array_equal(report.per_s, np.maximum(0.0, report.h_x + h_y - h_xy))
 
 
 def test_mixture_truth_bsc_values():

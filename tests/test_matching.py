@@ -19,7 +19,6 @@ from dbalign import (
     substream,
 )
 from dbalign.deletions import RetentionResult
-from dbalign.estimation import from_dict
 from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
@@ -136,7 +135,7 @@ def _unsupported_symbol_case():
     # is all zero, so every cell scored against it has probability zero.
     spec = symmetric_spec(3, 0.8, (0.2, 0.5, 0.3))
     chan = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.0, 0.0, 0.0]]
-    est = from_dict({"p_x": spec.p_x.tolist(), "p_y_given_x": chan, "p_s": spec.p_s.tolist()})
+    est = assemble_joint(spec.p_x, chan, spec.p_s)
     return spec, est
 
 
@@ -392,6 +391,19 @@ def test_deanonymize_all_deleted_instance():
     assert np.array_equal(result.pattern.s, np.zeros(6))
     assert np.array_equal(result.retention.deleted, np.arange(6))
     assert result.match.status_counts()["ambiguous"] == 16
+
+
+def test_deanonymize_two_repeated_columns_is_recorded():
+    # Pattern [2, 0, 0]: d2 has two columns, one adjacent distance.
+    spec = bsc_spec(flip=0.1, p_s=(0.3, 0.3, 0.4))
+    pair, seeds = sample_instance(64, 3, 2000, spec, master_seed=5)
+    assert np.array_equal(pair.pattern.s, [2, 0, 0])
+    result = deanonymize(
+        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=2, epsilon=0.3
+    )
+    assert result.failed_stage == "replica"
+    assert "two adjacent-pair distances" in result.failure
+    assert result.retention is None and result.match is None
 
 
 def test_deanonymize_understated_s_max_is_recorded():

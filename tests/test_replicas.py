@@ -86,6 +86,13 @@ def test_blischke_single_component_raises():
         blischke_estimate(h, 1000)
 
 
+def test_blischke_single_distance_is_single_component():
+    # Two columns give one adjacent distance, which cannot show two
+    # components; the error is the one the pipeline records.
+    with pytest.raises(SingleComponentError, match="at least two"):
+        blischke_estimate(np.array([10]), 100)
+
+
 def test_blischke_constant_series_raises():
     with pytest.raises(SingleComponentError):
         blischke_estimate(np.full(40, 500), 1000)
