@@ -54,7 +54,6 @@ from .matching import (
     estimate_stages,
     match_rows,
     pattern_from_detections,
-    replica_decisions,
     segment,
 )
 from .model import (

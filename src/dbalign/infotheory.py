@@ -28,6 +28,12 @@ def entropy(p) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
+def check_table_size(size: int, s: int) -> None:
+    """Raise ValueError when the (X, Y^s) table would exceed TABLE_LIMIT cells."""
+    if size ** (s + 1) > TABLE_LIMIT:
+        raise ValueError(f"joint table with {size}^{s + 1} cells exceeds limit {TABLE_LIMIT}")
+
+
 def repetition_table(p_x: np.ndarray, p_y_given_x: np.ndarray, s: int) -> np.ndarray:
     """Joint distribution of (X, Y^s): shape (|alphabet|, |alphabet|**s).
 
@@ -40,10 +46,7 @@ def repetition_table(p_x: np.ndarray, p_y_given_x: np.ndarray, s: int) -> np.nda
     size = p_x.size
     if s < 0:
         raise ValueError("repetition count must be nonnegative")
-    if size ** (s + 1) > TABLE_LIMIT:
-        raise ValueError(
-            f"joint table with {size}^{s + 1} cells exceeds limit {TABLE_LIMIT}"
-        )
+    check_table_size(size, s)
     table = p_x[:, None].copy()
     for _ in range(s):
         table = (table[:, :, None] * p_y_given_x[:, None, :]).reshape(size, -1)

@@ -18,6 +18,7 @@ import numpy as np
 from . import deletions, estimation, replicas
 from .deletions import RetentionResult
 from .estimation import DistributionEstimate
+from .infotheory import check_table_size
 from .model import RepetitionPattern
 
 # Finite stand-in for log2(0) inside the vectorized accumulation; large
@@ -216,12 +217,12 @@ class PipelineResult:
     """Everything the de-anonymization pipeline produced.
 
     ``failed_stage`` is None on full completion, else one of 'replica',
-    'deletion', 'pattern' with the exception in ``error``; later fields
-    stay None after a failure.
+    'deletion', 'pattern' with the exception in ``error``; the failed
+    stage's field and later ones stay None. 'pattern' means a detected
+    repetition count too long to tabulate (``infotheory.check_table_size``).
     """
 
     is_replica: np.ndarray | None = None
-    is_replica_seeds: np.ndarray | None = None
     retention: RetentionResult | None = None
     pattern: RepetitionPattern | None = None
     estimate: DistributionEstimate | None = None
@@ -251,17 +252,6 @@ class PipelineResult:
         }
 
 
-def replica_decisions(d2: np.ndarray, s_max: int) -> np.ndarray:
-    """Replica decisions for the adjacent columns of ``d2``.
-
-    With s_max <= 1 replicas are impossible: every pair is independent,
-    and the estimator, whose series would be single-component, is skipped.
-    """
-    if s_max <= 1:
-        return np.zeros(max(d2.shape[1] - 1, 0), dtype=bool)
-    return replicas.detect_replicas(d2)
-
-
 def estimate_stages(
     d2: np.ndarray,
     g1: np.ndarray,
@@ -272,23 +262,32 @@ def estimate_stages(
 ) -> PipelineResult:
     """Every stage before matching: replicas, deletions, pattern, estimate.
 
-    The pattern comes from d2's replica runs; with seeds alone, g2 can
-    stand in for d2 since it shares the pattern. The estimate covers
+    Replica detection runs once, on d2's rows. The seeds share d2's
+    repetition pattern, so g2's replica-free columns take d2's decisions;
+    with seeds alone, g2 can stand in for d2. The estimate covers
     repetition counts up to s_max or the largest detected one. Detection
-    failures are recorded in the result instead of raising.
+    failures, and a detected count too long to tabulate, are recorded in
+    the result instead of raising; an s_max too long to tabulate is bad
+    input and raises ValueError.
     """
     d2, g1, g2 = np.asarray(d2), np.asarray(g1), np.asarray(g2)
     if g2.shape[1] != d2.shape[1]:
         raise ValueError("g2 must share the database's repetition pattern")
+    check_table_size(alphabet_size, s_max)
     n = g1.shape[1]
     result = PipelineResult()
 
+    # With s_max <= 1 replicas are impossible: every pair is independent,
+    # and the estimator, whose series would be single-component, is skipped.
     try:
-        result.is_replica = replica_decisions(d2, s_max)
-        result.is_replica_seeds = replica_decisions(g2, s_max)
+        result.is_replica = (
+            replicas.detect_replicas(d2)
+            if s_max > 1
+            else np.zeros(max(d2.shape[1] - 1, 0), dtype=bool)
+        )
     except replicas.SingleComponentError as exc:
         return result.fail("replica", exc)
-    g2_free = replicas.replica_free(g2, result.is_replica_seeds)
+    g2_free = replicas.replica_free(g2, result.is_replica)
     if g2_free.shape[1] > n:
         return result.fail(
             "replica", ValueError(f"{g2_free.shape[1]} replica runs for {n} original columns")
@@ -301,14 +300,13 @@ def estimate_stages(
     except (deletions.MisdetectionError, deletions.NoUsefulRemappingError) as exc:
         return result.fail("deletion", exc)
 
+    pattern = pattern_from_detections(result.is_replica, result.retention, n, d2.shape[1])
+    s_max = max(s_max, int(pattern.s.max()))
     try:
-        result.pattern = pattern_from_detections(
-            result.is_replica, result.retention, n, d2.shape[1]
-        )
+        check_table_size(alphabet_size, s_max)
     except ValueError as exc:
         return result.fail("pattern", exc)
-
-    s_max = max(s_max, int(result.pattern.s.max()))
+    result.pattern = pattern
     result.estimate = estimation.estimate_from_seeds(
         g1, result.retention, result.pattern, alphabet_size, s_max=s_max
     )

@@ -76,14 +76,16 @@ def blischke_estimate(h: np.ndarray, m: int) -> MixtureEstimate:
     Estimates are clamped to [0, 1]; at small sample sizes the raw
     moment solution can exit the unit interval.
 
-    Raises SingleComponentError when there are fewer than two distances,
-    or when the moments are consistent with a
+    Raises SingleComponentError when there are fewer than two distances
+    or fewer than three rows, or when the moments are consistent with a
     single component (vanishing central second moment, or a discriminant
     below the numerical jitter allowance).
     """
     h = np.asarray(h, dtype=float)
     if h.size < 2:
         raise SingleComponentError("need at least two adjacent-pair distances")
+    if m < 3:
+        raise SingleComponentError("need at least 3 rows for three factorial moments")
     f1, f2, f3 = factorial_moments(h, m)
     denom = f2 - f1 * f1
     if abs(denom) < DEGENERATE_ATOL:

@@ -42,6 +42,16 @@ def noiseless_spec(size=2, p_s=(0.0, 1.0), p_x=None):
     return ModelSpec(p_x=p_x, p_y_given_x=np.eye(size), p_s=list(p_s))
 
 
+def long_run_instance():
+    """Noiseless binary (d1, d2, g1, g2) whose first column is repeated 25
+    times; the detected run's 2^26-cell joint table exceeds TABLE_LIMIT."""
+    rng = np.random.default_rng(0)
+    cols = [0] * 25 + list(range(1, 17))
+    d1 = rng.integers(1, 3, size=(400, 17), dtype=np.uint8)
+    g1 = rng.integers(1, 3, size=(3000, 17), dtype=np.uint8)
+    return d1, d1[:, cols], g1, g1[:, cols]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

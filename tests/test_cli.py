@@ -19,7 +19,7 @@ from dbalign.cli import (
 )
 from dbalign.dbio import read_matrix, write_matrix
 
-from conftest import bsc_spec, symmetric_spec
+from conftest import bsc_spec, long_run_instance, symmetric_spec
 
 
 @pytest.fixture
@@ -106,6 +106,14 @@ def test_detect_replicas_two_columns_exit_code(tmp_path, capsys):
     write_matrix(path, np.array([[1, 1], [2, 1], [1, 2]], dtype=np.uint8))
     assert main(["detect-replicas", "--d2", str(path)]) == EXIT_DETECTION
     assert "at least two" in capsys.readouterr().err
+
+
+def test_detect_replicas_two_rows_exit_code(tmp_path, capsys):
+    # Two rows cannot give the estimator's three factorial moments.
+    path = tmp_path / "two_rows.dbm"
+    write_matrix(path, np.array([[1, 1, 2, 1], [2, 1, 1, 1]], dtype=np.uint8))
+    assert main(["detect-replicas", "--d2", str(path)]) == EXIT_DETECTION
+    assert "3 rows" in capsys.readouterr().err
 
 
 def test_detect_deletions_command(tmp_path, capsys):
@@ -352,3 +360,21 @@ def test_match_infers_alphabet_from_seeds_too(tmp_path, capsys):
         argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
     assert main(argv) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["config"]["alphabet_size"] == 3
+
+
+def test_over_long_run_commands(tmp_path, capsys):
+    # A detected run too long to tabulate is a recorded pattern failure in
+    # `match`; `estimate` has no record to write, so it exits 2.
+    paths = [str(tmp_path / f"{name}.dbm") for name in ("d1", "d2", "g1", "g2")]
+    for path, mat in zip(paths, long_run_instance()):
+        write_matrix(path, mat)
+    d1, d2, g1, g2 = paths
+    seeds = ["--g1", g1, "--g2", g2, "--s-max", "2"]
+    assert main(["match", "--d1", d1, "--d2", d2, *seeds]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["failed_stage"] == "pattern"
+    assert "exceeds limit" in out["failure"]
+    assert out["stages"]["deletion"] and not out["stages"]["pattern"]
+
+    assert main(["estimate", *seeds]) == EXIT_CONFIG
+    assert "exceeds limit" in capsys.readouterr().err

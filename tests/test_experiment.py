@@ -17,7 +17,6 @@ from dbalign.experiment import (
     _estimated_bytes,
     estimate_tv_distance,
     render,
-    report_from_dict,
 )
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
@@ -163,15 +162,28 @@ def test_aggregates_recomputable_from_trials():
         assert point.mean_est_tv == pytest.approx(np.mean(tvs))
 
 
-def test_json_report_round_trip(tmp_path):
+def test_json_report_round_trip():
     report = run_experiment(small_config(trials=2))
-    path = tmp_path / "report.json"
-    path.write_text(render(report, "json"))
-    loaded = report_from_dict(json.loads(path.read_text()))
-    path2 = tmp_path / "report2.json"
-    path2.write_text(render(loaded, "json"))
-    assert path.read_bytes() == path2.read_bytes()
-    assert loaded.config["lambda"] == 4000
+    loaded = json.loads(render(report, "json"))
+    assert list(loaded) == ["config", "points"]
+    assert loaded["config"]["lambda"] == 4000
+    (point,) = loaded["points"]
+    assert list(point) == [
+        "m",
+        "n",
+        "R",
+        "capacity",
+        "replica_rate",
+        "replica_ci",
+        "deletion_rate",
+        "deletion_ci",
+        "mean_est_tv",
+        "mean_row_error_rate",
+        "trials",
+    ]
+    assert len(point["trials"]) == 2
+    for trial in point["trials"]:
+        assert list(trial) == [*CSV_COLUMNS, "failed_stage"]
 
 
 def test_infeasible_size_rejected_up_front():
@@ -249,6 +261,30 @@ def test_two_column_trial_is_recorded_not_raised():
     assert len(records) == 3
     assert records[0].failed_stage == "replica"
     assert records[0].row_error_rate == 1.0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_too_few_rows_trial_is_recorded_not_raised(m):
+    # Fewer than 3 database rows cannot feed the replica estimator's
+    # three factorial moments.
+    config = ExperimentConfig(
+        spec=bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)),
+        m=m,
+        n=10,
+        num_seeds=3000,
+        trials=2,
+        master_seed=1,
+        epsilon=0.3,
+    )
+    records = run_experiment(config).points[0].trials
+    assert [r.failed_stage for r in records] == ["replica", "replica"]
+    assert all(r.row_error_rate == 1.0 for r in records)
+
+
+def test_infeasible_joint_table_rejected_up_front():
+    spec = symmetric_spec(10, 0.5, (0.1,) * 10)  # 10^10 cells at s_max = 9
+    with pytest.raises(InfeasibleSizeError, match="cells exceeds limit"):
+        run_experiment(small_config(spec=spec))
 
 
 def test_failed_trials_count_as_full_error():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dbalign import ModelSpec, capacity, entropy, mixture_truth, repetition_table
-from dbalign.infotheory import repetition_entropies
+from dbalign.infotheory import TABLE_LIMIT, check_table_size, repetition_entropies
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 
@@ -254,3 +254,12 @@ def test_mixture_truth_matches_monte_carlo(rng):
 def test_mixture_truth_rejects_bad_remapping():
     with pytest.raises(ValueError):
         mixture_truth(bsc_spec(), phi=np.array([1, 1]))
+
+
+def test_check_table_size_limit():
+    assert TABLE_LIMIT == 10**7
+    check_table_size(10, 6)  # exactly TABLE_LIMIT cells
+    with pytest.raises(ValueError, match=r"10\^8 cells exceeds limit"):
+        check_table_size(10, 7)
+    with pytest.raises(ValueError, match=r"2\^24 cells"):
+        repetition_table([0.5, 0.5], np.eye(2), 23)

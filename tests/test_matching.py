@@ -10,6 +10,7 @@ from dbalign import (
     RepetitionPattern,
     assemble_joint,
     deanonymize,
+    estimate_stages,
     from_model_spec,
     generate_database,
     match_rows,
@@ -18,10 +19,17 @@ from dbalign import (
     segment,
     substream,
 )
+from dbalign import replicas
 from dbalign.deletions import RetentionResult
 from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
 
-from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
+from conftest import (
+    bsc_spec,
+    long_run_instance,
+    noiseless_spec,
+    symmetric_spec,
+    unit_trace_cyclic_spec,
+)
 from oracles import ERASURE, cell, row_cells, typicality_deviation
 
 
@@ -418,3 +426,103 @@ def test_deanonymize_understated_s_max_is_recorded():
     assert result.failed_stage == "replica"
     assert "replica runs" in result.failure
     assert result.retention is None and result.match is None
+
+
+def test_deanonymize_over_long_run_is_recorded():
+    # The detected run of 25 copies asks for a 2^26-cell joint table.
+    d1, d2, g1, g2 = long_run_instance()
+    result = deanonymize(d1, d2, g1, g2, alphabet_size=2, s_max=2, epsilon=0.3)
+    assert result.failed_stage == "pattern"
+    assert "2^26 cells exceeds limit" in result.failure
+    assert result.retention is not None and result.retention.num_retained == 17
+    assert result.pattern is None and result.estimate is None and result.match is None
+    # A stated s_max that large is bad input, refused before any stage runs.
+    with pytest.raises(ValueError, match=r"2\^27 cells exceeds limit"):
+        deanonymize(d1, d2, g1, g2, alphabet_size=2, s_max=26, epsilon=0.3)
+
+
+def _replica_instance():
+    spec = bsc_spec(flip=0.1, p_s=(0.2, 0.5, 0.3))
+    pair, seeds = sample_instance(256, 20, 10_000, spec, master_seed=3)
+    return pair.d2, seeds.g1, seeds.g2
+
+
+def test_estimate_stages_detects_replicas_once_on_d2(monkeypatch):
+    # The seeds share d2's pattern, so d2's decisions serve g2 as well.
+    calls = []
+    detect = replicas.detect_replicas
+
+    def counting(mat):
+        calls.append(mat)
+        return detect(mat)
+
+    monkeypatch.setattr(replicas, "detect_replicas", counting)
+    d2, g1, g2 = _replica_instance()
+    result = estimate_stages(d2, g1, g2, alphabet_size=2, s_max=2)
+    assert result.failed_stage is None
+    assert len(calls) == 1 and calls[0] is d2
+
+
+def test_estimate_stages_reads_no_replica_evidence_from_seeds(monkeypatch):
+    # Only d2's decisions count: the seeds' adjacent columns are never
+    # estimated, so a seed set too small for that is no failure.
+    d2, g1, g2 = _replica_instance()
+    detect = replicas.detect_replicas
+
+    def d2_only(mat):
+        if mat is not d2:
+            raise replicas.SingleComponentError("seed columns are not estimated")
+        return detect(mat)
+
+    monkeypatch.setattr(replicas, "detect_replicas", d2_only)
+    result = estimate_stages(d2, g1, g2, alphabet_size=2, s_max=2)
+    assert result.failed_stage is None
+    assert result.pattern.total == d2.shape[1]
+
+
+def _stage_outputs(d2, g1, g2, k, s_max):
+    result = estimate_stages(d2, g1, g2, k, s_max)
+    est = result.estimate
+    return (
+        result.failed_stage,
+        type(result.error),
+        None if result.is_replica is None else result.is_replica.tolist(),
+        None if result.retention is None else result.retention.retained.tolist(),
+        None if result.pattern is None else result.pattern.s.tolist(),
+        None
+        if est is None
+        else (
+            est.p_x.tolist(),
+            est.p_y_given_x.tolist(),
+            est.p_s.tolist(),
+            est.x_entropy,
+            est.y_entropy,
+            est.joint_entropy,
+        ),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    spec=st.sampled_from(
+        [
+            bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)),
+            symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)),
+            unit_trace_cyclic_spec((0.2, 0.5, 0.3)),
+            noiseless_spec(size=2, p_s=(0.1, 0.5, 0.4)),
+        ]
+    ),
+    seed=st.integers(0, 10_000),
+    m=st.sampled_from([8, 40, 400]),
+    num_seeds=st.sampled_from([500, 3000]),
+)
+def test_estimate_stages_row_permutation_property(spec, seed, m, num_seeds):
+    # Seed rows (permuted jointly) and database rows are exchangeable, so
+    # every stage's output, or the stage that failed, is unchanged.
+    pair, seeds = sample_instance(m, 10, num_seeds, spec, master_seed=seed)
+    args = (spec.alphabet_size, spec.s_max)
+    base = _stage_outputs(pair.d2, seeds.g1, seeds.g2, *args)
+    rng = substream(seed, 9)
+    perm = rng.permutation(num_seeds)
+    assert _stage_outputs(pair.d2, seeds.g1[perm], seeds.g2[perm], *args) == base
+    assert _stage_outputs(pair.d2[rng.permutation(m)], seeds.g1, seeds.g2, *args) == base

@@ -93,6 +93,14 @@ def test_blischke_single_distance_is_single_component():
         blischke_estimate(np.array([10]), 100)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_blischke_too_few_rows_is_single_component(m):
+    # Three factorial moments need three rows; the refusal is an
+    # algorithmic failure, so the pipeline records it.
+    with pytest.raises(SingleComponentError, match="3 rows"):
+        blischke_estimate(np.array([0.0, 1.0, 2.0]), m)
+
+
 def test_blischke_constant_series_raises():
     with pytest.raises(SingleComponentError):
         blischke_estimate(np.full(40, 500), 1000)
