@@ -94,13 +94,17 @@ def _cmd_detect_deletions(args) -> int:
     if args.dedup:
         g2 = replicas.replica_free(g2, replicas.detect_replicas(g2))
     alphabet_size = args.alphabet_size or deletions.infer_alphabet_size(g1, g2)
+    counts = None
     if args.dump_l is not None:
         deletions.check_symbols(alphabet_size, g1, g2)
         phi = deletions.enumerate_remappings(alphabet_size)[0]
-        cross = deletions.cross_hamming(g1, g2, phi, args.threshold_constant)
+        counts = deletions.cooccurrence(g1, g2, alphabet_size)
+        cross = deletions.cross_hamming(g1, g2, phi, args.threshold_constant, counts=counts)
         rows = [",".join(str(v) for v in row) for row in cross.l]
         _write_text(args.dump_l, "\n".join(rows) + "\n")
-    result = deletions.detect_deletions(g1, g2, alphabet_size, args.threshold_constant)
+    result = deletions.detect_deletions(
+        g1, g2, alphabet_size, args.threshold_constant, counts=counts
+    )
     out = {
         "retained": result.retained.tolist(),
         "deleted": result.deleted.tolist(),
@@ -122,8 +126,13 @@ def _cmd_estimate(args) -> int:
         args.s_max,
         args.threshold_constant,
     )
-    if result.error is not None:
+    # What detection found is not a configuration error: a recorded failure
+    # exits 4, or 5 for no useful remapping as in `detect-deletions`.
+    if isinstance(result.error, deletions.NoUsefulRemappingError):
         raise result.error
+    if result.error is not None:
+        print(f"detection failed ({result.failed_stage}): {result.error}", file=sys.stderr)
+        return EXIT_DETECTION
     _write_text(args.out, json.dumps(result.estimate.to_dict(), indent=2) + "\n")
     return EXIT_OK
 

@@ -206,6 +206,7 @@ def detect_deletions(
     g2: np.ndarray,
     alphabet_size: int | None = None,
     threshold_constant: float = 2.0,
+    counts: np.ndarray | None = None,
 ) -> RetentionResult:
     """Infer which original columns survived, from replica-free seeds.
 
@@ -213,6 +214,8 @@ def detect_deletions(
     column; with none, every original column is deleted). Sweeps
     remappings in lexicographic order and returns the retention set of
     the first useful one, with the symbol-pair counts at its column pairs.
+    Pass ``counts`` (from `cooccurrence` of the same g1, g2 and alphabet)
+    to reuse them; they are computed here when omitted.
 
     Raises MisdetectionError on an inconsistent outlier pattern and
     NoUsefulRemappingError when the sweep is exhausted.
@@ -231,7 +234,8 @@ def detect_deletions(
         alphabet_size = infer_alphabet_size(g1, g2)
     check_symbols(alphabet_size, g1, g2)
     remappings = enumerate_remappings(alphabet_size)  # rejects a large alphabet first
-    counts = cooccurrence(g1, g2, alphabet_size)
+    if counts is None:
+        counts = cooccurrence(g1, g2, alphabet_size)
     for phi in remappings:
         cross = cross_hamming(g1, g2, phi, threshold_constant, counts=counts)
         rows = scan_remapping(cross)

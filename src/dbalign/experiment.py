@@ -214,16 +214,33 @@ def estimate_tv_distance(spec: ModelSpec, est: estimation.DistributionEstimate) 
     return 0.5 * total
 
 
+def _match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
+    """Upper bound on `matching.match_rows`' working set at m rows.
+
+    Every array it holds is linear in m, except one tile of joint scores.
+    Per row: d1's indices and their log-probabilities (n each), d2's
+    indices (at most n * s_max columns) and their per-symbol
+    log-likelihoods, cell_ll with its exp2, its transposed copy and d1's
+    float one-hot (k * n each), the Y-marginal's two terms (n each), d1's
+    bool one-hot, and a few per-row vectors. The tile holds at least one
+    row of m float64 scores plus its bool mask.
+    """
+    k = alphabet_size
+    columns = n * max(s_max, 1)
+    per_row = 8 * (2 * n + columns + k * columns + 4 * k * n + 2 * n) + k * n + 128
+    tile = 9 * max(matching.TILE_BYTES // 8, m)
+    return m * per_row + tile
+
+
 def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int) -> int:
-    """Working set of one trial, dominated by the matcher's m x m arrays."""
+    """Working set of one trial: the matcher, the instance and the seed counts."""
     k_max = n * max(s_max, 1)
-    match_working = 10 * m * m  # float64 score matrix plus two bool masks
     instance = 2 * m * (n + k_max) + 4 * num_seeds * (n + k_max)
     # int64 co-occurrence counts (at most n replica-free g2 columns) plus
     # one seed block's float64 one-hots of g1 and g2.
     block = min(num_seeds, deletions.SEED_BLOCK)
     cross = 8 * alphabet_size**2 * n * n + 8 * block * alphabet_size * 2 * n
-    return int(1.5 * (match_working + instance + cross))
+    return int(1.5 * (_match_bytes(m, n, s_max, alphabet_size) + instance + cross))
 
 
 def run_trial(

@@ -26,6 +26,12 @@ from .model import RepetitionPattern
 # far past any usable epsilon.
 LOG_ZERO = -1.0e30
 
+# Bytes of float64 joint scores the matcher holds at once: it scores d1
+# against TILE_BYTES // (8 m) repeated rows at a time, so its working set
+# grows linearly in m. 4 MiB timed faster than 2, 8 and 16 MiB at m=8192
+# and m=16384 on a 2-core Xeon with 2 MiB of L2 per core.
+TILE_BYTES = 4 * 1024 * 1024
+
 STATUS_MATCHED = 0
 STATUS_AMBIGUOUS = 1
 STATUS_NO_CANDIDATE = 2
@@ -158,26 +164,40 @@ def match_rows(
         log_channel[:, d2_idx.T], segmented.offsets[retained], axis=1
     )
 
-    # Joint log-likelihood: d1's one-hot cells against cell_ll in one GEMM.
-    width = k * retained.size
-    onehot = d1_idx[:, None, retained] == np.arange(k)[:, None]
-    joint_ll = onehot.reshape(m1, width).astype(float) @ cell_ll.reshape(width, m2)
-    joint_ll += ll_x[:, None]
-    # in place: dev_joint = |(-joint_ll / n) - joint_entropy|
-    joint_ll *= -1.0 / n
-    joint_ll -= est.joint_entropy
-    dev_joint = np.abs(joint_ll, out=joint_ll)
-
     # Y-marginal deviation: depends on the repeated row only; each cell's
     # probability is its likelihood averaged over the source symbol.
     q_y = np.tensordot(est.p_x, np.exp2(cell_ll), axes=1)
     dev_y = np.abs(-_safe_log2(q_y).sum(axis=0) / n - est.y_entropy)
 
-    typical = (dev_joint <= epsilon) & (dev_x <= epsilon)[:, None]
-    typical &= (dev_y <= epsilon)[None, :]
-    counts = typical.sum(axis=0)
+    # Joint log-likelihood of one tile of repeated rows against every
+    # anonymized row: the tile's cell scores against d1's one-hot cells in
+    # one GEMM. Repeated rows lead, so each row's candidate count and first
+    # typical hit reduce along contiguous memory; only those survive a tile.
+    width = k * retained.size
+    cell_t = np.ascontiguousarray(cell_ll.reshape(width, m2).T)
+    onehot_t = d1_idx.T[retained] == np.arange(k)[:, None, None]
+    onehot_t = onehot_t.reshape(width, m1).astype(float)
+    x_typical = dev_x <= epsilon
+    y_typical = dev_y <= epsilon
+    counts = np.empty(m2, dtype=np.intp)
+    first = np.empty(m2, dtype=np.intp)
+    rows = max(1, min(m2, TILE_BYTES // (8 * max(m1, 1))))
+    tile = np.empty((rows, m1))
+    typical = np.empty((rows, m1), dtype=bool)
+    for l0 in range(0, m2, rows):
+        l1 = min(l0 + rows, m2)
+        scores = np.matmul(cell_t[l0:l1], onehot_t, out=tile[: l1 - l0])
+        scores += ll_x
+        # in place: dev_joint = |(-joint_ll / n) - joint_entropy|
+        scores *= -1.0 / n
+        scores -= est.joint_entropy
+        hits = np.less_equal(np.abs(scores, out=scores), epsilon, out=typical[: l1 - l0])
+        hits &= x_typical
+        hits &= y_typical[l0:l1, None]
+        counts[l0:l1] = hits.sum(axis=1)
+        first[l0:l1] = hits.argmax(axis=1)
     unique = counts == 1
-    assigned = np.where(unique, typical.argmax(axis=0), -1)
+    assigned = np.where(unique, first, -1)
     status = np.where(
         unique, STATUS_MATCHED, np.where(counts == 0, STATUS_NO_CANDIDATE, STATUS_AMBIGUOUS)
     ).astype(np.int8)

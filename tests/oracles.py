@@ -5,6 +5,13 @@ import math
 import numpy as np
 
 from dbalign.infotheory import repetition_table
+from dbalign.matching import (
+    STATUS_AMBIGUOUS,
+    STATUS_MATCHED,
+    STATUS_NO_CANDIDATE,
+    MatchResult,
+    _safe_log2,
+)
 
 #: Cell placeholder for a deleted column.
 ERASURE = "*"
@@ -88,3 +95,55 @@ def aligned_pair_counts(g1, g2_free, retained, alphabet_size):
     x = np.asarray(g1)[:, np.asarray(retained, dtype=np.intp)].astype(np.intp).ravel()
     y = np.asarray(g2_free).astype(np.intp).ravel()
     return np.bincount((x - 1) * k + (y - 1), minlength=k * k).reshape(k, k).astype(np.int64)
+
+
+def dense_match_rows(d1, segmented, est, epsilon):
+    """Reference matcher: the whole m x m joint score matrix at once.
+
+    The same arithmetic as ``match_rows`` on every score, with d1's rows
+    on the leading axis; the counts and first hits are reduced over the
+    full matrix instead of one tile of repeated rows at a time.
+    """
+    d1 = np.asarray(d1)
+    m1, n = d1.shape
+    d2 = segmented.d2
+    m2 = d2.shape[0]
+    k = est.alphabet_size
+    d1_idx = d1.astype(np.intp) - 1
+    retained = np.flatnonzero(segmented.pattern.s)
+
+    log_px = _safe_log2(est.p_x)
+    ll_x = log_px[d1_idx].sum(axis=1)
+    dev_x = np.abs(-ll_x / n - est.x_entropy)
+
+    log_channel = _safe_log2(est.p_y_given_x)
+    d2_idx = d2.astype(np.intp) - 1
+    cell_ll = np.add.reduceat(
+        log_channel[:, d2_idx.T], segmented.offsets[retained], axis=1
+    )
+
+    width = k * retained.size
+    onehot = d1_idx[:, None, retained] == np.arange(k)[:, None]
+    joint_ll = onehot.reshape(m1, width).astype(float) @ cell_ll.reshape(width, m2)
+    joint_ll += ll_x[:, None]
+    joint_ll *= -1.0 / n
+    joint_ll -= est.joint_entropy
+    dev_joint = np.abs(joint_ll, out=joint_ll)
+
+    q_y = np.tensordot(est.p_x, np.exp2(cell_ll), axes=1)
+    dev_y = np.abs(-_safe_log2(q_y).sum(axis=0) / n - est.y_entropy)
+
+    typical = (dev_joint <= epsilon) & (dev_x <= epsilon)[:, None]
+    typical &= (dev_y <= epsilon)[None, :]
+    counts = typical.sum(axis=0)
+    unique = counts == 1
+    assigned = np.where(unique, typical.argmax(axis=0), -1)
+    status = np.where(
+        unique, STATUS_MATCHED, np.where(counts == 0, STATUS_NO_CANDIDATE, STATUS_AMBIGUOUS)
+    ).astype(np.int8)
+
+    claims = np.bincount(assigned[unique], minlength=m1)
+    collided = unique & (claims[assigned] > 1)
+    status[collided] = STATUS_AMBIGUOUS
+    assigned[collided] = -1
+    return MatchResult(assigned=assigned, status=status)

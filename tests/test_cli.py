@@ -364,7 +364,8 @@ def test_match_infers_alphabet_from_seeds_too(tmp_path, capsys):
 
 def test_over_long_run_commands(tmp_path, capsys):
     # A detected run too long to tabulate is a recorded pattern failure in
-    # `match`; `estimate` has no record to write, so it exits 2.
+    # `match`; `estimate` has no record to write, so it exits with the
+    # detection-failure code.
     paths = [str(tmp_path / f"{name}.dbm") for name in ("d1", "d2", "g1", "g2")]
     for path, mat in zip(paths, long_run_instance()):
         write_matrix(path, mat)
@@ -376,5 +377,43 @@ def test_over_long_run_commands(tmp_path, capsys):
     assert "exceeds limit" in out["failure"]
     assert out["stages"]["deletion"] and not out["stages"]["pattern"]
 
-    assert main(["estimate", *seeds]) == EXIT_CONFIG
+    assert main(["estimate", *seeds]) == EXIT_DETECTION
     assert "exceeds limit" in capsys.readouterr().err
+
+
+def test_estimate_recorded_replica_failure_exits_detection(tmp_path, capsys):
+    # s_max=1 rules replicas out, so g2 keeps more columns than g1 has.
+    _, seeds = sample_instance(64, 20, 5000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=0)
+    assert seeds.g2.shape[1] > 20
+    write_matrix(tmp_path / "g1.dbm", seeds.g1)
+    write_matrix(tmp_path / "g2.dbm", seeds.g2)
+    argv = ["estimate", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
+    assert main([*argv, "--s-max", "1"]) == EXIT_DETECTION
+    assert "replica runs for 20 original columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_detect_deletions_counts_seeds_once(tmp_path, capsys, monkeypatch, dump):
+    # The dumped distance matrix reads the same co-occurrence counts as the
+    # detection, so the command tabulates the seeds once.
+    from dbalign import RepetitionPattern, deletions, generate_seeds, substream
+
+    calls = []
+    build = deletions.cooccurrence
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(deletions, "cooccurrence", counting)
+    s = np.ones(8, dtype=int)
+    s[3] = 0
+    seeds = generate_seeds(3000, 8, RepetitionPattern(s), bsc_spec(), substream(4, 0))
+    write_matrix(tmp_path / "g1.dbm", seeds.g1)
+    write_matrix(tmp_path / "g2.dbm", seeds.g2)
+    argv = ["detect-deletions", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
+    if dump:
+        argv += ["--dump-l", str(tmp_path / "l.csv")]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["deleted"] == [3]
+    assert len(calls) == 1

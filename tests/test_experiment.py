@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,17 @@ from dbalign import (
     ExperimentConfig,
     InfeasibleSizeError,
     from_model_spec,
+    match_rows,
     run_experiment,
+    sample_instance,
+    segment,
     wilson_interval,
 )
 from dbalign.experiment import (
     CSV_COLUMNS,
+    DEFAULT_MEMORY_CAP,
     _estimated_bytes,
+    _match_bytes,
     estimate_tv_distance,
     render,
 )
@@ -209,6 +215,36 @@ def test_memory_estimate_grows_with_alphabet_size():
     # seed block's one-hots, both growing with the alphabet.
     sizes = [_estimated_bytes(256, 240, 5000, 3, k) for k in (2, 3, 4, 8)]
     assert sizes == sorted(set(sizes))
+
+
+@pytest.mark.parametrize(
+    "spec, m, n",
+    [
+        (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 256, 60),
+        (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 3000, 60),
+        (bsc_spec(flip=0.1, p_s=(0.0, 0.0, 1.0)), 4096, 60),
+        (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 120),
+        (bsc_spec(flip=0.1), 4096, 4),  # narrow: the score tile dominates
+    ],
+)
+def test_memory_estimate_bounds_the_matcher(spec, m, n):
+    # The guard is only as truthful as its matcher term: the measured peak,
+    # one score tile included, must stay within it.
+    pair, _ = sample_instance(m, n, 1, spec, master_seed=7)
+    segmented, est = segment(pair.d2, pair.pattern), from_model_spec(spec)
+    tracemalloc.start()
+    try:
+        match_rows(pair.d1, segmented, est, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _match_bytes(m, n, spec.s_max, spec.alphabet_size)
+
+
+def test_paper_scale_fits_default_cap_at_m_2_16():
+    # The matcher's working set is linear in m, so the paper's binary model
+    # at n=60 and 10^4 seeds fits the default cap on one worker at m=2^16.
+    assert _estimated_bytes(2**16, 60, 10_000, 2, 2) <= DEFAULT_MEMORY_CAP
 
 
 def test_render_unknown_format():

@@ -19,7 +19,7 @@ from dbalign import (
     segment,
     substream,
 )
-from dbalign import replicas
+from dbalign import matching, replicas
 from dbalign.deletions import RetentionResult
 from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
 
@@ -30,7 +30,7 @@ from conftest import (
     symmetric_spec,
     unit_trace_cyclic_spec,
 )
-from oracles import ERASURE, cell, row_cells, typicality_deviation
+from oracles import ERASURE, cell, dense_match_rows, row_cells, typicality_deviation
 
 
 def brute_force_match(d1, segmented, est, epsilon):
@@ -173,6 +173,39 @@ def test_match_rows_agrees_with_brute_force_oracle(spec, est):
             assert np.array_equal(matched, assigned >= 0)
             no_cand = n_candidates == 0
             assert np.array_equal(fast.status == 2, no_cand)
+
+
+def _tile_sizes(m):
+    """One row, a size that does not divide m, one that does, all of m."""
+    ragged = next(r for r in range(2, m) if m % r)
+    even = next((r for r in range(2, m) if m % r == 0), m)
+    return (1, ragged, even, m)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    case=st.sampled_from(sorted(ORACLE_CASES)),
+    seed=st.integers(0, 10_000),
+    m=st.integers(3, 24),
+    n=st.integers(3, 10),
+    epsilon=st.sampled_from([0.2, 0.5, 1.0]),
+)
+@example(case="all_deleted", seed=0, m=12, n=6, epsilon=0.5)
+def test_match_rows_tiles_agree_with_dense_oracle(case, seed, m, n, epsilon):
+    # Each repeated row's count and first hit depend on its own scores
+    # only, so no tiling of the repeated rows can change the result.
+    spec, est = ORACLE_CASES[case]
+    if est is None:
+        est = from_model_spec(spec)
+    pair, _ = sample_instance(m, n, 1, spec, master_seed=seed)
+    seg = segment(pair.d2, pair.pattern)
+    dense = dense_match_rows(pair.d1, seg, est, epsilon)
+    for rows in _tile_sizes(m):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "TILE_BYTES", 8 * m * rows)
+            tiled = match_rows(pair.d1, seg, est, epsilon)
+        assert np.array_equal(tiled.assigned, dense.assigned)
+        assert np.array_equal(tiled.status, dense.status)
 
 
 RELABEL_SPECS = [
