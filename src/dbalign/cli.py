@@ -15,13 +15,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import deletions, matching, replicas
 from .dbio import load_model_spec, read_matrix, write_matrix
 from .experiment import ExperimentConfig, InfeasibleSizeError, render, run_experiment
 from .infotheory import capacity
-from .model import sample_instance
+from .model import as_permutation, sample_instance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,7 +97,7 @@ def _cmd_detect_deletions(args) -> int:
         deletions.check_symbols(alphabet_size, g1, g2)
         phi = deletions.enumerate_remappings(alphabet_size)[0]
         counts = deletions.cooccurrence(g1, g2, alphabet_size)
-        cross = deletions.cross_hamming(g1, g2, phi, args.threshold_constant, counts=counts)
+        cross = deletions.cross_hamming(g1, g2, phi, counts, args.threshold_constant)
         rows = [",".join(str(v) for v in row) for row in cross.l]
         _write_text(args.dump_l, "\n".join(rows) + "\n")
     result = deletions.detect_deletions(
@@ -174,13 +172,13 @@ def _cmd_match(args) -> int:
     if args.truth is not None:
         with open(args.truth, "r", encoding="utf-8") as fh:
             truth = json.load(fh)
+        if "sigma" not in truth:
+            raise ValueError(f"{args.truth} has no 'sigma' key")
+        sigma = as_permutation(truth["sigma"], d1.shape[0])
         out["master_seed"] = truth.get("master_seed")
-        if result.match is not None:
-            out["row_error_rate"] = result.match.row_error_rate(
-                np.asarray(truth["sigma"])
-            )
-        else:
-            out["row_error_rate"] = 1.0
+        out["row_error_rate"] = (
+            result.match.row_error_rate(sigma) if result.match is not None else 1.0
+        )
     _write_text(args.out, json.dumps(out, indent=2) + "\n")
     return EXIT_OK
 

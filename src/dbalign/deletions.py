@@ -139,17 +139,15 @@ def cross_hamming(
     g1: np.ndarray,
     g2: np.ndarray,
     phi: np.ndarray,
+    counts: np.ndarray,
     threshold_constant: float = 2.0,
-    counts: np.ndarray | None = None,
 ) -> CrossDistanceMatrix:
     """Distances between every g1 column and every remapped g2 column.
 
-    Read off the co-occurrence counts: g1 column i agrees with remapped
-    g2 column j on every row where g2 holds y and g1 holds phi(y), so
-    ``l = Lambda - sum_y C[phi(y)-1, :, y-1, :]``. Pass ``counts`` (from
-    `cooccurrence` with ``alphabet_size == len(phi)``) to share them
-    across remappings; they are computed here when omitted, after
-    checking that every symbol lies in 1..len(phi).
+    Read off the co-occurrence counts of g1 and g2 (`cooccurrence` with
+    ``alphabet_size == len(phi)``): g1 column i agrees with remapped g2
+    column j on every row where g2 holds y and g1 holds phi(y), so
+    ``l = Lambda - sum_y C[phi(y)-1, :, y-1, :]``.
     """
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
@@ -159,9 +157,6 @@ def cross_hamming(
     kt = g2.shape[1]
     phi = np.asarray(phi)
     k = phi.size
-    if counts is None:
-        check_symbols(k, g1, g2)
-        counts = cooccurrence(g1, g2, k)
     if counts.shape != (k, n, k, kt):
         raise ValueError(f"counts must have shape {(k, n, k, kt)}")
     agree = counts[phi.astype(np.intp) - 1, :, np.arange(k), :].sum(axis=0)
@@ -204,7 +199,7 @@ def scan_remapping(cross: CrossDistanceMatrix) -> np.ndarray | None:
 def detect_deletions(
     g1: np.ndarray,
     g2: np.ndarray,
-    alphabet_size: int | None = None,
+    alphabet_size: int,
     threshold_constant: float = 2.0,
     counts: np.ndarray | None = None,
 ) -> RetentionResult:
@@ -230,14 +225,12 @@ def detect_deletions(
         raise ValueError(f"need at least {MIN_COLUMNS} original columns")
     if kt > n:
         raise ValueError("replica-free g2 cannot have more columns than g1")
-    if alphabet_size is None:
-        alphabet_size = infer_alphabet_size(g1, g2)
     check_symbols(alphabet_size, g1, g2)
     remappings = enumerate_remappings(alphabet_size)  # rejects a large alphabet first
     if counts is None:
         counts = cooccurrence(g1, g2, alphabet_size)
     for phi in remappings:
-        cross = cross_hamming(g1, g2, phi, threshold_constant, counts=counts)
+        cross = cross_hamming(g1, g2, phi, counts, threshold_constant)
         rows = scan_remapping(cross)
         if rows is not None:
             deleted = np.setdiff1d(np.arange(n), rows)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .deletions import RetentionResult, check_symbols
 from .infotheory import entropy, repetition_entropies
-from .model import ModelSpec
+from .model import ModelSpec, RepetitionPattern
 
 
 @dataclass(frozen=True)
@@ -88,20 +88,11 @@ def estimate_p_y_given_x(pair_counts: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def estimate_p_s(pattern, s_max: int | None = None) -> np.ndarray:
-    """Empirical repetition-count frequencies over {0, ..., s_max}.
-
-    s_max defaults to the largest observed count.
-    """
-    s = np.asarray(getattr(pattern, "s", pattern), dtype=np.int64)
-    if s.size == 0:
-        raise ValueError("pattern is empty")
-    observed_max = int(s.max())
-    if s_max is None:
-        s_max = observed_max
-    elif s_max < observed_max:
+def estimate_p_s(pattern: RepetitionPattern, s_max: int) -> np.ndarray:
+    """Empirical repetition-count frequencies over {0, ..., s_max}."""
+    if s_max < int(pattern.s.max()):
         raise ValueError("s_max is smaller than an observed repetition count")
-    return np.bincount(s, minlength=s_max + 1) / s.size
+    return np.bincount(pattern.s, minlength=s_max + 1) / pattern.n
 
 
 def assemble_joint(
@@ -141,9 +132,9 @@ def from_model_spec(spec: ModelSpec) -> DistributionEstimate:
 def estimate_from_seeds(
     g1: np.ndarray,
     retention: RetentionResult,
-    pattern,
+    pattern: RepetitionPattern,
     alphabet_size: int,
-    s_max: int | None = None,
+    s_max: int,
 ) -> DistributionEstimate:
     """Full plug-in estimate from the original seeds and both detector outputs."""
     if np.shape(retention.pair_counts) != (alphabet_size, alphabet_size):

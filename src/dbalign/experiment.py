@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -42,6 +43,13 @@ KEY_NAMES = {"num_seeds": "lambda", "growth_rate": "R"}
 
 class InfeasibleSizeError(RuntimeError):
     """Estimated working-set size exceeds the configured memory cap."""
+
+
+def _integer(key: str, value) -> int:
+    """A config value as int: a whole number, not a fraction, string or bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -90,20 +98,25 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         spec = model_spec_from_dict(d)
+        sweep_values = d.get("sweep_values", [])
+        if not isinstance(sweep_values, list):
+            raise ValueError(f"sweep_values must be a list, got {sweep_values!r}")
         try:
             return cls(
                 spec=spec,
-                m=int(d["m"]),
-                n=int(d["n"]),
-                num_seeds=int(d["lambda"]),
-                trials=int(d.get("trials", 10)),
-                master_seed=int(d.get("master_seed", 0)),
+                m=_integer("m", d["m"]),
+                n=_integer("n", d["n"]),
+                num_seeds=_integer("lambda", d["lambda"]),
+                trials=_integer("trials", d.get("trials", 10)),
+                master_seed=_integer("master_seed", d.get("master_seed", 0)),
                 epsilon=float(d.get("epsilon", 0.05)),
                 threshold_constant=float(d.get("threshold_constant", 2.0)),
                 sweep_axis=d.get("sweep_axis"),
-                sweep_values=list(d.get("sweep_values", [])),
-                workers=int(d.get("workers", 1)),
-                memory_cap_bytes=int(d.get("memory_cap_bytes", DEFAULT_MEMORY_CAP)),
+                sweep_values=[_integer("sweep_values", v) for v in sweep_values],
+                workers=_integer("workers", d.get("workers", 1)),
+                memory_cap_bytes=_integer(
+                    "memory_cap_bytes", d.get("memory_cap_bytes", DEFAULT_MEMORY_CAP)
+                ),
             )
         except KeyError as exc:
             raise ValueError(f"experiment config is missing key {exc}") from exc
@@ -243,19 +256,12 @@ def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: 
     return int(1.5 * (_match_bytes(m, n, s_max, alphabet_size) + instance + cross))
 
 
-def run_trial(
-    spec: ModelSpec,
-    m: int,
-    n: int,
-    num_seeds: int,
-    epsilon: float,
-    threshold_constant: float,
-    master_seed: int,
-    point: int,
-    trial: int,
-) -> TrialRecord:
-    """One seeded end-to-end trial scored against ground truth."""
-    pair, seeds = sample_instance(m, n, num_seeds, spec, master_seed, point, trial)
+def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
+    """One seeded end-to-end trial at ``config.points()[point]``, scored
+    against ground truth."""
+    m, n = config.points()[point]
+    spec = config.spec
+    pair, seeds = sample_instance(m, n, config.num_seeds, spec, config.master_seed, point, trial)
     result = matching.deanonymize(
         pair.d1,
         pair.d2,
@@ -263,8 +269,8 @@ def run_trial(
         seeds.g2,
         alphabet_size=spec.alphabet_size,
         s_max=spec.s_max,
-        epsilon=epsilon,
-        threshold_constant=threshold_constant,
+        epsilon=config.epsilon,
+        threshold_constant=config.threshold_constant,
     )
 
     true_adj = _true_adjacency(pair.pattern)
@@ -281,14 +287,14 @@ def run_trial(
         result.match.row_error_rate(pair.sigma) if result.match is not None else 1.0
     )
     fingerprint = int(
-        np.random.SeedSequence(master_seed, spawn_key=(point, trial)).generate_state(1)[0]
+        np.random.SeedSequence(config.master_seed, spawn_key=(point, trial)).generate_state(1)[0]
     )
     cap = capacity(spec).capacity
     return TrialRecord(
         trial=trial,
         n=n,
         m=m,
-        num_seeds=num_seeds,
+        num_seeds=config.num_seeds,
         growth_rate=math.log2(m) / n,
         capacity=cap,
         replica_ok=bool(replica_ok),
@@ -320,25 +326,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     summaries = []
     for point_idx, (m, n) in enumerate(points):
-        args = [
-            (
-                config.spec,
-                m,
-                n,
-                config.num_seeds,
-                config.epsilon,
-                config.threshold_constant,
-                config.master_seed,
-                point_idx,
-                trial,
-            )
-            for trial in range(config.trials)
-        ]
+        trials = range(config.trials)
         if config.workers > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                records = list(pool.map(lambda a: run_trial(*a), args))
+                records = list(pool.map(lambda i: run_trial(config, point_idx, i), trials))
         else:
-            records = [run_trial(*a) for a in args]
+            records = [run_trial(config, point_idx, i) for i in trials]
 
         replica_hits = sum(r.replica_ok for r in records)
         deletion_hits = sum(r.deletion_ok for r in records)

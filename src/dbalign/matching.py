@@ -19,7 +19,7 @@ from . import deletions, estimation, replicas
 from .deletions import RetentionResult
 from .estimation import DistributionEstimate
 from .infotheory import check_table_size
-from .model import RepetitionPattern
+from .model import RepetitionPattern, as_permutation
 
 # Finite stand-in for log2(0) inside the vectorized accumulation; large
 # enough that a single zero-probability observation pushes the deviation
@@ -107,8 +107,11 @@ class MatchResult:
         }
 
     def row_error_rate(self, sigma_true: np.ndarray) -> float:
-        """Fraction of rows not correctly and uniquely matched."""
-        sigma_true = np.asarray(sigma_true)
+        """Fraction of rows not correctly and uniquely matched.
+
+        Raises ValueError unless sigma_true is a permutation of the rows.
+        """
+        sigma_true = as_permutation(sigma_true, self.num_rows)
         correct = (self.status[sigma_true] == STATUS_MATCHED) & (
             self.assigned[sigma_true] == np.arange(sigma_true.size)
         )
@@ -214,13 +217,13 @@ def pattern_from_detections(
     is_replica: np.ndarray,
     retention: RetentionResult,
     n: int,
-    num_columns: int | None = None,
+    num_columns: int,
 ) -> RepetitionPattern:
     """Reconstruct the repetition pattern from both detector outputs.
 
-    Replica runs give the repetition count of each retained column in
-    order; deleted columns get 0. The run count must equal the retained
-    count. ``num_columns`` is as in ``replicas.column_runs``.
+    Replica runs over the repeated side's ``num_columns`` columns give the
+    repetition count of each retained column in order; deleted columns
+    get 0. The run count must equal the retained count.
     """
     _, lengths = replicas.column_runs(is_replica, num_columns)
     if lengths.size != retention.num_retained:
@@ -328,7 +331,7 @@ def estimate_stages(
         return result.fail("pattern", exc)
     result.pattern = pattern
     result.estimate = estimation.estimate_from_seeds(
-        g1, result.retention, result.pattern, alphabet_size, s_max=s_max
+        g1, result.retention, result.pattern, alphabet_size, s_max
     )
     return result
 

@@ -40,6 +40,14 @@ def _check_prob_vector(p, name):
     return p
 
 
+def as_permutation(sigma, m: int) -> np.ndarray:
+    """sigma as int64; ValueError unless it is a permutation of 0..m-1."""
+    sigma = np.asarray(sigma)
+    if sigma.dtype.kind not in "iu" or not np.array_equal(np.sort(sigma), np.arange(m)):
+        raise ValueError(f"sigma must be a permutation of 0..{m - 1}")
+    return sigma.astype(np.int64)
+
+
 def _frozen(arr):
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
@@ -154,14 +162,7 @@ class DatabasePair:
             raise ValueError(
                 "d2 column count must equal the pattern's repetition total"
             )
-        sigma = np.asarray(self.sigma, dtype=np.int64)
-        if sigma.shape != (m,) or np.any(np.bincount(sigma, minlength=m) != 1):
-            raise ValueError("sigma must be a permutation of 0..m-1")
-        object.__setattr__(self, "sigma", _frozen(sigma))
-
-    @property
-    def num_rows(self) -> int:
-        return self.d1.shape[0]
+        object.__setattr__(self, "sigma", _frozen(as_permutation(self.sigma, m)))
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,6 @@ class SeedPair:
     def __post_init__(self):
         if self.g1.shape[0] != self.g2.shape[0]:
             raise ValueError("seed matrices must have the same row count")
-
-    @property
-    def num_seeds(self) -> int:
-        return self.g1.shape[0]
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -209,36 +206,26 @@ def generate_database(m: int, n: int, spec: ModelSpec, rng: np.random.Generator)
 
 def draw_pattern(n: int, spec: ModelSpec, rng: np.random.Generator) -> RepetitionPattern:
     """i.i.d. repetition counts for n columns drawn from spec.p_s."""
-    if n < 1:
-        raise ValueError("pattern length must be positive")
     s = rng.choice(np.arange(spec.s_max + 1), size=n, p=spec.p_s)
     return RepetitionPattern(s)
-
-
-def draw_permutation(m: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(m)
 
 
 def apply_channel(
     d1: np.ndarray,
     pattern: RepetitionPattern,
-    sigma: np.ndarray,
     spec: ModelSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Repeat columns per the pattern, pass entries through the noise
-    channel, and scatter rows by the permutation.
+    """Repeat columns per the pattern and pass entries through the noise
+    channel; rows keep their order.
 
-    Row ``sigma[i]`` of the output holds, for each original column j in
-    order, ``pattern.s[j]`` independent noisy copies of ``d1[i, j]``.
-    Deleted columns (count 0) contribute nothing.
+    Row i of the output holds, for each original column j in order,
+    ``pattern.s[j]`` independent noisy copies of ``d1[i, j]``. Deleted
+    columns (count 0) contribute nothing.
     """
-    m, n = d1.shape
+    n = d1.shape[1]
     if pattern.n != n:
         raise ValueError("pattern length must equal the column count of d1")
-    sigma = np.asarray(sigma, dtype=np.int64)
-    if sigma.shape != (m,) or np.any(np.bincount(sigma, minlength=m) != 1):
-        raise ValueError("sigma must be a permutation of 0..m-1")
 
     cols = np.repeat(np.arange(n), pattern.s)
     expanded = d1[:, cols]
@@ -250,9 +237,7 @@ def apply_channel(
         count = int(mask.sum())
         if count:
             noisy[mask] = rng.choice(symbols, size=count, p=spec.p_y_given_x[x - 1])
-    d2 = np.empty_like(noisy)
-    d2[sigma] = noisy
-    return d2
+    return noisy
 
 
 def generate_seeds(
@@ -264,15 +249,11 @@ def generate_seeds(
 ) -> SeedPair:
     """Batch of pre-matched seed row pairs under the given pattern.
 
-    g1 rows are i.i.d. from p_x; g2 is g1 pushed through the channel
-    with the identity permutation, so row i of each matrix is a matched
-    pair by construction.
+    g1 rows are i.i.d. from p_x; g2 is g1 pushed through the channel,
+    so row i of each matrix is a matched pair by construction.
     """
-    if num_seeds < 1:
-        raise ValueError("need at least one seed row")
     g1 = generate_database(num_seeds, n, spec, rng)
-    g2 = apply_channel(g1, pattern, np.arange(num_seeds), spec, rng)
-    return SeedPair(g1, g2)
+    return SeedPair(g1, apply_channel(g1, pattern, spec, rng))
 
 
 def sample_instance(
@@ -288,12 +269,15 @@ def sample_instance(
 
     Substream key layout: ``(point, trial, role)`` with the ROLE_*
     constants above. Identical arguments always produce bit-identical
-    instances.
+    instances. Row i of d1 passes through the channel into row sigma[i]
+    of d2.
     """
     key = (point, trial)
     d1 = generate_database(m, n, spec, substream(master_seed, *key, ROLE_DATABASE))
     pattern = draw_pattern(n, spec, substream(master_seed, *key, ROLE_PATTERN))
-    sigma = draw_permutation(m, substream(master_seed, *key, ROLE_PERMUTATION))
-    d2 = apply_channel(d1, pattern, sigma, spec, substream(master_seed, *key, ROLE_CHANNEL))
+    sigma = substream(master_seed, *key, ROLE_PERMUTATION).permutation(m)
+    noisy = apply_channel(d1, pattern, spec, substream(master_seed, *key, ROLE_CHANNEL))
+    d2 = np.empty_like(noisy)
+    d2[sigma] = noisy
     seeds = generate_seeds(num_seeds, n, pattern, spec, substream(master_seed, *key, ROLE_SEEDS))
     return DatabasePair(d1, d2, sigma, pattern), seeds

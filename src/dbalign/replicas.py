@@ -116,20 +116,16 @@ def detect_replicas(d2: np.ndarray) -> np.ndarray:
     return h <= m * est.tau
 
 
-def column_runs(
-    is_replica: np.ndarray, num_columns: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def column_runs(is_replica: np.ndarray, num_columns: int) -> tuple[np.ndarray, np.ndarray]:
     """Group columns into same-origin runs given adjacency decisions.
 
     A True at position j glues columns j and j+1 into one run. Returns
-    (first column index of each run, run lengths); lengths sum to the
-    column count K. K defaults to len(is_replica) + 1, which holds for
-    every K >= 1; pass it when it may be 0.
+    (first column index of each run, run lengths); lengths sum to
+    num_columns, which may be 0.
     """
     is_replica = np.asarray(is_replica, dtype=bool)
-    k = is_replica.size + 1 if num_columns is None else num_columns
-    starts = np.flatnonzero(np.concatenate(([True], ~is_replica))[:k])
-    lengths = np.diff(np.append(starts, k))
+    starts = np.flatnonzero(np.concatenate(([True], ~is_replica))[:num_columns])
+    lengths = np.diff(np.append(starts, num_columns))
     return starts, lengths
 
 

@@ -296,8 +296,8 @@ def test_criterion_7_invariant_suites(tmp_path):
     (tmp_path / "b.csv").write_text(render(run_experiment(config), "csv"))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    record = run_trial(rep_spec, 32, 12, 5000, 0.4, 2.0, 909, 0, 0)
-    again = run_trial(rep_spec, 32, 12, 5000, 0.4, 2.0, 909, 0, 0)
+    record = run_trial(config, 0, 0)
+    again = run_trial(config, 0, 0)
     assert record == again
 
     elapsed = time.time() - start

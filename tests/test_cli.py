@@ -78,6 +78,34 @@ def test_gen_and_match_round_trip(tmp_path, config_file, capsys):
         assert len(result["sigma_hat"]) == 16
 
 
+def _bad_sigma(truth, case):
+    sigma = truth.pop("sigma")
+    if case == "one_short":
+        truth["sigma"] = sigma[:-1]
+    elif case == "all_zero":
+        truth["sigma"] = [0] * len(sigma)
+    elif case == "out_of_range":
+        truth["sigma"] = [len(sigma)] + sigma[1:]
+    return truth
+
+
+@pytest.mark.parametrize("case", ["one_short", "all_zero", "missing", "out_of_range"])
+def test_match_rejects_truth_that_is_not_a_permutation(tmp_path, config_file, capsys, case):
+    # A bad truth file must fail at the boundary, never score a silent
+    # error rate over the wrong rows or end in a traceback.
+    out_dir = tmp_path / "inst"
+    assert main(["gen", "--config", str(config_file), "--out", str(out_dir)]) == EXIT_OK
+    truth = _bad_sigma(json.loads((out_dir / "truth.json").read_text()), case)
+    bad = tmp_path / "bad_truth.json"
+    bad.write_text(json.dumps(truth))
+    capsys.readouterr()
+    argv = ["match", "--s-max", "2", "--epsilon", "0.4", "--truth", str(bad)]
+    for name in ("d1", "d2", "g1", "g2"):
+        argv += [f"--{name}", str(out_dir / f"{name}.dbm")]
+    assert main(argv) == EXIT_CONFIG
+    assert "sigma" in capsys.readouterr().err
+
+
 def test_detect_replicas_csv_matches_library(tmp_path, config_file, capsys):
     pair, _ = sample_instance(400, 10, 10, bsc_spec(p_s=(0.0, 0.5, 0.5)), master_seed=5)
     path = tmp_path / "d2.dbm"
@@ -206,6 +234,14 @@ def test_experiment_bad_config_exit(tmp_path):
     assert main(["experiment", "--config", str(bad)]) == EXIT_CONFIG
     missing = tmp_path / "nope.json"
     assert main(["experiment", "--config", str(missing)]) == EXIT_CONFIG
+
+
+def test_experiment_rejects_fractional_size_exit(tmp_path, config_file, capsys):
+    cfg = json.loads(config_file.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(cfg, m=16.5)))
+    assert main(["experiment", "--config", str(bad)]) == EXIT_CONFIG
+    assert "m must be an integer" in capsys.readouterr().err
 
 
 def test_experiment_without_out_appends_to_redirected_stdout(tmp_path, config_file):

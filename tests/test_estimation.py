@@ -83,25 +83,25 @@ def test_estimate_p_y_given_x_rejects_non_square_table(shape):
 
 
 def test_estimate_p_s_direct_count():
-    assert np.array_equal(estimate_p_s(np.array([1, 1, 2, 0])), [0.25, 0.5, 0.25])
+    assert np.array_equal(estimate_p_s(RepetitionPattern([1, 1, 2, 0]), 2), [0.25, 0.5, 0.25])
 
 
 def test_estimate_p_s_point_mass():
-    assert np.array_equal(estimate_p_s(np.ones(6, dtype=int)), [0.0, 1.0])
+    assert np.array_equal(estimate_p_s(RepetitionPattern(np.ones(6, dtype=int)), 1), [0.0, 1.0])
 
 
 def test_estimate_p_s_explicit_support():
     assert np.array_equal(
-        estimate_p_s(np.array([1, 1, 0, 1]), s_max=3), [0.25, 0.75, 0.0, 0.0]
+        estimate_p_s(RepetitionPattern([1, 1, 0, 1]), s_max=3), [0.25, 0.75, 0.0, 0.0]
     )
     with pytest.raises(ValueError):
-        estimate_p_s(np.array([0, 3]), s_max=2)
+        estimate_p_s(RepetitionPattern([0, 3]), s_max=2)
 
 
 def test_estimate_p_s_concentration():
     spec = bsc_spec(p_s=(0.3, 0.4, 0.3))
     for seed in range(20):
-        pattern = substream(seed, 6).choice([0, 1, 2], size=10_000, p=spec.p_s)
+        pattern = RepetitionPattern(substream(seed, 6).choice([0, 1, 2], size=10_000, p=spec.p_s))
         est = estimate_p_s(pattern, s_max=2)
         assert np.all(np.abs(est - spec.p_s) <= 0.02)
 
@@ -266,4 +266,4 @@ def test_estimate_from_seeds_rejects_pair_counts_of_another_alphabet(counts_size
         pair_counts=np.ones((counts_size, counts_size), dtype=np.int64),
     )
     with pytest.raises(ValueError, match="3 x 3"):
-        estimate_from_seeds(g1, retention, RepetitionPattern(np.ones(3, dtype=int)), 3)
+        estimate_from_seeds(g1, retention, RepetitionPattern(np.ones(3, dtype=int)), 3, 1)

@@ -87,6 +87,35 @@ def test_config_from_json_file(tmp_path):
         ExperimentConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("m", 4096.9),
+        ("trials", 2.7),
+        ("lambda", "4000"),
+        ("workers", True),
+        ("master_seed", None),
+        ("memory_cap_bytes", float("inf")),
+        ("sweep_values", "1234"),
+        ("sweep_values", [10, 12.5]),
+    ],
+)
+def test_config_from_dict_rejects_values_that_are_not_whole_numbers(key, value):
+    # int() would truncate a fraction and list() would split a string
+    # into digits; both must fail instead of running another experiment.
+    d = dict(small_config().to_dict(), sweep_axis="n", sweep_values=[10])
+    d[key] = value
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(d)
+
+
+def test_config_from_dict_accepts_integral_floats():
+    d = dict(small_config().to_dict(), m=32.0, sweep_axis="n", sweep_values=[10.0, 12])
+    config = ExperimentConfig.from_dict(d)
+    assert config.points() == [(32, 10), (32, 12)]
+    assert type(config.m) is int and all(type(v) is int for v in config.sweep_values)
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(0, 0)
     assert (lo, hi) == (0.0, 1.0)

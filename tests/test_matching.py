@@ -259,6 +259,17 @@ def test_match_result_accessors():
     assert result.row_error_rate(np.array([2, 0, 1])) == pytest.approx(2 / 3)
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [[2, 0], [0, 0, 0], [3, 0, 1], [-1, 0, 1], [2.0, 0.0, 1.0], [[2, 0, 1]]],
+    ids=["one_short", "all_zero", "out_of_range", "negative", "float", "2d"],
+)
+def test_row_error_rate_rejects_sigma_that_is_not_a_permutation(sigma):
+    result = MatchResult(assigned=np.array([2, -1, 0]), status=np.zeros(3, dtype=np.int8))
+    with pytest.raises(ValueError, match="permutation of 0..2"):
+        result.row_error_rate(np.array(sigma))
+
+
 def test_match_rows_injective(rng):
     spec = bsc_spec(flip=0.3, p_s=(0.0, 1.0))
     est = from_model_spec(spec)
@@ -316,7 +327,7 @@ def test_pattern_from_detections_round_trip(s):
 def test_pattern_from_detections_mismatch():
     retention = _retention(np.array([0, 2]), np.array([1]))
     with pytest.raises(ValueError):
-        pattern_from_detections(np.array([False, False]), retention, 3)
+        pattern_from_detections(np.array([False, False]), retention, 3, 3)
 
 
 def test_deanonymize_illustration_instance():
@@ -328,7 +339,8 @@ def test_deanonymize_illustration_instance():
     sigma = substream(1, 1).permutation(8)
     from dbalign import apply_channel, generate_seeds
 
-    d2 = apply_channel(d1, pattern, sigma, spec, substream(1, 2))
+    d2 = np.empty((8, pattern.total), dtype=np.uint8)
+    d2[sigma] = apply_channel(d1, pattern, spec, substream(1, 2))
     seeds = generate_seeds(10_000, 6, pattern, spec, substream(1, 3))
     assert len({tuple(r) for r in d1.tolist()}) == 8  # rows distinct for this draw
     result = deanonymize(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,7 @@ from dbalign.dbio import (
     write_matrix,
 )
 
-from conftest import bsc_spec, noiseless_spec
+from conftest import bsc_spec, noiseless_spec, symmetric_spec
 
 
 def test_spec_validation_rejects_bad_vectors():
@@ -79,7 +81,7 @@ def test_identity_channel_is_identity(rng):
     spec = noiseless_spec(size=3)
     d1 = generate_database(40, 15, spec, rng)
     pattern = RepetitionPattern(np.ones(15, dtype=int))
-    d2 = apply_channel(d1, pattern, np.arange(40), spec, rng)
+    d2 = apply_channel(d1, pattern, spec, rng)
     assert np.array_equal(d2, d1)
 
 
@@ -89,7 +91,7 @@ def test_replicas_are_independent_noisy_copies(rng):
     spec = bsc_spec(flip=0.1, p_s=(0.0, 0.0, 1.0))
     m = 200_000
     d1 = generate_database(m, 1, spec, rng)
-    d2 = apply_channel(d1, RepetitionPattern([2]), np.arange(m), spec, rng)
+    d2 = apply_channel(d1, RepetitionPattern([2]), spec, rng)
     assert d2.shape == (m, 2)
     for copy in range(2):
         assert abs(np.mean(d2[:, copy] != d1[:, 0]) - 0.1) < 0.005
@@ -100,9 +102,8 @@ def test_bsc_disagreement_rate(rng):
     spec = bsc_spec(flip=0.1)
     m, n = 1000, 100
     d1 = generate_database(m, n, spec, rng)
-    sigma = rng.permutation(m)
-    d2 = apply_channel(d1, RepetitionPattern(np.ones(n, dtype=int)), sigma, spec, rng)
-    rate = np.mean(d2[sigma] != d1)
+    d2 = apply_channel(d1, RepetitionPattern(np.ones(n, dtype=int)), spec, rng)
+    rate = np.mean(d2 != d1)
     assert abs(rate - 0.1) < 0.01
 
 
@@ -110,17 +111,26 @@ def test_channel_dimension_mismatch(rng):
     spec = bsc_spec()
     d1 = generate_database(10, 5, spec, rng)
     with pytest.raises(ValueError):
-        apply_channel(d1, RepetitionPattern([1, 1]), np.arange(10), spec, rng)
-    with pytest.raises(ValueError):
-        apply_channel(d1, RepetitionPattern(np.ones(5, dtype=int)), np.zeros(10, dtype=int), spec, rng)
+        apply_channel(d1, RepetitionPattern([1, 1]), spec, rng)
 
 
 def test_deleted_columns_absent(rng):
     spec = bsc_spec(p_s=(0.5, 0.5))
     d1 = generate_database(30, 20, spec, rng)
     pattern = draw_pattern(20, spec, rng)
-    d2 = apply_channel(d1, pattern, np.arange(30), spec, rng)
+    d2 = apply_channel(d1, pattern, spec, rng)
     assert d2.shape[1] == pattern.total
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_sampler_rejects_sizes_below_one(rng, size):
+    spec = bsc_spec()
+    with pytest.raises(ValueError):
+        draw_pattern(size, spec, rng)
+    with pytest.raises(ValueError):
+        generate_seeds(size, 4, RepetitionPattern(np.ones(4, dtype=int)), spec, rng)
+    with pytest.raises(ValueError):
+        sample_instance(4, size, 1, spec, master_seed=0)
 
 
 def test_seed_identity_channel(rng):
@@ -170,6 +180,48 @@ def test_determinism_bit_identical():
     assert not np.array_equal(a_pair.d1, c_pair.d1)
 
 
+def _sha256(arr):
+    arr = np.ascontiguousarray(arr)
+    return hashlib.sha256(arr.tobytes() + f"{arr.dtype}{arr.shape}".encode()).hexdigest()
+
+
+# sha256 of (bytes, dtype, shape) of each array, recorded when the channel
+# still scattered rows by sigma itself; moving the scatter into
+# sample_instance must leave every instance bit-identical.
+PINNED_INSTANCES = {
+    "bsc": (
+        (bsc_spec(flip=0.1, p_s=(0.0, 0.5, 0.5)), 64, 12, 100, 5),
+        {
+            "d1": "79031cfedcf0e8b6137f13a61f54b5c3202da7c8b5d51b5a9846200b1d7b85cc",
+            "d2": "f5c17a5aa08f79c00661278af99529e9345140190383017111d4a1717499bd73",
+            "sigma": "dc2fffb14dcbfb15ec531a83ba7e887e85d87fe7b63f539e527796ca74f41b50",
+            "g1": "072e244262589a4f4b630dd92f3f4521222c7e8d74d6059db8290f8b51049055",
+            "g2": "1252ff0e2c6767c6683372db05326b232f62d20b2f7376291cb4f322e2ee8313",
+        },
+    ),
+    "ternary_deleted": (
+        (symmetric_spec(3, 0.8, (0.2, 0.4, 0.2, 0.2)), 48, 10, 80, 11),
+        {
+            "d1": "2963c3982e5265afc1f45d0bf17afa6cf0ea1c28217a100393de30073329e2cb",
+            "d2": "86f59ee29ac9c38dd2838bab1313d62d85099243689f3275de68f4733077e88d",
+            "sigma": "04c4f562c109afa96167324af4f3cb1b2c659355c094ae2c817737aa10affe5c",
+            "g1": "7f7fbc0d1b78853f1fec78a2d46518c7e53fa9b95ea6bf5438cf2c12d2eb0e2c",
+            "g2": "5bd5dede11c7e514864f62b1c3a685e395bec12662a8a4daf8ef7825537c453b",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_INSTANCES)
+def test_sample_instance_is_pinned_bit_for_bit(name):
+    (spec, m, n, num_seeds, master_seed), expected = PINNED_INSTANCES[name]
+    pair, seeds = sample_instance(m, n, num_seeds, spec, master_seed, point=1, trial=2)
+    if name == "ternary_deleted":
+        assert np.any(pair.pattern.s == 0) and np.any(pair.pattern.s > 1)
+    arrays = {"d1": pair.d1, "d2": pair.d2, "sigma": pair.sigma, "g1": seeds.g1, "g2": seeds.g2}
+    assert {key: _sha256(arr) for key, arr in arrays.items()} == expected
+
+
 def test_empirical_frequencies_converge():
     spec = bsc_spec()
     m, n = 1000, 100
@@ -187,7 +239,7 @@ def test_database_pair_invariants(rng):
     spec = bsc_spec(p_s=(0.2, 0.5, 0.3))
     d1 = generate_database(10, 6, spec, rng)
     pattern = draw_pattern(6, spec, rng)
-    d2 = apply_channel(d1, pattern, np.arange(10), spec, rng)
+    d2 = apply_channel(d1, pattern, spec, rng)
     with pytest.raises(ValueError):
         DatabasePair(d1, d2[:, :-1] if d2.shape[1] else d2, np.arange(10), pattern)
     with pytest.raises(ValueError):

@@ -131,7 +131,7 @@ def test_detect_replicas_noiseless():
     for seed in range(10):
         d1 = generate_database(1000, 30, spec, substream(seed, 1))
         pattern = draw_pattern(30, spec, substream(seed, 2))
-        d2 = apply_channel(d1, pattern, np.arange(1000), spec, substream(seed, 3))
+        d2 = apply_channel(d1, pattern, spec, substream(seed, 3))
         cols = np.repeat(np.arange(30), pattern.s)
         truth = cols[1:] == cols[:-1]
         assert np.array_equal(detect_replicas(d2), truth)
@@ -145,7 +145,7 @@ def test_detect_replicas_row_permutation_invariant(rng):
     spec = bsc_spec(p_s=(0.0, 0.5, 0.5))
     d1 = generate_database(500, 40, spec, substream(3, 0))
     pattern = draw_pattern(40, spec, substream(3, 1))
-    d2 = apply_channel(d1, pattern, np.arange(500), spec, substream(3, 2))
+    d2 = apply_channel(d1, pattern, spec, substream(3, 2))
     base = detect_replicas(d2)
     assert np.array_equal(base, detect_replicas(d2[rng.permutation(500)]))
 
@@ -175,7 +175,7 @@ def test_detect_replicas_row_permutation_property(spec, seed, m):
     # adjacent distances, hence the same decisions or the same refusal.
     d1 = generate_database(m, 30, spec, substream(seed, 0))
     pattern = draw_pattern(30, spec, substream(seed, 1))
-    d2 = apply_channel(d1, pattern, np.arange(m), spec, substream(seed, 2))
+    d2 = apply_channel(d1, pattern, spec, substream(seed, 2))
     perm = substream(seed, 3).permutation(m)
     assert _replica_decisions_or_error(d2[perm]) == _replica_decisions_or_error(d2)
 
@@ -214,10 +214,10 @@ def test_single_entry_flip_is_local(rng):
 
 
 def test_column_runs():
-    starts, lengths = column_runs(np.array([True, False, True, True, False]))
+    starts, lengths = column_runs(np.array([True, False, True, True, False]), 6)
     assert np.array_equal(starts, [0, 2, 5])
     assert np.array_equal(lengths, [2, 3, 1])
-    starts, lengths = column_runs(np.zeros(0, dtype=bool))
+    starts, lengths = column_runs(np.zeros(0, dtype=bool), 1)
     assert np.array_equal(starts, [0])
     assert np.array_equal(lengths, [1])
 
