@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import deletions, matching, replicas
 from .dbio import load_model_spec, read_matrix, write_matrix
 from .experiment import ExperimentConfig, InfeasibleSizeError, render, run_experiment
@@ -95,7 +97,8 @@ def _cmd_detect_deletions(args) -> int:
     counts = None
     if args.dump_l is not None:
         deletions.check_symbols(alphabet_size, g1, g2)
-        phi = deletions.enumerate_remappings(alphabet_size)[0]
+        deletions.check_remap_alphabet(alphabet_size)
+        phi = np.arange(1, alphabet_size + 1, dtype=np.uint8)  # the identity remapping
         counts = deletions.cooccurrence(g1, g2, alphabet_size)
         cross = deletions.cross_hamming(g1, g2, phi, counts, args.threshold_constant)
         rows = [",".join(str(v) for v in row) for row in cross.l]

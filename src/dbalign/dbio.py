@@ -7,6 +7,7 @@ u16 version, u64 rows, u64 cols) followed by row-major one-byte symbols.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 
 import numpy as np
@@ -47,6 +48,13 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(body, dtype=np.uint8).reshape(rows, cols).copy()
 
 
+def as_integer(key: str, value) -> int:
+    """A config value as int: a whole number, not a fraction, string or bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def model_spec_to_dict(spec: ModelSpec) -> dict:
     return {
         "alphabet_size": spec.alphabet_size,
@@ -67,10 +75,10 @@ def model_spec_from_dict(d: dict) -> ModelSpec:
     except KeyError as exc:
         raise ValueError(f"model spec is missing key {exc}") from exc
     # Redundant keys are cross-checked rather than trusted.
-    if "alphabet_size" in d and int(d["alphabet_size"]) != spec.alphabet_size:
-        raise ValueError("alphabet_size does not match the length of p_x")
-    if "s_max" in d and int(d["s_max"]) != spec.s_max:
-        raise ValueError("s_max does not match the length of p_s")
+    lengths = {"alphabet_size": (spec.alphabet_size, "p_x"), "s_max": (spec.s_max, "p_s")}
+    for key, (value, source) in lengths.items():
+        if key in d and as_integer(key, d[key]) != value:
+            raise ValueError(f"{key} does not match the length of {source}")
     return spec
 
 

@@ -70,17 +70,22 @@ class RetentionResult:
         return self.retained.size
 
 
-def enumerate_remappings(alphabet_size: int) -> list[np.ndarray]:
-    """All bijections of the symbol alphabet, lexicographic, identity first.
-
-    ``phi[x - 1]`` is the image of symbol x.
-    """
+def check_remap_alphabet(alphabet_size: int) -> None:
+    """Raise ValueError unless the alphabet is positive and within the remapping cap."""
     if alphabet_size < 1:
         raise ValueError("alphabet size must be positive")
     if alphabet_size > MAX_REMAP_ALPHABET:
         raise ValueError(
             f"alphabet size {alphabet_size} exceeds remapping cap {MAX_REMAP_ALPHABET}"
         )
+
+
+def enumerate_remappings(alphabet_size: int) -> list[np.ndarray]:
+    """All bijections of the symbol alphabet, lexicographic, identity first.
+
+    ``phi[x - 1]`` is the image of symbol x.
+    """
+    check_remap_alphabet(alphabet_size)
     symbols = range(1, alphabet_size + 1)
     return [np.array(p, dtype=np.uint8) for p in itertools.permutations(symbols)]
 

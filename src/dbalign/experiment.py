@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import deletions, estimation, matching
-from .dbio import model_spec_from_dict, model_spec_to_dict
+from .dbio import as_integer, model_spec_from_dict, model_spec_to_dict
 from .infotheory import capacity, check_table_size, repetition_table
 from .model import ModelSpec, sample_instance, substream
 
@@ -43,13 +42,6 @@ KEY_NAMES = {"num_seeds": "lambda", "growth_rate": "R"}
 
 class InfeasibleSizeError(RuntimeError):
     """Estimated working-set size exceeds the configured memory cap."""
-
-
-def _integer(key: str, value) -> int:
-    """A config value as int: a whole number, not a fraction, string or bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -104,17 +96,17 @@ class ExperimentConfig:
         try:
             return cls(
                 spec=spec,
-                m=_integer("m", d["m"]),
-                n=_integer("n", d["n"]),
-                num_seeds=_integer("lambda", d["lambda"]),
-                trials=_integer("trials", d.get("trials", 10)),
-                master_seed=_integer("master_seed", d.get("master_seed", 0)),
+                m=as_integer("m", d["m"]),
+                n=as_integer("n", d["n"]),
+                num_seeds=as_integer("lambda", d["lambda"]),
+                trials=as_integer("trials", d.get("trials", 10)),
+                master_seed=as_integer("master_seed", d.get("master_seed", 0)),
                 epsilon=float(d.get("epsilon", 0.05)),
                 threshold_constant=float(d.get("threshold_constant", 2.0)),
                 sweep_axis=d.get("sweep_axis"),
-                sweep_values=[_integer("sweep_values", v) for v in sweep_values],
-                workers=_integer("workers", d.get("workers", 1)),
-                memory_cap_bytes=_integer(
+                sweep_values=[as_integer("sweep_values", v) for v in sweep_values],
+                workers=as_integer("workers", d.get("workers", 1)),
+                memory_cap_bytes=as_integer(
                     "memory_cap_bytes", d.get("memory_cap_bytes", DEFAULT_MEMORY_CAP)
                 ),
             )
@@ -233,14 +225,15 @@ def _match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     Every array it holds is linear in m, except one tile of joint scores.
     Per row: d1's indices and their log-probabilities (n each), d2's
     indices (at most n * s_max columns) and their per-symbol
-    log-likelihoods, cell_ll with its exp2, its transposed copy and d1's
-    float one-hot (k * n each), the Y-marginal's two terms (n each), d1's
-    bool one-hot, and a few per-row vectors. The tile holds at least one
-    row of m float64 scores plus its bool mask.
+    log-likelihoods, the GEMM operands (k * n cell scores plus a column
+    of ones, and d1's k * n one-hot cells plus the offset row), the cell
+    scores' exp2 (k * n), the Y-marginal's two terms (n each), and a few
+    per-row vectors. The tile holds at least one row of m float64 scores
+    plus its bool mask.
     """
     k = alphabet_size
     columns = n * max(s_max, 1)
-    per_row = 8 * (2 * n + columns + k * columns + 4 * k * n + 2 * n) + k * n + 128
+    per_row = 8 * (2 * n + columns + k * columns + 3 * k * n + 2 + 2 * n) + 128
     tile = 9 * max(matching.TILE_BYTES // 8, m)
     return m * per_row + tile
 

@@ -157,31 +157,49 @@ def match_rows(
     ll_x = log_px[d1_idx].sum(axis=1)
     dev_x = np.abs(-ll_x / n - est.x_entropy)
 
-    # cell_ll[x, j, l]: log2 p(cell j of repeated row l | X = x) over the
+    # cell_ll[l, x, j]: log2 p(cell j of repeated row l | X = x) over the
     # retained cells; the copies are conditionally independent given x,
     # and the runs tile d2's columns in order. An erasure is certain
     # whatever x is, so it adds nothing to the joint or Y log-likelihood.
+    # The cells fill the first k * r columns of the GEMM operand cell_t,
+    # repeated rows leading, so the scores need no transposed copy.
     log_channel = _safe_log2(est.p_y_given_x)
     d2_idx = d2.astype(np.intp) - 1
-    cell_ll = np.add.reduceat(
-        log_channel[:, d2_idx.T], segmented.offsets[retained], axis=1
+    width = k * retained.size
+    cell_t = np.empty((m2, width + 1))
+    cell_ll = cell_t[:, :width].reshape(m2, k, retained.size)
+    if cell_ll.base is not cell_t:
+        raise RuntimeError("cell scores must be a view of the GEMM operand")
+    np.add.reduceat(
+        log_channel[:, d2_idx],
+        segmented.offsets[retained],
+        axis=2,
+        out=cell_ll.transpose(1, 0, 2),
     )
 
     # Y-marginal deviation: depends on the repeated row only; each cell's
     # probability is its likelihood averaged over the source symbol.
-    q_y = np.tensordot(est.p_x, np.exp2(cell_ll), axes=1)
-    dev_y = np.abs(-_safe_log2(q_y).sum(axis=0) / n - est.y_entropy)
+    q_y = np.matmul(est.p_x, np.exp2(cell_ll))
+    dev_y = np.abs(-_safe_log2(q_y).sum(axis=1) / n - est.y_entropy)
 
-    # Joint log-likelihood of one tile of repeated rows against every
-    # anonymized row: the tile's cell scores against d1's one-hot cells in
-    # one GEMM. Repeated rows lead, so each row's candidate count and first
-    # typical hit reduce along contiguous memory; only those survive a tile.
-    width = k * retained.size
-    cell_t = np.ascontiguousarray(cell_ll.reshape(width, m2).T)
-    onehot_t = d1_idx.T[retained] == np.arange(k)[:, None, None]
-    onehot_t = onehot_t.reshape(width, m1).astype(float)
-    x_typical = dev_x <= epsilon
-    y_typical = dev_y <= epsilon
+    # Joint typicality of one tile of repeated rows against every
+    # anonymized row, in one GEMM of the tile's cell scores against d1's
+    # one-hot cells. |-(joint_ll + ll_x) / n - H| <= eps is
+    # |joint_ll + ll_x + n H| <= n eps, so an extra column of ones in
+    # cell_t meets an extra row of ll_x + n H in onehot_t and the GEMM
+    # yields the offset score. NaN marks a marginally atypical row on
+    # either side and never compares <= n eps.
+    cell_t[:, width] = np.where(dev_y <= epsilon, 1.0, np.nan)
+    onehot_t = np.empty((width + 1, m1))
+    np.equal(
+        d1_idx.T[retained],
+        np.arange(k)[:, None, None],
+        out=onehot_t[:width].reshape(k, retained.size, m1),
+    )
+    onehot_t[width] = np.where(dev_x <= epsilon, ll_x + n * est.joint_entropy, np.nan)
+    bound = n * epsilon
+    # A repeated row's count saturates at 2: status needs no, one or
+    # several hits, so the first hit is cleared and the rest tested.
     counts = np.empty(m2, dtype=np.intp)
     first = np.empty(m2, dtype=np.intp)
     rows = max(1, min(m2, TILE_BYTES // (8 * max(m1, 1))))
@@ -190,15 +208,12 @@ def match_rows(
     for l0 in range(0, m2, rows):
         l1 = min(l0 + rows, m2)
         scores = np.matmul(cell_t[l0:l1], onehot_t, out=tile[: l1 - l0])
-        scores += ll_x
-        # in place: dev_joint = |(-joint_ll / n) - joint_entropy|
-        scores *= -1.0 / n
-        scores -= est.joint_entropy
-        hits = np.less_equal(np.abs(scores, out=scores), epsilon, out=typical[: l1 - l0])
-        hits &= x_typical
-        hits &= y_typical[l0:l1, None]
-        counts[l0:l1] = hits.sum(axis=1)
-        first[l0:l1] = hits.argmax(axis=1)
+        hits = np.less_equal(np.abs(scores, out=scores), bound, out=typical[: l1 - l0])
+        top = np.arange(l1 - l0), hits.argmax(axis=1)
+        first[l0:l1] = top[1]
+        counts[l0:l1] = hits[top]
+        hits[top] = False
+        counts[l0:l1] += hits.any(axis=1)
     unique = counts == 1
     assigned = np.where(unique, first, -1)
     status = np.where(

@@ -20,6 +20,7 @@ from dbalign.cli import (
 from dbalign.dbio import read_matrix, write_matrix
 
 from conftest import bsc_spec, long_run_instance, symmetric_spec
+from oracles import cross_hamming_loop
 
 
 @pytest.fixture
@@ -170,6 +171,49 @@ def test_detect_deletions_command(tmp_path, capsys):
     assert len(rows) == 10 and len(rows[0].split(",")) == 8
 
 
+def test_detect_deletions_dump_l_is_the_identity_remapping(tmp_path, capsys, monkeypatch):
+    # The dump holds the identity remapping's distances, byte for byte; the
+    # k! remappings are built once, by the detection, not for the dump.
+    from dbalign import RepetitionPattern, deletions, generate_seeds, substream
+
+    calls = []
+    enumerate_all = deletions.enumerate_remappings
+
+    def counting(alphabet_size):
+        calls.append(alphabet_size)
+        return enumerate_all(alphabet_size)
+
+    monkeypatch.setattr(deletions, "enumerate_remappings", counting)
+    s = np.ones(9, dtype=int)
+    s[4] = 0
+    spec = symmetric_spec(3, 0.8, (0.2, 0.8))
+    seeds = generate_seeds(2000, 9, RepetitionPattern(s), spec, substream(5, 0))
+    write_matrix(tmp_path / "g1.dbm", seeds.g1)
+    write_matrix(tmp_path / "g2.dbm", seeds.g2)
+    dump = tmp_path / "l.csv"
+    argv = ["detect-deletions", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
+    assert main([*argv, "--dump-l", str(dump)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["deleted"] == [4]
+    assert calls == [3]
+    identity = np.array([1, 2, 3], dtype=np.uint8)
+    expected = "".join(
+        ",".join(str(v) for v in row) + "\n"
+        for row in cross_hamming_loop(seeds.g1, seeds.g2, identity)
+    )
+    assert dump.read_bytes() == expected.encode()
+
+
+def test_detect_deletions_dump_l_rejects_a_large_alphabet_first(tmp_path, capsys):
+    # The remapping cap is checked before the k^2 co-occurrence counts exist.
+    g = np.full((50, 6), 9, dtype=np.uint8)
+    write_matrix(tmp_path / "g.dbm", g)
+    dump = tmp_path / "l.csv"
+    argv = ["detect-deletions", "--g1", str(tmp_path / "g.dbm"), "--g2", str(tmp_path / "g.dbm")]
+    assert main([*argv, "--dump-l", str(dump)]) == EXIT_CONFIG
+    assert "exceeds remapping cap" in capsys.readouterr().err
+    assert not dump.exists()
+
+
 def test_detect_deletions_no_useful_remapping_exit(tmp_path, capsys):
     rng = np.random.default_rng(0)
     g1 = rng.integers(1, 3, size=(2000, 8)).astype(np.uint8)
@@ -242,6 +286,21 @@ def test_experiment_rejects_fractional_size_exit(tmp_path, config_file, capsys):
     bad.write_text(json.dumps(dict(cfg, m=16.5)))
     assert main(["experiment", "--config", str(bad)]) == EXIT_CONFIG
     assert "m must be an integer" in capsys.readouterr().err
+
+
+ONE_SYMBOL_SPEC = {"p_x": [1.0], "p_y_given_x": [[1.0]], "p_s": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("key", ["alphabet_size", "s_max"])
+@pytest.mark.parametrize("value", [2.9, 2.5, "2", True])
+def test_spec_redundant_keys_must_be_integers_exit(tmp_path, config_file, capsys, key, value):
+    # Truncated, each value would match the spec's length: 2 for the binary
+    # spec with s_max 2, 1 (True) for the one-symbol spec with s_max 1.
+    spec = ONE_SYMBOL_SPEC if value is True else json.loads(config_file.read_text())
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(dict(spec, **{key: value})))
+    assert main(["capacity", "--config", str(bad)]) == EXIT_CONFIG
+    assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 def test_experiment_without_out_appends_to_redirected_stdout(tmp_path, config_file):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,30 +183,64 @@ def _tile_sizes(m):
     return (1, ragged, even, m)
 
 
+# Pinned examples that reach the cases the matcher's NaN marks and its
+# saturating candidate count must get right, next to matched rows;
+# test_oracle_examples_reach_every_case checks that they do.
+ORACLE_EXAMPLES = [
+    dict(case="skewed_source", seed=3, m=16, n=6, epsilon=0.2),
+    dict(case="bsc", seed=3, m=16, n=6, epsilon=0.05),
+]
+
+
+def _oracle_instance(case, seed, m, n):
+    spec, est = ORACLE_CASES[case]
+    pair, _ = sample_instance(m, n, 1, spec, master_seed=seed)
+    return pair, segment(pair.d2, pair.pattern), from_model_spec(spec) if est is None else est
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     case=st.sampled_from(sorted(ORACLE_CASES)),
     seed=st.integers(0, 10_000),
     m=st.integers(3, 24),
     n=st.integers(3, 10),
-    epsilon=st.sampled_from([0.2, 0.5, 1.0]),
+    epsilon=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
 )
 @example(case="all_deleted", seed=0, m=12, n=6, epsilon=0.5)
+@example(**ORACLE_EXAMPLES[0])
+@example(**ORACLE_EXAMPLES[1])
 def test_match_rows_tiles_agree_with_dense_oracle(case, seed, m, n, epsilon):
     # Each repeated row's count and first hit depend on its own scores
     # only, so no tiling of the repeated rows can change the result.
-    spec, est = ORACLE_CASES[case]
-    if est is None:
-        est = from_model_spec(spec)
-    pair, _ = sample_instance(m, n, 1, spec, master_seed=seed)
-    seg = segment(pair.d2, pair.pattern)
+    pair, seg, est = _oracle_instance(case, seed, m, n)
     dense = dense_match_rows(pair.d1, seg, est, epsilon)
     for rows in _tile_sizes(m):
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
             mp.setattr(matching, "TILE_BYTES", 8 * m * rows)
             tiled = match_rows(pair.d1, seg, est, epsilon)
         assert np.array_equal(tiled.assigned, dense.assigned)
         assert np.array_equal(tiled.status, dense.status)
+
+
+def test_oracle_examples_reach_every_case():
+    x_atypical = y_atypical = most_candidates = matched = 0
+    for ex in ORACLE_EXAMPLES:
+        pair, seg, est = _oracle_instance(ex["case"], ex["seed"], ex["m"], ex["n"])
+        dev = np.array(
+            [
+                [typicality_deviation(x_row, row_cells(seg, l), est) for x_row in pair.d1]
+                for l in range(ex["m"])
+            ]
+        )
+        typical = dev <= ex["epsilon"]
+        x_atypical += int((~typical[0, :, 1]).sum())
+        y_atypical += int((~typical[:, 0, 2]).sum())
+        most_candidates = max(most_candidates, int(typical.all(axis=2).sum(axis=1).max()))
+        dense = dense_match_rows(pair.d1, seg, est, ex["epsilon"])
+        matched += int((dense.status == STATUS_MATCHED).sum())
+    assert x_atypical and y_atypical and matched
+    assert most_candidates >= 3
 
 
 RELABEL_SPECS = [
