@@ -55,6 +55,19 @@ def as_integer(key: str, value) -> int:
     return int(value)
 
 
+def as_real(key: str, value) -> float:
+    """A config value as float: a real number, not a string or bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _real_array(key: str, value) -> np.ndarray:
+    """A (nested) list of config values as a float array, each by as_real."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([as_real(key, v) for v in entries.flat]).reshape(entries.shape)
+
+
 def model_spec_to_dict(spec: ModelSpec) -> dict:
     return {
         "alphabet_size": spec.alphabet_size,
@@ -68,9 +81,9 @@ def model_spec_to_dict(spec: ModelSpec) -> dict:
 def model_spec_from_dict(d: dict) -> ModelSpec:
     try:
         spec = ModelSpec(
-            p_x=np.asarray(d["p_x"], dtype=float),
-            p_y_given_x=np.asarray(d["p_y_given_x"], dtype=float),
-            p_s=np.asarray(d["p_s"], dtype=float),
+            p_x=_real_array("p_x", d["p_x"]),
+            p_y_given_x=_real_array("p_y_given_x", d["p_y_given_x"]),
+            p_s=_real_array("p_s", d["p_s"]),
         )
     except KeyError as exc:
         raise ValueError(f"model spec is missing key {exc}") from exc

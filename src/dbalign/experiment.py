@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import deletions, estimation, matching
-from .dbio import as_integer, model_spec_from_dict, model_spec_to_dict
+from .dbio import as_integer, as_real, model_spec_from_dict, model_spec_to_dict
 from .infotheory import capacity, check_table_size, repetition_table
 from .model import ModelSpec, sample_instance, substream
 
@@ -101,8 +101,10 @@ class ExperimentConfig:
                 num_seeds=as_integer("lambda", d["lambda"]),
                 trials=as_integer("trials", d.get("trials", 10)),
                 master_seed=as_integer("master_seed", d.get("master_seed", 0)),
-                epsilon=float(d.get("epsilon", 0.05)),
-                threshold_constant=float(d.get("threshold_constant", 2.0)),
+                epsilon=as_real("epsilon", d.get("epsilon", 0.05)),
+                threshold_constant=as_real(
+                    "threshold_constant", d.get("threshold_constant", 2.0)
+                ),
                 sweep_axis=d.get("sweep_axis"),
                 sweep_values=[as_integer("sweep_values", v) for v in sweep_values],
                 workers=as_integer("workers", d.get("workers", 1)),
@@ -222,19 +224,23 @@ def estimate_tv_distance(spec: ModelSpec, est: estimation.DistributionEstimate) 
 def _match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     """Upper bound on `matching.match_rows`' working set at m rows.
 
-    Every array it holds is linear in m, except one tile of joint scores.
-    Per row: d1's indices and their log-probabilities (n each), d2's
-    indices (at most n * s_max columns) and their per-symbol
-    log-likelihoods, the GEMM operands (k * n cell scores plus a column
-    of ones, and d1's k * n one-hot cells plus the offset row), the cell
-    scores' exp2 (k * n), the Y-marginal's two terms (n each), and a few
-    per-row vectors. The tile holds at least one row of m float64 scores
-    plus its bool mask.
+    Every array it holds is linear in m, except one tile of joint scores
+    and one chunk of the float64 recheck. Per row: d1's indices and their
+    log-probabilities (n each), d2's indices (at most n * s_max columns)
+    and their per-symbol log-likelihoods, the float64 cell scores that the
+    recheck reads (k * n) and their exp2 (k * n), the Y-marginal's two
+    terms (n each), d1's retained symbols (n), the float32 GEMM operands
+    and the absolute values that size the screen ((k - 1) * n + 2 each),
+    and a few per-row vectors. The tile holds at least one row of m
+    float32 scores plus two bool masks, and at worst one int64 index per
+    score for the band to recheck; a recheck chunk holds at most
+    TILE_BYTES.
     """
     k = alphabet_size
     columns = n * max(s_max, 1)
-    per_row = 8 * (2 * n + columns + k * columns + 3 * k * n + 2 + 2 * n) + 128
-    tile = 9 * max(matching.TILE_BYTES // 8, m)
+    per_row = 8 * (2 * n + columns + k * columns + 2 * k * n + 2 * n + n)
+    per_row += 12 * ((k - 1) * n + 2) + 128
+    tile = 14 * max(matching.TILE_BYTES // 8, m) + matching.TILE_BYTES
     return m * per_row + tile
 
 

@@ -21,16 +21,22 @@ from .estimation import DistributionEstimate
 from .infotheory import check_table_size
 from .model import RepetitionPattern, as_permutation
 
-# Finite stand-in for log2(0) inside the vectorized accumulation; large
-# enough that a single zero-probability observation pushes the deviation
-# far past any usable epsilon.
+# Finite stand-in for log2(0) in the marginal log-likelihoods: one
+# zero-probability observation pushes a marginal deviation far past any
+# usable epsilon. The joint scores never carry it: it would cancel in the
+# matcher's cell differences, so their cells are clamped to a penalty
+# sized to the instance instead (see match_rows).
 LOG_ZERO = -1.0e30
 
-# Bytes of float64 joint scores the matcher holds at once: it scores d1
-# against TILE_BYTES // (8 m) repeated rows at a time, so its working set
-# grows linearly in m. 4 MiB timed faster than 2, 8 and 16 MiB at m=8192
-# and m=16384 on a 2-core Xeon with 2 MiB of L2 per core.
+# The matcher scores d1 against TILE_BYTES // (8 m) repeated rows at a
+# time, so its working set grows linearly in m: a float32 tile of half
+# TILE_BYTES plus two bool masks. 4 MiB of float64 scores timed faster
+# than 2, 8 and 16 MiB at m=8192 and m=16384 on a 2-core Xeon with 2 MiB
+# of L2 per core.
 TILE_BYTES = 4 * 1024 * 1024
+
+# Unit roundoff of float32, the precision of the matcher's screen.
+_F32_UNIT = 2.0**-24
 
 STATUS_MATCHED = 0
 STATUS_AMBIGUOUS = 1
@@ -124,6 +130,68 @@ def _safe_log2(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _screen(
+    cells: np.ndarray,
+    y_typical: np.ndarray,
+    x_cells: np.ndarray,
+    offset: np.ndarray,
+    bound: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Float32 GEMM operands of the joint scores and each row's screen.
+
+    The joint score of repeated row l and anonymized row i is
+    S[l, i] = sum_j cells[l, x_ij, j] + offset[i], with x_ij = x_cells[i, j]
+    (0-based symbols) and every cell finite and <= 0; the pair is typical
+    when |S| <= bound. NaN in ``offset`` marks an X-atypical row, and
+    ``y_typical`` False a Y-atypical one; their scores are NaN.
+
+    d1's one-hot cells sum to 1 over the symbols of each column, so
+    S = base_l + sum_{x >= 1, j} (cells[l, x, j] - cells[l, 0, j])
+    [x_ij = x] + offset[i] with base_l = sum_j cells[l, 0, j]. The returned
+    ``a @ b`` is S in float32 at width w = (k - 1) r + 2: ``a`` holds the
+    differences, base_l and a column of ones (NaN for Y-atypical rows);
+    ``b`` holds the one-hot cells of symbols 1..k-1, a row of ones and
+    the offset row.
+
+    Soundness, with u = 2^-24 and gamma_j = j u / (1 - j u): let
+    T_l = sum_t |a[l, t]| (t < w - 1) + max_i |offset[i]|. Every product
+    in row l's dot products is bounded by these terms, so a float32 GEMM
+    in any summation order is within gamma_w T_l of the exact product of
+    the float32 operands (Higham, Theorem 3.1). Rounding the operands to
+    float32 moves the exact value by at most gamma_2 T_l, and T_l itself
+    is taken from the rounded operands. Since each cell is <= 0,
+    sum_j |cells[l, x_ij, j]| <= |base_l| + sum of |differences|, so the
+    float64 score, summed either way, is within 2 gamma'_{r+1} T_l of the
+    exact one, with gamma' in float64 units: less than u T_l for
+    r < 2^28. Hence |S32 - S64| <= delta_l = gamma_{w+4} T_l, and with
+    ``hi`` = bound + delta_l and ``lo`` = bound - delta_l each rounded one
+    float32 step outward (a step exceeds the float64 rounding of the sum):
+      - |S64| <= bound implies |S32| <= hi: the screen keeps every pair
+        the float64 formula finds typical;
+      - |S32| <= lo implies |S64| <= bound: those hits need no recheck.
+    Only lo < |S32| <= hi is decided in float64.
+    """
+    m2, k, r = cells.shape
+    m1 = x_cells.shape[0]
+    w = (k - 1) * r + 2
+    a = np.empty((m2, w), dtype=np.float32)
+    np.subtract(cells[:, 1:], cells[:, :1], out=a[:, : w - 2].reshape(m2, k - 1, r))
+    a[:, w - 2] = cells[:, 0].sum(axis=1)
+    a[:, w - 1] = np.where(y_typical, 1.0, np.nan)
+    b = np.empty((w, m1), dtype=np.float32)
+    np.equal(x_cells.T, np.arange(1, k)[:, None, None], out=b[: w - 2].reshape(k - 1, r, m1))
+    b[w - 2] = 1.0
+    b[w - 1] = offset
+
+    finite = offset[~np.isnan(offset)]
+    scale = np.abs(a[:, : w - 1]).sum(axis=1, dtype=np.float64)
+    scale += np.abs(finite).max(initial=0.0)
+    slack = scale * ((w + 4) * _F32_UNIT / (1.0 - (w + 4) * _F32_UNIT))
+    hi = np.nextafter((bound + slack).astype(np.float32), np.float32(np.inf))
+    lo = np.nextafter((bound - slack).astype(np.float32), np.float32(-np.inf))
+    return a, b, lo, hi
+
+
 def match_rows(
     d1: np.ndarray,
     segmented: SegmentedDatabase,
@@ -136,6 +204,10 @@ def match_rows(
     status; with several, ambiguous. When two repeated rows claim the
     same anonymized row, both are demoted to ambiguous so that matched
     assignments stay injective.
+
+    Joint typicality is screened in float32 (``_screen``, whose docstring
+    proves the bounds) and decided in float64: hits within a row's
+    rounding band of n epsilon are recomputed from the float64 cells.
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
@@ -157,58 +229,61 @@ def match_rows(
     ll_x = log_px[d1_idx].sum(axis=1)
     dev_x = np.abs(-ll_x / n - est.x_entropy)
 
-    # cell_ll[l, x, j]: log2 p(cell j of repeated row l | X = x) over the
+    # cells[l, x, j]: log2 p(cell j of repeated row l | X = x) over the
     # retained cells; the copies are conditionally independent given x,
     # and the runs tile d2's columns in order. An erasure is certain
     # whatever x is, so it adds nothing to the joint or Y log-likelihood.
-    # The cells fill the first k * r columns of the GEMM operand cell_t,
-    # repeated rows leading, so the scores need no transposed copy.
     log_channel = _safe_log2(est.p_y_given_x)
-    d2_idx = d2.astype(np.intp) - 1
-    width = k * retained.size
-    cell_t = np.empty((m2, width + 1))
-    cell_ll = cell_t[:, :width].reshape(m2, k, retained.size)
-    if cell_ll.base is not cell_t:
-        raise RuntimeError("cell scores must be a view of the GEMM operand")
+    r = retained.size
+    cells = np.empty((m2, k, r))
     np.add.reduceat(
-        log_channel[:, d2_idx],
+        log_channel[:, d2.astype(np.intp) - 1],
         segmented.offsets[retained],
         axis=2,
-        out=cell_ll.transpose(1, 0, 2),
+        out=cells.transpose(1, 0, 2),
     )
 
     # Y-marginal deviation: depends on the repeated row only; each cell's
     # probability is its likelihood averaged over the source symbol.
-    q_y = np.matmul(est.p_x, np.exp2(cell_ll))
+    q_y = np.matmul(est.p_x, np.exp2(cells))
     dev_y = np.abs(-_safe_log2(q_y).sum(axis=1) / n - est.y_entropy)
 
-    # Joint typicality of one tile of repeated rows against every
-    # anonymized row, in one GEMM of the tile's cell scores against d1's
-    # one-hot cells. |-(joint_ll + ll_x) / n - H| <= eps is
-    # |joint_ll + ll_x + n H| <= n eps, so an extra column of ones in
-    # cell_t meets an extra row of ll_x + n H in onehot_t and the GEMM
-    # yields the offset score. NaN marks a marginally atypical row on
-    # either side and never compares <= n eps.
-    cell_t[:, width] = np.where(dev_y <= epsilon, 1.0, np.nan)
-    onehot_t = np.empty((width + 1, m1))
-    np.equal(
-        d1_idx.T[retained],
-        np.arange(k)[:, None, None],
-        out=onehot_t[:width].reshape(k, retained.size, m1),
-    )
-    onehot_t[width] = np.where(dev_x <= epsilon, ll_x + n * est.joint_entropy, np.nan)
+    # Joint typicality: |-(joint_ll + ll_x) / n - H| <= eps is |S| <= n eps
+    # with S = joint_ll + ll_x + n H. Every cell log-likelihood and ll_x
+    # is <= 0, so a pair with a cell below P = -2 (n (H + eps) + 1) has
+    # S <= P + n H < -n eps whether that cell keeps its value or is
+    # clamped to P: the pair is atypical either way. The clamp keeps the
+    # cells finite, so their differences in the screen do not cancel.
+    penalty = -2.0 * (n * (est.joint_entropy + epsilon) + 1.0)
+    np.maximum(cells, penalty, out=cells)
+    offset = np.where(dev_x <= epsilon, ll_x + n * est.joint_entropy, np.nan)
     bound = n * epsilon
-    # A repeated row's count saturates at 2: status needs no, one or
-    # several hits, so the first hit is cleared and the rest tested.
+    a, b, lo, hi = _screen(cells, dev_y <= epsilon, d1_idx[:, retained], offset, bound)
+
+    # Each tile takes one float32 GEMM, an abs and two compares: hits up to
+    # lo are typical, and the band lo < |S| <= hi is recomputed in float64
+    # from the cells, at most TILE_BYTES of gathered cells at a time. A
+    # repeated row's count saturates at 2: status needs no, one or several
+    # hits, so the first hit is cleared and the rest tested.
     counts = np.empty(m2, dtype=np.intp)
     first = np.empty(m2, dtype=np.intp)
     rows = max(1, min(m2, TILE_BYTES // (8 * max(m1, 1))))
-    tile = np.empty((rows, m1))
+    chunk = max(1, TILE_BYTES // (16 * (r + 3)))
+    tile = np.empty((rows, m1), dtype=np.float32)
     typical = np.empty((rows, m1), dtype=bool)
+    band = np.empty((rows, m1), dtype=bool)
     for l0 in range(0, m2, rows):
         l1 = min(l0 + rows, m2)
-        scores = np.matmul(cell_t[l0:l1], onehot_t, out=tile[: l1 - l0])
-        hits = np.less_equal(np.abs(scores, out=scores), bound, out=typical[: l1 - l0])
+        scores = np.matmul(a[l0:l1], b, out=tile[: l1 - l0])
+        np.abs(scores, out=scores)
+        hits = np.less_equal(scores, hi[l0:l1, None], out=typical[: l1 - l0])
+        sure = np.less_equal(scores, lo[l0:l1, None], out=band[: l1 - l0])
+        recheck = np.flatnonzero(np.not_equal(hits, sure, out=sure))
+        for c in range(0, recheck.size, chunk):
+            flat = recheck[c : c + chunk]
+            l, i = np.divmod(flat, m1)
+            pair_cells = cells[l0 + l[:, None], d1_idx[i[:, None], retained], np.arange(r)]
+            np.put(hits, flat, np.abs(pair_cells.sum(axis=1) + offset[i]) <= bound)
         top = np.arange(l1 - l0), hits.argmax(axis=1)
         first[l0:l1] = top[1]
         counts[l0:l1] = hits[top]

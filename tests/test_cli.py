@@ -303,6 +303,33 @@ def test_spec_redundant_keys_must_be_integers_exit(tmp_path, config_file, capsys
     assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0.3", "2", True])
+@pytest.mark.parametrize("key", ["epsilon", "threshold_constant"])
+def test_experiment_real_keys_must_be_numbers_exit(tmp_path, config_file, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(config_file.read_text()), **{key: value})))
+    assert main(["experiment", "--config", str(bad)]) == EXIT_CONFIG
+    assert f"{key} must be a real number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("p_x", ["0.5", "0.5"]),
+        ("p_x", [True, False]),
+        ("p_y_given_x", [["0.9", 0.1], [0.1, 0.9]]),
+        ("p_s", [0.2, 0.5, "0.3"]),
+        ("p_s", [False, True, False]),
+    ],
+)
+def test_spec_probabilities_must_be_numbers_exit(tmp_path, config_file, capsys, key, value):
+    # Each value would otherwise convert to a valid distribution.
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(dict(json.loads(config_file.read_text()), **{key: value})))
+    assert main(["capacity", "--config", str(bad)]) == EXIT_CONFIG
+    assert f"{key} must be a real number" in capsys.readouterr().err
+
+
 def test_experiment_without_out_appends_to_redirected_stdout(tmp_path, config_file):
     # `dbalign experiment >> log` must write at the log's end, not truncate it.
     path = [str(Path(dbalign.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]

@@ -243,6 +243,106 @@ def test_oracle_examples_reach_every_case():
     assert most_candidates >= 3
 
 
+def _float64_scores(cells, x_cells, offset):
+    """The float64 joint-score formula: each pair's cells summed, plus its offset."""
+    return cells[:, x_cells, np.arange(x_cells.shape[1])].sum(axis=2) + offset
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    k=st.sampled_from([2, 3, 4]),
+    r=st.integers(1, 500),
+    epsilon=st.sampled_from([0.05, 0.3, 1.0, 5.0]),
+    steered=st.sampled_from([0, 1]),
+    seed=st.integers(0, 10_000),
+)
+@example(k=2, r=1, epsilon=0.05, steered=0, seed=0)
+@example(k=4, r=500, epsilon=5.0, steered=1, seed=0)
+def test_screen_keeps_every_pair_typical_in_float64(k, r, epsilon, steered, seed):
+    # The steered row's float64 scores sit at most three float32 ulps of
+    # n eps from +n eps or -n eps, where only the screen's slack keeps the
+    # typical ones; row 1 holds penalty cells, row 3 is Y-atypical and a
+    # tenth of the anonymized rows X-atypical.
+    rng = np.random.default_rng(seed)
+    m2, m1, n = 4, 64, r + 3
+    bound = n * epsilon
+    cells = np.log2(rng.uniform(0.02, 1.0, size=(m2, k, r)))
+    penalty = -2.0 * (n * (1.0 + epsilon) + 1.0)
+    cells[1][rng.random((k, r)) < 0.2] = penalty
+    x_cells = rng.integers(0, k, size=(m1, r))
+    ulp = float(np.spacing(np.float32(bound)))
+    target = rng.choice([-bound, bound], size=m1) + ulp * rng.integers(-3, 4, size=m1)
+    offset = target - _float64_scores(cells[steered : steered + 1], x_cells, 0.0)[0]
+    offset[rng.random(m1) < 0.1] = np.nan
+    y_typical = np.array([True, True, True, False])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b, lo, hi = matching._screen(cells, y_typical, x_cells, offset, bound)
+        screened = np.abs(a @ b)
+    assert a.dtype == b.dtype == np.float32 and a.shape[1] == (k - 1) * r + 2
+    s64 = _float64_scores(cells, x_cells, offset)
+    typical = (np.abs(s64) <= bound) & y_typical[:, None]
+    hits = screened <= hi[:, None]
+    assert hits[typical].all()
+    assert not hits[~y_typical].any() and not hits[:, np.isnan(offset)].any()
+    assert typical[screened <= lo[:, None]].all()
+    near = np.abs(np.abs(s64[steered]) - bound) <= 3.5 * ulp
+    assert near[~np.isnan(offset)].all()
+
+
+# Two pairs of one instance whose joint scores S are positive and negative;
+# epsilon puts |S| one float32 ulp inside or outside n eps, which no
+# float32 score can resolve, so the float64 recheck decides.
+@pytest.mark.parametrize("l, i", [(0, 5), (1, 3)], ids=["positive", "negative"])
+def test_match_rows_decides_scores_one_float32_ulp_from_the_bound(l, i):
+    spec = bsc_spec(flip=0.15, p_s=(0.2, 0.5, 0.3))
+    est = from_model_spec(spec)
+    n = 40
+    pair, _ = sample_instance(16, n, 1, spec, master_seed=0)
+    seg = segment(pair.d2, pair.pattern)
+    dev_joint, dev_x, dev_y = typicality_deviation(pair.d1[i], row_cells(seg, l), est)
+    score = n * dev_joint
+    ulp = float(np.spacing(np.float32(score)))
+    statuses = []
+    for side in (1, -1):
+        epsilon = (score + side * ulp) / n
+        assert dev_x <= epsilon and dev_y <= epsilon
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = match_rows(pair.d1, seg, est, epsilon)
+        dense = dense_match_rows(pair.d1, seg, est, epsilon)
+        assert np.array_equal(result.assigned, dense.assigned)
+        assert np.array_equal(result.status, dense.status)
+        statuses.append(result.status[l])
+    assert statuses[0] != statuses[1]
+
+
+@pytest.mark.parametrize("case", ["unsupported_symbol", "unit_trace_cyclic"])
+@pytest.mark.parametrize("epsilon", [5.0, 50.0])
+def test_match_rows_never_accepts_a_zero_probability_pair(case, epsilon):
+    # At a wide epsilon every pair of positive probability is typical, so
+    # the clamped cells alone keep the others out. Each pair is matched on
+    # its own, which reports exactly whether it is typical.
+    zero = typical = 0
+    for seed in range(4):
+        pair, seg, est = _oracle_instance(case, seed, 12, 9)
+        for l in range(12):
+            alone = segment(pair.d2[l : l + 1], pair.pattern)
+            for i in range(12):
+                devs = typicality_deviation(pair.d1[i], row_cells(seg, l), est)
+                result = match_rows(pair.d1[i : i + 1], alone, est, epsilon)
+                expected = all(d <= epsilon for d in devs)
+                assert (result.status[0] == STATUS_MATCHED) == expected
+                zero += devs[0] == math.inf
+                typical += expected
+        assigned, n_candidates = brute_force_match(pair.d1, seg, est, epsilon)
+        result = match_rows(pair.d1, seg, est, epsilon)
+        assert np.array_equal(result.assigned, assigned)
+        assert np.array_equal(result.status == 2, n_candidates == 0)
+    assert zero and typical
+
+
 RELABEL_SPECS = [
     bsc_spec(flip=0.15, p_s=(0.2, 0.5, 0.3), p_x=(0.7, 0.3)),
     unit_trace_cyclic_spec((0.2, 0.5, 0.3)),
