@@ -183,9 +183,8 @@ def _screen(
     b[w - 2] = 1.0
     b[w - 1] = offset
 
-    finite = offset[~np.isnan(offset)]
     scale = np.abs(a[:, : w - 1]).sum(axis=1, dtype=np.float64)
-    scale += np.abs(finite).max(initial=0.0)
+    scale += np.fmax.reduce(np.abs(offset), initial=0.0)  # NaN marks skipped
     slack = scale * ((w + 4) * _F32_UNIT / (1.0 - (w + 4) * _F32_UNIT))
     hi = np.nextafter((bound + slack).astype(np.float32), np.float32(np.inf))
     lo = np.nextafter((bound - slack).astype(np.float32), np.float32(-np.inf))
