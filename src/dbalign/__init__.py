@@ -53,7 +53,6 @@ from .matching import (
     deanonymize,
     estimate_stages,
     match_rows,
-    pattern_from_detections,
     segment,
 )
 from .model import (
@@ -75,7 +74,6 @@ from .replicas import (
     column_runs,
     detect_replicas,
     factorial_moments,
-    replica_free,
     running_hamming,
 )
 

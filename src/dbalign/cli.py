@@ -45,6 +45,11 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _alphabet_size(args, *mats):
+    k = args.alphabet_size  # inferred only when not given: 0 is bad input, not "unset"
+    return deletions.infer_alphabet_size(*mats) if k is None else k
+
+
 def _cmd_capacity(args) -> int:
     spec = load_model_spec(args.config)
     report = capacity(spec)
@@ -92,8 +97,8 @@ def _cmd_detect_deletions(args) -> int:
     g1 = read_matrix(args.g1)
     g2 = read_matrix(args.g2)
     if args.dedup:
-        g2 = replicas.replica_free(g2, replicas.detect_replicas(g2))
-    alphabet_size = args.alphabet_size or deletions.infer_alphabet_size(g1, g2)
+        g2 = g2[:, replicas.column_runs(replicas.detect_replicas(g2), g2.shape[1])[0]]
+    alphabet_size = _alphabet_size(args, g1, g2)
     counts = None
     if args.dump_l is not None:
         deletions.check_symbols(alphabet_size, g1, g2)
@@ -123,7 +128,7 @@ def _cmd_estimate(args) -> int:
         g2,
         g1,
         g2,
-        args.alphabet_size or deletions.infer_alphabet_size(g1, g2),
+        _alphabet_size(args, g1, g2),
         args.s_max,
         args.threshold_constant,
     )
@@ -143,7 +148,7 @@ def _cmd_match(args) -> int:
     d2 = read_matrix(args.d2)
     g1 = read_matrix(args.g1)
     g2 = read_matrix(args.g2)
-    alphabet_size = args.alphabet_size or deletions.infer_alphabet_size(d1, d2, g1, g2)
+    alphabet_size = _alphabet_size(args, d1, d2, g1, g2)
     result = matching.deanonymize(
         d1,
         d2,

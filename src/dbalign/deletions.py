@@ -65,10 +65,6 @@ class RetentionResult:
     n: int
     pair_counts: np.ndarray
 
-    @property
-    def num_retained(self) -> int:
-        return self.retained.size
-
 
 def check_remap_alphabet(alphabet_size: int) -> None:
     """Raise ValueError unless the alphabet is positive and within the remapping cap."""

@@ -29,7 +29,9 @@ def entropy(p) -> float:
 
 
 def check_table_size(size: int, s: int) -> None:
-    """Raise ValueError when the (X, Y^s) table would exceed TABLE_LIMIT cells."""
+    """Raise ValueError unless s >= 0 and the (X, Y^s) table fits in TABLE_LIMIT cells."""
+    if s < 0:
+        raise ValueError("repetition count must be nonnegative")
     if size ** (s + 1) > TABLE_LIMIT:
         raise ValueError(f"joint table with {size}^{s + 1} cells exceeds limit {TABLE_LIMIT}")
 
@@ -44,8 +46,6 @@ def repetition_table(p_x: np.ndarray, p_y_given_x: np.ndarray, s: int) -> np.nda
     p_x = np.asarray(p_x, dtype=float)
     p_y_given_x = np.asarray(p_y_given_x, dtype=float)
     size = p_x.size
-    if s < 0:
-        raise ValueError("repetition count must be nonnegative")
     check_table_size(size, s)
     table = p_x[:, None].copy()
     for _ in range(s):

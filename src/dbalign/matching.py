@@ -212,6 +212,10 @@ def match_rows(
         raise ValueError("epsilon must be finite and positive")
     d1 = np.asarray(d1)
     m1, n = d1.shape
+    # Zero-probability cells sit at LOG_ZERO; the clamp below must reach them.
+    penalty = -2.0 * (n * (est.joint_entropy + epsilon) + 1.0)
+    if penalty < LOG_ZERO:
+        raise ValueError(f"epsilon {epsilon:g} too large for {n} columns")
     if segmented.n != n:
         raise ValueError("segmented database has a different column count")
     d2 = segmented.d2
@@ -253,7 +257,6 @@ def match_rows(
     # S <= P + n H < -n eps whether that cell keeps its value or is
     # clamped to P: the pair is atypical either way. The clamp keeps the
     # cells finite, so their differences in the screen do not cancel.
-    penalty = -2.0 * (n * (est.joint_entropy + epsilon) + 1.0)
     np.maximum(cells, penalty, out=cells)
     offset = np.where(dev_x <= epsilon, ll_x + n * est.joint_entropy, np.nan)
     bound = n * epsilon
@@ -300,28 +303,6 @@ def match_rows(
     status[collided] = STATUS_AMBIGUOUS
     assigned[collided] = -1
     return MatchResult(assigned=assigned, status=status)
-
-
-def pattern_from_detections(
-    is_replica: np.ndarray,
-    retention: RetentionResult,
-    n: int,
-    num_columns: int,
-) -> RepetitionPattern:
-    """Reconstruct the repetition pattern from both detector outputs.
-
-    Replica runs over the repeated side's ``num_columns`` columns give the
-    repetition count of each retained column in order; deleted columns
-    get 0. The run count must equal the retained count.
-    """
-    _, lengths = replicas.column_runs(is_replica, num_columns)
-    if lengths.size != retention.num_retained:
-        raise ValueError(
-            f"{lengths.size} replica runs for {retention.num_retained} retained columns"
-        )
-    s = np.zeros(n, dtype=np.int64)
-    s[retention.retained] = lengths
-    return RepetitionPattern(s)
 
 
 @dataclass
@@ -374,13 +355,14 @@ def estimate_stages(
 ) -> PipelineResult:
     """Every stage before matching: replicas, deletions, pattern, estimate.
 
-    Replica detection runs once, on d2's rows. The seeds share d2's
-    repetition pattern, so g2's replica-free columns take d2's decisions;
-    with seeds alone, g2 can stand in for d2. The estimate covers
-    repetition counts up to s_max or the largest detected one. Detection
-    failures, and a detected count too long to tabulate, are recorded in
-    the result instead of raising; an s_max too long to tabulate is bad
-    input and raises ValueError.
+    Replica detection runs once, on d2's rows, and groups its columns into
+    runs. The seeds share d2's pattern, so g2 can stand in for d2, and
+    deletion detection reads g2's first column of each run. It retains one
+    original column per run, in order, which the pattern gives that run's
+    length (0 to deleted ones). The estimate covers counts up to s_max or
+    the largest detected one. Detection failures, and a detected count too
+    long to tabulate, are recorded in the result instead of raising; a
+    negative s_max, or one too long to tabulate, raises ValueError.
     """
     d2, g1, g2 = np.asarray(d2), np.asarray(g1), np.asarray(g2)
     if g2.shape[1] != d2.shape[1]:
@@ -399,26 +381,27 @@ def estimate_stages(
         )
     except replicas.SingleComponentError as exc:
         return result.fail("replica", exc)
-    g2_free = replicas.replica_free(g2, result.is_replica)
-    if g2_free.shape[1] > n:
+    starts, lengths = replicas.column_runs(result.is_replica, d2.shape[1])
+    if starts.size > n:
         return result.fail(
-            "replica", ValueError(f"{g2_free.shape[1]} replica runs for {n} original columns")
+            "replica", ValueError(f"{starts.size} replica runs for {n} original columns")
         )
 
     try:
         result.retention = deletions.detect_deletions(
-            g1, g2_free, alphabet_size, threshold_constant
+            g1, g2[:, starts], alphabet_size, threshold_constant
         )
     except (deletions.MisdetectionError, deletions.NoUsefulRemappingError) as exc:
         return result.fail("deletion", exc)
 
-    pattern = pattern_from_detections(result.is_replica, result.retention, n, d2.shape[1])
-    s_max = max(s_max, int(pattern.s.max()))
+    s = np.zeros(n, dtype=np.int64)
+    s[result.retention.retained] = lengths
+    s_max = max(s_max, int(s.max()))
     try:
         check_table_size(alphabet_size, s_max)
     except ValueError as exc:
         return result.fail("pattern", exc)
-    result.pattern = pattern
+    result.pattern = RepetitionPattern(s)
     result.estimate = estimation.estimate_from_seeds(
         g1, result.retention, result.pattern, alphabet_size, s_max
     )

@@ -127,10 +127,3 @@ def column_runs(is_replica: np.ndarray, num_columns: int) -> tuple[np.ndarray, n
     starts = np.flatnonzero(np.concatenate(([True], ~is_replica))[:num_columns])
     lengths = np.diff(np.append(starts, num_columns))
     return starts, lengths
-
-
-def replica_free(mat: np.ndarray, is_replica: np.ndarray) -> np.ndarray:
-    """The first column of each replica run of ``mat``, for any column count."""
-    mat = np.asarray(mat)
-    starts, _ = column_runs(is_replica, mat.shape[1])
-    return mat[:, starts]

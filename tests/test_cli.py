@@ -445,14 +445,19 @@ SYMBOL_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("command", SYMBOL_INPUTS)
-def test_bad_symbols_exit_config(tmp_path, capsys, command):
+def _instance_argv(tmp_path, command):
     pair, seeds = sample_instance(32, 12, 5000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
     mats = {"d1": pair.d1, "d2": pair.d2, "g1": seeds.g1, "g2": seeds.g2}
     argv = [command]
     for name in SYMBOL_INPUTS[command]:
         write_matrix(tmp_path / f"{name}.dbm", mats[name])
         argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
+    return argv
+
+
+@pytest.mark.parametrize("command", SYMBOL_INPUTS)
+def test_bad_symbols_exit_config(tmp_path, capsys, command):
+    argv = _instance_argv(tmp_path, command)
     if command == "detect-deletions":
         argv += ["--dump-l", str(tmp_path / "l.csv")]
     if command in ("estimate", "match"):
@@ -470,6 +475,32 @@ def test_bad_symbols_exit_config(tmp_path, capsys, command):
     first.write_bytes(bytes(raw))
     assert main(argv) == EXIT_CONFIG
     assert "symbols must lie in 1..255" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect-deletions", "estimate", "match"])
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_nonpositive_alphabet_size_exit_config(tmp_path, capsys, command, size):
+    # A stated alphabet is never replaced by the inferred one, 0 included.
+    argv = _instance_argv(tmp_path, command)
+    argv += ["--dedup"] if command == "detect-deletions" else ["--s-max", "2"]
+    assert main([*argv, "--alphabet-size", size]) == EXIT_CONFIG
+    assert f"symbols must lie in 1..{size}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "match"])
+def test_negative_s_max_exit_config(tmp_path, capsys, command):
+    # Bad input, not a replica-stage failure.
+    argv = _instance_argv(tmp_path, command)
+    assert main([*argv, "--s-max", "-3"]) == EXIT_CONFIG
+    assert "repetition count must be nonnegative" in capsys.readouterr().err
+
+
+def test_match_epsilon_past_the_log_zero_clamp_exit_config(tmp_path, capsys):
+    argv = [*_instance_argv(tmp_path, "match"), "--s-max", "2"]
+    assert main([*argv, "--epsilon", "1e28"]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*argv, "--epsilon", "1e29"]) == EXIT_CONFIG
+    assert "too large for 12 columns" in capsys.readouterr().err
 
 
 def test_match_infers_alphabet_from_seeds_too(tmp_path, capsys):

@@ -229,7 +229,7 @@ def test_fig3_style_exact_recovery():
     result = detect_deletions(seeds.g1, seeds.g2, alphabet_size=4)
     assert np.array_equal(result.retained, [0, 1, 2, 4, 6, 7, 8])
     assert np.array_equal(result.deleted, [3, 5, 9])
-    assert result.num_retained == 7
+    assert result.retained.size == 7
 
 
 def test_noiseless_no_deletions_all_retained():

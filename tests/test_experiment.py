@@ -390,13 +390,24 @@ GOLDEN_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
-def test_report_csv_is_byte_identical_to_committed(name):
-    # A refactor that keeps the arithmetic keeps every byte of the report;
-    # a change that alters a figure must regenerate the file on purpose.
+def _golden_report(name):
     spec, m, n, num_seeds = GOLDEN_CONFIGS[name]
     config = ExperimentConfig(
         spec=spec, m=m, n=n, num_seeds=num_seeds, trials=3, master_seed=7, epsilon=0.3, workers=2
     )
+    return run_experiment(config)
+
+
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+def test_report_csv_is_byte_identical_to_committed(name):
+    # A refactor that keeps the arithmetic keeps every byte of the report;
+    # a change that alters a figure must regenerate the file on purpose.
     expected = (GOLDEN / f"report_{name}.csv").read_text()
-    assert render(run_experiment(config), "csv") == expected
+    assert render(_golden_report(name), "csv") == expected
+
+
+def test_report_json_is_byte_identical_to_committed():
+    # The JSON report also carries the config, the per-point summaries and
+    # each trial's failed stage, so one configuration is pinned in it too.
+    expected = (GOLDEN / "report_bsc.json").read_text()
+    assert render(_golden_report("bsc"), "json") == expected

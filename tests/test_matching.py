@@ -15,12 +15,11 @@ from dbalign import (
     from_model_spec,
     generate_database,
     match_rows,
-    pattern_from_detections,
     sample_instance,
     segment,
     substream,
 )
-from dbalign import matching, replicas
+from dbalign import deletions, matching, replicas
 from dbalign.deletions import RetentionResult
 from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
 
@@ -431,38 +430,48 @@ def test_match_equivariance_under_row_relabeling(rng):
     assert relabeled.row_error_rate(pi[pair.sigma]) == base.row_error_rate(pair.sigma)
 
 
-def _retention(retained, deleted):
-    # pattern_from_detections reads only the column indices.
-    return RetentionResult(
-        retained=retained,
-        deleted=deleted,
-        n=retained.size + deleted.size,
-        pair_counts=np.zeros((2, 2), dtype=np.int64),
-    )
-
-
 @settings(derandomize=True, deadline=None)
 @given(s=st.lists(st.integers(0, 3), min_size=1, max_size=12))
 @example(s=[0, 0, 0])
-def test_pattern_from_detections_round_trip(s):
-    # Any pattern, all-deleted included: segmenting a database whose
-    # columns name their origin gives each origin its run, and the run
-    # decisions plus the retention set give the pattern back.
+def test_estimate_stages_pattern_round_trip(s):
+    # Any pattern, all-deleted included. Segmenting a database whose
+    # columns name their origin gives each origin its run. With both
+    # detectors returning the truth, estimate_stages hands deletion
+    # detection the first seed column of each run and gives the pattern
+    # back, grouping the columns into runs once.
     pattern = RepetitionPattern(s)
     origin = np.repeat(np.arange(pattern.n), pattern.s)
     seg = segment(origin[None, :] + 1, pattern)
     for j, count in enumerate(s):
         assert cell(seg, 0, j) == ((j + 1,) * count if count else ERASURE)
-    is_replica = origin[1:] == origin[:-1]
-    retention = _retention(pattern.retained_indices(), pattern.deleted_indices())
-    rebuilt = pattern_from_detections(is_replica, retention, pattern.n, origin.size)
-    assert np.array_equal(rebuilt.s, pattern.s)
+    d2 = np.tile(origin + 1, (3, 1)).astype(np.uint8)
+    g1 = np.tile(np.arange(pattern.n) % 2 + 1, (4, 1)).astype(np.uint8)
+    g2 = np.tile(origin + 1, (4, 1)).astype(np.uint8)
+    runs = []
+    column_runs = replicas.column_runs
 
+    def truth_retention(g1_, g2_free, alphabet_size, threshold_constant):
+        assert g1_ is g1
+        assert np.array_equal(g2_free, g2[:, np.flatnonzero(np.diff(origin, prepend=-1))])
+        return RetentionResult(
+            retained=pattern.retained_indices(),
+            deleted=pattern.deleted_indices(),
+            n=pattern.n,
+            pair_counts=np.ones((2, 2), dtype=np.int64),
+        )
 
-def test_pattern_from_detections_mismatch():
-    retention = _retention(np.array([0, 2]), np.array([1]))
-    with pytest.raises(ValueError):
-        pattern_from_detections(np.array([False, False]), retention, 3, 3)
+    def counting(*args):
+        runs.append(args)
+        return column_runs(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replicas, "detect_replicas", lambda mat: origin[1:] == origin[:-1])
+        mp.setattr(replicas, "column_runs", counting)
+        mp.setattr(deletions, "detect_deletions", truth_retention)
+        result = estimate_stages(d2, g1, g2, alphabet_size=2, s_max=3)
+    assert result.failed_stage is None
+    assert np.array_equal(result.pattern.s, pattern.s)
+    assert len(runs) == 1
 
 
 def test_deanonymize_illustration_instance():
@@ -545,6 +554,28 @@ def test_match_rows_rejects_epsilon_not_finite_and_positive(epsilon):
         match_rows(d1, seg, from_model_spec(spec), epsilon)
 
 
+def test_match_rows_rejects_epsilon_past_the_log_zero_clamp():
+    # The clamp on the joint cells, -2 (n (H + eps) + 1), must reach the
+    # LOG_ZERO of a zero-probability cell, or such pairs count as typical.
+    spec = unit_trace_cyclic_spec((0.3, 0.7))
+    pair, _ = sample_instance(12, 9, 1, spec, master_seed=3)
+    seg, est = segment(pair.d2, pair.pattern), from_model_spec(spec)
+    edge = (-matching.LOG_ZERO / 2 - 1) / 9 - est.joint_entropy
+    inside = edge * (1 - 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = match_rows(pair.d1, seg, est, inside)
+    assigned, n_candidates = brute_force_match(pair.d1, seg, est, inside)
+    assert np.array_equal(result.assigned, assigned)
+    assert np.array_equal(result.status == 2, n_candidates == 0)
+    # Every pair of positive probability is typical here, so only the
+    # clamp keeps the zero-probability ones out, and some rows still match.
+    assert (n_candidates < 12).all() and (result.status == STATUS_MATCHED).any()
+    for epsilon in (edge * (1 + 1e-9), 1e31, 1e38):
+        with pytest.raises(ValueError, match="too large for 9 columns"):
+            match_rows(pair.d1, seg, est, epsilon)
+
+
 @pytest.mark.parametrize("side, value", [("d1", 0), ("d2", 3), ("g2", 3)])
 def test_deanonymize_rejects_symbols_outside_alphabet(side, value):
     spec = bsc_spec(flip=0.1, p_s=(0.2, 0.5, 0.3))
@@ -614,7 +645,7 @@ def test_deanonymize_over_long_run_is_recorded():
     result = deanonymize(d1, d2, g1, g2, alphabet_size=2, s_max=2, epsilon=0.3)
     assert result.failed_stage == "pattern"
     assert "2^26 cells exceeds limit" in result.failure
-    assert result.retention is not None and result.retention.num_retained == 17
+    assert result.retention is not None and result.retention.retained.size == 17
     assert result.pattern is None and result.estimate is None and result.match is None
     # A stated s_max that large is bad input, refused before any stage runs.
     with pytest.raises(ValueError, match=r"2\^27 cells exceeds limit"):

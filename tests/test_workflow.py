@@ -1,0 +1,34 @@
+"""The CI workflow's benchmark steps name what the repository defines.
+
+The workflow is read as plain text: CI installs only the test extras,
+which do not include a YAML parser.
+"""
+
+import importlib
+import json
+import re
+from pathlib import Path
+
+from dbalign.experiment import DEFAULT_MEMORY_CAP, ExperimentConfig, _estimated_bytes
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+
+
+def test_traced_benchmark_loop_names_defined_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    (names,) = re.findall(r"^\s*for w in ([\w ]+); do$", WORKFLOW, flags=re.M)
+    assert names.split() and set(names.split()) <= set(workloads.WORKLOADS)
+
+
+def test_paper_scale_config_fits_the_default_memory_cap():
+    (body,) = re.findall(r"<<'JSON'\n(.*?)\n\s*JSON\n", WORKFLOW, flags=re.S)
+    raw = json.loads(body)
+    assert "memory_cap_bytes" not in raw
+    config = ExperimentConfig.from_dict(raw)
+    assert config.memory_cap_bytes == DEFAULT_MEMORY_CAP
+    need = min(config.workers, config.trials) * _estimated_bytes(
+        config.m, config.n, config.num_seeds, config.spec.s_max, config.spec.alphabet_size
+    )
+    assert need <= DEFAULT_MEMORY_CAP
