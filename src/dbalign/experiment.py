@@ -244,10 +244,23 @@ def _match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     return m * per_row + tile
 
 
+def _instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
+    """Upper bound on `model.sample_instance`'s working set.
+
+    The kept uint8 arrays (d1, d2 and the channel output it is scattered
+    from; g1, g2 and the channel's expanded input and symbol mask), plus
+    the generator's largest transient: one float64 uniform per symbol of
+    the largest single draw and one int64 position per entry the channel
+    resamples at once, both at most max(m, num_seeds) * k_max.
+    """
+    k_max = n * max(s_max, 1)
+    kept = 2 * m * (n + k_max) + 4 * num_seeds * (n + k_max)
+    return kept + 16 * max(m, num_seeds) * k_max
+
+
 def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int) -> int:
     """Working set of one trial: the matcher, the instance and the seed counts."""
-    k_max = n * max(s_max, 1)
-    instance = 2 * m * (n + k_max) + 4 * num_seeds * (n + k_max)
+    instance = _instance_bytes(m, n, num_seeds, s_max)
     # int64 co-occurrence counts (at most n replica-free g2 columns) plus
     # one seed block's float64 one-hots of g1 and g2.
     block = min(num_seeds, deletions.SEED_BLOCK)

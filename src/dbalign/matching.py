@@ -361,12 +361,17 @@ def estimate_stages(
     original column per run, in order, which the pattern gives that run's
     length (0 to deleted ones). The estimate covers counts up to s_max or
     the largest detected one. Detection failures, and a detected count too
-    long to tabulate, are recorded in the result instead of raising; a
-    negative s_max, or one too long to tabulate, raises ValueError.
+    long to tabulate, are recorded in the result instead of raising. Bad
+    input raises ValueError before any stage runs: a g1 symbol outside
+    1..alphabet_size, an alphabet size outside 1..MAX_REMAP_ALPHABET, a
+    negative s_max, or one too long to tabulate.
     """
     d2, g1, g2 = np.asarray(d2), np.asarray(g1), np.asarray(g2)
     if g2.shape[1] != d2.shape[1]:
         raise ValueError("g2 must share the database's repetition pattern")
+    # In deletion detection's order: a bad alphabet names g1's symbols first.
+    deletions.check_symbols(alphabet_size, g1)
+    deletions.check_remap_alphabet(alphabet_size)
     check_table_size(alphabet_size, s_max)
     n = g1.shape[1]
     result = PipelineResult()

@@ -7,7 +7,11 @@ keys, so objects can be generated in any order (or in parallel) without
 changing the result.
 
 Symbols are the integers ``1..alphabet_size`` and are stored as single
-bytes (``uint8``).
+bytes (``uint8``). They are drawn bit-identically to
+``Generator.choice(symbols, size, p=p)``: the same uniforms, consumed in
+the same order, give the same symbols. The largest transient of a draw is
+its float64 uniforms, 8 bytes per symbol drawn, plus, in the channel, 8
+bytes per int64 position of the input symbol being resampled.
 """
 
 from __future__ import annotations
@@ -193,15 +197,28 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-def _symbols(alphabet_size):
-    return np.arange(1, alphabet_size + 1, dtype=np.uint8)
+def _draw(p, size, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. symbols 1..len(p) from p, as uint8 of shape size.
+
+    Bit-identical to ``rng.choice(np.arange(1, len(p) + 1, dtype=np.uint8),
+    size, p=p)``, which returns 1 plus the number of entries of the
+    normalised cdf at or below each uniform u. The last entry is exactly
+    1 > u, so counting the first len(p) - 1 entries gives the same value.
+    """
+    u = rng.random(size)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    out = np.ones(u.shape, dtype=np.uint8)
+    for edge in cdf[:-1]:
+        out += u >= edge
+    return out
 
 
 def generate_database(m: int, n: int, spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. symbol matrix of shape (m, n) drawn from spec.p_x."""
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
-    return rng.choice(_symbols(spec.alphabet_size), size=(m, n), p=spec.p_x)
+    return _draw(spec.p_x, (m, n), rng)
 
 
 def draw_pattern(n: int, spec: ModelSpec, rng: np.random.Generator) -> RepetitionPattern:
@@ -228,15 +245,16 @@ def apply_channel(
         raise ValueError("pattern length must equal the column count of d1")
 
     cols = np.repeat(np.arange(n), pattern.s)
-    expanded = d1[:, cols]
-    noisy = np.empty_like(expanded)
-    symbols = _symbols(spec.alphabet_size)
-    # Symbol-by-symbol resampling keeps memory at O(m * K) for any alphabet.
+    expanded = np.take(d1, cols, axis=1)
+    # noisy must be C-ordered, so that flat is a view of it and not a copy
+    # that silently drops every write.
+    noisy = np.empty(expanded.shape, np.uint8)
+    flat = noisy.reshape(-1)
+    # One input symbol at a time, in row-major order: the transient is that
+    # symbol's int64 positions and float64 uniforms, 16 bytes per entry.
     for x in range(1, spec.alphabet_size + 1):
-        mask = expanded == x
-        count = int(mask.sum())
-        if count:
-            noisy[mask] = rng.choice(symbols, size=count, p=spec.p_y_given_x[x - 1])
+        at = np.flatnonzero(expanded == x)
+        flat[at] = _draw(spec.p_y_given_x[x - 1], at.size, rng)
     return noisy
 
 

@@ -487,6 +487,21 @@ def test_nonpositive_alphabet_size_exit_config(tmp_path, capsys, command, size):
     assert f"symbols must lie in 1..{size}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "size, message",
+    [("0", "symbols must lie in 1..0"), ("-1", "symbols must lie in 1..-1"), ("9", "exceeds remapping cap 8")],
+)
+def test_match_bad_alphabet_size_on_two_rows_exit_config(tmp_path, capsys, size, message):
+    # Two rows fail replica detection; the bad alphabet must still exit 2.
+    pair, seeds = sample_instance(2, 12, 3000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
+    argv = ["match", "--s-max", "2", "--alphabet-size", size]
+    for name, mat in {"d1": pair.d1, "d2": pair.d2, "g1": seeds.g1, "g2": seeds.g2}.items():
+        write_matrix(tmp_path / f"{name}.dbm", mat)
+        argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["estimate", "match"])
 def test_negative_s_max_exit_config(tmp_path, capsys, command):
     # Bad input, not a replica-stage failure.

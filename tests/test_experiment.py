@@ -20,6 +20,7 @@ from dbalign.experiment import (
     CSV_COLUMNS,
     DEFAULT_MEMORY_CAP,
     _estimated_bytes,
+    _instance_bytes,
     _match_bytes,
     estimate_tv_distance,
     render,
@@ -268,6 +269,27 @@ def test_memory_estimate_bounds_the_matcher(spec, m, n):
     finally:
         tracemalloc.stop()
     assert peak <= _match_bytes(m, n, spec.s_max, spec.alphabet_size)
+
+
+@pytest.mark.parametrize(
+    "spec, m, n, num_seeds",
+    [
+        (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 8192, 60, 10_000),  # paper_bsc
+        (unit_trace_cyclic_spec((0.3, 0.7)), 1024, 60, 30_000),  # remap_sweep
+        (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 240, 5000),  # wide_repeat
+        (bsc_spec(flip=0.1, p_s=(0.1, 0.9)), 1024, 60, 200_000),
+    ],
+)
+def test_memory_estimate_bounds_the_generator(spec, m, n, num_seeds):
+    # The instance term must cover the generator's transient uniforms and
+    # positions, not only the arrays it keeps.
+    tracemalloc.start()
+    try:
+        sample_instance(m, n, num_seeds, spec, master_seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _instance_bytes(m, n, num_seeds, spec.s_max)
 
 
 def test_paper_scale_fits_default_cap_at_m_2_16():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -586,6 +587,19 @@ def test_deanonymize_rejects_symbols_outside_alphabet(side, value):
         deanonymize(
             mats["d1"], mats["d2"], mats["g1"], mats["g2"], alphabet_size=2, s_max=2, epsilon=0.3
         )
+
+
+@pytest.mark.parametrize(
+    "alphabet_size, message",
+    [(0, "symbols must lie in 1..0"), (-1, "symbols must lie in 1..-1"), (9, "exceeds remapping cap 8")],
+)
+def test_deanonymize_rejects_bad_alphabet_before_a_stage_fails(alphabet_size, message):
+    # Two rows fail replica detection, but a bad alphabet is bad input and
+    # must raise, not hide behind that recorded failure.
+    pair, seeds = sample_instance(2, 12, 3000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
+    assert deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, 2, s_max=2).failed_stage == "replica"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size, s_max=2)
 
 
 def test_deanonymize_validates_shared_pattern():

@@ -24,8 +24,9 @@ from dbalign.dbio import (
     read_matrix,
     write_matrix,
 )
+from dbalign.model import _draw
 
-from conftest import bsc_spec, noiseless_spec, symmetric_spec
+from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 
 
 def test_spec_validation_rejects_bad_vectors():
@@ -133,6 +134,59 @@ def test_sampler_rejects_sizes_below_one(rng, size):
         sample_instance(4, size, 1, spec, master_seed=0)
 
 
+def _uniform_with_zeros(k, zeros):
+    w = np.ones(k)
+    w[list(zeros)] = 0.0
+    return w
+
+
+# The first uniform of seed 0 lies in [0.5, 1), so [u, 1 - u] sums to
+# exactly 1 and its cdf edge is u itself: a tie that choice breaks upward.
+_TIE = np.random.default_rng(0).random()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    weights=arrays(
+        np.float64,
+        st.integers(1, 8),
+        elements=st.just(0.0) | st.floats(1e-3, 1.0),
+    ).filter(np.any),
+    size=st.integers(0, 300) | st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=np.array([0.0, 1.0, 2.0]), size=50, seed=1)
+@example(weights=np.array([1.0, 0.0, 0.0, 2.0]), size=50, seed=2)
+@example(weights=np.array([1.0, 2.0, 0.0]), size=50, seed=3)
+@example(weights=np.array([1.0]), size=(4, 5), seed=4)
+@example(weights=np.array([0.3, 0.7]), size=0, seed=5)
+@example(weights=np.array([_TIE, 1.0 - _TIE]), size=1, seed=0)
+@example(weights=np.ones(255), size=(100, 60), seed=6)
+@example(weights=_uniform_with_zeros(255, [0, 1, 100, 101, 254]), size=20_000, seed=7)
+def test_draw_is_bit_identical_to_choice(weights, size, seed):
+    # The sampler replicates Generator.choice with p: same values, same
+    # dtype, and the same uniforms consumed, so later draws are unchanged.
+    p = weights / weights.sum()
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw(p, size, ours)
+    want = theirs.choice(np.arange(1, p.size + 1, dtype=np.uint8), size, p=p)
+    assert got.dtype == want.dtype == np.uint8
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert ours.random() == theirs.random()
+
+
+def test_channel_output_is_c_contiguous(rng):
+    # The channel scatters through a flat view of its output, and that view
+    # is only a view of a C-ordered array.
+    spec = symmetric_spec(3, 0.8, (0.2, 0.4, 0.2, 0.2))
+    d1 = generate_database(40, 15, spec, rng)
+    d2 = apply_channel(d1, RepetitionPattern([0, 1, 2, 3, 1] * 3), spec, rng)
+    assert d2.shape == (40, 21) and d2.flags.c_contiguous
+    pair, seeds = sample_instance(40, 15, 30, spec, master_seed=3)
+    assert pair.d2.flags.c_contiguous and seeds.g2.flags.c_contiguous
+
+
 def test_seed_identity_channel(rng):
     seeds = generate_seeds(1, 8, RepetitionPattern(np.ones(8, dtype=int)), noiseless_spec(), rng)
     assert np.array_equal(seeds.g1, seeds.g2)
@@ -185,9 +239,11 @@ def _sha256(arr):
     return hashlib.sha256(arr.tobytes() + f"{arr.dtype}{arr.shape}".encode()).hexdigest()
 
 
-# sha256 of (bytes, dtype, shape) of each array, recorded when the channel
-# still scattered rows by sigma itself; moving the scatter into
-# sample_instance must leave every instance bit-identical.
+# sha256 of (bytes, dtype, shape) of each array. The first two were
+# recorded when the channel still scattered rows by sigma itself, the third
+# while symbols were still drawn by Generator.choice; neither change may
+# move a bit of any instance. The third channel has zero cells and runs to
+# 300 rows and 400 seeds.
 PINNED_INSTANCES = {
     "bsc": (
         (bsc_spec(flip=0.1, p_s=(0.0, 0.5, 0.5)), 64, 12, 100, 5),
@@ -209,6 +265,16 @@ PINNED_INSTANCES = {
             "g2": "5bd5dede11c7e514864f62b1c3a685e395bec12662a8a4daf8ef7825537c453b",
         },
     ),
+    "unit_trace_cyclic": (
+        (unit_trace_cyclic_spec((0.2, 0.5, 0.3)), 300, 20, 400, 13),
+        {
+            "d1": "08dcdea7cb4bce0cc2685feb8f809c0910a7adfa38ba3750a3de8ae2d9b010fe",
+            "d2": "ba1b1d30e03be2c34217f4921a15f6aa8de314e97cc840a8186848d2eaa8239a",
+            "sigma": "09e268b50a125e3006038c47addc7937d3d48c0d0dd4030039688315079d3db5",
+            "g1": "553bd90d1b40c89db08b04f87adcd72fcd4ad6efb7659f976d044bf64b4c15a9",
+            "g2": "4c89a35d8409fbcfd9fd64aede3f28385d2d81bf807e53312c902378e930650d",
+        },
+    ),
 }
 
 
@@ -216,7 +282,7 @@ PINNED_INSTANCES = {
 def test_sample_instance_is_pinned_bit_for_bit(name):
     (spec, m, n, num_seeds, master_seed), expected = PINNED_INSTANCES[name]
     pair, seeds = sample_instance(m, n, num_seeds, spec, master_seed, point=1, trial=2)
-    if name == "ternary_deleted":
+    if name != "bsc":
         assert np.any(pair.pattern.s == 0) and np.any(pair.pattern.s > 1)
     arrays = {"d1": pair.d1, "d2": pair.d2, "sigma": pair.sigma, "g1": seeds.g1, "g2": seeds.g2}
     assert {key: _sha256(arr) for key, arr in arrays.items()} == expected

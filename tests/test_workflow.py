@@ -22,6 +22,14 @@ def test_traced_benchmark_loop_names_defined_workloads(monkeypatch):
     assert names.split() and set(names.split()) <= set(workloads.WORKLOADS)
 
 
+def test_benchmark_loop_runs_both_trace_modes():
+    # The untraced path is the one that runs probe.py; CI must run it too.
+    (modes,) = re.findall(r"^\s*for t in ([\d ]+); do$", WORKFLOW, flags=re.M)
+    assert sorted(modes.split()) == ["0", "1"]
+    (run,) = re.findall(r"python3 perfbench/run\.py .*$", WORKFLOW, flags=re.M)
+    assert '--workload "$w"' in run and '--trace "$t"' in run
+
+
 def test_paper_scale_config_fits_the_default_memory_cap():
     (body,) = re.findall(r"<<'JSON'\n(.*?)\n\s*JSON\n", WORKFLOW, flags=re.S)
     raw = json.loads(body)
