@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import deletions, matching, replicas
-from .dbio import load_model_spec, read_matrix, write_matrix
-from .experiment import ExperimentConfig, InfeasibleSizeError, render, run_experiment
+from .dbio import load_json_object, load_model_spec, read_matrix, write_matrix
+from .experiment import CONFIG_KEYS, ExperimentConfig, InfeasibleSizeError, render, run_experiment
 from .infotheory import capacity
 from .model import as_permutation, sample_instance
 
@@ -192,24 +192,12 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json_object(args.config)
     # flags mirror config keys and win over the file
-    overrides = {
-        "m": args.m,
-        "n": args.n,
-        "lambda": getattr(args, "lambda"),
-        "trials": args.trials,
-        "master_seed": args.master_seed,
-        "epsilon": args.epsilon,
-        "threshold_constant": args.threshold_constant,
-        "workers": args.workers,
-        "sweep_axis": args.sweep_axis,
-        "memory_cap_bytes": args.memory_cap_bytes,
-    }
-    raw.update({k: v for k, v in overrides.items() if v is not None})
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS}
     if args.sweep_values is not None:
-        raw["sweep_values"] = [int(v) for v in args.sweep_values.split(",") if v]
+        flags["sweep_values"] = [int(v) for v in args.sweep_values.split(",") if v]
+    raw.update((key, value) for key, value in flags.items() if value is not None)
     config = ExperimentConfig.from_dict(raw)
     _write_text(args.out, render(run_experiment(config), args.format))
     return EXIT_OK

@@ -95,6 +95,14 @@ def model_spec_from_dict(d: dict) -> ModelSpec:
     return spec
 
 
-def load_model_spec(path) -> ModelSpec:
+def load_json_object(path) -> dict:
+    """A config file's top-level JSON object; any other JSON value is bad input."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_spec_from_dict(json.load(fh))
+        value = json.load(fh)
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: config must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def load_model_spec(path) -> ModelSpec:
+    return model_spec_from_dict(load_json_object(path))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dbio import model_spec_to_dict
 from .deletions import RetentionResult, check_symbols
 from .infotheory import entropy, repetition_entropies
 from .model import ModelSpec, RepetitionPattern
@@ -51,13 +52,8 @@ class DistributionEstimate:
         return self.p_s.size - 1
 
     def to_dict(self) -> dict:
-        return {
-            "alphabet_size": self.alphabet_size,
-            "p_x": self.p_x.tolist(),
-            "p_y_given_x": self.p_y_given_x.tolist(),
-            "p_s": self.p_s.tolist(),
-            "s_max": self.s_max,
-        }
+        """The five keys of a model spec JSON, in its layout."""
+        return model_spec_to_dict(self)
 
 
 def estimate_p_x(g1: np.ndarray, alphabet_size: int) -> np.ndarray:

@@ -11,28 +11,14 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import deletions, estimation, matching
-from .dbio import as_integer, as_real, model_spec_from_dict, model_spec_to_dict
+from .dbio import as_integer, as_real, load_json_object, model_spec_from_dict, model_spec_to_dict
 from .infotheory import capacity, check_table_size, repetition_table
 from .model import ModelSpec, sample_instance, substream
-
-CSV_COLUMNS = (
-    "trial",
-    "n",
-    "m",
-    "lambda",
-    "R",
-    "capacity",
-    "replica_ok",
-    "deletion_ok",
-    "est_tv",
-    "row_error_rate",
-    "seed",
-)
 
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
 
@@ -44,22 +30,47 @@ class InfeasibleSizeError(RuntimeError):
     """Estimated working-set size exceeds the configured memory cap."""
 
 
-@dataclass
+def _keyed_fields(record) -> list:
+    """(field, report key) of each field of a dataclass, in field order."""
+    return [(f, KEY_NAMES.get(f.name, f.name)) for f in fields(record)]
+
+
+def _key(parse, **kwargs):
+    """A config key's field; ``parse(key, value)`` reads its JSON value."""
+    return field(metadata={"parse": parse}, **kwargs)
+
+
+def _as_is(key, value):
+    return value  # sweep_axis: __post_init__ checks it, as for a direct call
+
+
+def _integer_list(key, value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return [as_integer(key, v) for v in value]
+
+
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    """Everything one experiment needs, sweepable over m or n."""
+    """Everything one experiment needs, sweepable over m or n.
+
+    Each field after ``spec`` is one config key, named by KEY_NAMES where
+    they differ, and the field order is the report's key order after the
+    model spec's keys.
+    """
 
     spec: ModelSpec
-    m: int
-    n: int
-    num_seeds: int
-    trials: int = 10
-    master_seed: int = 0
-    epsilon: float = 0.05
-    threshold_constant: float = 2.0
-    sweep_axis: str | None = None
-    sweep_values: list = field(default_factory=list)
-    workers: int = 1
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP
+    m: int = _key(as_integer)
+    n: int = _key(as_integer)
+    trials: int = _key(as_integer, default=10)
+    master_seed: int = _key(as_integer, default=0)
+    epsilon: float = _key(as_real, default=0.05)
+    threshold_constant: float = _key(as_real, default=2.0)
+    sweep_axis: str | None = _key(_as_is, default=None)
+    sweep_values: list = _key(_integer_list, default_factory=list)
+    workers: int = _key(as_integer, default=1)
+    memory_cap_bytes: int = _key(as_integer, default=DEFAULT_MEMORY_CAP)
+    num_seeds: int = _key(as_integer)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.num_seeds < 1:
@@ -90,52 +101,26 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         spec = model_spec_from_dict(d)
-        sweep_values = d.get("sweep_values", [])
-        if not isinstance(sweep_values, list):
-            raise ValueError(f"sweep_values must be a list, got {sweep_values!r}")
-        try:
-            return cls(
-                spec=spec,
-                m=as_integer("m", d["m"]),
-                n=as_integer("n", d["n"]),
-                num_seeds=as_integer("lambda", d["lambda"]),
-                trials=as_integer("trials", d.get("trials", 10)),
-                master_seed=as_integer("master_seed", d.get("master_seed", 0)),
-                epsilon=as_real("epsilon", d.get("epsilon", 0.05)),
-                threshold_constant=as_real(
-                    "threshold_constant", d.get("threshold_constant", 2.0)
-                ),
-                sweep_axis=d.get("sweep_axis"),
-                sweep_values=[as_integer("sweep_values", v) for v in sweep_values],
-                workers=as_integer("workers", d.get("workers", 1)),
-                memory_cap_bytes=as_integer(
-                    "memory_cap_bytes", d.get("memory_cap_bytes", DEFAULT_MEMORY_CAP)
-                ),
-            )
-        except KeyError as exc:
-            raise ValueError(f"experiment config is missing key {exc}") from exc
+        values = {}
+        for f, key in _keyed_fields(cls)[1:]:
+            if key in d:
+                values[f.name] = f.metadata["parse"](key, d[key])
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"experiment config is missing key {key!r}")
+        return cls(spec=spec, **values)
 
     def to_dict(self) -> dict:
         out = model_spec_to_dict(self.spec)
-        out.update(
-            m=self.m,
-            n=self.n,
-            trials=self.trials,
-            master_seed=self.master_seed,
-            epsilon=self.epsilon,
-            threshold_constant=self.threshold_constant,
-            sweep_axis=self.sweep_axis,
-            sweep_values=list(self.sweep_values),
-            workers=self.workers,
-            memory_cap_bytes=self.memory_cap_bytes,
-        )
-        out["lambda"] = self.num_seeds
+        out.update((key, _plain(getattr(self, f.name))) for f, key in _keyed_fields(self)[1:])
         return out
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json_object(path))
+
+
+# The config keys after the model spec's, in report order.
+CONFIG_KEYS = tuple(key for _, key in _keyed_fields(ExperimentConfig)[1:])
 
 
 def _plain(value):
@@ -151,9 +136,7 @@ class _Record:
     by KEY_NAMES, tuples as lists and nested records as dicts."""
 
     def to_dict(self) -> dict:
-        return {
-            KEY_NAMES.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)
-        }
+        return {key: _plain(getattr(self, f.name)) for f, key in _keyed_fields(self)}
 
 
 @dataclass
@@ -170,6 +153,10 @@ class TrialRecord(_Record):
     row_error_rate: float
     seed: int
     failed_stage: str | None = None
+
+
+# Per-trial CSV columns: every TrialRecord key but the last, failed_stage.
+CSV_COLUMNS = tuple(key for _, key in _keyed_fields(TrialRecord))[:-1]
 
 
 @dataclass

@@ -191,6 +191,19 @@ def _screen(
     return a, b, lo, hi
 
 
+def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> None:
+    """Raise ValueError on row-matching input that is bad whatever the
+    estimate: epsilon not finite and positive, d1 not n columns wide,
+    unequal row counts, or a d1 or d2 symbol outside 1..alphabet_size."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
+    if d1.shape[1] != n:
+        raise ValueError(f"d1 has {d1.shape[1]} columns, the repetition pattern {n}")
+    if d1.shape[0] != d2.shape[0]:
+        raise ValueError("row matching needs equal row counts on both sides")
+    deletions.check_symbols(alphabet_size, d1, d2)
+
+
 def match_rows(
     d1: np.ndarray,
     segmented: SegmentedDatabase,
@@ -208,22 +221,14 @@ def match_rows(
     proves the bounds) and decided in float64: hits within a row's
     rounding band of n epsilon are recomputed from the float64 cells.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError("epsilon must be finite and positive")
-    d1 = np.asarray(d1)
+    d1, d2, k = np.asarray(d1), segmented.d2, est.alphabet_size
+    _check_match_input(d1, d2, segmented.n, k, epsilon)
     m1, n = d1.shape
+    m2 = d2.shape[0]
     # Zero-probability cells sit at LOG_ZERO; the clamp below must reach them.
     penalty = -2.0 * (n * (est.joint_entropy + epsilon) + 1.0)
     if penalty < LOG_ZERO:
         raise ValueError(f"epsilon {epsilon:g} too large for {n} columns")
-    if segmented.n != n:
-        raise ValueError("segmented database has a different column count")
-    d2 = segmented.d2
-    m2 = d2.shape[0]
-    if m1 != m2:
-        raise ValueError("row matching needs equal row counts on both sides")
-    k = est.alphabet_size
-    deletions.check_symbols(k, d1, d2)
     d1_idx = d1.astype(np.intp) - 1
     retained = np.flatnonzero(segmented.pattern.s)
 
@@ -427,8 +432,11 @@ def deanonymize(
 
     ``alphabet_size`` and ``s_max`` are assumed known. Algorithmic
     failures are recorded, never raised, so a Monte Carlo harness never
-    aborts.
+    aborts. Bad input raises ValueError before any stage runs, the
+    matcher's own checks included.
     """
+    d1, d2 = np.asarray(d1), np.asarray(d2)
+    _check_match_input(d1, d2, np.shape(g1)[1], alphabet_size, epsilon)
     result = estimate_stages(d2, g1, g2, alphabet_size, s_max, threshold_constant)
     if result.ok:
         result.match = match_rows(d1, segment(d2, result.pattern), result.estimate, epsilon)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,16 +9,18 @@ import numpy as np
 import pytest
 
 import dbalign
-from dbalign import deanonymize, detect_replicas, running_hamming, sample_instance
+from dbalign import cli, deanonymize, detect_replicas, running_hamming, sample_instance
 from dbalign.cli import (
     EXIT_CONFIG,
     EXIT_DETECTION,
     EXIT_INFEASIBLE,
     EXIT_NO_REMAPPING,
     EXIT_OK,
+    build_parser,
     main,
 )
-from dbalign.dbio import read_matrix, write_matrix
+from dbalign.dbio import load_model_spec, model_spec_to_dict, read_matrix, write_matrix
+from dbalign.experiment import CONFIG_KEYS, ExperimentConfig, ExperimentReport
 
 from conftest import bsc_spec, long_run_instance, symmetric_spec
 from oracles import cross_hamming_loop
@@ -493,13 +496,26 @@ def test_nonpositive_alphabet_size_exit_config(tmp_path, capsys, command, size):
 )
 def test_match_bad_alphabet_size_on_two_rows_exit_config(tmp_path, capsys, size, message):
     # Two rows fail replica detection; the bad alphabet must still exit 2.
+    assert main([*_two_row_match_argv(tmp_path), "--alphabet-size", size]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_match_epsilon_nan_on_two_rows_exit_config(tmp_path, capsys):
+    # The recorded replica failure must not hide an epsilon the matcher rejects.
+    argv = _two_row_match_argv(tmp_path)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main([*argv, "--epsilon", "nan"]) == EXIT_CONFIG
+    assert "epsilon must be finite and positive" in capsys.readouterr().err
+
+
+def _two_row_match_argv(tmp_path):
     pair, seeds = sample_instance(2, 12, 3000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
-    argv = ["match", "--s-max", "2", "--alphabet-size", size]
+    argv = ["match", "--s-max", "2", "--out", str(tmp_path / "match.json")]
     for name, mat in {"d1": pair.d1, "d2": pair.d2, "g1": seeds.g1, "g2": seeds.g2}.items():
         write_matrix(tmp_path / f"{name}.dbm", mat)
         argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
-    assert main(argv) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    return argv
 
 
 @pytest.mark.parametrize("command", ["estimate", "match"])
@@ -585,3 +601,70 @@ def test_detect_deletions_counts_seeds_once(tmp_path, capsys, monkeypatch, dump)
     assert main(argv) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["deleted"] == [3]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"x"', "3", "null"])
+@pytest.mark.parametrize("command", ["capacity", "gen", "experiment"])
+def test_config_that_is_not_a_json_object_exit_config(tmp_path, capsys, command, content):
+    path = tmp_path / "cfg.json"
+    path.write_text(content)
+    argv = [command, "--config", str(path)]
+    if command == "gen":
+        argv += ["--out", str(tmp_path / "inst")]
+    assert main(argv) == EXIT_CONFIG
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+# Every config key after the model spec's, each at a value that is not its default.
+EVERY_KEY = {
+    "m": 24,
+    "n": 11,
+    "trials": 3,
+    "master_seed": 5,
+    "epsilon": 0.45,
+    "threshold_constant": 2.5,
+    "sweep_axis": "m",
+    "sweep_values": [16, 20],
+    "workers": 2,
+    "memory_cap_bytes": 10**9,
+    "lambda": 3000,
+}
+
+
+def test_experiment_flags_are_the_config_keys():
+    experiment = next(
+        action.choices["experiment"]
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    own = {"help", "config", "format", "out"}
+    flags = [action.dest for action in experiment._actions if action.dest not in own]
+    assert sorted(flags) == sorted(CONFIG_KEYS) == sorted(EVERY_KEY)
+
+
+def test_config_with_every_key_set_round_trips(config_file):
+    spec = model_spec_to_dict(load_model_spec(config_file))
+    defaults = ExperimentConfig.from_dict({**spec, "m": 1, "n": 1, "lambda": 1}).to_dict()
+    assert all(defaults[key] != value for key, value in EVERY_KEY.items())
+    d = {**spec, **EVERY_KEY}
+    config = ExperimentConfig.from_dict(d)
+    assert config.to_dict() == d
+    assert list(config.to_dict()) == [*spec, *CONFIG_KEYS]
+
+
+def test_each_experiment_flag_overrides_its_key(config_file, monkeypatch):
+    seen = []
+
+    def run(config):
+        seen.append(config)
+        return ExperimentReport(config=config.to_dict(), points=[])
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    for key, value in EVERY_KEY.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv = ["experiment", "--config", str(config_file), "--out", os.devnull]
+        argv += [f"--{key.replace('_', '-')}", text]
+        if key == "sweep_values":
+            argv += ["--sweep-axis", "m"]
+        assert main(argv) == EXIT_OK
+        assert seen.pop().to_dict()[key] == value

@@ -602,6 +602,26 @@ def test_deanonymize_rejects_bad_alphabet_before_a_stage_fails(alphabet_size, me
         deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size, s_max=2)
 
 
+@pytest.mark.parametrize("bad", ["d1 symbol", "d2 symbol", "epsilon", "d1 width"])
+def test_deanonymize_rejects_bad_matcher_input_before_a_stage_fails(bad):
+    # Two rows fail replica detection, but input the matcher rejects is bad
+    # input and must raise, not hide behind that recorded failure.
+    pair, seeds = sample_instance(2, 12, 3000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
+    d1, d2, epsilon = pair.d1.copy(), pair.d2.copy(), 0.05
+    assert deanonymize(d1, d2, seeds.g1, seeds.g2, 2, s_max=2).failed_stage == "replica"
+    message = "symbols must lie in 1..2"
+    if bad == "d1 symbol":
+        d1[0, 0] = 7
+    elif bad == "d2 symbol":
+        d2[0, 0] = 7
+    elif bad == "epsilon":
+        epsilon, message = math.nan, "epsilon must be finite and positive"
+    else:
+        d1, message = d1[:, 1:], "d1 has 11 columns, the repetition pattern 12"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        deanonymize(d1, d2, seeds.g1, seeds.g2, 2, s_max=2, epsilon=epsilon)
+
+
 def test_deanonymize_validates_shared_pattern():
     spec = bsc_spec()
     pair, seeds = sample_instance(6, 5, 10, spec, master_seed=1)
