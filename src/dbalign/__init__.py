@@ -11,7 +11,6 @@ studies.
 """
 
 from .deletions import (
-    CrossDistanceMatrix,
     MisdetectionError,
     NoUsefulRemappingError,
     RetentionResult,

@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import deletions, matching, replicas
-from .dbio import load_json_object, load_model_spec, read_matrix, write_matrix
-from .experiment import CONFIG_KEYS, ExperimentConfig, InfeasibleSizeError, render, run_experiment
+from .dbio import as_integer, as_real, load_json_object, load_model_spec, read_matrix, write_matrix
+from .experiment import CONFIG_FIELDS, ExperimentConfig, InfeasibleSizeError, render, run_experiment
 from .infotheory import capacity
 from .model import as_permutation, sample_instance
 
@@ -103,10 +103,11 @@ def _cmd_detect_deletions(args) -> int:
     if args.dump_l is not None:
         deletions.check_symbols(alphabet_size, g1, g2)
         deletions.check_remap_alphabet(alphabet_size)
+        deletions.check_threshold_constant(args.threshold_constant)
         phi = np.arange(1, alphabet_size + 1, dtype=np.uint8)  # the identity remapping
         counts = deletions.cooccurrence(g1, g2, alphabet_size)
-        cross = deletions.cross_hamming(g1, g2, phi, counts, args.threshold_constant)
-        rows = [",".join(str(v) for v in row) for row in cross.l]
+        l = deletions.cross_hamming(g1, g2, phi, counts)
+        rows = [",".join(str(v) for v in row) for row in l]
         _write_text(args.dump_l, "\n".join(rows) + "\n")
     result = deletions.detect_deletions(
         g1, g2, alphabet_size, args.threshold_constant, counts=counts
@@ -178,8 +179,7 @@ def _cmd_match(args) -> int:
         out["status_counts"] = result.match.status_counts()
         out["sigma_hat"] = result.match.sigma_hat().tolist()
     if args.truth is not None:
-        with open(args.truth, "r", encoding="utf-8") as fh:
-            truth = json.load(fh)
+        truth = load_json_object(args.truth)
         if "sigma" not in truth:
             raise ValueError(f"{args.truth} has no 'sigma' key")
         sigma = as_permutation(truth["sigma"], d1.shape[0])
@@ -194,7 +194,7 @@ def _cmd_match(args) -> int:
 def _cmd_experiment(args) -> int:
     raw = load_json_object(args.config)
     # flags mirror config keys and win over the file
-    flags = {key: getattr(args, key) for key in CONFIG_KEYS}
+    flags = {key: getattr(args, key) for _, key in CONFIG_FIELDS}
     if args.sweep_values is not None:
         flags["sweep_values"] = [int(v) for v in args.sweep_values.split(",") if v]
     raw.update((key, value) for key, value in flags.items() if value is not None)
@@ -264,17 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--lambda", type=int, default=None, dest="lambda")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--master-seed", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--threshold-constant", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--sweep-axis", choices=("m", "n"), default=None)
-    p.add_argument("--sweep-values", default=None, help="comma-separated values")
-    p.add_argument("--memory-cap-bytes", type=int, default=None)
+    # One flag per config key, typed by the key's parser; the config checks the values.
+    flag_types = {as_integer: int, as_real: float}
+    for f, key in CONFIG_FIELDS:
+        flag_type = flag_types.get(f.metadata["parse"], str)
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=flag_type)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

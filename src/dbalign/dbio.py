@@ -96,7 +96,7 @@ def model_spec_from_dict(d: dict) -> ModelSpec:
 
 
 def load_json_object(path) -> dict:
-    """A config file's top-level JSON object; any other JSON value is bad input."""
+    """A JSON file's top-level object; any other JSON value is bad input."""
     with open(path, "r", encoding="utf-8") as fh:
         value = json.load(fh)
     if not isinstance(value, dict):

@@ -7,9 +7,11 @@ n-1 entries in its column concentrate around it. Some channels hide the
 correlated entry under the identity map, so the scan sweeps bijective
 symbol remappings of the repeated side until one separates an outlier
 in every column. The outlier's row index is the retained original
-column. The seeds are read once, into symbol co-occurrence counts, and
-every remapping's distance matrix is read off those counts, as is the
-symbol-pair table at the detected column pairs.
+column. The threshold depends only on the seed count and the column
+count, so it is computed once per detection. The seeds are read once,
+into symbol co-occurrence counts, and every remapping's distance matrix
+is read off those counts, as is the symbol-pair table at the detected
+column pairs.
 """
 
 from __future__ import annotations
@@ -36,20 +38,6 @@ class MisdetectionError(RuntimeError):
 
 class NoUsefulRemappingError(RuntimeError):
     """Every alphabet remapping was swept without separating outliers."""
-
-
-@dataclass(frozen=True)
-class CrossDistanceMatrix:
-    """Column-to-column Hamming distances under one remapping.
-
-    ``l[i, j]`` counts seed rows where original column i and remapped
-    repeated column j disagree; ``mu`` is the grand mean and ``tau_hat``
-    the outlier threshold used by the scan.
-    """
-
-    l: np.ndarray
-    mu: float
-    tau_hat: float
 
 
 @dataclass(frozen=True)
@@ -98,6 +86,12 @@ def check_symbols(alphabet_size: int, *mats: np.ndarray) -> None:
             raise ValueError(f"symbols must lie in 1..{alphabet_size}")
 
 
+def check_threshold_constant(constant: float) -> None:
+    """Raise ValueError unless the threshold constant is finite and positive."""
+    if not 0.0 < constant < math.inf:
+        raise ValueError("threshold_constant must be finite and positive")
+
+
 def deletion_threshold(num_seeds: int, n: int, constant: float = 2.0) -> float:
     """Outlier threshold: constant * Lambda^(2/3) * (log2 n)^(1/3).
 
@@ -105,8 +99,7 @@ def deletion_threshold(num_seeds: int, n: int, constant: float = 2.0) -> float:
     proportionally to Lambda) clear it while bulk fluctuations stay
     below. The constant must be finite and positive.
     """
-    if not 0.0 < constant < math.inf:
-        raise ValueError("threshold_constant must be finite and positive")
+    check_threshold_constant(constant)
     return constant * num_seeds ** (2.0 / 3.0) * math.log2(n) ** (1.0 / 3.0)
 
 
@@ -137,18 +130,15 @@ def cooccurrence(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> np.ndarr
 
 
 def cross_hamming(
-    g1: np.ndarray,
-    g2: np.ndarray,
-    phi: np.ndarray,
-    counts: np.ndarray,
-    threshold_constant: float = 2.0,
-) -> CrossDistanceMatrix:
+    g1: np.ndarray, g2: np.ndarray, phi: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
     """Distances between every g1 column and every remapped g2 column.
 
-    Read off the co-occurrence counts of g1 and g2 (`cooccurrence` with
-    ``alphabet_size == len(phi)``): g1 column i agrees with remapped g2
-    column j on every row where g2 holds y and g1 holds phi(y), so
-    ``l = Lambda - sum_y C[phi(y)-1, :, y-1, :]``.
+    ``l[i, j]`` (int64) counts seed rows where g1 column i and remapped
+    g2 column j disagree. Read off the co-occurrence counts of g1 and g2
+    (`cooccurrence` with ``alphabet_size == len(phi)``): g1 column i
+    agrees with remapped g2 column j on every row where g2 holds y and g1
+    holds phi(y), so ``l = Lambda - sum_y C[phi(y)-1, :, y-1, :]``.
     """
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
@@ -161,27 +151,22 @@ def cross_hamming(
     if counts.shape != (k, n, k, kt):
         raise ValueError(f"counts must have shape {(k, n, k, kt)}")
     agree = counts[phi.astype(np.intp) - 1, :, np.arange(k), :].sum(axis=0)
-    l = num_seeds - agree
-    return CrossDistanceMatrix(
-        l=l,
-        mu=float(l.mean()) if l.size else 0.0,
-        tau_hat=deletion_threshold(num_seeds, n, threshold_constant),
-    )
+    return num_seeds - agree
 
 
-def scan_remapping(cross: CrossDistanceMatrix) -> np.ndarray | None:
-    """Outlier scan of one remapping's distance matrix.
+def scan_remapping(l: np.ndarray, tau_hat: float) -> np.ndarray | None:
+    """Outlier scan of one remapping's distance matrix ``l``.
 
     Walks the columns in order counting entries whose absolute deviation
-    from the mean reaches the threshold. The first anomalous column
-    decides: more than one outlier raises MisdetectionError, zero
-    outliers means the remapping is useless (returns None). Otherwise
-    the per-column outlier rows are returned; they must be strictly
-    increasing since repetition preserves column order, and any other
-    arrangement is a misdetection.
+    from the grand mean of ``l`` (0 when empty) reaches ``tau_hat``. The
+    first anomalous column decides: more than one outlier raises
+    MisdetectionError, zero outliers means the remapping is useless
+    (returns None). Otherwise the per-column outlier rows are returned;
+    they must be strictly increasing since repetition preserves column
+    order, and any other arrangement is a misdetection.
     """
-    deviation = np.abs(cross.l - cross.mu)
-    outlier = deviation >= cross.tau_hat
+    mu = float(l.mean()) if l.size else 0.0
+    outlier = np.abs(l - mu) >= tau_hat
     counts = outlier.sum(axis=0)
     anomalies = np.flatnonzero(counts != 1)
     if anomalies.size:
@@ -228,11 +213,11 @@ def detect_deletions(
         raise ValueError("replica-free g2 cannot have more columns than g1")
     check_symbols(alphabet_size, g1, g2)
     remappings = enumerate_remappings(alphabet_size)  # rejects a large alphabet first
+    tau_hat = deletion_threshold(g1.shape[0], n, threshold_constant)
     if counts is None:
         counts = cooccurrence(g1, g2, alphabet_size)
     for phi in remappings:
-        cross = cross_hamming(g1, g2, phi, counts, threshold_constant)
-        rows = scan_remapping(cross)
+        rows = scan_remapping(cross_hamming(g1, g2, phi, counts), tau_hat)
         if rows is not None:
             deleted = np.setdiff1d(np.arange(n), rows)
             pair_counts = counts[:, rows, :, np.arange(kt)].sum(axis=0)

@@ -79,8 +79,7 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        if not 0.0 < self.threshold_constant < math.inf:
-            raise ValueError("threshold_constant must be finite and positive")
+        deletions.check_threshold_constant(self.threshold_constant)
         if self.workers < 1:
             raise ValueError("worker count must be positive")
         if self.sweep_axis not in (None, "m", "n"):
@@ -119,8 +118,9 @@ class ExperimentConfig:
         return cls.from_dict(load_json_object(path))
 
 
-# The config keys after the model spec's, in report order.
-CONFIG_KEYS = tuple(key for _, key in _keyed_fields(ExperimentConfig)[1:])
+# (field, key) of each config key after the model spec's, in report order.
+CONFIG_FIELDS = _keyed_fields(ExperimentConfig)[1:]
+CONFIG_KEYS = tuple(key for _, key in CONFIG_FIELDS)
 
 
 def _plain(value):

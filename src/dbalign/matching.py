@@ -369,7 +369,8 @@ def estimate_stages(
     long to tabulate, are recorded in the result instead of raising. Bad
     input raises ValueError before any stage runs: a g1 symbol outside
     1..alphabet_size, an alphabet size outside 1..MAX_REMAP_ALPHABET, a
-    negative s_max, or one too long to tabulate.
+    threshold constant that is not finite and positive, a negative s_max,
+    or one too long to tabulate.
     """
     d2, g1, g2 = np.asarray(d2), np.asarray(g1), np.asarray(g2)
     if g2.shape[1] != d2.shape[1]:
@@ -377,6 +378,7 @@ def estimate_stages(
     # In deletion detection's order: a bad alphabet names g1's symbols first.
     deletions.check_symbols(alphabet_size, g1)
     deletions.check_remap_alphabet(alphabet_size)
+    deletions.check_threshold_constant(threshold_constant)
     check_table_size(alphabet_size, s_max)
     n = g1.shape[1]
     result = PipelineResult()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from dbalign.deletions import MisdetectionError
 from dbalign.infotheory import repetition_table
 from dbalign.matching import (
     STATUS_AMBIGUOUS,
@@ -83,6 +84,30 @@ def cross_hamming_loop(g1, g2, phi):
     for i in range(g1.shape[1]):
         l[i] = (g1[:, i : i + 1] != mapped).sum(axis=0)
     return l
+
+
+def scan_remapping_loop(l, tau_hat):
+    """Reference outlier scan: one column at a time, in order.
+
+    An entry is an outlier when it lies at least ``tau_hat`` from the
+    grand mean of ``l`` (0 when empty). The first column without exactly
+    one outlier decides: more than one raises MisdetectionError, none
+    returns None. Otherwise each column's outlier row is returned, and
+    rows that do not strictly increase raise MisdetectionError.
+    """
+    l = np.asarray(l)
+    mu = float(l.sum()) / l.size if l.size else 0.0
+    rows = []
+    for j in range(l.shape[1]):
+        hits = [i for i in range(l.shape[0]) if abs(float(l[i, j]) - mu) >= tau_hat]
+        if len(hits) > 1:
+            raise MisdetectionError(f"column {j} has {len(hits)} outliers")
+        if not hits:
+            return None
+        rows.append(hits[0])
+    if any(later <= earlier for earlier, later in zip(rows, rows[1:])):
+        raise MisdetectionError("outlier rows are not strictly increasing")
+    return np.array(rows, dtype=np.intp)
 
 
 def aligned_pair_counts(g1, g2_free, retained, alphabet_size):

@@ -217,6 +217,19 @@ def test_detect_deletions_dump_l_rejects_a_large_alphabet_first(tmp_path, capsys
     assert not dump.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_detect_deletions_dump_l_rejects_a_bad_threshold_constant_first(tmp_path, capsys, value):
+    # The constant is checked before the dump is written.
+    g1 = np.random.default_rng(0).integers(1, 3, size=(50, 6)).astype(np.uint8)
+    write_matrix(tmp_path / "g1.dbm", g1)
+    write_matrix(tmp_path / "g2.dbm", g1[:, [0, 2, 4]])
+    dump = tmp_path / "l.csv"
+    argv = ["detect-deletions", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
+    assert main([*argv, "--dump-l", str(dump), f"--threshold-constant={value}"]) == EXIT_CONFIG
+    assert "threshold_constant must be finite and positive" in capsys.readouterr().err
+    assert not dump.exists()
+
+
 def test_detect_deletions_no_useful_remapping_exit(tmp_path, capsys):
     rng = np.random.default_rng(0)
     g1 = rng.integers(1, 3, size=(2000, 8)).astype(np.uint8)
@@ -356,6 +369,12 @@ def test_experiment_without_out_appends_to_redirected_stdout(tmp_path, config_fi
 def test_experiment_rejects_knobs_not_finite_and_positive(config_file, capsys, flag, value):
     assert main(["experiment", "--config", str(config_file), f"{flag}={value}"]) == EXIT_CONFIG
     assert "must be finite and positive" in capsys.readouterr().err
+
+
+def test_experiment_bad_sweep_axis_exit_config(config_file, capsys):
+    argv = ["experiment", "--config", str(config_file), "--sweep-axis", "lambda"]
+    assert main(argv) == EXIT_CONFIG
+    assert "sweep axis must be 'm' or 'n'" in capsys.readouterr().err
 
 
 def test_experiment_infeasible_exit(tmp_path, config_file):
@@ -507,6 +526,26 @@ def test_match_epsilon_nan_on_two_rows_exit_config(tmp_path, capsys):
     capsys.readouterr()
     assert main([*argv, "--epsilon", "nan"]) == EXIT_CONFIG
     assert "epsilon must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_match_bad_threshold_constant_on_two_rows_exit_config(tmp_path, capsys, value):
+    # The recorded replica failure must not hide a bad threshold constant,
+    # nor print it as a JSON NaN.
+    argv = _two_row_match_argv(tmp_path)
+    assert main([*argv, f"--threshold-constant={value}"]) == EXIT_CONFIG
+    assert "threshold_constant must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "match.json").exists()
+
+
+@pytest.mark.parametrize(
+    "value", [["sigma"], "sigma", 3, None], ids=["list", "string", "number", "null"]
+)
+def test_match_truth_that_is_not_a_json_object_exit_config(tmp_path, capsys, value):
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(value))
+    assert main([*_two_row_match_argv(tmp_path), "--truth", str(truth)]) == EXIT_CONFIG
+    assert f"{truth}: config must be a JSON object" in capsys.readouterr().err
 
 
 def _two_row_match_argv(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dbalign import (
     MisdetectionError,
@@ -18,10 +19,10 @@ from dbalign import (
     substream,
 )
 from dbalign import deletions
-from dbalign.deletions import SEED_BLOCK, CrossDistanceMatrix, cooccurrence, scan_remapping
+from dbalign.deletions import SEED_BLOCK, cooccurrence, scan_remapping
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
-from oracles import aligned_pair_counts, cross_hamming_loop
+from oracles import aligned_pair_counts, cross_hamming_loop, scan_remapping_loop
 
 
 def _deletion_pattern(n, deleted):
@@ -57,10 +58,10 @@ def test_enumerate_remappings_cap():
 def test_cross_hamming_matched_copy(rng):
     g1 = rng.integers(1, 4, size=(100, 4)).astype(np.uint8)
     g2 = g1[:, [1, 3]]
-    cross = cross_hamming(g1, g2, np.array([1, 2, 3]), cooccurrence(g1, g2, 3))
-    assert cross.l[1, 0] == 0
-    assert cross.l[3, 1] == 0
-    assert cross.l.shape == (4, 2)
+    l = cross_hamming(g1, g2, np.array([1, 2, 3]), cooccurrence(g1, g2, 3))
+    assert l[1, 0] == 0
+    assert l[3, 1] == 0
+    assert l.shape == (4, 2)
 
 
 def test_cross_hamming_small_retention_outlier_profile():
@@ -73,10 +74,10 @@ def test_cross_hamming_small_retention_outlier_profile():
     assert truth.q1 == pytest.approx(0.92)
     pattern = _deletion_pattern(10, (3, 5, 9))
     seeds = generate_seeds(10_000, 10, pattern, spec, substream(42, 0))
-    cross = cross_hamming(seeds.g1, seeds.g2, np.arange(1, 5), cooccurrence(seeds.g1, seeds.g2, 4))
+    l = cross_hamming(seeds.g1, seeds.g2, np.arange(1, 5), cooccurrence(seeds.g1, seeds.g2, 4))
     retained = pattern.retained_indices()
     for j in range(7):
-        col = cross.l[:, j]
+        col = l[:, j]
         high = col >= 9050
         assert high.sum() == 1
         assert np.flatnonzero(high)[0] == retained[j]
@@ -105,10 +106,13 @@ def test_cross_hamming_matches_column_loop_oracle(spec_name, num_seeds, deleted)
     counts = cooccurrence(seeds.g1, seeds.g2, spec.alphabet_size)
     for phi in enumerate_remappings(spec.alphabet_size):
         expected = cross_hamming_loop(seeds.g1, seeds.g2, phi)
-        cross = cross_hamming(seeds.g1, seeds.g2, phi, counts)
-        assert cross.l.dtype == expected.dtype
-        assert np.array_equal(cross.l, expected)
-        assert cross.mu == (float(expected.mean()) if expected.size else 0.0)
+        l = cross_hamming(seeds.g1, seeds.g2, phi, counts)
+        assert l.dtype == expected.dtype
+        assert np.array_equal(l, expected)
+        tau_hat = deletion_threshold(num_seeds, 8)
+        assert _scan_outcome(scan_remapping, l, tau_hat) == _scan_outcome(
+            scan_remapping_loop, expected, tau_hat
+        )
 
 
 # The 4-symbol channel with diagonal 0.08 needs about 5000 seeds to be
@@ -169,13 +173,13 @@ def test_scan_remapping_misdetection_and_order():
     l[1, 0] = l[3, 0] = 900.0
     l[2, 1] = 900.0
     with pytest.raises(MisdetectionError):
-        scan_remapping(CrossDistanceMatrix(l=l, mu=100.0, tau_hat=400.0))
+        scan_remapping(l, 400.0)
     # Outlier rows that do not increase violate column order.
     l = np.full((5, 2), 100.0)
     l[3, 0] = 900.0
     l[1, 1] = 900.0
     with pytest.raises(MisdetectionError):
-        scan_remapping(CrossDistanceMatrix(l=l, mu=100.0, tau_hat=400.0))
+        scan_remapping(l, 400.0)
 
 
 def test_scan_remapping_useless_before_later_misdetection():
@@ -183,18 +187,48 @@ def test_scan_remapping_useless_before_later_misdetection():
     # remapping before any later column can raise.
     l = np.full((5, 3), 100.0)
     l[1, 1] = l[3, 1] = 900.0
-    assert scan_remapping(CrossDistanceMatrix(l=l, mu=100.0, tau_hat=400.0)) is None
+    assert scan_remapping(l, 400.0) is None
 
 
-def _counting_cross_hamming(monkeypatch):
+def _scan_outcome(scan, l, tau_hat):
+    try:
+        rows = scan(l, tau_hat)
+    except MisdetectionError:
+        return MisdetectionError
+    return None if rows is None else rows.tolist()
+
+
+@st.composite
+def _spiked_distances(draw):
+    """A small-valued matrix with zero, one or two spikes of 40 per column."""
+    rows, cols = draw(st.tuples(st.integers(1, 6), st.integers(0, 5)))
+    l = draw(arrays(np.int64, (rows, cols), elements=st.integers(0, 3)))
+    for j in range(cols):
+        spikes = draw(st.sampled_from([1, 1, 1, 1, 0, 2]))
+        l[draw(st.lists(st.integers(0, rows - 1), min_size=spikes, max_size=spikes)), j] = 40
+    return l
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(l=_spiked_distances(), tau_hat=st.sampled_from([0.0, 10.0, 20.0, 30.0]))
+def test_scan_remapping_matches_column_loop_oracle(l, tau_hat):
+    # Useless, misdetected at a first or later column, out of row order,
+    # empty and detected matrices all reach the scan.
+    assert _scan_outcome(scan_remapping, l, tau_hat) == _scan_outcome(
+        scan_remapping_loop, l, tau_hat
+    )
+
+
+def _counting(monkeypatch, name):
+    """Record the positional arguments of every call to ``deletions.<name>``."""
     calls = []
-    original = deletions.cross_hamming
+    original = getattr(deletions, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(deletions, "cross_hamming", counting)
+    monkeypatch.setattr(deletions, name, counting)
     return calls
 
 
@@ -211,7 +245,7 @@ def test_detect_deletions_calls_cross_hamming_per_remapping(monkeypatch, spec, d
     # g1 and g2 from its first two positional arguments: one call per
     # swept remapping, in sweep order, looked up through the module.
     seeds = generate_seeds(10_000, 10, _deletion_pattern(10, deleted), spec, substream(13, 0))
-    calls = _counting_cross_hamming(monkeypatch)
+    calls = _counting(monkeypatch, "cross_hamming")
     result = detect_deletions(seeds.g1, seeds.g2, alphabet_size=spec.alphabet_size)
     assert np.array_equal(result.deleted, deleted)
     assert (len(calls) > 1) if expect_sweep else (len(calls) == 1)
@@ -220,6 +254,31 @@ def test_detect_deletions_calls_cross_hamming_per_remapping(monkeypatch, spec, d
         assert np.array_equal(args[0], seeds.g1)
         assert np.array_equal(args[1], seeds.g2)
         assert np.array_equal(args[2], phi)
+
+
+def test_detect_deletions_decides_the_threshold_once(monkeypatch):
+    # The threshold depends only on the seed count and n: one call per
+    # detection, however many remappings the unit-trace channel sweeps.
+    seeds = generate_seeds(
+        10_000, 10, _deletion_pattern(10, (2, 6)), unit_trace_cyclic_spec(), substream(13, 0)
+    )
+    thresholds = _counting(monkeypatch, "deletion_threshold")
+    remaps = _counting(monkeypatch, "cross_hamming")
+    result = detect_deletions(seeds.g1, seeds.g2, alphabet_size=3)
+    assert np.array_equal(result.deleted, [2, 6])
+    assert len(remaps) > 1
+    assert thresholds == [(10_000, 10, 2.0)]
+
+
+@pytest.mark.parametrize("constant", [math.nan, math.inf, 0.0, -1.0])
+def test_detect_deletions_rejects_a_bad_constant_before_the_counts(monkeypatch, constant):
+    seeds = generate_seeds(
+        2000, 8, _deletion_pattern(8, (1, 4)), bsc_spec(p_s=(0.3, 0.7)), substream(3, 0)
+    )
+    built = _counting(monkeypatch, "cooccurrence")
+    with pytest.raises(ValueError, match="threshold_constant must be finite and positive"):
+        detect_deletions(seeds.g1, seeds.g2, alphabet_size=2, threshold_constant=constant)
+    assert built == []
 
 
 def test_fig3_style_exact_recovery():
@@ -250,8 +309,8 @@ def test_unit_trace_channel_needs_remapping():
     pattern = _deletion_pattern(10, (2, 6))
     seeds = generate_seeds(10_000, 10, pattern, spec, substream(13, 0))
     counts = cooccurrence(seeds.g1, seeds.g2, 3)
-    identity_cross = cross_hamming(seeds.g1, seeds.g2, np.array([1, 2, 3]), counts)
-    assert scan_remapping(identity_cross) is None
+    identity_l = cross_hamming(seeds.g1, seeds.g2, np.array([1, 2, 3]), counts)
+    assert scan_remapping(identity_l, deletion_threshold(10_000, 10)) is None
     result = detect_deletions(seeds.g1, seeds.g2, alphabet_size=3)
     assert np.array_equal(result.deleted, [2, 6])
 

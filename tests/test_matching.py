@@ -622,6 +622,16 @@ def test_deanonymize_rejects_bad_matcher_input_before_a_stage_fails(bad):
         deanonymize(d1, d2, seeds.g1, seeds.g2, 2, s_max=2, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("constant", [math.nan, -1.0, 0.0, math.inf])
+def test_deanonymize_rejects_bad_threshold_constant_before_a_stage_fails(constant):
+    # Two rows fail replica detection, before deletion detection would read
+    # the constant; a bad constant is bad input and must still raise.
+    pair, seeds = sample_instance(2, 12, 3000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
+    assert deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, 2, s_max=2).failed_stage == "replica"
+    with pytest.raises(ValueError, match="threshold_constant must be finite and positive"):
+        deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, 2, s_max=2, threshold_constant=constant)
+
+
 def test_deanonymize_validates_shared_pattern():
     spec = bsc_spec()
     pair, seeds = sample_instance(6, 5, 10, spec, master_seed=1)
