@@ -27,7 +27,8 @@ MAX_REMAP_ALPHABET = 8  # 8! = 40320 remappings; larger sweeps are rejected
 MIN_COLUMNS = 3  # an outlier needs a bulk to stand out from
 
 # Seed rows one-hot encoded at a time by `cooccurrence`; bounds its
-# working set independently of the seed count.
+# working set independently of the seed count, and keeps every count in
+# a block's float32 product below 2^24, where float32 sums are exact.
 SEED_BLOCK = 2048
 
 
@@ -106,10 +107,27 @@ def deletion_threshold(num_seeds: int, n: int, constant: float = 2.0) -> float:
 def cooccurrence(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Symbol co-occurrence counts between every g1 and every g2 column.
 
-    ``C[x, i, y, j]`` is the number of seed rows where g1 column i holds
-    symbol x+1 and g2 column j holds y+1. Built by one float64 one-hot
-    GEMM per block of SEED_BLOCK rows; each block's sums are integers
-    below 2^53, so the int64 totals are exact.
+    ``C[x, i, y, j]`` (int64) is the number of seed rows where g1 column
+    i holds symbol x+1 and g2 column j holds y+1.
+
+    Only symbols 2..k are one-hot encoded, as float32 indicators, each
+    operand closed by a column of ones. One GEMM per block of SEED_BLOCK
+    seed rows then gives C at x, y >= 1, g1's per-column symbol counts
+    N1[x, i] (against g2's ones), g2's N2[y, j] (against g1's ones) and
+    the block's row count. Every entry of a block's product is a count of
+    at most SEED_BLOCK < 2^24 rows; each partial sum is an integer of at
+    most that size, so every float32 addition is exact, in whatever order
+    the GEMM sums. The products are added into an int64 accumulator.
+    Symbol 1's rows and columns are the complements over the other
+    symbols, in integers:
+
+        C[0, i, y, j] = N2[y, j] - sum_{x >= 1} C[x, i, y, j]
+        C[x, i, 0, j] = N1[x, i] - sum_{y >= 1} C[x, i, y, j]
+        C[0, i, 0, j] = Lambda - sum_x N1[x, i] - sum_y N2[y, j]
+                        + sum_{x, y >= 1} C[x, i, y, j]
+
+    which is one subtraction along the g1 symbol axis and then one along
+    the g2 symbol axis.
     """
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
@@ -118,15 +136,27 @@ def cooccurrence(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> np.ndarr
     num_seeds, n = g1.shape
     kt = g2.shape[1]
     k = alphabet_size
-    symbols = np.arange(1, k + 1).reshape(k, 1)
-    counts = np.zeros((k * n, k * kt), dtype=np.int64)
+    block = min(num_seeds, SEED_BLOCK)
+    hot1 = np.ones((block, (k - 1) * n + 1), dtype=np.float32)
+    hot2 = np.ones((block, (k - 1) * kt + 1), dtype=np.float32)
+    total = np.zeros((hot1.shape[1], hot2.shape[1]), dtype=np.int64)
     for start in range(0, num_seeds, SEED_BLOCK):
         b1 = g1[start : start + SEED_BLOCK]
         b2 = g2[start : start + SEED_BLOCK]
-        hot1 = (b1[:, None, :] == symbols).reshape(b1.shape[0], k * n)
-        hot2 = (b2[:, None, :] == symbols).reshape(b2.shape[0], k * kt)
-        counts += (hot1.T.astype(np.float64) @ hot2.astype(np.float64)).astype(np.int64)
-    return counts.reshape(k, n, k, kt)
+        rows = b1.shape[0]
+        for x in range(2, k + 1):
+            np.equal(b1, b1.dtype.type(x), out=hot1[:rows, (x - 2) * n : (x - 1) * n])
+            np.equal(b2, b2.dtype.type(x), out=hot2[:rows, (x - 2) * kt : (x - 1) * kt])
+        total += (hot1[:rows].T @ hot2[:rows]).astype(np.int64)
+
+    counts = np.empty((k, n, k, kt), dtype=np.int64)
+    counts[1:, :, 1:] = total[:-1, :-1].reshape(k - 1, n, k - 1, kt)
+    counts[1:, :, 0] = total[:-1, -1].reshape(k - 1, n, 1)
+    counts[0, :, 1:] = total[-1, :-1].reshape(k - 1, kt)
+    counts[0, :, 0] = num_seeds
+    counts[0] -= counts[1:].sum(axis=0)
+    counts[:, :, 0] -= counts[:, :, 1:].sum(axis=2)
+    return counts
 
 
 def cross_hamming(

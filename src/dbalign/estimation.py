@@ -39,11 +39,6 @@ class DistributionEstimate:
     joint_entropy: float
 
     @property
-    def unsupported_x(self) -> np.ndarray:
-        """Symbols whose conditional row is all-zero."""
-        return ~self.p_y_given_x.any(axis=1)
-
-    @property
     def alphabet_size(self) -> int:
         return self.p_x.size
 
@@ -57,13 +52,21 @@ class DistributionEstimate:
 
 
 def estimate_p_x(g1: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Empirical symbol frequencies over all seed entries."""
+    """Empirical symbol frequencies over all seed entries.
+
+    Each symbol is counted against a scalar of the matrix's own dtype, so
+    no wider copy of the seeds is made.
+    """
     g1 = np.asarray(g1)
     if g1.size == 0:
         raise ValueError("seed matrix is empty")
     check_symbols(alphabet_size, g1)
-    counts = np.bincount(g1.ravel().astype(np.intp), minlength=alphabet_size + 1)
-    return counts[1:] / g1.size
+    symbol = g1.dtype.type
+    counts = np.array(
+        [np.count_nonzero(g1 == symbol(x)) for x in range(1, alphabet_size + 1)],
+        dtype=np.int64,
+    )
+    return counts / g1.size
 
 
 def estimate_p_y_given_x(pair_counts: np.ndarray) -> np.ndarray:

@@ -245,14 +245,35 @@ def _instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
     return kept + 16 * max(m, num_seeds) * k_max
 
 
-def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int) -> int:
-    """Working set of one trial: the matcher, the instance and the seed counts."""
-    instance = _instance_bytes(m, n, num_seeds, s_max)
-    # int64 co-occurrence counts (at most n replica-free g2 columns) plus
-    # one seed block's float64 one-hots of g1 and g2.
+def _seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
+    """Upper bound on the seed stages' working set: deletion detection and
+    the plug-in estimate, with at most n replica-free g2 columns.
+
+    `deletions.cooccurrence` holds two float32 operands of one seed block
+    by (k - 1) * n + 1 columns, the int64 accumulator of their products,
+    one block's float32 product and its int64 cast, and then the k^2 * n^2
+    int64 counts with one k * n^2 sum while symbol 1's counts are rebuilt.
+    The sweep holds its k! remappings, small arrays of about 128 bytes
+    each (none beyond the remapping cap, which is rejected first), and
+    each remapping gathers k * n^2 counts, sums them to n^2 distances and
+    scans their float64 deviations. The source estimate holds one bool
+    mask of the seeds at a time.
+    """
+    k = alphabet_size
+    width = (k - 1) * n + 1
     block = min(num_seeds, deletions.SEED_BLOCK)
-    cross = 8 * alphabet_size**2 * n * n + 8 * block * alphabet_size * 2 * n
-    return int(1.5 * (_match_bytes(m, n, s_max, alphabet_size) + instance + cross))
+    operands = 4 * block * 2 * width
+    products = (8 + 4 + 8) * width * width
+    counts = 8 * k * k * n * n + 8 * (k + 4) * n * n
+    remappings = 256 * math.factorial(min(k, deletions.MAX_REMAP_ALPHABET))
+    return operands + products + counts + remappings + num_seeds * n
+
+
+def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int) -> int:
+    """Working set of one trial: the matcher, the instance and the seed stages."""
+    instance = _instance_bytes(m, n, num_seeds, s_max)
+    seeds = _seed_bytes(n, num_seeds, alphabet_size)
+    return int(1.5 * (_match_bytes(m, n, s_max, alphabet_size) + instance + seeds))
 
 
 def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:

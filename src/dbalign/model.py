@@ -133,15 +133,8 @@ class RepetitionPattern:
         """Total output column count (sum of repetition counts)."""
         return int(self.s.sum())
 
-    @property
-    def num_retained(self) -> int:
-        return int(np.count_nonzero(self.s))
-
     def retained_indices(self) -> np.ndarray:
         return np.flatnonzero(self.s)
-
-    def deleted_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.s == 0)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,27 @@ def typicality_deviation(x_row, cells, est):
     )
 
 
+def unsupported_x(est):
+    """Symbols whose conditional row in the estimate is all-zero."""
+    return ~est.p_y_given_x.any(axis=1)
+
+
+def cooccurrence_loop(g1, g2, alphabet_size):
+    """Reference co-occurrence counts: one column pair at a time.
+
+    ``C[x, i, y, j]`` counts seed rows where g1 column i holds x+1 and
+    g2 column j holds y+1, added one seed row at a time by ``np.add.at``.
+    """
+    x = np.asarray(g1).astype(np.intp) - 1
+    y = np.asarray(g2).astype(np.intp) - 1
+    k = alphabet_size
+    counts = np.zeros((k, x.shape[1], k, y.shape[1]), dtype=np.int64)
+    for i in range(x.shape[1]):
+        for j in range(y.shape[1]):
+            np.add.at(counts[:, i, :, j], (x[:, i], y[:, j]), 1)
+    return counts
+
+
 def cross_hamming_loop(g1, g2, phi):
     """Reference distance matrix: one column comparison at a time.
 

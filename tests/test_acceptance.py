@@ -33,6 +33,7 @@ from dbalign import (
 from dbalign.experiment import ExperimentConfig, render, run_experiment
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
+from oracles import unsupported_x
 from test_infotheory import brute_force_capacity
 
 # Desk-scale typicality slack for the phase-transition runs: small enough
@@ -280,7 +281,7 @@ def test_criterion_7_invariant_suites(tmp_path):
     assert abs(result.estimate.p_x.sum() - 1.0) < 1e-9
     assert abs(result.estimate.p_s.sum() - 1.0) < 1e-9
     for x in range(2):
-        if not result.estimate.unsupported_x[x]:
+        if not unsupported_x(result.estimate)[x]:
             assert abs(result.estimate.p_y_given_x[x].sum() - 1.0) < 1e-9
     est = result.estimate
     for s in range(est.s_max + 1):

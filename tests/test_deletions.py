@@ -19,10 +19,15 @@ from dbalign import (
     substream,
 )
 from dbalign import deletions
-from dbalign.deletions import SEED_BLOCK, cooccurrence, scan_remapping
+from dbalign.deletions import MAX_REMAP_ALPHABET, SEED_BLOCK, cooccurrence, scan_remapping
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
-from oracles import aligned_pair_counts, cross_hamming_loop, scan_remapping_loop
+from oracles import (
+    aligned_pair_counts,
+    cooccurrence_loop,
+    cross_hamming_loop,
+    scan_remapping_loop,
+)
 
 
 def _deletion_pattern(n, deleted):
@@ -113,6 +118,37 @@ def test_cross_hamming_matches_column_loop_oracle(spec_name, num_seeds, deleted)
         assert _scan_outcome(scan_remapping, l, tau_hat) == _scan_outcome(
             scan_remapping_loop, expected, tau_hat
         )
+
+
+def test_seed_block_keeps_float32_counts_exact():
+    # A block's float32 product holds counts of at most SEED_BLOCK rows;
+    # float32 holds every integer up to 2^24, so its sums are exact.
+    assert SEED_BLOCK < 2**24
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    k=st.integers(1, MAX_REMAP_ALPHABET),
+    num_seeds=st.sampled_from([1, SEED_BLOCK, SEED_BLOCK + 1, 2 * SEED_BLOCK + 37]),
+    n=st.integers(0, 5),
+    dtype=st.sampled_from([np.uint8, np.int64]),
+    data=st.data(),
+)
+def test_cooccurrence_matches_add_at_oracle(k, num_seeds, n, dtype, data):
+    # Exact int64 counts for every alphabet the sweep accepts, across block
+    # edges, with any number of g2 columns and symbols absent from a side.
+    kt = data.draw(st.integers(0, n), label="kt")
+    symbols = st.lists(st.integers(1, k), min_size=1, unique=True)
+    present1 = data.draw(symbols, label="g1 symbols")
+    present2 = data.draw(symbols, label="g2 symbols")
+    rng = substream(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g1 = rng.choice(present1, size=(num_seeds, n)).astype(dtype)
+    g2 = rng.choice(present2, size=(num_seeds, kt)).astype(dtype)
+    counts = cooccurrence(g1, g2, k)
+    expected = cooccurrence_loop(g1, g2, k)
+    assert counts.dtype == np.int64
+    assert counts.shape == (k, n, k, kt)
+    assert np.array_equal(counts, expected)
 
 
 # The 4-symbol channel with diagonal 0.08 needs about 5000 seeds to be
@@ -320,7 +356,7 @@ def test_unit_trace_monte_carlo():
     hits = 0
     for trial in range(100):
         pattern = RepetitionPattern(substream(1000, trial).binomial(1, 0.7, size=10))
-        if pattern.num_retained == 0:
+        if not pattern.s.any():
             hits += 1
             continue
         seeds = generate_seeds(10_000, 10, pattern, spec, substream(2000, trial))
@@ -346,7 +382,7 @@ def test_exact_recovery_across_spec_family():
             rng = substream(31_337, spec_idx, trial)
             s = rng.binomial(1, 1 - spec.delta, size=12)
             pattern = RepetitionPattern(s)
-            if pattern.num_retained == 0:
+            if not pattern.s.any():
                 hits += 1
                 continue
             seeds = generate_seeds(10_000, 12, pattern, spec, rng)

@@ -9,6 +9,8 @@ import pytest
 from dbalign import (
     ExperimentConfig,
     InfeasibleSizeError,
+    detect_deletions,
+    estimate_from_seeds,
     from_model_spec,
     match_rows,
     run_experiment,
@@ -22,6 +24,7 @@ from dbalign.experiment import (
     _estimated_bytes,
     _instance_bytes,
     _match_bytes,
+    _seed_bytes,
     estimate_tv_distance,
     render,
 )
@@ -290,6 +293,41 @@ def test_memory_estimate_bounds_the_generator(spec, m, n, num_seeds):
     finally:
         tracemalloc.stop()
     assert peak <= _instance_bytes(m, n, num_seeds, spec.s_max)
+
+
+def _traced_peak(call):
+    """``call()``'s result and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "spec, n, num_seeds",
+    [
+        (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 60, 10_000),  # paper_bsc
+        (unit_trace_cyclic_spec((0.3, 0.7)), 60, 30_000),  # remap_sweep
+        (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 240, 5000),  # wide_repeat
+        (symmetric_spec(8, 0.6, (0.0, 1.0)), 60, 5000),  # 8! remappings, kt = n
+    ],
+)
+def test_memory_estimate_bounds_the_seed_stages(spec, n, num_seeds):
+    # The seed term must cover deletion detection (the co-occurrence GEMM,
+    # the rebuilt counts and the remapping sweep) and the plug-in estimate,
+    # each measured on its own from the replica-free seeds.
+    pair, seeds = sample_instance(16, n, num_seeds, spec, master_seed=7)
+    s = pair.pattern.s
+    g2_free = seeds.g2[:, (np.cumsum(s) - s)[s > 0]]
+    k = spec.alphabet_size
+    retention, detect_peak = _traced_peak(lambda: detect_deletions(seeds.g1, g2_free, k))
+    _, estimate_peak = _traced_peak(
+        lambda: estimate_from_seeds(seeds.g1, retention, pair.pattern, k, spec.s_max)
+    )
+    assert detect_peak <= _seed_bytes(n, num_seeds, k)
+    assert estimate_peak <= _seed_bytes(n, num_seeds, k)
 
 
 def test_paper_scale_fits_default_cap_at_m_2_16():

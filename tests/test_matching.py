@@ -456,7 +456,7 @@ def test_estimate_stages_pattern_round_trip(s):
         assert np.array_equal(g2_free, g2[:, np.flatnonzero(np.diff(origin, prepend=-1))])
         return RetentionResult(
             retained=pattern.retained_indices(),
-            deleted=pattern.deleted_indices(),
+            deleted=np.flatnonzero(pattern.s == 0),
             n=pattern.n,
             pair_counts=np.ones((2, 2), dtype=np.int64),
         )

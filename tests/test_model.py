@@ -199,7 +199,7 @@ def test_seed_shapes_small_retention(rng):
     seeds = generate_seeds(10_000, 10, pattern, bsc_spec(p_s=(0.3, 0.7)), rng)
     assert seeds.g1.shape == (10_000, 10)
     assert seeds.g2.shape == (10_000, pattern.total)
-    assert pattern.num_retained == 7
+    assert np.count_nonzero(pattern.s) == 7
 
 
 def test_seed_column_order_preserved(rng):
