@@ -126,12 +126,7 @@ def _cmd_estimate(args) -> int:
     g2 = read_matrix(args.g2)
     # The seeds share the database's pattern, so g2 also fixes the pattern.
     result = matching.estimate_stages(
-        g2,
-        g1,
-        g2,
-        _alphabet_size(args, g1, g2),
-        args.s_max,
-        args.threshold_constant,
+        g2, g1, g2, _alphabet_size(args, g1, g2), args.threshold_constant
     )
     # What detection found is not a configuration error: a recorded failure
     # exits 4, or 5 for no useful remapping as in `detect-deletions`.
@@ -156,7 +151,6 @@ def _cmd_match(args) -> int:
         g1,
         g2,
         alphabet_size=alphabet_size,
-        s_max=args.s_max,
         epsilon=args.epsilon,
         threshold_constant=args.threshold_constant,
     )
@@ -167,7 +161,6 @@ def _cmd_match(args) -> int:
             "g1": args.g1,
             "g2": args.g2,
             "alphabet_size": alphabet_size,
-            "s_max": args.s_max,
             "epsilon": args.epsilon,
             "threshold_constant": args.threshold_constant,
         },
@@ -242,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
-    p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--threshold-constant", type=float, default=2.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_estimate)
@@ -253,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
-    p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--threshold-constant", type=float, default=2.0)
     p.add_argument("--truth", default=None, help="truth.json for error-rate scoring")

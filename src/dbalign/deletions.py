@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +66,15 @@ def check_remap_alphabet(alphabet_size: int) -> None:
         )
 
 
-def enumerate_remappings(alphabet_size: int) -> list[np.ndarray]:
+def enumerate_remappings(alphabet_size: int) -> Iterator[np.ndarray]:
     """All bijections of the symbol alphabet, lexicographic, identity first.
 
-    ``phi[x - 1]`` is the image of symbol x.
+    ``phi[x - 1]`` is the image of symbol x. The cap is checked at the
+    call, and each remapping is built as the sweep reads it.
     """
     check_remap_alphabet(alphabet_size)
     symbols = range(1, alphabet_size + 1)
-    return [np.array(p, dtype=np.uint8) for p in itertools.permutations(symbols)]
+    return (np.array(p, dtype=np.uint8) for p in itertools.permutations(symbols))
 
 
 def infer_alphabet_size(*mats: np.ndarray) -> int:

@@ -87,11 +87,9 @@ def estimate_p_y_given_x(pair_counts: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def estimate_p_s(pattern: RepetitionPattern, s_max: int) -> np.ndarray:
-    """Empirical repetition-count frequencies over {0, ..., s_max}."""
-    if s_max < int(pattern.s.max()):
-        raise ValueError("s_max is smaller than an observed repetition count")
-    return np.bincount(pattern.s, minlength=s_max + 1) / pattern.n
+def estimate_p_s(pattern: RepetitionPattern) -> np.ndarray:
+    """Empirical repetition-count frequencies over 0 up to the largest count."""
+    return np.bincount(pattern.s) / pattern.n
 
 
 def assemble_joint(
@@ -133,12 +131,11 @@ def estimate_from_seeds(
     retention: RetentionResult,
     pattern: RepetitionPattern,
     alphabet_size: int,
-    s_max: int,
 ) -> DistributionEstimate:
     """Full plug-in estimate from the original seeds and both detector outputs."""
     if np.shape(retention.pair_counts) != (alphabet_size, alphabet_size):
         raise ValueError(f"pair counts must be a {alphabet_size} x {alphabet_size} table")
     p_x = estimate_p_x(g1, alphabet_size)
     p_y_given_x = estimate_p_y_given_x(retention.pair_counts)
-    p_s = estimate_p_s(pattern, s_max)
+    p_s = estimate_p_s(pattern)
     return assemble_joint(p_x, p_y_given_x, p_s)

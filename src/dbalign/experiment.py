@@ -253,11 +253,9 @@ def _seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
     by (k - 1) * n + 1 columns, the int64 accumulator of their products,
     one block's float32 product and its int64 cast, and then the k^2 * n^2
     int64 counts with one k * n^2 sum while symbol 1's counts are rebuilt.
-    The sweep holds its k! remappings, small arrays of about 128 bytes
-    each (none beyond the remapping cap, which is rejected first), and
-    each remapping gathers k * n^2 counts, sums them to n^2 distances and
-    scans their float64 deviations. The source estimate holds one bool
-    mask of the seeds at a time.
+    Each remapping of the sweep gathers k * n^2 counts, sums them to n^2
+    distances and scans their float64 deviations. The source estimate
+    holds one bool mask of the seeds at a time.
     """
     k = alphabet_size
     width = (k - 1) * n + 1
@@ -265,8 +263,7 @@ def _seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
     operands = 4 * block * 2 * width
     products = (8 + 4 + 8) * width * width
     counts = 8 * k * k * n * n + 8 * (k + 4) * n * n
-    remappings = 256 * math.factorial(min(k, deletions.MAX_REMAP_ALPHABET))
-    return operands + products + counts + remappings + num_seeds * n
+    return operands + products + counts + num_seeds * n
 
 
 def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int) -> int:
@@ -288,7 +285,6 @@ def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
         seeds.g1,
         seeds.g2,
         alphabet_size=spec.alphabet_size,
-        s_max=spec.s_max,
         epsilon=config.epsilon,
         threshold_constant=config.threshold_constant,
     )

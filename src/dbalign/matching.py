@@ -63,10 +63,6 @@ class SegmentedDatabase:
     offsets: np.ndarray
 
     @property
-    def num_rows(self) -> int:
-        return self.d2.shape[0]
-
-    @property
     def n(self) -> int:
         return self.pattern.n
 
@@ -355,22 +351,21 @@ def estimate_stages(
     g1: np.ndarray,
     g2: np.ndarray,
     alphabet_size: int,
-    s_max: int,
     threshold_constant: float = 2.0,
 ) -> PipelineResult:
     """Every stage before matching: replicas, deletions, pattern, estimate.
 
-    Replica detection runs once, on d2's rows, and groups its columns into
-    runs. The seeds share d2's pattern, so g2 can stand in for d2, and
-    deletion detection reads g2's first column of each run. It retains one
-    original column per run, in order, which the pattern gives that run's
-    length (0 to deleted ones). The estimate covers counts up to s_max or
-    the largest detected one. Detection failures, and a detected count too
-    long to tabulate, are recorded in the result instead of raising. Bad
-    input raises ValueError before any stage runs: a g1 symbol outside
-    1..alphabet_size, an alphabet size outside 1..MAX_REMAP_ALPHABET, a
-    threshold constant that is not finite and positive, a negative s_max,
-    or one too long to tabulate.
+    Replica detection runs once, on d2's rows alone, and groups its
+    columns into runs. The seeds share d2's pattern, so g2 can stand in
+    for d2, and deletion detection reads g2's first column of each run.
+    It retains one original column per run, in order, which the pattern
+    gives that run's length (0 to deleted ones). The estimate covers
+    counts up to the largest detected one. Detection failures, and a
+    detected count too long to tabulate, are recorded in the result
+    instead of raising. Bad input raises ValueError before any stage
+    runs: a g1 symbol outside 1..alphabet_size, an alphabet size outside
+    1..MAX_REMAP_ALPHABET, or a non-finite or non-positive threshold
+    constant.
     """
     d2, g1, g2 = np.asarray(d2), np.asarray(g1), np.asarray(g2)
     if g2.shape[1] != d2.shape[1]:
@@ -379,18 +374,11 @@ def estimate_stages(
     deletions.check_symbols(alphabet_size, g1)
     deletions.check_remap_alphabet(alphabet_size)
     deletions.check_threshold_constant(threshold_constant)
-    check_table_size(alphabet_size, s_max)
     n = g1.shape[1]
     result = PipelineResult()
 
-    # With s_max <= 1 replicas are impossible: every pair is independent,
-    # and the estimator, whose series would be single-component, is skipped.
     try:
-        result.is_replica = (
-            replicas.detect_replicas(d2)
-            if s_max > 1
-            else np.zeros(max(d2.shape[1] - 1, 0), dtype=bool)
-        )
+        result.is_replica = replicas.detect_replicas(d2)
     except replicas.SingleComponentError as exc:
         return result.fail("replica", exc)
     starts, lengths = replicas.column_runs(result.is_replica, d2.shape[1])
@@ -408,14 +396,13 @@ def estimate_stages(
 
     s = np.zeros(n, dtype=np.int64)
     s[result.retention.retained] = lengths
-    s_max = max(s_max, int(s.max()))
     try:
-        check_table_size(alphabet_size, s_max)
+        check_table_size(alphabet_size, int(s.max()))
     except ValueError as exc:
         return result.fail("pattern", exc)
     result.pattern = RepetitionPattern(s)
     result.estimate = estimation.estimate_from_seeds(
-        g1, result.retention, result.pattern, alphabet_size, s_max
+        g1, result.retention, result.pattern, alphabet_size
     )
     return result
 
@@ -426,20 +413,19 @@ def deanonymize(
     g1: np.ndarray,
     g2: np.ndarray,
     alphabet_size: int,
-    s_max: int,
     epsilon: float = 0.05,
     threshold_constant: float = 2.0,
 ) -> PipelineResult:
     """Full pipeline: ``estimate_stages``, then match rows.
 
-    ``alphabet_size`` and ``s_max`` are assumed known. Algorithmic
+    Of the model, only ``alphabet_size`` is assumed known. Algorithmic
     failures are recorded, never raised, so a Monte Carlo harness never
     aborts. Bad input raises ValueError before any stage runs, the
     matcher's own checks included.
     """
     d1, d2 = np.asarray(d1), np.asarray(d2)
     _check_match_input(d1, d2, np.shape(g1)[1], alphabet_size, epsilon)
-    result = estimate_stages(d2, g1, g2, alphabet_size, s_max, threshold_constant)
+    result = estimate_stages(d2, g1, g2, alphabet_size, threshold_constant)
     if result.ok:
         result.match = match_rows(d1, segment(d2, result.pattern), result.estimate, epsilon)
     return result

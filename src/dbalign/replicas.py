@@ -2,10 +2,13 @@
 
 Adjacent columns of the repeated database are either independent draws
 or noisy copies of the same original column, so the per-pair Hamming
-distances form a two-component Binomial mixture. Both component
-parameters are recovered with Blischke's factorial-moment estimator and
-pairs below the midpoint threshold are flagged as replicas. No knowledge
-of the underlying distributions is needed.
+distances form a two-component Binomial mixture. Replicas are declared
+only when the distances are over-dispersed for a single Binomial, at
+false-alarm level 1 / (FALSE_ALARM_SCALE * K) for K columns; both
+component parameters are then recovered with Blischke's factorial-moment
+estimator and pairs below the midpoint threshold are flagged as
+replicas. No knowledge of the underlying distributions, nor of the
+largest repetition count, is needed.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ DEGENERATE_ATOL = 1e-12
 # Small negative discriminants are moment-estimator jitter, not evidence
 # of a one-component series.
 DISC_JITTER = -1e-9
+
+# At 10 * K, 8 of 100,000 replica-free databases of remap_sweep's shape
+# showed replicas; at 1000 * K none did, the largest D at 0.94 of the bound.
+FALSE_ALARM_SCALE = 1000
 
 
 class SingleComponentError(ValueError):
@@ -100,20 +107,40 @@ def blischke_estimate(h: np.ndarray, m: int) -> MixtureEstimate:
     return MixtureEstimate(p0_hat=p0, p1_hat=p1)
 
 
+def dispersion(h: np.ndarray, m: int) -> float:
+    """D = sum_j (h_j - mean h)^2 / (m f1 (1 - f1)), f1 = mean h / m, or 0
+    when every distance is 0 or every one is m."""
+    f1 = float(np.mean(h)) / m
+    return 0.0 if f1 in (0.0, 1.0) else float(np.var(h)) * np.size(h) / (m * f1 * (1.0 - f1))
+
+
+def dispersion_bound(num_columns: int) -> float:
+    """Replica threshold on the dispersion of K = num_columns >= 3 columns:
+    the Laurent-Massart bound (Ann. Statist. 2000) d + 2 sqrt(d x) + 2 x
+    on chi-square with d = K - 2 degrees of freedom, exceeded with
+    probability at most e^-x, at x = ln(FALSE_ALARM_SCALE * K)."""
+    d = num_columns - 2
+    x = math.log(FALSE_ALARM_SCALE * num_columns)
+    return d + 2.0 * math.sqrt(d * x) + 2.0 * x
+
+
 def detect_replicas(d2: np.ndarray) -> np.ndarray:
     """Flag adjacent column pairs that are noisy replicas of one column.
 
     Returns a boolean vector of length K-1; entry j is True when columns
-    j and j+1 have the same origin. Ties on the threshold count as
-    replicas. Propagates SingleComponentError from the estimator.
+    j and j+1 have the same origin. It is all False for fewer than two
+    distances or a dispersion below ``dispersion_bound(K)``. Ties on the
+    threshold count as replicas. Raises SingleComponentError for fewer
+    than 3 rows and two columns, and propagates it from the estimator.
     """
     d2 = np.asarray(d2)
     m = d2.shape[0]
     h = running_hamming(d2)
-    if h.size == 0:
-        return np.zeros(0, dtype=bool)
-    est = blischke_estimate(h, m)
-    return h <= m * est.tau
+    if h.size and m < 3:
+        raise SingleComponentError("need at least 3 rows for three factorial moments")
+    if h.size < 2 or dispersion(h, m) < dispersion_bound(h.size + 1):
+        return np.zeros(h.size, dtype=bool)
+    return h <= m * blischke_estimate(h, m).tau
 
 
 def column_runs(is_replica: np.ndarray, num_columns: int) -> tuple[np.ndarray, np.ndarray]:

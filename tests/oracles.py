@@ -13,6 +13,7 @@ from dbalign.matching import (
     MatchResult,
     _safe_log2,
 )
+from dbalign.replicas import blischke_estimate, running_hamming
 
 #: Cell placeholder for a deleted column.
 ERASURE = "*"
@@ -75,6 +76,15 @@ def typicality_deviation(x_row, cells, est):
 def unsupported_x(est):
     """Symbols whose conditional row in the estimate is all-zero."""
     return ~est.p_y_given_x.any(axis=1)
+
+
+def ungated_replicas(d2):
+    """Replica decisions without the dispersion gate: Blischke's midpoint
+    rule on every distance series, raising SingleComponentError where the
+    estimator refuses."""
+    d2 = np.asarray(d2)
+    h = running_hamming(d2)
+    return h <= d2.shape[0] * blischke_estimate(h, d2.shape[0]).tau
 
 
 def cooccurrence_loop(g1, g2, alphabet_size):

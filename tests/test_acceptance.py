@@ -165,7 +165,6 @@ def achievable_trials():
             seeds.g1,
             seeds.g2,
             alphabet_size=2,
-            s_max=1,
             epsilon=PHASE_EPSILON,
         )
         out.append((pair, result))
@@ -190,7 +189,6 @@ def test_criterion_5_phase_transition(achievable_trials):
             seeds.g1,
             seeds.g2,
             alphabet_size=2,
-            s_max=1,
             epsilon=PHASE_EPSILON,
         )
         high_errors.append(
@@ -274,7 +272,6 @@ def test_criterion_7_invariant_suites(tmp_path):
         rep_seeds.g1,
         rep_seeds.g2,
         alphabet_size=2,
-        s_max=2,
         epsilon=PHASE_EPSILON,
     )
     assert result.estimate is not None

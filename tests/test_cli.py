@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +48,25 @@ def config_file(tmp_path):
     return path
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_cli_lines():
+    """Each `dbalign ...` command of README's CLI shell block, continuation
+    lines joined."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("dbalign ")]
+
+
+def test_readme_cli_block_parses():
+    # A flag removed from the parser must not stay in the documented commands.
+    lines = _readme_cli_lines()
+    assert len(lines) == 7
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
 def test_capacity_command(config_file, capsys):
     assert main(["capacity", "--config", str(config_file)]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
@@ -69,7 +90,6 @@ def test_gen_and_match_round_trip(tmp_path, config_file, capsys):
             "--d2", str(out_dir / "d2.dbm"),
             "--g1", str(out_dir / "g1.dbm"),
             "--g2", str(out_dir / "g2.dbm"),
-            "--s-max", "2",
             "--epsilon", "0.4",
             "--truth", str(out_dir / "truth.json"),
         ]
@@ -103,7 +123,7 @@ def test_match_rejects_truth_that_is_not_a_permutation(tmp_path, config_file, ca
     bad = tmp_path / "bad_truth.json"
     bad.write_text(json.dumps(truth))
     capsys.readouterr()
-    argv = ["match", "--s-max", "2", "--epsilon", "0.4", "--truth", str(bad)]
+    argv = ["match", "--epsilon", "0.4", "--truth", str(bad)]
     for name in ("d1", "d2", "g1", "g2"):
         argv += [f"--{name}", str(out_dir / f"{name}.dbm")]
     assert main(argv) == EXIT_CONFIG
@@ -126,18 +146,21 @@ def test_detect_replicas_csv_matches_library(tmp_path, config_file, capsys):
 
 
 def test_detect_replicas_single_component_exit_code(tmp_path, capsys):
+    # Identical columns: a constant distance series shows no replicas.
     constant = np.tile(np.array([[1], [2], [1]], dtype=np.uint8), (1, 6))
     path = tmp_path / "flat.dbm"
     write_matrix(path, constant)
-    assert main(["detect-replicas", "--d2", str(path)]) == EXIT_DETECTION
+    assert main(["detect-replicas", "--d2", str(path)]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[1:] == [f"{j},0,0" for j in range(5)]
 
 
 def test_detect_replicas_two_columns_exit_code(tmp_path, capsys):
-    # One adjacent distance cannot show two components.
+    # One adjacent distance cannot show two components, so no replicas.
     path = tmp_path / "two.dbm"
     write_matrix(path, np.array([[1, 1], [2, 1], [1, 2]], dtype=np.uint8))
-    assert main(["detect-replicas", "--d2", str(path)]) == EXIT_DETECTION
-    assert "at least two" in capsys.readouterr().err
+    assert main(["detect-replicas", "--d2", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "j,hamming,is_replica\n0,2,0\n"
 
 
 def test_detect_replicas_two_rows_exit_code(tmp_path, capsys):
@@ -176,7 +199,7 @@ def test_detect_deletions_command(tmp_path, capsys):
 
 def test_detect_deletions_dump_l_is_the_identity_remapping(tmp_path, capsys, monkeypatch):
     # The dump holds the identity remapping's distances, byte for byte; the
-    # k! remappings are built once, by the detection, not for the dump.
+    # remappings are enumerated once, by the detection, not for the dump.
     from dbalign import RepetitionPattern, deletions, generate_seeds, substream
 
     calls = []
@@ -251,7 +274,6 @@ def test_estimate_command_round_trips(tmp_path, config_file, capsys):
             "estimate",
             "--g1", str(out_dir / "g1.dbm"),
             "--g2", str(out_dir / "g2.dbm"),
-            "--s-max", "2",
         ]
     )
     assert rc == EXIT_OK
@@ -405,7 +427,6 @@ def test_estimate_command_matches_pipeline(tmp_path, capsys, spec):
             "estimate",
             "--g1", str(tmp_path / "g1.dbm"),
             "--g2", str(tmp_path / "g2.dbm"),
-            "--s-max", str(spec.s_max),
         ]
     )
     assert rc == EXIT_OK
@@ -415,7 +436,6 @@ def test_estimate_command_matches_pipeline(tmp_path, capsys, spec):
         seeds.g1,
         seeds.g2,
         alphabet_size=spec.alphabet_size,
-        s_max=spec.s_max,
         epsilon=0.3,
     )
     assert result.failed_stage is None
@@ -436,20 +456,14 @@ def test_all_deleted_instance_commands(tmp_path, config_file, capsys):
     assert main(["detect-deletions", *seeds, "--dedup", "--dump-l", str(tmp_path / "l.csv")]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["deleted"] == list(range(6))
 
-    assert main(["estimate", *seeds, "--s-max", "1"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["p_s"] == [1.0, 0.0]
+    assert main(["estimate", *seeds]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["p_s"] == [1.0]
 
     database = ["--d1", str(inst / "d1.dbm"), "--d2", str(inst / "d2.dbm")]
-    assert main(["match", *database, *seeds, "--s-max", "1", "--epsilon", "0.3"]) == EXIT_OK
+    assert main(["match", *database, *seeds, "--epsilon", "0.3"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["failed_stage"] is None
     assert out["status_counts"]["ambiguous"] == 16
-
-
-def test_estimate_requires_s_max(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")])
-    assert exc.value.code == EXIT_CONFIG
 
 
 def test_detect_replicas_without_pairs_prints_header(tmp_path, capsys):
@@ -482,8 +496,6 @@ def test_bad_symbols_exit_config(tmp_path, capsys, command):
     argv = _instance_argv(tmp_path, command)
     if command == "detect-deletions":
         argv += ["--dump-l", str(tmp_path / "l.csv")]
-    if command in ("estimate", "match"):
-        argv += ["--s-max", "2"]
 
     # An alphabet smaller than the largest symbol.
     if command != "detect-replicas":
@@ -504,7 +516,8 @@ def test_bad_symbols_exit_config(tmp_path, capsys, command):
 def test_nonpositive_alphabet_size_exit_config(tmp_path, capsys, command, size):
     # A stated alphabet is never replaced by the inferred one, 0 included.
     argv = _instance_argv(tmp_path, command)
-    argv += ["--dedup"] if command == "detect-deletions" else ["--s-max", "2"]
+    if command == "detect-deletions":
+        argv += ["--dedup"]
     assert main([*argv, "--alphabet-size", size]) == EXIT_CONFIG
     assert f"symbols must lie in 1..{size}" in capsys.readouterr().err
 
@@ -550,23 +563,15 @@ def test_match_truth_that_is_not_a_json_object_exit_config(tmp_path, capsys, val
 
 def _two_row_match_argv(tmp_path):
     pair, seeds = sample_instance(2, 12, 3000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
-    argv = ["match", "--s-max", "2", "--out", str(tmp_path / "match.json")]
+    argv = ["match", "--out", str(tmp_path / "match.json")]
     for name, mat in {"d1": pair.d1, "d2": pair.d2, "g1": seeds.g1, "g2": seeds.g2}.items():
         write_matrix(tmp_path / f"{name}.dbm", mat)
         argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
     return argv
 
 
-@pytest.mark.parametrize("command", ["estimate", "match"])
-def test_negative_s_max_exit_config(tmp_path, capsys, command):
-    # Bad input, not a replica-stage failure.
-    argv = _instance_argv(tmp_path, command)
-    assert main([*argv, "--s-max", "-3"]) == EXIT_CONFIG
-    assert "repetition count must be nonnegative" in capsys.readouterr().err
-
-
 def test_match_epsilon_past_the_log_zero_clamp_exit_config(tmp_path, capsys):
-    argv = [*_instance_argv(tmp_path, "match"), "--s-max", "2"]
+    argv = _instance_argv(tmp_path, "match")
     assert main([*argv, "--epsilon", "1e28"]) == EXIT_OK
     capsys.readouterr()
     assert main([*argv, "--epsilon", "1e29"]) == EXIT_CONFIG
@@ -577,7 +582,7 @@ def test_match_infers_alphabet_from_seeds_too(tmp_path, capsys):
     # The database never shows symbol 3, the seeds do: the alphabet is 3.
     pair, seeds = sample_instance(8, 12, 3000, symmetric_spec(3, 0.8, (0.2, 0.5, 0.3)), master_seed=2)
     mats = {"d1": np.minimum(pair.d1, 2), "d2": np.minimum(pair.d2, 2), "g1": seeds.g1, "g2": seeds.g2}
-    argv = ["match", "--s-max", "2", "--epsilon", "0.3"]
+    argv = ["match", "--epsilon", "0.3"]
     for name, mat in mats.items():
         write_matrix(tmp_path / f"{name}.dbm", mat)
         argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
@@ -593,7 +598,7 @@ def test_over_long_run_commands(tmp_path, capsys):
     for path, mat in zip(paths, long_run_instance()):
         write_matrix(path, mat)
     d1, d2, g1, g2 = paths
-    seeds = ["--g1", g1, "--g2", g2, "--s-max", "2"]
+    seeds = ["--g1", g1, "--g2", g2]
     assert main(["match", "--d1", d1, "--d2", d2, *seeds]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["failed_stage"] == "pattern"
@@ -605,14 +610,14 @@ def test_over_long_run_commands(tmp_path, capsys):
 
 
 def test_estimate_recorded_replica_failure_exits_detection(tmp_path, capsys):
-    # s_max=1 rules replicas out, so g2 keeps more columns than g1 has.
-    _, seeds = sample_instance(64, 20, 5000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=0)
-    assert seeds.g2.shape[1] > 20
+    # `estimate` detects replicas on g2's rows, and two seeds cannot give
+    # the estimator's three factorial moments.
+    _, seeds = sample_instance(64, 20, 2, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=0)
     write_matrix(tmp_path / "g1.dbm", seeds.g1)
     write_matrix(tmp_path / "g2.dbm", seeds.g2)
     argv = ["estimate", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
-    assert main([*argv, "--s-max", "1"]) == EXIT_DETECTION
-    assert "replica runs for 20 original columns" in capsys.readouterr().err
+    assert main(argv) == EXIT_DETECTION
+    assert "detection failed (replica): need at least 3 rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dump", [False, True])

@@ -37,20 +37,20 @@ def _deletion_pattern(n, deleted):
 
 
 def test_enumerate_remappings_binary():
-    maps = enumerate_remappings(2)
+    maps = list(enumerate_remappings(2))
     assert np.array_equal(maps[0], [1, 2])
     assert np.array_equal(maps[1], [2, 1])
 
 
 def test_enumerate_remappings_ternary_identity_first():
-    maps = enumerate_remappings(3)
+    maps = list(enumerate_remappings(3))
     assert len(maps) == 6
     assert np.array_equal(maps[0], [1, 2, 3])
     assert len({tuple(p) for p in maps}) == 6
 
 
 def test_enumerate_remappings_group_order():
-    maps = enumerate_remappings(4)
+    maps = list(enumerate_remappings(4))
     assert len(maps) == 24
     assert len({tuple(p) for p in maps}) == 24
 

@@ -95,26 +95,24 @@ def test_estimate_p_y_given_x_rejects_non_square_table(shape):
 
 
 def test_estimate_p_s_direct_count():
-    assert np.array_equal(estimate_p_s(RepetitionPattern([1, 1, 2, 0]), 2), [0.25, 0.5, 0.25])
+    assert np.array_equal(estimate_p_s(RepetitionPattern([1, 1, 2, 0])), [0.25, 0.5, 0.25])
 
 
 def test_estimate_p_s_point_mass():
-    assert np.array_equal(estimate_p_s(RepetitionPattern(np.ones(6, dtype=int)), 1), [0.0, 1.0])
+    assert np.array_equal(estimate_p_s(RepetitionPattern(np.ones(6, dtype=int))), [0.0, 1.0])
 
 
 def test_estimate_p_s_explicit_support():
-    assert np.array_equal(
-        estimate_p_s(RepetitionPattern([1, 1, 0, 1]), s_max=3), [0.25, 0.75, 0.0, 0.0]
-    )
-    with pytest.raises(ValueError):
-        estimate_p_s(RepetitionPattern([0, 3]), s_max=2)
+    # The support runs from 0 to the largest detected count, gaps included.
+    assert np.array_equal(estimate_p_s(RepetitionPattern([1, 1, 0, 1])), [0.25, 0.75])
+    assert np.array_equal(estimate_p_s(RepetitionPattern([0, 3])), [0.5, 0.0, 0.0, 0.5])
 
 
 def test_estimate_p_s_concentration():
     spec = bsc_spec(p_s=(0.3, 0.4, 0.3))
     for seed in range(20):
         pattern = RepetitionPattern(substream(seed, 6).choice([0, 1, 2], size=10_000, p=spec.p_s))
-        est = estimate_p_s(pattern, s_max=2)
+        est = estimate_p_s(pattern)
         assert np.all(np.abs(est - spec.p_s) <= 0.02)
 
 
@@ -262,10 +260,10 @@ def test_estimate_from_seeds_full_pipeline():
     seeds = generate_seeds(20_000, 12, pattern, spec, substream(55, 0))
     retention = detect_deletions(seeds.g1, seeds.g2, alphabet_size=2)
     assert np.array_equal(retention.retained, pattern.retained_indices())
-    est = estimate_from_seeds(seeds.g1, retention, pattern, 2, s_max=1)
+    est = estimate_from_seeds(seeds.g1, retention, pattern, 2)
     assert np.allclose(est.p_x, spec.p_x, atol=0.01)
     assert np.allclose(est.p_y_given_x, spec.p_y_given_x, atol=0.01)
-    assert np.array_equal(est.p_s, estimate_p_s(pattern, s_max=1))
+    assert np.array_equal(est.p_s, estimate_p_s(pattern))
 
 
 @pytest.mark.parametrize("counts_size", [2, 4])
@@ -278,4 +276,4 @@ def test_estimate_from_seeds_rejects_pair_counts_of_another_alphabet(counts_size
         pair_counts=np.ones((counts_size, counts_size), dtype=np.int64),
     )
     with pytest.raises(ValueError, match="3 x 3"):
-        estimate_from_seeds(g1, retention, RepetitionPattern(np.ones(3, dtype=int)), 3, 1)
+        estimate_from_seeds(g1, retention, RepetitionPattern(np.ones(3, dtype=int)), 3)

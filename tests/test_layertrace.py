@@ -32,8 +32,7 @@ def test_traced_batch_fires_every_span_and_keeps_the_report(perfbench, name, rem
     tracer = layertrace.Tracer()
     with tracer.installed():
         traced = render(run_experiment(config), "json")
-    # With s_max <= 1 the pipeline skips replica detection by design.
-    optional = [layertrace.REPLICA_SPAN] if workload.spec.s_max <= 1 else []
-    tracer.check_fired(optional=optional)
+    # Replica detection runs on every trial, so no span is optional.
+    tracer.check_fired()
     assert traced == untraced
     assert tracer.layer_metrics()["deletions.remaps_swept"] == remaps

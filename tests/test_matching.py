@@ -16,12 +16,14 @@ from dbalign import (
     from_model_spec,
     generate_database,
     match_rows,
+    running_hamming,
     sample_instance,
     segment,
     substream,
 )
 from dbalign import deletions, matching, replicas
 from dbalign.deletions import RetentionResult
+from dbalign.replicas import dispersion, dispersion_bound
 from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
 
 from conftest import (
@@ -31,13 +33,20 @@ from conftest import (
     symmetric_spec,
     unit_trace_cyclic_spec,
 )
-from oracles import ERASURE, cell, dense_match_rows, row_cells, typicality_deviation
+from oracles import (
+    ERASURE,
+    cell,
+    dense_match_rows,
+    row_cells,
+    typicality_deviation,
+    ungated_replicas,
+)
 
 
 def brute_force_match(d1, segmented, est, epsilon):
     """Oracle matcher: scalar reference deviations plus uniqueness."""
     m1 = d1.shape[0]
-    m2 = segmented.num_rows
+    m2 = segmented.d2.shape[0]
     assigned = np.full(m2, -1, dtype=np.int64)
     n_candidates = np.zeros(m2, dtype=np.int64)
     for l in range(m2):
@@ -469,7 +478,7 @@ def test_estimate_stages_pattern_round_trip(s):
         mp.setattr(replicas, "detect_replicas", lambda mat: origin[1:] == origin[:-1])
         mp.setattr(replicas, "column_runs", counting)
         mp.setattr(deletions, "detect_deletions", truth_retention)
-        result = estimate_stages(d2, g1, g2, alphabet_size=2, s_max=3)
+        result = estimate_stages(d2, g1, g2, alphabet_size=2)
     assert result.failed_stage is None
     assert np.array_equal(result.pattern.s, pattern.s)
     assert len(runs) == 1
@@ -477,7 +486,10 @@ def test_estimate_stages_pattern_round_trip(s):
 
 def test_deanonymize_illustration_instance():
     # Walkthrough-scale instance: six columns, one replicated twice, one
-    # deleted, no noise; the hidden permutation is recovered exactly.
+    # deleted, no noise. Eight rows give 5 adjacent distances whose
+    # dispersion (about 10.8) stays below the bound (about 33.2), so no
+    # replica is declared; both copies of column 1 then select original
+    # column 1, a recorded misdetection rather than a wrong permutation.
     spec = noiseless_spec(size=2, p_s=(0.0, 1.0))
     d1 = generate_database(8, 6, spec, substream(1, 0))
     pattern = RepetitionPattern([1, 2, 1, 0, 1, 1])
@@ -488,13 +500,13 @@ def test_deanonymize_illustration_instance():
     d2[sigma] = apply_channel(d1, pattern, spec, substream(1, 2))
     seeds = generate_seeds(10_000, 6, pattern, spec, substream(1, 3))
     assert len({tuple(r) for r in d1.tolist()}) == 8  # rows distinct for this draw
-    result = deanonymize(
-        d1, d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=2, epsilon=0.2
-    )
-    assert result.failed_stage is None
-    assert np.array_equal(result.pattern.s, pattern.s)
-    assert result.match.row_error_rate(sigma) == 0.0
-    assert np.array_equal(result.match.sigma_hat(), sigma)
+    h = running_hamming(d2)
+    assert dispersion(h, 8) < dispersion_bound(6)
+    result = deanonymize(d1, d2, seeds.g1, seeds.g2, alphabet_size=2, epsilon=0.2)
+    assert not result.is_replica.any()
+    assert result.failed_stage == "deletion"
+    assert "not strictly increasing" in result.failure
+    assert result.match is None
 
 
 def test_deanonymize_noiseless_moderate_rate():
@@ -502,10 +514,25 @@ def test_deanonymize_noiseless_moderate_rate():
     for seed in range(10):
         pair, seeds = sample_instance(64, 40, 10_000, spec, master_seed=6000 + seed)
         result = deanonymize(
-            pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=1, epsilon=0.2
+            pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, epsilon=0.2
         )
         assert result.failed_stage is None
         assert result.match.row_error_rate(pair.sigma) == 0.0
+
+
+def test_deanonymize_finds_no_replicas_in_a_replica_free_instance():
+    # Every column kept once, so every adjacent pair is independent. Told
+    # nothing of p_s, the pipeline must not split the series into two
+    # components; an ungated estimator declares 56 replicas on this draw.
+    spec = bsc_spec(flip=0.1, p_s=(0.0, 1.0))
+    pair, seeds = sample_instance(4096, 60, 10_000, spec, master_seed=2)
+    assert ungated_replicas(pair.d2).sum() == 56
+    result = deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, epsilon=0.3)
+    assert result.failed_stage is None
+    assert not result.is_replica.any()
+    assert np.array_equal(result.pattern.s, np.ones(60))
+    assert np.array_equal(result.estimate.p_s, [0.0, 1.0])
+    assert result.match.row_error_rate(pair.sigma) <= 0.1
 
 
 def test_deanonymize_records_stage_failure():
@@ -518,7 +545,7 @@ def test_deanonymize_records_stage_failure():
     )
     pair, seeds = sample_instance(10, 10, 1000, spec, master_seed=8)
     result = deanonymize(
-        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=1, epsilon=0.2
+        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, epsilon=0.2
     )
     assert result.failed_stage == "deletion"
     assert "useless" in result.failure
@@ -531,7 +558,7 @@ def test_deanonymize_pattern_sum_invariant():
     for seed in range(5):
         pair, seeds = sample_instance(50, 12, 10_000, spec, master_seed=7000 + seed)
         result = deanonymize(
-            pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=2, epsilon=0.5
+            pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, epsilon=0.5
         )
         if result.pattern is not None:
             assert result.pattern.total == pair.d2.shape[1]
@@ -585,7 +612,7 @@ def test_deanonymize_rejects_symbols_outside_alphabet(side, value):
     mats[side][0, 0] = value
     with pytest.raises(ValueError, match="1..2"):
         deanonymize(
-            mats["d1"], mats["d2"], mats["g1"], mats["g2"], alphabet_size=2, s_max=2, epsilon=0.3
+            mats["d1"], mats["d2"], mats["g1"], mats["g2"], alphabet_size=2, epsilon=0.3
         )
 
 
@@ -597,9 +624,9 @@ def test_deanonymize_rejects_bad_alphabet_before_a_stage_fails(alphabet_size, me
     # Two rows fail replica detection, but a bad alphabet is bad input and
     # must raise, not hide behind that recorded failure.
     pair, seeds = sample_instance(2, 12, 3000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
-    assert deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, 2, s_max=2).failed_stage == "replica"
+    assert deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, 2).failed_stage == "replica"
     with pytest.raises(ValueError, match=re.escape(message)):
-        deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size, s_max=2)
+        deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size)
 
 
 @pytest.mark.parametrize("bad", ["d1 symbol", "d2 symbol", "epsilon", "d1 width"])
@@ -608,7 +635,7 @@ def test_deanonymize_rejects_bad_matcher_input_before_a_stage_fails(bad):
     # input and must raise, not hide behind that recorded failure.
     pair, seeds = sample_instance(2, 12, 3000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
     d1, d2, epsilon = pair.d1.copy(), pair.d2.copy(), 0.05
-    assert deanonymize(d1, d2, seeds.g1, seeds.g2, 2, s_max=2).failed_stage == "replica"
+    assert deanonymize(d1, d2, seeds.g1, seeds.g2, 2).failed_stage == "replica"
     message = "symbols must lie in 1..2"
     if bad == "d1 symbol":
         d1[0, 0] = 7
@@ -619,7 +646,7 @@ def test_deanonymize_rejects_bad_matcher_input_before_a_stage_fails(bad):
     else:
         d1, message = d1[:, 1:], "d1 has 11 columns, the repetition pattern 12"
     with pytest.raises(ValueError, match=re.escape(message)):
-        deanonymize(d1, d2, seeds.g1, seeds.g2, 2, s_max=2, epsilon=epsilon)
+        deanonymize(d1, d2, seeds.g1, seeds.g2, 2, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("constant", [math.nan, -1.0, 0.0, math.inf])
@@ -627,18 +654,16 @@ def test_deanonymize_rejects_bad_threshold_constant_before_a_stage_fails(constan
     # Two rows fail replica detection, before deletion detection would read
     # the constant; a bad constant is bad input and must still raise.
     pair, seeds = sample_instance(2, 12, 3000, bsc_spec(p_s=(0.2, 0.5, 0.3)), master_seed=1)
-    assert deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, 2, s_max=2).failed_stage == "replica"
+    assert deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, 2).failed_stage == "replica"
     with pytest.raises(ValueError, match="threshold_constant must be finite and positive"):
-        deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, 2, s_max=2, threshold_constant=constant)
+        deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, 2, threshold_constant=constant)
 
 
 def test_deanonymize_validates_shared_pattern():
     spec = bsc_spec()
     pair, seeds = sample_instance(6, 5, 10, spec, master_seed=1)
     with pytest.raises(ValueError):
-        deanonymize(
-            pair.d1, pair.d2, seeds.g1, seeds.g2[:, :-1], alphabet_size=2, s_max=1
-        )
+        deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2[:, :-1], alphabet_size=2)
 
 
 def test_deanonymize_all_deleted_instance():
@@ -648,7 +673,7 @@ def test_deanonymize_all_deleted_instance():
     pair, seeds = sample_instance(16, 6, 2000, spec, master_seed=7)
     assert pair.d2.shape[1] == 0
     result = deanonymize(
-        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=1, epsilon=0.3
+        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, epsilon=0.3
     )
     assert result.failed_stage is None
     assert np.array_equal(result.pattern.s, np.zeros(6))
@@ -657,43 +682,40 @@ def test_deanonymize_all_deleted_instance():
 
 
 def test_deanonymize_two_repeated_columns_is_recorded():
-    # Pattern [2, 0, 0]: d2 has two columns, one adjacent distance.
+    # Pattern [2, 0, 0]: d2 has two columns, one adjacent distance, which
+    # shows no replicas; both columns then select original column 0.
     spec = bsc_spec(flip=0.1, p_s=(0.3, 0.3, 0.4))
     pair, seeds = sample_instance(64, 3, 2000, spec, master_seed=5)
     assert np.array_equal(pair.pattern.s, [2, 0, 0])
     result = deanonymize(
-        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=2, epsilon=0.3
+        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, epsilon=0.3
     )
-    assert result.failed_stage == "replica"
-    assert "two adjacent-pair distances" in result.failure
+    assert np.array_equal(result.is_replica, [False])
+    assert result.failed_stage == "deletion"
+    assert "not strictly increasing" in result.failure
     assert result.retention is None and result.match is None
 
 
-def test_deanonymize_understated_s_max_is_recorded():
-    # s_max=1 rules replicas out, so the replica-free seeds keep every
-    # repeated column: more than there are original columns.
-    spec = bsc_spec(flip=0.1, p_s=(0.2, 0.5, 0.3))
-    pair, seeds = sample_instance(64, 20, 5000, spec, master_seed=0)
-    assert pair.d2.shape[1] > 20
-    result = deanonymize(
-        pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, s_max=1, epsilon=0.3
-    )
+def test_deanonymize_more_runs_than_columns_is_recorded():
+    # Pattern [1, 2, 1]: three distances are too few to show the replica,
+    # so d2's 4 columns form 4 runs, more than the 3 original columns.
+    spec = bsc_spec(flip=0.1, p_s=(0.3, 0.3, 0.4))
+    pair, seeds = sample_instance(64, 3, 2000, spec, master_seed=5, trial=1)
+    assert np.array_equal(pair.pattern.s, [1, 2, 1])
+    result = deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, epsilon=0.3)
     assert result.failed_stage == "replica"
-    assert "replica runs" in result.failure
+    assert "4 replica runs for 3 original columns" in result.failure
     assert result.retention is None and result.match is None
 
 
 def test_deanonymize_over_long_run_is_recorded():
     # The detected run of 25 copies asks for a 2^26-cell joint table.
     d1, d2, g1, g2 = long_run_instance()
-    result = deanonymize(d1, d2, g1, g2, alphabet_size=2, s_max=2, epsilon=0.3)
+    result = deanonymize(d1, d2, g1, g2, alphabet_size=2, epsilon=0.3)
     assert result.failed_stage == "pattern"
     assert "2^26 cells exceeds limit" in result.failure
     assert result.retention is not None and result.retention.retained.size == 17
     assert result.pattern is None and result.estimate is None and result.match is None
-    # A stated s_max that large is bad input, refused before any stage runs.
-    with pytest.raises(ValueError, match=r"2\^27 cells exceeds limit"):
-        deanonymize(d1, d2, g1, g2, alphabet_size=2, s_max=26, epsilon=0.3)
 
 
 def _replica_instance():
@@ -713,7 +735,7 @@ def test_estimate_stages_detects_replicas_once_on_d2(monkeypatch):
 
     monkeypatch.setattr(replicas, "detect_replicas", counting)
     d2, g1, g2 = _replica_instance()
-    result = estimate_stages(d2, g1, g2, alphabet_size=2, s_max=2)
+    result = estimate_stages(d2, g1, g2, alphabet_size=2)
     assert result.failed_stage is None
     assert len(calls) == 1 and calls[0] is d2
 
@@ -730,13 +752,13 @@ def test_estimate_stages_reads_no_replica_evidence_from_seeds(monkeypatch):
         return detect(mat)
 
     monkeypatch.setattr(replicas, "detect_replicas", d2_only)
-    result = estimate_stages(d2, g1, g2, alphabet_size=2, s_max=2)
+    result = estimate_stages(d2, g1, g2, alphabet_size=2)
     assert result.failed_stage is None
     assert result.pattern.total == d2.shape[1]
 
 
-def _stage_outputs(d2, g1, g2, k, s_max):
-    result = estimate_stages(d2, g1, g2, k, s_max)
+def _stage_outputs(d2, g1, g2, k):
+    result = estimate_stages(d2, g1, g2, k)
     est = result.estimate
     return (
         result.failed_stage,
@@ -775,9 +797,8 @@ def test_estimate_stages_row_permutation_property(spec, seed, m, num_seeds):
     # Seed rows (permuted jointly) and database rows are exchangeable, so
     # every stage's output, or the stage that failed, is unchanged.
     pair, seeds = sample_instance(m, 10, num_seeds, spec, master_seed=seed)
-    args = (spec.alphabet_size, spec.s_max)
-    base = _stage_outputs(pair.d2, seeds.g1, seeds.g2, *args)
+    base = _stage_outputs(pair.d2, seeds.g1, seeds.g2, spec.alphabet_size)
     rng = substream(seed, 9)
     perm = rng.permutation(num_seeds)
-    assert _stage_outputs(pair.d2, seeds.g1[perm], seeds.g2[perm], *args) == base
-    assert _stage_outputs(pair.d2[rng.permutation(m)], seeds.g1, seeds.g2, *args) == base
+    assert _stage_outputs(pair.d2, seeds.g1[perm], seeds.g2[perm], spec.alphabet_size) == base
+    assert _stage_outputs(pair.d2[rng.permutation(m)], seeds.g1, seeds.g2, spec.alphabet_size) == base

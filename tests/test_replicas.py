@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dbalign import (
@@ -17,8 +17,11 @@ from dbalign import (
     running_hamming,
     substream,
 )
+from dbalign import replicas
+from dbalign.replicas import dispersion, dispersion_bound
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
+from oracles import ungated_replicas
 
 
 def test_running_hamming_identical_columns():
@@ -149,11 +152,91 @@ def test_detect_replicas_row_permutation_invariant(rng):
     assert np.array_equal(base, detect_replicas(d2[rng.permutation(500)]))
 
 
-def _replica_decisions_or_error(d2):
+def _replica_decisions_or_error(d2, detect=detect_replicas):
     try:
-        return detect_replicas(d2).tolist()
+        return detect(d2).tolist()
     except SingleComponentError as exc:
         return type(exc)
+
+
+def _draw_d2(spec, m, n, seed):
+    d1 = generate_database(m, n, spec, substream(seed, 0))
+    pattern = draw_pattern(n, spec, substream(seed, 1))
+    return apply_channel(d1, pattern, spec, substream(seed, 2)), pattern
+
+
+def _binary_with_distances(h, m):
+    """A binary m-row matrix whose adjacent columns differ in h[j] rows."""
+    cols = [np.ones(m, dtype=np.uint8)]
+    for hj in h:
+        nxt = cols[-1].copy()
+        nxt[:hj] = 3 - nxt[:hj]
+        cols.append(nxt)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("delta, replicas_declared", [(28, False), (29, True)])
+def test_dispersion_gate_at_the_bound(monkeypatch, delta, replicas_declared):
+    # 20 distances alternating 500 +- delta among 1000 rows: f1 = 1/2, so
+    # D = 20 delta^2 / 250, 62.72 and 67.28 on either side of the bound
+    # for K = 21 columns, 19 + 2 sqrt(19 x) + 2 x at x = ln(21000).
+    x = np.log(21_000)
+    assert dispersion_bound(21) == pytest.approx(19 + 2 * np.sqrt(19 * x) + 2 * x)
+    assert dispersion_bound(21) == pytest.approx(66.4068, abs=1e-4)
+    h = np.array([500 + delta, 500 - delta] * 10)
+    assert dispersion(h, 1000) == pytest.approx(20 * delta**2 / 250)
+    d2 = _binary_with_distances(h, 1000)
+    assert np.array_equal(running_hamming(d2), h)
+    fits = []
+    estimate = replicas.blischke_estimate
+
+    def counting(h, m):
+        fits.append(h)
+        return estimate(h, m)
+
+    monkeypatch.setattr(replicas, "blischke_estimate", counting)
+    decisions = _replica_decisions_or_error(d2)
+    assert len(fits) == replicas_declared
+    if not replicas_declared:
+        assert decisions == [False] * 20
+
+
+def test_dispersion_of_a_saturated_series_is_zero():
+    # f1 in {0, 1}: every distance is 0 or every one is m, so no replicas.
+    assert dispersion(np.zeros(9), 20) == 0.0
+    assert dispersion(np.full(9, 20), 20) == 0.0
+    assert not detect_replicas(np.ones((5, 10), dtype=np.uint8)).any()
+
+
+def test_replica_free_draws_declare_no_replica():
+    # remap_sweep's shape: unit-trace cyclic channel, p_s = (0.3, 0.7),
+    # m = 1024, n = 60, where every adjacent pair is independent.
+    spec = unit_trace_cyclic_spec((0.3, 0.7))
+    for seed in range(400):
+        d2, _ = _draw_d2(spec, 1024, 60, seed)
+        assert not detect_replicas(d2).any()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    spec=st.sampled_from(
+        [
+            bsc_spec(p_s=(1 / 3, 1 / 3, 1 / 3)),
+            bsc_spec(p_s=(0.3, 0.4, 0.3)),
+            symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)),
+            unit_trace_cyclic_spec((0.2, 0.5, 0.3)),
+        ]
+    ),
+    seed=st.integers(0, 10_000),
+    m=st.sampled_from([800, 2000]),
+    n=st.sampled_from([12, 100]),
+)
+def test_gate_keeps_the_estimator_decisions_with_replicas(spec, seed, m, n):
+    # At the acceptance tests' sizes the gate never hides a replica that
+    # Blischke's estimator alone would find, nor changes a refusal.
+    d2, pattern = _draw_d2(spec, m, n, seed)
+    assume(pattern.s.max() > 1)
+    assert _replica_decisions_or_error(d2) == _replica_decisions_or_error(d2, ungated_replicas)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -172,9 +255,7 @@ def _replica_decisions_or_error(d2):
 def test_detect_replicas_row_permutation_property(spec, seed, m):
     # Database rows are exchangeable: any row order of d2 gives the same
     # adjacent distances, hence the same decisions or the same refusal.
-    d1 = generate_database(m, 30, spec, substream(seed, 0))
-    pattern = draw_pattern(30, spec, substream(seed, 1))
-    d2 = apply_channel(d1, pattern, spec, substream(seed, 2))
+    d2, _ = _draw_d2(spec, m, 30, seed)
     perm = substream(seed, 3).permutation(m)
     assert _replica_decisions_or_error(d2[perm]) == _replica_decisions_or_error(d2)
 
