@@ -72,7 +72,6 @@ from .replicas import (
     blischke_estimate,
     column_runs,
     detect_replicas,
-    factorial_moments,
     running_hamming,
 )
 

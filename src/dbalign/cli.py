@@ -103,15 +103,12 @@ def _cmd_detect_deletions(args) -> int:
     if args.dump_l is not None:
         deletions.check_symbols(alphabet_size, g1, g2)
         deletions.check_remap_alphabet(alphabet_size)
-        deletions.check_threshold_constant(args.threshold_constant)
         phi = np.arange(1, alphabet_size + 1, dtype=np.uint8)  # the identity remapping
         counts = deletions.cooccurrence(g1, g2, alphabet_size)
         l = deletions.cross_hamming(g1, g2, phi, counts)
         rows = [",".join(str(v) for v in row) for row in l]
         _write_text(args.dump_l, "\n".join(rows) + "\n")
-    result = deletions.detect_deletions(
-        g1, g2, alphabet_size, args.threshold_constant, counts=counts
-    )
+    result = deletions.detect_deletions(g1, g2, alphabet_size, counts=counts)
     out = {
         "retained": result.retained.tolist(),
         "deleted": result.deleted.tolist(),
@@ -125,9 +122,7 @@ def _cmd_estimate(args) -> int:
     g1 = read_matrix(args.g1)
     g2 = read_matrix(args.g2)
     # The seeds share the database's pattern, so g2 also fixes the pattern.
-    result = matching.estimate_stages(
-        g2, g1, g2, _alphabet_size(args, g1, g2), args.threshold_constant
-    )
+    result = matching.estimate_stages(g2, g1, g2, _alphabet_size(args, g1, g2))
     # What detection found is not a configuration error: a recorded failure
     # exits 4, or 5 for no useful remapping as in `detect-deletions`.
     if isinstance(result.error, deletions.NoUsefulRemappingError):
@@ -146,13 +141,7 @@ def _cmd_match(args) -> int:
     g2 = read_matrix(args.g2)
     alphabet_size = _alphabet_size(args, d1, d2, g1, g2)
     result = matching.deanonymize(
-        d1,
-        d2,
-        g1,
-        g2,
-        alphabet_size=alphabet_size,
-        epsilon=args.epsilon,
-        threshold_constant=args.threshold_constant,
+        d1, d2, g1, g2, alphabet_size=alphabet_size, epsilon=args.epsilon
     )
     out = {
         "config": {
@@ -162,7 +151,6 @@ def _cmd_match(args) -> int:
             "g2": args.g2,
             "alphabet_size": alphabet_size,
             "epsilon": args.epsilon,
-            "threshold_constant": args.threshold_constant,
         },
         "stages": result.stage_flags(),
         "failed_stage": result.failed_stage,
@@ -225,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
-    p.add_argument("--threshold-constant", type=float, default=2.0)
     p.add_argument("--dedup", action="store_true", help="remove replica columns from g2 first")
     p.add_argument("--dump-l", default=None, help="write the identity-remapping distance matrix as CSV")
     p.add_argument("--out", default=None)
@@ -235,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
-    p.add_argument("--threshold-constant", type=float, default=2.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_estimate)
 
@@ -246,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--threshold-constant", type=float, default=2.0)
     p.add_argument("--truth", default=None, help="truth.json for error-rate scoring")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_match)

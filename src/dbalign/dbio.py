@@ -68,6 +68,10 @@ def _real_array(key: str, value) -> np.ndarray:
     return np.array([as_real(key, v) for v in entries.flat]).reshape(entries.shape)
 
 
+# The keys of a model spec, in the order model_spec_to_dict writes them.
+SPEC_KEYS = ("alphabet_size", "p_x", "p_y_given_x", "p_s", "s_max")
+
+
 def model_spec_to_dict(spec: ModelSpec) -> dict:
     return {
         "alphabet_size": spec.alphabet_size,

@@ -27,6 +27,10 @@ MAX_REMAP_ALPHABET = 8  # 8! = 40320 remappings; larger sweeps are rejected
 
 MIN_COLUMNS = 3  # an outlier needs a bulk to stand out from
 
+# c of the threshold c * Lambda^(2/3) * (log2 n)^(1/3); the seed-size
+# claim holds for any fixed c.
+THRESHOLD_CONSTANT = 2.0
+
 # Seed rows one-hot encoded at a time by `cooccurrence`; bounds its
 # working set independently of the seed count, and keeps every count in
 # a block's float32 product below 2^24, where float32 sums are exact.
@@ -89,21 +93,14 @@ def check_symbols(alphabet_size: int, *mats: np.ndarray) -> None:
             raise ValueError(f"symbols must lie in 1..{alphabet_size}")
 
 
-def check_threshold_constant(constant: float) -> None:
-    """Raise ValueError unless the threshold constant is finite and positive."""
-    if not 0.0 < constant < math.inf:
-        raise ValueError("threshold_constant must be finite and positive")
-
-
-def deletion_threshold(num_seeds: int, n: int, constant: float = 2.0) -> float:
-    """Outlier threshold: constant * Lambda^(2/3) * (log2 n)^(1/3).
+def deletion_threshold(num_seeds: int, n: int) -> float:
+    """Outlier threshold: THRESHOLD_CONSTANT * Lambda^(2/3) * (log2 n)^(1/3).
 
     Grows sublinearly in the seed count, so true outliers (which deviate
     proportionally to Lambda) clear it while bulk fluctuations stay
-    below. The constant must be finite and positive.
+    below.
     """
-    check_threshold_constant(constant)
-    return constant * num_seeds ** (2.0 / 3.0) * math.log2(n) ** (1.0 / 3.0)
+    return THRESHOLD_CONSTANT * num_seeds ** (2.0 / 3.0) * math.log2(n) ** (1.0 / 3.0)
 
 
 def cooccurrence(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> np.ndarray:
@@ -218,7 +215,7 @@ def detect_deletions(
     g1: np.ndarray,
     g2: np.ndarray,
     alphabet_size: int,
-    threshold_constant: float = 2.0,
+    *,
     counts: np.ndarray | None = None,
 ) -> RetentionResult:
     """Infer which original columns survived, from replica-free seeds.
@@ -245,7 +242,7 @@ def detect_deletions(
         raise ValueError("replica-free g2 cannot have more columns than g1")
     check_symbols(alphabet_size, g1, g2)
     remappings = enumerate_remappings(alphabet_size)  # rejects a large alphabet first
-    tau_hat = deletion_threshold(g1.shape[0], n, threshold_constant)
+    tau_hat = deletion_threshold(g1.shape[0], n)
     if counts is None:
         counts = cooccurrence(g1, g2, alphabet_size)
     for phi in remappings:

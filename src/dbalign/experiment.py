@@ -16,7 +16,9 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import deletions, estimation, matching
-from .dbio import as_integer, as_real, load_json_object, model_spec_from_dict, model_spec_to_dict
+from .dbio import (
+    SPEC_KEYS, as_integer, as_real, load_json_object, model_spec_from_dict, model_spec_to_dict
+)
 from .infotheory import capacity, check_table_size, repetition_table
 from .model import ModelSpec, sample_instance, substream
 
@@ -65,7 +67,6 @@ class ExperimentConfig:
     trials: int = _key(as_integer, default=10)
     master_seed: int = _key(as_integer, default=0)
     epsilon: float = _key(as_real, default=0.05)
-    threshold_constant: float = _key(as_real, default=2.0)
     sweep_axis: str | None = _key(_as_is, default=None)
     sweep_values: list = _key(_integer_list, default_factory=list)
     workers: int = _key(as_integer, default=1)
@@ -79,7 +80,6 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        deletions.check_threshold_constant(self.threshold_constant)
         if self.workers < 1:
             raise ValueError("worker count must be positive")
         if self.sweep_axis not in (None, "m", "n"):
@@ -99,6 +99,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = [key for key in d if key not in SPEC_KEYS + CONFIG_KEYS]
+        if unknown:
+            raise ValueError(f"unknown experiment config keys: {', '.join(map(repr, unknown))}")
         spec = model_spec_from_dict(d)
         values = {}
         for f, key in _keyed_fields(cls)[1:]:
@@ -286,7 +289,6 @@ def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
         seeds.g2,
         alphabet_size=spec.alphabet_size,
         epsilon=config.epsilon,
-        threshold_constant=config.threshold_constant,
     )
 
     true_adj = _true_adjacency(pair.pattern)

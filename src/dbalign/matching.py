@@ -351,7 +351,6 @@ def estimate_stages(
     g1: np.ndarray,
     g2: np.ndarray,
     alphabet_size: int,
-    threshold_constant: float = 2.0,
 ) -> PipelineResult:
     """Every stage before matching: replicas, deletions, pattern, estimate.
 
@@ -363,9 +362,8 @@ def estimate_stages(
     counts up to the largest detected one. Detection failures, and a
     detected count too long to tabulate, are recorded in the result
     instead of raising. Bad input raises ValueError before any stage
-    runs: a g1 symbol outside 1..alphabet_size, an alphabet size outside
-    1..MAX_REMAP_ALPHABET, or a non-finite or non-positive threshold
-    constant.
+    runs: a g1 symbol outside 1..alphabet_size, or an alphabet size
+    outside 1..MAX_REMAP_ALPHABET.
     """
     d2, g1, g2 = np.asarray(d2), np.asarray(g1), np.asarray(g2)
     if g2.shape[1] != d2.shape[1]:
@@ -373,7 +371,6 @@ def estimate_stages(
     # In deletion detection's order: a bad alphabet names g1's symbols first.
     deletions.check_symbols(alphabet_size, g1)
     deletions.check_remap_alphabet(alphabet_size)
-    deletions.check_threshold_constant(threshold_constant)
     n = g1.shape[1]
     result = PipelineResult()
 
@@ -388,9 +385,7 @@ def estimate_stages(
         )
 
     try:
-        result.retention = deletions.detect_deletions(
-            g1, g2[:, starts], alphabet_size, threshold_constant
-        )
+        result.retention = deletions.detect_deletions(g1, g2[:, starts], alphabet_size)
     except (deletions.MisdetectionError, deletions.NoUsefulRemappingError) as exc:
         return result.fail("deletion", exc)
 
@@ -414,7 +409,6 @@ def deanonymize(
     g2: np.ndarray,
     alphabet_size: int,
     epsilon: float = 0.05,
-    threshold_constant: float = 2.0,
 ) -> PipelineResult:
     """Full pipeline: ``estimate_stages``, then match rows.
 
@@ -425,7 +419,7 @@ def deanonymize(
     """
     d1, d2 = np.asarray(d1), np.asarray(d2)
     _check_match_input(d1, d2, np.shape(g1)[1], alphabet_size, epsilon)
-    result = estimate_stages(d2, g1, g2, alphabet_size, threshold_constant)
+    result = estimate_stages(d2, g1, g2, alphabet_size)
     if result.ok:
         result.match = match_rows(d1, segment(d2, result.pattern), result.estimate, epsilon)
     return result

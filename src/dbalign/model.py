@@ -245,9 +245,14 @@ def apply_channel(
     flat = noisy.reshape(-1)
     # One input symbol at a time, in row-major order: the transient is that
     # symbol's int64 positions and float64 uniforms, 16 bytes per entry.
+    # An entry outside 1..k is never written, so the writes must cover all.
+    written = 0
     for x in range(1, spec.alphabet_size + 1):
         at = np.flatnonzero(expanded == x)
         flat[at] = _draw(spec.p_y_given_x[x - 1], at.size, rng)
+        written += at.size
+    if written != expanded.size:
+        raise ValueError(f"d1 symbols must lie in 1..{spec.alphabet_size}")
     return noisy
 
 

@@ -60,17 +60,12 @@ def running_hamming(d2: np.ndarray) -> np.ndarray:
     return (d2[:, 1:] != d2[:, :-1]).sum(axis=0, dtype=np.int64)
 
 
-def factorial_moments(h: np.ndarray, m: int) -> tuple[float, float, float]:
-    """First three sample factorial moments of the distance series.
+def _factorial_moments(h: np.ndarray, m: int) -> tuple[float, float, float]:
+    """First three sample factorial moments of the distance series, m >= 3.
 
     The k-th moment averages prod_{i<k} (h_j - i) / (m - i) over the
     series; for Binomial(m, p) samples its expectation is p**k.
     """
-    h = np.asarray(h, dtype=float)
-    if h.size == 0:
-        raise ValueError("distance series is empty")
-    if m < 3:
-        raise ValueError("need at least 3 rows for three factorial moments")
     f1 = float(np.mean(h / m))
     f2 = float(np.mean(h * (h - 1.0) / (m * (m - 1.0))))
     f3 = float(np.mean(h * (h - 1.0) * (h - 2.0) / (m * (m - 1.0) * (m - 2.0))))
@@ -93,7 +88,7 @@ def blischke_estimate(h: np.ndarray, m: int) -> MixtureEstimate:
         raise SingleComponentError("need at least two adjacent-pair distances")
     if m < 3:
         raise SingleComponentError("need at least 3 rows for three factorial moments")
-    f1, f2, f3 = factorial_moments(h, m)
+    f1, f2, f3 = _factorial_moments(h, m)
     denom = f2 - f1 * f1
     if abs(denom) < DEGENERATE_ATOL:
         raise SingleComponentError("single-component series")

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -22,7 +23,7 @@ from dbalign.cli import (
     main,
 )
 from dbalign.dbio import load_model_spec, model_spec_to_dict, read_matrix, write_matrix
-from dbalign.experiment import CONFIG_KEYS, ExperimentConfig, ExperimentReport
+from dbalign.experiment import CONFIG_FIELDS, CONFIG_KEYS, ExperimentConfig, ExperimentReport
 
 from conftest import bsc_spec, long_run_instance, symmetric_spec
 from oracles import cross_hamming_loop
@@ -48,6 +49,19 @@ def config_file(tmp_path):
     return path
 
 
+def _exit_code(argv) -> int:
+    """main's exit code, also where the parser exits on an unknown option."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# The deletion threshold's constant is fixed, so the option and the config
+# key that set it are refused at any value.
+UNKNOWN_FLAG = "unrecognized arguments: --threshold-constant"
+UNKNOWN_KEY = "unknown experiment config keys: 'threshold_constant'"
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -65,6 +79,45 @@ def test_readme_cli_block_parses():
     assert len(lines) == 7
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def _readme_config_section():
+    return README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1].split("\n## ")[0]
+
+
+def test_readme_config_table_matches_the_config():
+    # Each row's key and default are the first code spans of its cells.
+    rows = re.findall(r"^\| `(\w+)`[^|]*\| `([^`]*)`", _readme_config_section(), re.M)
+    assert [key for key, _ in rows] == [k for k in CONFIG_KEYS if k not in ("m", "n", "lambda")]
+    fields_by_key = {key: f for f, key in CONFIG_FIELDS}
+    for key, default in rows:
+        f = fields_by_key[key]
+        declared = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        assert json.loads(default) == declared, key
+
+
+def test_readme_example_config_parses():
+    block = re.search(r"```json\n(.*?)```", _readme_config_section(), re.S).group(1)
+    assert ExperimentConfig.from_dict(json.loads(block)).master_seed == 7
+
+
+def test_no_command_takes_a_threshold_constant():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        assert "threshold_constant" not in {a.dest for a in sub._actions}, name
+
+
+@pytest.mark.parametrize("key", ["threshold_constant", "epsilonn"])
+@pytest.mark.parametrize("command", ["gen", "experiment"])
+def test_config_with_an_unknown_key_exit_config(tmp_path, config_file, capsys, command, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(config_file.read_text()), **{key: 2.0})))
+    argv = [command, "--config", str(bad)]
+    if command == "gen":
+        argv += ["--out", str(tmp_path / "inst")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"unknown experiment config keys: {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "inst").exists()
 
 
 def test_capacity_command(config_file, capsys):
@@ -242,14 +295,14 @@ def test_detect_deletions_dump_l_rejects_a_large_alphabet_first(tmp_path, capsys
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
 def test_detect_deletions_dump_l_rejects_a_bad_threshold_constant_first(tmp_path, capsys, value):
-    # The constant is checked before the dump is written.
+    # The parser refuses the option before the dump is written.
     g1 = np.random.default_rng(0).integers(1, 3, size=(50, 6)).astype(np.uint8)
     write_matrix(tmp_path / "g1.dbm", g1)
     write_matrix(tmp_path / "g2.dbm", g1[:, [0, 2, 4]])
     dump = tmp_path / "l.csv"
     argv = ["detect-deletions", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
-    assert main([*argv, "--dump-l", str(dump), f"--threshold-constant={value}"]) == EXIT_CONFIG
-    assert "threshold_constant must be finite and positive" in capsys.readouterr().err
+    assert _exit_code([*argv, "--dump-l", str(dump), f"--threshold-constant={value}"]) == EXIT_CONFIG
+    assert UNKNOWN_FLAG in capsys.readouterr().err
     assert not dump.exists()
 
 
@@ -342,12 +395,16 @@ def test_spec_redundant_keys_must_be_integers_exit(tmp_path, config_file, capsys
 
 
 @pytest.mark.parametrize("value", ["0.3", "2", True])
-@pytest.mark.parametrize("key", ["epsilon", "threshold_constant"])
-def test_experiment_real_keys_must_be_numbers_exit(tmp_path, config_file, capsys, key, value):
+@pytest.mark.parametrize(
+    "key, message",
+    [("epsilon", "epsilon must be a real number"), ("threshold_constant", UNKNOWN_KEY)],
+    ids=["epsilon", "threshold_constant"],
+)
+def test_experiment_real_keys_must_be_numbers_exit(tmp_path, config_file, capsys, key, message, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(json.loads(config_file.read_text()), **{key: value})))
     assert main(["experiment", "--config", str(bad)]) == EXIT_CONFIG
-    assert f"{key} must be a real number" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -387,10 +444,14 @@ def test_experiment_without_out_appends_to_redirected_stdout(tmp_path, config_fi
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("flag", ["--epsilon", "--threshold-constant"])
-def test_experiment_rejects_knobs_not_finite_and_positive(config_file, capsys, flag, value):
-    assert main(["experiment", "--config", str(config_file), f"{flag}={value}"]) == EXIT_CONFIG
-    assert "must be finite and positive" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--epsilon", "epsilon must be finite and positive"), ("--threshold-constant", UNKNOWN_FLAG)],
+    ids=["--epsilon", "--threshold-constant"],
+)
+def test_experiment_rejects_knobs_not_finite_and_positive(config_file, capsys, flag, message, value):
+    assert _exit_code(["experiment", "--config", str(config_file), f"{flag}={value}"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_experiment_bad_sweep_axis_exit_config(config_file, capsys):
@@ -543,11 +604,11 @@ def test_match_epsilon_nan_on_two_rows_exit_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
 def test_match_bad_threshold_constant_on_two_rows_exit_config(tmp_path, capsys, value):
-    # The recorded replica failure must not hide a bad threshold constant,
-    # nor print it as a JSON NaN.
+    # The recorded replica failure must not hide a refused option, nor print
+    # a constant as a JSON NaN.
     argv = _two_row_match_argv(tmp_path)
-    assert main([*argv, f"--threshold-constant={value}"]) == EXIT_CONFIG
-    assert "threshold_constant must be finite and positive" in capsys.readouterr().err
+    assert _exit_code([*argv, f"--threshold-constant={value}"]) == EXIT_CONFIG
+    assert UNKNOWN_FLAG in capsys.readouterr().err
     assert not (tmp_path / "match.json").exists()
 
 
@@ -666,7 +727,6 @@ EVERY_KEY = {
     "trials": 3,
     "master_seed": 5,
     "epsilon": 0.45,
-    "threshold_constant": 2.5,
     "sweep_axis": "m",
     "sweep_values": [16, 20],
     "workers": 2,

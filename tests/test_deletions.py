@@ -192,14 +192,12 @@ def test_threshold_formula():
     assert deletion_threshold(10_000, 10) == pytest.approx(
         2 * 10_000 ** (2 / 3) * np.log2(10) ** (1 / 3)
     )
-    assert deletion_threshold(10_000, 10, constant=1.0) == pytest.approx(
-        10_000 ** (2 / 3) * np.log2(10) ** (1 / 3)
-    )
 
 
 @pytest.mark.parametrize("constant", [math.nan, math.inf, 0.0, -1.0])
 def test_deletion_threshold_rejects_constant_not_finite_and_positive(constant):
-    with pytest.raises(ValueError, match="threshold_constant must be finite and positive"):
+    # The constant is fixed at 2: a caller's own constant fails loudly.
+    with pytest.raises(TypeError):
         deletion_threshold(10_000, 10, constant)
 
 
@@ -303,7 +301,7 @@ def test_detect_deletions_decides_the_threshold_once(monkeypatch):
     result = detect_deletions(seeds.g1, seeds.g2, alphabet_size=3)
     assert np.array_equal(result.deleted, [2, 6])
     assert len(remaps) > 1
-    assert thresholds == [(10_000, 10, 2.0)]
+    assert thresholds == [(10_000, 10)]
 
 
 @pytest.mark.parametrize("constant", [math.nan, math.inf, 0.0, -1.0])
@@ -312,8 +310,12 @@ def test_detect_deletions_rejects_a_bad_constant_before_the_counts(monkeypatch, 
         2000, 8, _deletion_pattern(8, (1, 4)), bsc_spec(p_s=(0.3, 0.7)), substream(3, 0)
     )
     built = _counting(monkeypatch, "cooccurrence")
-    with pytest.raises(ValueError, match="threshold_constant must be finite and positive"):
+    # The constant is fixed at 2, and ``counts`` is keyword-only, so a
+    # caller's own constant fails loudly, by keyword or by position.
+    with pytest.raises(TypeError, match="threshold_constant"):
         detect_deletions(seeds.g1, seeds.g2, alphabet_size=2, threshold_constant=constant)
+    with pytest.raises(TypeError, match="positional"):
+        detect_deletions(seeds.g1, seeds.g2, 2, constant)
     assert built == []
 
 

@@ -49,11 +49,25 @@ def small_config(**overrides):
 BAD_KNOB_VALUES = [math.nan, math.inf, 0.0, -1.0]
 
 
+# threshold_constant is no knob: the deletion threshold's constant is fixed.
+KNOB_ERRORS = {
+    "epsilon": (ValueError, "epsilon must be finite and positive"),
+    "threshold_constant": (TypeError, "unexpected keyword argument 'threshold_constant'"),
+}
+
+
 @pytest.mark.parametrize("value", BAD_KNOB_VALUES)
-@pytest.mark.parametrize("key", ["epsilon", "threshold_constant"])
+@pytest.mark.parametrize("key", KNOB_ERRORS)
 def test_config_rejects_knobs_that_are_not_finite_and_positive(key, value):
-    with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+    error, message = KNOB_ERRORS[key]
+    with pytest.raises(error, match=message):
         small_config(**{key: value})
+
+
+def test_config_from_dict_names_every_unknown_key():
+    d = {**small_config().to_dict(), "epsilonn": 0.3, "threshold_constnat": 2.0}
+    with pytest.raises(ValueError, match="keys: 'epsilonn', 'threshold_constnat'$"):
+        ExperimentConfig.from_dict(d)
 
 
 def test_config_validation():

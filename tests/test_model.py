@@ -115,6 +115,18 @@ def test_channel_dimension_mismatch(rng):
         apply_channel(d1, RepetitionPattern([1, 1]), spec, rng)
 
 
+@pytest.mark.parametrize("symbol", [0, 3, 7])
+def test_channel_rejects_symbols_outside_the_alphabet(rng, symbol):
+    # No row of the channel draws an output for such a symbol, so the
+    # entry would otherwise be returned unwritten.
+    d1 = generate_database(10, 5, bsc_spec(), rng)
+    d1[4, 2] = symbol
+    with pytest.raises(ValueError, match=r"symbols must lie in 1\.\.2"):
+        apply_channel(d1, RepetitionPattern([1, 2, 1, 0, 1]), bsc_spec(), rng)
+    with pytest.raises(ValueError, match=r"symbols must lie in 1\.\.2"):
+        apply_channel(np.full((3, 4), symbol, np.uint8), RepetitionPattern([1] * 4), bsc_spec(), rng)
+
+
 def test_deleted_columns_absent(rng):
     spec = bsc_spec(p_s=(0.5, 0.5))
     d1 = generate_database(30, 20, spec, rng)

@@ -11,14 +11,13 @@ from dbalign import (
     column_runs,
     detect_replicas,
     draw_pattern,
-    factorial_moments,
     generate_database,
     mixture_truth,
     running_hamming,
     substream,
 )
 from dbalign import replicas
-from dbalign.replicas import dispersion, dispersion_bound
+from dbalign.replicas import _factorial_moments, dispersion, dispersion_bound
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 from oracles import ungated_replicas
@@ -56,13 +55,13 @@ def test_running_hamming_row_permutation_invariant(rng):
 
 def test_factorial_moments_saturated_series():
     m = 20
-    assert factorial_moments(np.full(9, m), m) == (1.0, 1.0, 1.0)
-    assert factorial_moments(np.zeros(9), m) == (0.0, 0.0, 0.0)
+    assert _factorial_moments(np.full(9, m), m) == (1.0, 1.0, 1.0)
+    assert _factorial_moments(np.zeros(9), m) == (0.0, 0.0, 0.0)
 
 
 def test_factorial_moment_matches_binomial_parameter(rng):
     h = rng.binomial(1000, 0.5, size=10_000)
-    f1, f2, f3 = factorial_moments(h, 1000)
+    f1, f2, f3 = _factorial_moments(h, 1000)
     assert abs(f1 - 0.5) < 0.01
     assert abs(f2 - 0.25) < 0.01
     assert abs(f3 - 0.125) < 0.01
