@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 infeasible
-problem size, 4 detection failure (misdetection or single-component
-distance series), 5 no useful remapping found.
+Exit codes: 0 success, 2 configuration/validation error (a command-line
+parse error too), 3 infeasible problem size, 4 detection failure
+(misdetection or single-component distance series), 5 no useful remapping
+found.
 
 The DBALIGN_OUT_DIR environment variable, when set, re-roots relative
 output paths.
@@ -18,8 +19,15 @@ import sys
 import numpy as np
 
 from . import deletions, matching, replicas
-from .dbio import as_integer, as_real, load_json_object, load_model_spec, read_matrix, write_matrix
-from .experiment import CONFIG_FIELDS, ExperimentConfig, InfeasibleSizeError, render, run_experiment
+from .dbio import as_integer, as_real, load_json_object, model_spec_from_dict, read_matrix, write_matrix
+from .experiment import (
+    CONFIG_FIELDS,
+    ExperimentConfig,
+    InfeasibleSizeError,
+    check_config_keys,
+    render,
+    run_experiment,
+)
 from .infotheory import capacity
 from .model import as_permutation, sample_instance
 
@@ -51,8 +59,10 @@ def _alphabet_size(args, *mats):
 
 
 def _cmd_capacity(args) -> int:
-    spec = load_model_spec(args.config)
-    report = capacity(spec)
+    # A model spec or a whole experiment config; any other key is a typo.
+    raw = load_json_object(args.config)
+    check_config_keys(raw)
+    report = capacity(model_spec_from_dict(raw))
     _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     return EXIT_OK
 
@@ -251,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits after --help (0) and on a parse error (2)
+        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         return args.func(args)
     except (deletions.MisdetectionError, replicas.SingleComponentError) as exc:

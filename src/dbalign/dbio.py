@@ -106,7 +106,3 @@ def load_json_object(path) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{path}: config must be a JSON object, got {type(value).__name__}")
     return value
-
-
-def load_model_spec(path) -> ModelSpec:
-    return model_spec_from_dict(load_json_object(path))

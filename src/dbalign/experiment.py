@@ -99,9 +99,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = [key for key in d if key not in SPEC_KEYS + CONFIG_KEYS]
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {', '.join(map(repr, unknown))}")
+        check_config_keys(d)
         spec = model_spec_from_dict(d)
         values = {}
         for f, key in _keyed_fields(cls)[1:]:
@@ -124,6 +122,14 @@ class ExperimentConfig:
 # (field, key) of each config key after the model spec's, in report order.
 CONFIG_FIELDS = _keyed_fields(ExperimentConfig)[1:]
 CONFIG_KEYS = tuple(key for _, key in CONFIG_FIELDS)
+
+
+def check_config_keys(d: dict) -> None:
+    """Raise ValueError naming every key of ``d`` that is neither a model-spec
+    key nor an experiment config key."""
+    unknown = [key for key in d if key not in SPEC_KEYS + CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown experiment config keys: {', '.join(map(repr, unknown))}")
 
 
 def _plain(value):
@@ -221,16 +227,20 @@ def _match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     recheck reads (k * n) and their exp2 (k * n), the Y-marginal's two
     terms (n each), d1's retained symbols (n), the float32 GEMM operands
     and the absolute values that size the screen ((k - 1) * n + 2 each),
-    and a few per-row vectors. The tile holds at least one row of m
-    float32 scores plus two bool masks, and at worst one int64 index per
-    score for the band to recheck; a recheck chunk holds at most
-    TILE_BYTES.
+    and a few per-row vectors. A tile holds at most max(TILE_BYTES // 8, m)
+    float32 scores and their bool mask. At worst every score is a
+    candidate, so per score the tile also holds, at once, the candidate's
+    int64 row and column, its float32 |S32|, two bool masks, and the int64
+    index of the band to recheck; the search for candidates holds less, an
+    int64 flat index and the two int64 halves it is built from. A recheck
+    chunk holds at most TILE_BYTES.
     """
     k = alphabet_size
     columns = n * max(s_max, 1)
     per_row = 8 * (2 * n + columns + k * columns + 2 * k * n + 2 * n + n)
     per_row += 12 * ((k - 1) * n + 2) + 128
-    tile = 14 * max(matching.TILE_BYTES // 8, m) + matching.TILE_BYTES
+    per_score = 4 + 1 + (8 + 8 + 4 + 1 + 1 + 8)  # tile, mask, then each candidate's share
+    tile = per_score * max(matching.TILE_BYTES // 8, m) + matching.TILE_BYTES
     return m * per_row + tile
 
 

@@ -30,9 +30,10 @@ LOG_ZERO = -1.0e30
 
 # The matcher scores d1 against TILE_BYTES // (8 m) repeated rows at a
 # time, so its working set grows linearly in m: a float32 tile of half
-# TILE_BYTES plus two bool masks. 4 MiB of float64 scores timed faster
-# than 2, 8 and 16 MiB at m=8192 and m=16384 on a 2-core Xeon with 2 MiB
-# of L2 per core.
+# TILE_BYTES, its bool mask, and the list of the tile's candidates. On a
+# 2-core Xeon with 2 MiB of L2 per core, 8 MiB ran the matcher about 5%
+# faster than 4 MiB at m=8192 and 15% at m=16384, but raised the peak RSS
+# of a paper-scale trial (m=8192) by about 1 MiB; 2 MiB was slower.
 TILE_BYTES = 4 * 1024 * 1024
 
 # Unit roundoff of float32, the precision of the matcher's screen.
@@ -187,6 +188,26 @@ def _screen(
     return a, b, lo, hi
 
 
+def _at_least(values: np.ndarray, floor, mask: np.ndarray) -> np.ndarray:
+    """Ascending indices of the entries of the flat ``values`` >= ``floor``.
+
+    ``mask`` is a bool buffer of at least ``values.size`` entries rounded
+    up to whole 8-byte words. Few entries reach the floor, and
+    ``np.flatnonzero`` of the compare's mask would cost more than the
+    compare itself; a uint64 view finds the nonzero words, an eighth as
+    many, and only those are searched byte by byte.
+    """
+    size = values.size
+    padded = -(-size // 8) * 8
+    np.greater_equal(values, floor, out=mask[:size])
+    mask[size:padded] = False
+    nonzero = np.flatnonzero(mask[:padded].view(np.uint64) != 0)
+    word, byte = np.nonzero(mask[:padded].reshape(-1, 8)[nonzero])
+    flat = 8 * nonzero[word]
+    flat += byte
+    return flat
+
+
 def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> None:
     """Raise ValueError on row-matching input that is bad whatever the
     estimate: epsilon not finite and positive, d1 not n columns wide,
@@ -237,11 +258,14 @@ def match_rows(
     # retained cells; the copies are conditionally independent given x,
     # and the runs tile d2's columns in order. An erasure is certain
     # whatever x is, so it adds nothing to the joint or Y log-likelihood.
-    log_channel = _safe_log2(est.p_y_given_x)
+    # A zero column in front of the table lets d2's symbols 1..k index it;
+    # take gathers several times faster than fancy indexing.
+    log_channel = np.zeros((k, k + 1))
+    log_channel[:, 1:] = _safe_log2(est.p_y_given_x)
     r = retained.size
     cells = np.empty((m2, k, r))
     np.add.reduceat(
-        log_channel[:, d2.astype(np.intp) - 1],
+        log_channel.take(d2, axis=1),
         segmented.offsets[retained],
         axis=2,
         out=cells.transpose(1, 0, 2),
@@ -263,35 +287,44 @@ def match_rows(
     bound = n * epsilon
     a, b, lo, hi = _screen(cells, dev_y <= epsilon, d1_idx[:, retained], offset, bound)
 
-    # Each tile takes one float32 GEMM, an abs and two compares: hits up to
-    # lo are typical, and the band lo < |S| <= hi is recomputed in float64
-    # from the cells, at most TILE_BYTES of gathered cells at a time. A
-    # repeated row's count saturates at 2: status needs no, one or several
-    # hits, so the first hit is cleared and the rest tested.
-    counts = np.empty(m2, dtype=np.intp)
-    first = np.empty(m2, dtype=np.intp)
+    # Each tile takes one float32 GEMM and one one-sided compare. A pair
+    # the float64 rule finds typical has S32 >= -hi[l] >= -max(hi) over
+    # the tile's rows, so every pair below that floor is atypical, and so
+    # is every NaN score, which never compares >=. The candidates left
+    # are decided one by one: typical up to lo, recomputed in float64
+    # from the cells in the band lo < |S32| <= hi (at most TILE_BYTES of
+    # gathered cells at a time), and atypical beyond it, which includes
+    # scores above +n eps. A repeated row's count saturates at 2: status
+    # needs no, one or several hits. The count and the first hit are all
+    # that outlive the tile.
+    counts = np.zeros(m2, dtype=np.intp)
+    first = np.zeros(m2, dtype=np.intp)
     rows = max(1, min(m2, TILE_BYTES // (8 * max(m1, 1))))
     chunk = max(1, TILE_BYTES // (16 * (r + 3)))
     tile = np.empty((rows, m1), dtype=np.float32)
-    typical = np.empty((rows, m1), dtype=bool)
-    band = np.empty((rows, m1), dtype=bool)
+    mask = np.empty(-(-rows * m1 // 8) * 8, dtype=bool)
     for l0 in range(0, m2, rows):
         l1 = min(l0 + rows, m2)
         scores = np.matmul(a[l0:l1], b, out=tile[: l1 - l0])
-        np.abs(scores, out=scores)
-        hits = np.less_equal(scores, hi[l0:l1, None], out=typical[: l1 - l0])
-        sure = np.less_equal(scores, lo[l0:l1, None], out=band[: l1 - l0])
-        recheck = np.flatnonzero(np.not_equal(hits, sure, out=sure))
+        l, i = np.divmod(_at_least(scores.ravel(), -hi[l0:l1].max(), mask), m1)
+        magnitude = np.abs(scores[l, i])
+        l += l0
+        hit = magnitude <= lo[l]
+        recheck = np.flatnonzero(np.not_equal(magnitude <= hi[l], hit))
         for c in range(0, recheck.size, chunk):
-            flat = recheck[c : c + chunk]
-            l, i = np.divmod(flat, m1)
-            pair_cells = cells[l0 + l[:, None], d1_idx[i[:, None], retained], np.arange(r)]
-            np.put(hits, flat, np.abs(pair_cells.sum(axis=1) + offset[i]) <= bound)
-        top = np.arange(l1 - l0), hits.argmax(axis=1)
-        first[l0:l1] = top[1]
-        counts[l0:l1] = hits[top]
-        hits[top] = False
-        counts[l0:l1] += hits.any(axis=1)
+            at = recheck[c : c + chunk]
+            pl, pi = l[at], i[at]
+            pair_cells = cells[pl[:, None], d1_idx[pi[:, None], retained], np.arange(r)]
+            hit[at] = np.abs(pair_cells.sum(axis=1) + offset[pi]) <= bound
+        del magnitude, recheck  # experiment._match_bytes counts them only until here
+        l = l[hit]
+        i = i[hit]
+        # l is sorted, so each row's hits start at its running total.
+        num = np.bincount(l - l0, minlength=l1 - l0)
+        counts[l0:l1] = np.minimum(num, 2)
+        found = num > 0
+        first[l0:l1][found] = i[(np.cumsum(num) - num)[found]]
+        del l, i, hit  # nothing per candidate outlives its tile
     unique = counts == 1
     assigned = np.where(unique, first, -1)
     status = np.where(

@@ -22,7 +22,7 @@ from dbalign.cli import (
     build_parser,
     main,
 )
-from dbalign.dbio import load_model_spec, model_spec_to_dict, read_matrix, write_matrix
+from dbalign.dbio import load_json_object, model_spec_from_dict, model_spec_to_dict, read_matrix, write_matrix
 from dbalign.experiment import CONFIG_FIELDS, CONFIG_KEYS, ExperimentConfig, ExperimentReport
 
 from conftest import bsc_spec, long_run_instance, symmetric_spec
@@ -49,12 +49,15 @@ def config_file(tmp_path):
     return path
 
 
-def _exit_code(argv) -> int:
-    """main's exit code, also where the parser exits on an unknown option."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
+def test_parse_error_returns_exit_config(capsys):
+    # In process, as in the shell: argparse's SystemExit does not escape main.
+    assert main(["match", "--bogus"]) == EXIT_CONFIG
+    assert "dbalign match: error:" in capsys.readouterr().err
+
+
+def test_help_returns_exit_ok(capsys):
+    assert main(["match", "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: dbalign match")
 
 
 # The deletion threshold's constant is fixed, so the option and the config
@@ -301,7 +304,7 @@ def test_detect_deletions_dump_l_rejects_a_bad_threshold_constant_first(tmp_path
     write_matrix(tmp_path / "g2.dbm", g1[:, [0, 2, 4]])
     dump = tmp_path / "l.csv"
     argv = ["detect-deletions", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
-    assert _exit_code([*argv, "--dump-l", str(dump), f"--threshold-constant={value}"]) == EXIT_CONFIG
+    assert main([*argv, "--dump-l", str(dump), f"--threshold-constant={value}"]) == EXIT_CONFIG
     assert UNKNOWN_FLAG in capsys.readouterr().err
     assert not dump.exists()
 
@@ -379,6 +382,14 @@ def test_experiment_rejects_fractional_size_exit(tmp_path, config_file, capsys):
     assert "m must be an integer" in capsys.readouterr().err
 
 
+def test_capacity_rejects_unknown_keys_exit(tmp_path, config_file, capsys):
+    # capacity takes a model spec or a whole experiment config, nothing else.
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(dict(json.loads(config_file.read_text()), s_maxx=7, alphabet_sise=3)))
+    assert main(["capacity", "--config", str(bad)]) == EXIT_CONFIG
+    assert "unknown experiment config keys: 's_maxx', 'alphabet_sise'" in capsys.readouterr().err
+
+
 ONE_SYMBOL_SPEC = {"p_x": [1.0], "p_y_given_x": [[1.0]], "p_s": [0.5, 0.5]}
 
 
@@ -450,7 +461,7 @@ def test_experiment_without_out_appends_to_redirected_stdout(tmp_path, config_fi
     ids=["--epsilon", "--threshold-constant"],
 )
 def test_experiment_rejects_knobs_not_finite_and_positive(config_file, capsys, flag, message, value):
-    assert _exit_code(["experiment", "--config", str(config_file), f"{flag}={value}"]) == EXIT_CONFIG
+    assert main(["experiment", "--config", str(config_file), f"{flag}={value}"]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
 
 
@@ -607,7 +618,7 @@ def test_match_bad_threshold_constant_on_two_rows_exit_config(tmp_path, capsys, 
     # The recorded replica failure must not hide a refused option, nor print
     # a constant as a JSON NaN.
     argv = _two_row_match_argv(tmp_path)
-    assert _exit_code([*argv, f"--threshold-constant={value}"]) == EXIT_CONFIG
+    assert main([*argv, f"--threshold-constant={value}"]) == EXIT_CONFIG
     assert UNKNOWN_FLAG in capsys.readouterr().err
     assert not (tmp_path / "match.json").exists()
 
@@ -747,7 +758,7 @@ def test_experiment_flags_are_the_config_keys():
 
 
 def test_config_with_every_key_set_round_trips(config_file):
-    spec = model_spec_to_dict(load_model_spec(config_file))
+    spec = model_spec_to_dict(model_spec_from_dict(load_json_object(config_file)))
     defaults = ExperimentConfig.from_dict({**spec, "m": 1, "n": 1, "lambda": 1}).to_dict()
     assert all(defaults[key] != value for key, value in EVERY_KEY.items())
     d = {**spec, **EVERY_KEY}

@@ -264,6 +264,19 @@ def test_memory_estimate_grows_with_alphabet_size():
     assert sizes == sorted(set(sizes))
 
 
+def _matcher_peak(spec, m, n, epsilon):
+    """match_rows' tracemalloc peak on a sampled instance, and its result."""
+    pair, _ = sample_instance(m, n, 1, spec, master_seed=7)
+    segmented, est = segment(pair.d2, pair.pattern), from_model_spec(spec)
+    tracemalloc.start()
+    try:
+        result = match_rows(pair.d1, segmented, est, epsilon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
 @pytest.mark.parametrize(
     "spec, m, n",
     [
@@ -277,14 +290,22 @@ def test_memory_estimate_grows_with_alphabet_size():
 def test_memory_estimate_bounds_the_matcher(spec, m, n):
     # The guard is only as truthful as its matcher term: the measured peak,
     # one score tile included, must stay within it.
-    pair, _ = sample_instance(m, n, 1, spec, master_seed=7)
-    segmented, est = segment(pair.d2, pair.pattern), from_model_spec(spec)
-    tracemalloc.start()
-    try:
-        match_rows(pair.d1, segmented, est, 0.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = _matcher_peak(spec, m, n, 0.3)
+    assert peak <= _match_bytes(m, n, spec.s_max, spec.alphabet_size)
+
+
+@pytest.mark.parametrize(
+    "spec, m, n",
+    [
+        (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 3000, 60),
+        (bsc_spec(flip=0.1), 4096, 4),
+    ],
+)
+def test_memory_estimate_bounds_the_matcher_when_every_pair_is_a_candidate(spec, m, n):
+    # At a wide epsilon every score of every tile is a typical candidate,
+    # the matcher's worst case: each tile then lists all of its pairs.
+    peak, result = _matcher_peak(spec, m, n, 5.0)
+    assert result.status_counts()["ambiguous"] == m
     assert peak <= _match_bytes(m, n, spec.s_max, spec.alphabet_size)
 
 

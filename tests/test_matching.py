@@ -327,6 +327,32 @@ def test_match_rows_decides_scores_one_float32_ulp_from_the_bound(l, i):
     assert statuses[0] != statuses[1]
 
 
+def test_match_rows_rejects_pairs_too_likely_to_be_typical():
+    # BSC(0.1) without repetitions: a pair that agrees in all n = 10 columns
+    # scores S = n (H - log2(1 / 0.45)) = 3.17 > n eps = 2, above the bound
+    # by far more than any rounding slack. It reaches the matcher's
+    # one-sided floor, so only the decision on |S| keeps it out.
+    spec = bsc_spec(flip=0.1)
+    est = from_model_spec(spec)
+    m, n, epsilon = 16, 10, 0.2
+    pair, _ = sample_instance(m, n, 1, spec, master_seed=0)
+    seg = segment(pair.d2, pair.pattern)
+    x = pair.d1.astype(np.intp)[:, None, :] - 1
+    y = pair.d2.astype(np.intp)[None, :, :] - 1
+    joint = np.log2(est.p_x[x] * est.p_y_given_x[x, y]).sum(axis=2)
+    too_likely = joint + n * est.joint_entropy > n * epsilon + 1.0
+    assert too_likely.sum() >= 5
+    dense = dense_match_rows(pair.d1, seg, est, epsilon)
+    assert dense.status_counts()["matched"] >= 5
+    for rows in _tile_sizes(m):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(matching, "TILE_BYTES", 8 * m * rows)
+            tiled = match_rows(pair.d1, seg, est, epsilon)
+        assert np.array_equal(tiled.assigned, dense.assigned)
+        assert np.array_equal(tiled.status, dense.status)
+
+
 @pytest.mark.parametrize("case", ["unsupported_symbol", "unit_trace_cyclic"])
 @pytest.mark.parametrize("epsilon", [5.0, 50.0])
 def test_match_rows_never_accepts_a_zero_probability_pair(case, epsilon):

@@ -18,7 +18,7 @@ from dbalign import (
     substream,
 )
 from dbalign.dbio import (
-    load_model_spec,
+    load_json_object,
     model_spec_from_dict,
     model_spec_to_dict,
     read_matrix,
@@ -398,4 +398,4 @@ def test_model_spec_json_round_trip(tmp_path):
     import json
 
     path.write_text(json.dumps(d))
-    assert np.allclose(load_model_spec(path).p_x, spec.p_x)
+    assert np.allclose(model_spec_from_dict(load_json_object(path)).p_x, spec.p_x)
