@@ -220,28 +220,35 @@ def estimate_tv_distance(spec: ModelSpec, est: estimation.DistributionEstimate) 
 def _match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     """Upper bound on `matching.match_rows`' working set at m rows.
 
-    Every array it holds is linear in m, except one tile of joint scores
-    and one chunk of the float64 recheck. Per row: d1's indices and their
-    log-probabilities (n each), d2's indices (at most n * s_max columns)
-    and their per-symbol log-likelihoods, the float64 cell scores that the
-    recheck reads (k * n) and their exp2 (k * n), the Y-marginal's two
-    terms (n each), d1's retained symbols (n), the float32 GEMM operands
-    and the absolute values that size the screen ((k - 1) * n + 2 each),
-    and a few per-row vectors. A tile holds at most max(TILE_BYTES // 8, m)
+    Every array it holds is linear in m, except the table of distinct
+    runs, one tile of joint scores and one chunk of the float64 recheck.
+    Per row and column of d1 or d2: d1's float64 log-probabilities, its
+    uint8 retained symbols and their 0-based copy, the int32 run codes and
+    two uint8 columns of d2 they are built from, the int64 ids of the runs
+    in the table, and the float64 log2 q_y and baseline cells gathered
+    from it (8 + 2 + 6 + 8 + 16 bytes). Per row also: the float32 GEMM
+    operands, the absolute values that size the screen and the buffer the
+    differences are gathered through ((k - 1) * n + 2 entries each), and
+    a few per-row vectors. Runs of up to s_max copies take
+    sum_{s <= s_max} k^s codes, each with a presence flag and an int64
+    index; each distinct run, at most min(m * n, codes) of them, holds its
+    decoded copies, their k log-likelihoods each, its k cells and their
+    exp2, and a few scalars. A tile holds at most max(TILE_BYTES // 8, m)
     float32 scores and their bool mask. At worst every score is a
     candidate, so per score the tile also holds, at once, the candidate's
     int64 row and column, its float32 |S32|, two bool masks, and the int64
     index of the band to recheck; the search for candidates holds less, an
     int64 flat index and the two int64 halves it is built from. A recheck
-    chunk holds at most TILE_BYTES.
+    chunk holds at most 17 bytes per gathered cell, under 2 * TILE_BYTES.
     """
     k = alphabet_size
-    columns = n * max(s_max, 1)
-    per_row = 8 * (2 * n + columns + k * columns + 2 * k * n + 2 * n + n)
-    per_row += 12 * ((k - 1) * n + 2) + 128
+    per_row = (8 + 2 + 6 + 8 + 16) * n + 16 * ((k - 1) * n + 2) + 128
+    codes = sum(k**s for s in range(s_max + 1))
+    runs = min(m * n, codes)
+    table = 9 * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)
     per_score = 4 + 1 + (8 + 8 + 4 + 1 + 1 + 8)  # tile, mask, then each candidate's share
-    tile = per_score * max(matching.TILE_BYTES // 8, m) + matching.TILE_BYTES
-    return m * per_row + tile
+    tile = per_score * max(matching.TILE_BYTES // 8, m) + 2 * matching.TILE_BYTES
+    return m * per_row + table + tile
 
 
 def _instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:

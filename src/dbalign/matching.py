@@ -1,11 +1,15 @@
 """End-to-end row de-anonymization.
 
-Composes the two detectors, plug-in estimation, and marker segmentation,
-then matches rows by three-part weak typicality: a candidate pair is
-accepted when the joint and both marginal empirical log-likelihood rates
-sit within epsilon of the corresponding plug-in entropies, and exactly
-one candidate survives. Everything before matching is one shared stage
-function, ``estimate_stages``, which the CLI also calls.
+Composes the two detectors and plug-in estimation, groups the repeated
+database's columns into one run per original column by the detected
+repetition pattern, then matches rows by three-part weak typicality: a
+candidate pair is accepted when the joint and both marginal empirical
+log-likelihood rates sit within epsilon of the corresponding plug-in
+entropies, and exactly one candidate survives. A run of s copies takes
+one of k^s values, so the matcher scores each distinct run once, in a
+table indexed by run codes, and gathers every cell from it. Everything
+before matching is one shared stage function, ``estimate_stages``, which
+the CLI also calls.
 """
 
 from __future__ import annotations
@@ -127,8 +131,60 @@ def _safe_log2(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cell_table(
+    d2: np.ndarray, starts: np.ndarray, lengths: np.ndarray, log_channel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of d2's runs, scored once per distinct run.
+
+    Run j of row l is the ``lengths[j]`` symbols of d2 from column
+    ``starts[j]``. Its code is the run read as a bijective base-k numeral,
+    sum_t y_t k^(s - 1 - t) over its copies y_0..y_{s-1} (symbols 1..k):
+    the runs of length s are ordered lexicographically, the first copy
+    most significant, in their own block of codes from sum_{t < s} k^t
+    on. ``log_channel[x, y]`` is log2 p(y | X = x + 1) with a zero column
+    at y = 0. Returns ``table``, k by the number of distinct runs, and
+    ``ids``, with table[x, ids[l, j]] the log-likelihood of row l's run j
+    given X = x + 1: its copies' log-likelihoods summed in order by
+    ``np.add.reduceat``, so each cell is the one a reduceat over the row
+    itself would give.
+    """
+    k = log_channel.shape[0]
+    s_max = int(lengths.max(initial=0))
+    check_table_size(k, s_max)  # bounds the code space below
+    base = np.cumsum([k**s for s in range(s_max + 1)])  # base[s - 1]: first code of length s
+    # One Horner pass per copy over all runs at once: a run without copy t
+    # is multiplied by 1 and adds 0. Every code is below base[-1]: within
+    # TABLE_LIMIT by the check, or s_max + 1 when k = 1.
+    codes = d2.take(starts, axis=1).astype(np.int32)
+    for t in range(1, s_max):
+        live = lengths > t
+        copy = d2.take(starts + t * live, axis=1)
+        copy *= live.astype(copy.dtype)
+        codes *= np.where(live, k, 1).astype(np.int32)
+        codes += copy
+    present = np.zeros(int(base[-1]), dtype=bool)
+    present[codes] = True
+    used = np.flatnonzero(present)
+    lookup = np.empty(present.size, dtype=np.intp)
+    lookup[used] = np.arange(used.size)
+    ids = lookup[codes]
+
+    # Each used run's copies in order, decoded from its code, then one
+    # reduceat over them all.
+    blocks = np.split(used, np.searchsorted(used, base[1:-1]))
+    symbols = [
+        ((block - base[s - 1])[:, None] // k ** np.arange(s - 1, -1, -1) % k + 1).ravel()
+        for s, block in enumerate(blocks, start=1)
+    ]
+    run_lengths = np.repeat(np.arange(1, len(blocks) + 1), [block.size for block in blocks])
+    run_starts = np.cumsum(run_lengths) - run_lengths
+    table = np.add.reduceat(log_channel.take(np.concatenate(symbols), axis=1), run_starts, axis=1)
+    return table, ids
+
+
 def _screen(
-    cells: np.ndarray,
+    table: np.ndarray,
+    ids: np.ndarray,
     y_typical: np.ndarray,
     x_cells: np.ndarray,
     offset: np.ndarray,
@@ -136,19 +192,23 @@ def _screen(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Float32 GEMM operands of the joint scores and each row's screen.
 
-    The joint score of repeated row l and anonymized row i is
-    S[l, i] = sum_j cells[l, x_ij, j] + offset[i], with x_ij = x_cells[i, j]
-    (0-based symbols) and every cell finite and <= 0; the pair is typical
-    when |S| <= bound. NaN in ``offset`` marks an X-atypical row, and
-    ``y_typical`` False a Y-atypical one; their scores are NaN.
+    ``table`` holds one column per distinct run of d2: table[x, u] is its
+    log-likelihood given the 0-based source symbol x, finite and <= 0.
+    Repeated row l's cell j is the run ``ids[l, j]``, so its joint score
+    with anonymized row i is S[l, i] = sum_j table[x_ij, ids[l, j]] +
+    offset[i], with x_ij = x_cells[i, j] (0-based symbols); the pair is
+    typical when |S| <= bound. NaN in ``offset`` marks an X-atypical row,
+    and ``y_typical`` False a Y-atypical one; their scores are NaN. Write
+    cells[l, x, j] = table[x, ids[l, j]] below.
 
     d1's one-hot cells sum to 1 over the symbols of each column, so
     S = base_l + sum_{x >= 1, j} (cells[l, x, j] - cells[l, 0, j])
     [x_ij = x] + offset[i] with base_l = sum_j cells[l, 0, j]. The returned
     ``a @ b`` is S in float32 at width w = (k - 1) r + 2: ``a`` holds the
-    differences, base_l and a column of ones (NaN for Y-atypical rows);
-    ``b`` holds the one-hot cells of symbols 1..k-1, a row of ones and
-    the offset row.
+    differences, each taken once per run in the table and gathered by
+    ``ids``, base_l and a column of ones (NaN for Y-atypical rows); ``b``
+    holds the one-hot cells of symbols 1..k-1, a row of ones and the
+    offset row.
 
     Soundness, with u = 2^-24 and gamma_j = j u / (1 - j u): let
     T_l = sum_t |a[l, t]| (t < w - 1) + max_i |offset[i]|. Every product
@@ -168,15 +228,18 @@ def _screen(
       - |S32| <= lo implies |S64| <= bound: those hits need no recheck.
     Only lo < |S32| <= hi is decided in float64.
     """
-    m2, k, r = cells.shape
+    k = table.shape[0]
+    m2, r = ids.shape
     m1 = x_cells.shape[0]
     w = (k - 1) * r + 2
     a = np.empty((m2, w), dtype=np.float32)
-    np.subtract(cells[:, 1:], cells[:, :1], out=a[:, : w - 2].reshape(m2, k - 1, r))
-    a[:, w - 2] = cells[:, 0].sum(axis=1)
+    differences = (table[1:] - table[:1]).astype(np.float32)
+    np.take(differences, ids, axis=1, out=a[:, : w - 2].reshape(m2, k - 1, r).transpose(1, 0, 2))
+    a[:, w - 2] = table[0].take(ids).sum(axis=1)
     a[:, w - 1] = np.where(y_typical, 1.0, np.nan)
     b = np.empty((w, m1), dtype=np.float32)
-    np.equal(x_cells.T, np.arange(1, k)[:, None, None], out=b[: w - 2].reshape(k - 1, r, m1))
+    symbols = np.arange(1, k, dtype=x_cells.dtype)
+    np.equal(x_cells.T, symbols[:, None, None], out=b[: w - 2].reshape(k - 1, r, m1))
     b[w - 2] = 1.0
     b[w - 1] = offset
 
@@ -237,6 +300,8 @@ def match_rows(
     Joint typicality is screened in float32 (``_screen``, whose docstring
     proves the bounds) and decided in float64: hits within a row's
     rounding band of n epsilon are recomputed from the float64 cells.
+    Each distinct run of d2 is scored once (``_cell_table``); a run too
+    long to tabulate (``infotheory.check_table_size``) raises ValueError.
     """
     d1, d2, k = np.asarray(d1), segmented.d2, est.alphabet_size
     _check_match_input(d1, d2, segmented.n, k, epsilon)
@@ -246,35 +311,32 @@ def match_rows(
     penalty = -2.0 * (n * (est.joint_entropy + epsilon) + 1.0)
     if penalty < LOG_ZERO:
         raise ValueError(f"epsilon {epsilon:g} too large for {n} columns")
-    d1_idx = d1.astype(np.intp) - 1
     retained = np.flatnonzero(segmented.pattern.s)
+    r = retained.size
 
-    # X-marginal deviation: depends on the anonymized row only.
-    log_px = _safe_log2(est.p_x)
-    ll_x = log_px[d1_idx].sum(axis=1)
+    # X-marginal deviation: depends on the anonymized row only. A zero in
+    # front of the log-probabilities lets d1's symbols 1..k index them.
+    log_px = np.zeros(k + 1)
+    log_px[1:] = _safe_log2(est.p_x)
+    ll_x = log_px[d1].sum(axis=1)
     dev_x = np.abs(-ll_x / n - est.x_entropy)
 
-    # cells[l, x, j]: log2 p(cell j of repeated row l | X = x) over the
+    # table[x, ids[l, j]]: log2 p(cell j of repeated row l | X = x) over the
     # retained cells; the copies are conditionally independent given x,
     # and the runs tile d2's columns in order. An erasure is certain
     # whatever x is, so it adds nothing to the joint or Y log-likelihood.
-    # A zero column in front of the table lets d2's symbols 1..k index it;
-    # take gathers several times faster than fancy indexing.
+    # A run of s copies takes one of k^s values, so each distinct run is
+    # scored once and every cell is gathered from its table column.
     log_channel = np.zeros((k, k + 1))
     log_channel[:, 1:] = _safe_log2(est.p_y_given_x)
-    r = retained.size
-    cells = np.empty((m2, k, r))
-    np.add.reduceat(
-        log_channel.take(d2, axis=1),
-        segmented.offsets[retained],
-        axis=2,
-        out=cells.transpose(1, 0, 2),
+    table, ids = _cell_table(
+        d2, segmented.offsets[retained], segmented.pattern.s[retained], log_channel
     )
 
     # Y-marginal deviation: depends on the repeated row only; each cell's
     # probability is its likelihood averaged over the source symbol.
-    q_y = np.matmul(est.p_x, np.exp2(cells))
-    dev_y = np.abs(-_safe_log2(q_y).sum(axis=1) / n - est.y_entropy)
+    log_q_y = _safe_log2(np.matmul(est.p_x, np.exp2(table)))
+    dev_y = np.abs(-log_q_y.take(ids).sum(axis=1) / n - est.y_entropy)
 
     # Joint typicality: |-(joint_ll + ll_x) / n - H| <= eps is |S| <= n eps
     # with S = joint_ll + ll_x + n H. Every cell log-likelihood and ll_x
@@ -282,17 +344,18 @@ def match_rows(
     # S <= P + n H < -n eps whether that cell keeps its value or is
     # clamped to P: the pair is atypical either way. The clamp keeps the
     # cells finite, so their differences in the screen do not cancel.
-    np.maximum(cells, penalty, out=cells)
+    np.maximum(table, penalty, out=table)
     offset = np.where(dev_x <= epsilon, ll_x + n * est.joint_entropy, np.nan)
     bound = n * epsilon
-    a, b, lo, hi = _screen(cells, dev_y <= epsilon, d1_idx[:, retained], offset, bound)
+    x_cells = d1[:, retained] - 1  # 0-based, in d1's own dtype
+    a, b, lo, hi = _screen(table, ids, dev_y <= epsilon, x_cells, offset, bound)
 
     # Each tile takes one float32 GEMM and one one-sided compare. A pair
     # the float64 rule finds typical has S32 >= -hi[l] >= -max(hi) over
     # the tile's rows, so every pair below that floor is atypical, and so
     # is every NaN score, which never compares >=. The candidates left
     # are decided one by one: typical up to lo, recomputed in float64
-    # from the cells in the band lo < |S32| <= hi (at most TILE_BYTES of
+    # from the table in the band lo < |S32| <= hi (at most TILE_BYTES of
     # gathered cells at a time), and atypical beyond it, which includes
     # scores above +n eps. A repeated row's count saturates at 2: status
     # needs no, one or several hits. The count and the first hit are all
@@ -314,7 +377,7 @@ def match_rows(
         for c in range(0, recheck.size, chunk):
             at = recheck[c : c + chunk]
             pl, pi = l[at], i[at]
-            pair_cells = cells[pl[:, None], d1_idx[pi[:, None], retained], np.arange(r)]
+            pair_cells = table[x_cells[pi], ids[pl]]
             hit[at] = np.abs(pair_cells.sum(axis=1) + offset[pi]) <= bound
         del magnitude, recheck  # experiment._match_bytes counts them only until here
         l = l[hit]

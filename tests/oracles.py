@@ -39,6 +39,16 @@ def cell_code(cell, alphabet_size):
     return code
 
 
+def reduceat_cells(d2, starts, log_channel):
+    """Reference cells: one ``np.add.reduceat`` over each repeated row.
+
+    ``[l, x, j]`` sums ``log_channel[x, y]`` over the copies y of row l's
+    run j, the runs starting at ``starts`` and tiling the row's columns;
+    ``log_channel`` has a zero column in front, so symbols 1..k index it.
+    """
+    return np.stack([np.add.reduceat(log_channel[:, row], starts, axis=1) for row in d2])
+
+
 def typicality_deviation(x_row, cells, est):
     """Reference (per-pair) typicality deviations.
 

@@ -285,6 +285,7 @@ def _matcher_peak(spec, m, n, epsilon):
         (bsc_spec(flip=0.1, p_s=(0.0, 0.0, 1.0)), 4096, 60),
         (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 120),
         (bsc_spec(flip=0.1), 4096, 4),  # narrow: the score tile dominates
+        (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 240),  # wide_repeat's shape
     ],
 )
 def test_memory_estimate_bounds_the_matcher(spec, m, n):

@@ -23,6 +23,7 @@ from dbalign import (
 )
 from dbalign import deletions, matching, replicas
 from dbalign.deletions import RetentionResult
+from dbalign.infotheory import TABLE_LIMIT
 from dbalign.replicas import dispersion, dispersion_bound
 from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
 
@@ -37,6 +38,7 @@ from oracles import (
     ERASURE,
     cell,
     dense_match_rows,
+    reduceat_cells,
     row_cells,
     typicality_deviation,
     ungated_replicas,
@@ -164,6 +166,7 @@ ORACLE_CASES = {
     "ternary": (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), None),
     "quaternary": (symmetric_spec(4, 0.7, (0.2, 0.5, 0.3)), None),
     "all_deleted": (bsc_spec(flip=0.15, p_s=(1.0, 0.0)), None),
+    "long_runs": (bsc_spec(flip=0.15, p_s=(0.1, 0.4) + (0.0,) * 8 + (0.5,)), None),
     "unsupported_symbol": _unsupported_symbol_case(),
 }
 
@@ -216,6 +219,7 @@ def _oracle_instance(case, seed, m, n):
     epsilon=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
 )
 @example(case="all_deleted", seed=0, m=12, n=6, epsilon=0.5)
+@example(case="long_runs", seed=0, m=16, n=8, epsilon=0.5)  # runs of 10 copies
 @example(**ORACLE_EXAMPLES[0])
 @example(**ORACLE_EXAMPLES[1])
 def test_match_rows_tiles_agree_with_dense_oracle(case, seed, m, n, epsilon):
@@ -252,6 +256,39 @@ def test_oracle_examples_reach_every_case():
     assert most_candidates >= 3
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    k=st.integers(1, 8),
+    lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 10_000),
+)
+@example(k=2, lengths=[9, 1, 12, 10], m=40, seed=0)
+@example(k=8, lengths=[6, 1, 2], m=40, seed=0)
+def test_cell_table_scores_each_distinct_run_once_as_reduceat_does(k, lengths, m, seed):
+    # A run of 9 or more copies is where numpy's pairwise sum changes
+    # form; the run lengths are capped where the code space outgrows
+    # TABLE_LIMIT. Every cell gathered from the table must equal, bit for
+    # bit, a reduceat over its own row, zero-probability entries included.
+    longest = max(s for s in range(1, 13) if k ** (s + 1) <= TABLE_LIMIT)
+    lengths = np.minimum(lengths, longest)
+    starts = np.cumsum(lengths) - lengths
+    rng = np.random.default_rng(seed)
+    d2 = rng.integers(1, k + 1, size=(m, lengths.sum()), dtype=np.uint8)
+    channel = rng.uniform(size=(k, k))
+    channel[channel < 0.1] = 0.0
+    log_channel = np.zeros((k, k + 1))
+    log_channel[:, 1:] = matching._safe_log2(channel)
+
+    table, ids = matching._cell_table(d2, starts, lengths, log_channel)
+    gathered = np.ascontiguousarray(table[:, ids].transpose(1, 0, 2))
+    expected = reduceat_cells(d2, starts, log_channel)
+    assert gathered.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+    runs = {tuple(row[a : a + s]) for row in d2 for a, s in zip(starts, lengths)}
+    assert table.shape == (k, len(runs))
+    assert len(runs) <= min(m * lengths.size, sum(k**s for s in range(1, lengths.max() + 1)))
+
+
 def _float64_scores(cells, x_cells, offset):
     """The float64 joint-score formula: each pair's cells summed, plus its offset."""
     return cells[:, x_cells, np.arange(x_cells.shape[1])].sum(axis=2) + offset
@@ -285,9 +322,12 @@ def test_screen_keeps_every_pair_typical_in_float64(k, r, epsilon, steered, seed
     offset[rng.random(m1) < 0.1] = np.nan
     y_typical = np.array([True, True, True, False])
 
+    # Every cell is its own run: the table has one column per cell.
+    table = cells.transpose(1, 0, 2).reshape(k, m2 * r)
+    ids = np.arange(m2 * r).reshape(m2, r)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, b, lo, hi = matching._screen(cells, y_typical, x_cells, offset, bound)
+        a, b, lo, hi = matching._screen(table, ids, y_typical, x_cells, offset, bound)
         screened = np.abs(a @ b)
     assert a.dtype == b.dtype == np.float32 and a.shape[1] == (k - 1) * r + 2
     s64 = _float64_scores(cells, x_cells, offset)
