@@ -158,6 +158,27 @@ def cooccurrence(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> np.ndarr
     return counts
 
 
+def seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
+    """Upper bound on the seed stages' working set: deletion detection and
+    the plug-in estimate, with at most n replica-free g2 columns.
+
+    `cooccurrence` holds two float32 operands of one seed block by
+    (k - 1) * n + 1 columns, the int64 accumulator of their products, one
+    block's float32 product and its int64 cast, and then the k^2 * n^2
+    int64 counts with one k * n^2 sum while symbol 1's counts are rebuilt.
+    Each remapping of the sweep gathers k * n^2 counts, sums them to n^2
+    distances and scans their float64 deviations. The source estimate
+    holds one bool mask of the seeds at a time.
+    """
+    k = alphabet_size
+    width = (k - 1) * n + 1
+    block = min(num_seeds, SEED_BLOCK)
+    operands = 4 * block * 2 * width
+    products = (8 + 4 + 8) * width * width
+    counts = 8 * k * k * n * n + 8 * (k + 4) * n * n
+    return operands + products + counts + num_seeds * n
+
+
 def cross_hamming(
     g1: np.ndarray, g2: np.ndarray, phi: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:

@@ -20,7 +20,7 @@ from .dbio import (
     SPEC_KEYS, as_integer, as_real, load_json_object, model_spec_from_dict, model_spec_to_dict
 )
 from .infotheory import capacity, check_table_size, repetition_table
-from .model import ModelSpec, sample_instance, substream
+from .model import ModelSpec, instance_bytes, sample_instance
 
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
 
@@ -217,80 +217,11 @@ def estimate_tv_distance(spec: ModelSpec, est: estimation.DistributionEstimate) 
     return 0.5 * total
 
 
-def _match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
-    """Upper bound on `matching.match_rows`' working set at m rows.
-
-    Every array it holds is linear in m, except the table of distinct
-    runs, one tile of joint scores and one chunk of the float64 recheck.
-    Per row and column of d1 or d2: d1's float64 log-probabilities, its
-    uint8 retained symbols and their 0-based copy, the int32 run codes and
-    two uint8 columns of d2 they are built from, the int64 ids of the runs
-    in the table, and the float64 log2 q_y and baseline cells gathered
-    from it (8 + 2 + 6 + 8 + 16 bytes). Per row also: the float32 GEMM
-    operands, the absolute values that size the screen and the buffer the
-    differences are gathered through ((k - 1) * n + 2 entries each), and
-    a few per-row vectors. Runs of up to s_max copies take
-    sum_{s <= s_max} k^s codes, each with a presence flag and an int64
-    index; each distinct run, at most min(m * n, codes) of them, holds its
-    decoded copies, their k log-likelihoods each, its k cells and their
-    exp2, and a few scalars. A tile holds at most max(TILE_BYTES // 8, m)
-    float32 scores and their bool mask. At worst every score is a
-    candidate, so per score the tile also holds, at once, the candidate's
-    int64 row and column, its float32 |S32|, two bool masks, and the int64
-    index of the band to recheck; the search for candidates holds less, an
-    int64 flat index and the two int64 halves it is built from. A recheck
-    chunk holds at most 17 bytes per gathered cell, under 2 * TILE_BYTES.
-    """
-    k = alphabet_size
-    per_row = (8 + 2 + 6 + 8 + 16) * n + 16 * ((k - 1) * n + 2) + 128
-    codes = sum(k**s for s in range(s_max + 1))
-    runs = min(m * n, codes)
-    table = 9 * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)
-    per_score = 4 + 1 + (8 + 8 + 4 + 1 + 1 + 8)  # tile, mask, then each candidate's share
-    tile = per_score * max(matching.TILE_BYTES // 8, m) + 2 * matching.TILE_BYTES
-    return m * per_row + table + tile
-
-
-def _instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
-    """Upper bound on `model.sample_instance`'s working set.
-
-    The kept uint8 arrays (d1, d2 and the channel output it is scattered
-    from; g1, g2 and the channel's expanded input and symbol mask), plus
-    the generator's largest transient: one float64 uniform per symbol of
-    the largest single draw and one int64 position per entry the channel
-    resamples at once, both at most max(m, num_seeds) * k_max.
-    """
-    k_max = n * max(s_max, 1)
-    kept = 2 * m * (n + k_max) + 4 * num_seeds * (n + k_max)
-    return kept + 16 * max(m, num_seeds) * k_max
-
-
-def _seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
-    """Upper bound on the seed stages' working set: deletion detection and
-    the plug-in estimate, with at most n replica-free g2 columns.
-
-    `deletions.cooccurrence` holds two float32 operands of one seed block
-    by (k - 1) * n + 1 columns, the int64 accumulator of their products,
-    one block's float32 product and its int64 cast, and then the k^2 * n^2
-    int64 counts with one k * n^2 sum while symbol 1's counts are rebuilt.
-    Each remapping of the sweep gathers k * n^2 counts, sums them to n^2
-    distances and scans their float64 deviations. The source estimate
-    holds one bool mask of the seeds at a time.
-    """
-    k = alphabet_size
-    width = (k - 1) * n + 1
-    block = min(num_seeds, deletions.SEED_BLOCK)
-    operands = 4 * block * 2 * width
-    products = (8 + 4 + 8) * width * width
-    counts = 8 * k * k * n * n + 8 * (k + 4) * n * n
-    return operands + products + counts + num_seeds * n
-
-
 def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int) -> int:
     """Working set of one trial: the matcher, the instance and the seed stages."""
-    instance = _instance_bytes(m, n, num_seeds, s_max)
-    seeds = _seed_bytes(n, num_seeds, alphabet_size)
-    return int(1.5 * (_match_bytes(m, n, s_max, alphabet_size) + instance + seeds))
+    instance = instance_bytes(m, n, num_seeds, s_max)
+    seeds = deletions.seed_bytes(n, num_seeds, alphabet_size)
+    return int(1.5 * (matching.match_bytes(m, n, s_max, alphabet_size) + instance + seeds))
 
 
 def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
@@ -313,14 +244,8 @@ def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
     deletion_ok = result.retention is not None and np.array_equal(
         result.retention.retained, pair.pattern.retained_indices()
     )
-    est_tv = (
-        estimate_tv_distance(spec, result.estimate)
-        if result.estimate is not None
-        else math.nan
-    )
-    row_error = (
-        result.match.row_error_rate(pair.sigma) if result.match is not None else 1.0
-    )
+    est_tv = math.nan if result.estimate is None else estimate_tv_distance(spec, result.estimate)
+    row_error = 1.0 if result.match is None else result.match.row_error_rate(pair.sigma)
     fingerprint = int(
         np.random.SeedSequence(config.master_seed, spawn_key=(point, trial)).generate_state(1)[0]
     )

@@ -274,7 +274,9 @@ def _at_least(values: np.ndarray, floor, mask: np.ndarray) -> np.ndarray:
 def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> None:
     """Raise ValueError on row-matching input that is bad whatever the
     estimate: epsilon not finite and positive, d1 not n columns wide,
-    unequal row counts, or a d1 or d2 symbol outside 1..alphabet_size."""
+    unequal row counts, a d1 or d2 symbol outside 1..alphabet_size, or
+    epsilon past the clamp of `match_rows` for any plug-in estimate of
+    this input, whose n H is at most log2(k) (n + d2's column count)."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
     if d1.shape[1] != n:
@@ -282,6 +284,9 @@ def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> No
     if d1.shape[0] != d2.shape[0]:
         raise ValueError("row matching needs equal row counts on both sides")
     deletions.check_symbols(alphabet_size, d1, d2)
+    most_joint = math.log2(max(alphabet_size, 1)) * (n + d2.shape[1])  # at least n H
+    if -2.0 * (most_joint + n * epsilon + 1.0) < LOG_ZERO:
+        raise ValueError(f"epsilon {epsilon:g} too large for {n} columns")
 
 
 def match_rows(
@@ -379,7 +384,7 @@ def match_rows(
             pl, pi = l[at], i[at]
             pair_cells = table[x_cells[pi], ids[pl]]
             hit[at] = np.abs(pair_cells.sum(axis=1) + offset[pi]) <= bound
-        del magnitude, recheck  # experiment._match_bytes counts them only until here
+        del magnitude, recheck  # match_bytes counts them only until here
         l = l[hit]
         i = i[hit]
         # l is sorted, so each row's hits start at its running total.
@@ -400,6 +405,40 @@ def match_rows(
     status[collided] = STATUS_AMBIGUOUS
     assigned[collided] = -1
     return MatchResult(assigned=assigned, status=status)
+
+
+def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
+    """Upper bound on `match_rows`' working set at m rows.
+
+    Every array it holds is linear in m, except the table of distinct
+    runs, one tile of joint scores and one chunk of the float64 recheck.
+    Per row and column of d1 or d2: d1's float64 log-probabilities, its
+    uint8 retained symbols and their 0-based copy, the int32 run codes and
+    two uint8 columns of d2 they are built from, the int64 ids of the runs
+    in the table, and the float64 log2 q_y and baseline cells gathered
+    from it (8 + 2 + 6 + 8 + 16 bytes). Per row also: the float32 GEMM
+    operands, the absolute values that size the screen and the buffer the
+    differences are gathered through ((k - 1) * n + 2 entries each), and
+    a few per-row vectors. Runs of up to s_max copies take
+    sum_{s <= s_max} k^s codes, each with a presence flag and an int64
+    index; each distinct run, at most min(m * n, codes) of them, holds its
+    decoded copies, their k log-likelihoods each, its k cells and their
+    exp2, and a few scalars. A tile holds at most max(TILE_BYTES // 8, m)
+    float32 scores and their bool mask. At worst every score is a
+    candidate, so per score the tile also holds, at once, the candidate's
+    int64 row and column, its float32 |S32|, two bool masks, and the int64
+    index of the band to recheck; the search for candidates holds less, an
+    int64 flat index and the two int64 halves it is built from. A recheck
+    chunk holds at most 17 bytes per gathered cell, under 2 * TILE_BYTES.
+    """
+    k = alphabet_size
+    per_row = (8 + 2 + 6 + 8 + 16) * n + 16 * ((k - 1) * n + 2) + 128
+    codes = sum(k**s for s in range(s_max + 1))
+    runs = min(m * n, codes)
+    table = 9 * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)
+    per_score = 4 + 1 + (8 + 8 + 4 + 1 + 1 + 8)  # tile, mask, then each candidate's share
+    tile = per_score * max(TILE_BYTES // 8, m) + 2 * TILE_BYTES
+    return m * per_row + table + tile
 
 
 @dataclass

@@ -297,3 +297,17 @@ def sample_instance(
     d2[sigma] = noisy
     seeds = generate_seeds(num_seeds, n, pattern, spec, substream(master_seed, *key, ROLE_SEEDS))
     return DatabasePair(d1, d2, sigma, pattern), seeds
+
+
+def instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
+    """Upper bound on `sample_instance`'s working set.
+
+    The kept uint8 arrays (d1, d2 and the channel output it is scattered
+    from; g1, g2 and the channel's expanded input and symbol mask), plus
+    the generator's largest transient: one float64 uniform per symbol of
+    the largest single draw and one int64 position per entry the channel
+    resamples at once, both at most max(m, num_seeds) * k_max.
+    """
+    k_max = n * max(s_max, 1)
+    kept = 2 * m * (n + k_max) + 4 * num_seeds * (n + k_max)
+    return kept + 16 * max(m, num_seeds) * k_max

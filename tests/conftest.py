@@ -1,7 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dbalign import ModelSpec
+
+# Hypothesis imports this module to report a failing example. Where libcst
+# is installed, that import warns about mypy_extensions.TypedDict, and
+# under filterwarnings = error the warning aborts the whole session instead
+# of failing one test. Importing it once here, warning ignored, caches it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst absent: hypothesis skips the patch report
+        pass
 
 
 def bsc_spec(flip=0.1, p_s=(0.0, 1.0), p_x=(0.5, 0.5)):

@@ -83,6 +83,29 @@ def typicality_deviation(x_row, cells, est):
     )
 
 
+def typicality_deviations(x_row, segmented, i, est):
+    """`typicality_deviation` of ``x_row`` against repeated row i of
+    ``segmented``, vectorized over its cells: one gather per run length,
+    summed in numpy's order, so equal to the scalar up to rounding."""
+    x_row = np.asarray(x_row, dtype=np.intp)
+    n, k, s_all = segmented.n, est.alphabet_size, segmented.pattern.s
+    ll_joint = ll_y = 0.0
+    with np.errstate(divide="ignore"):  # a zero probability counts as -inf
+        ll_x = np.log2(est.p_x[x_row - 1]).sum()
+        for s in range(int(s_all.max()) + 1):
+            cols = np.flatnonzero(s_all == s)
+            runs = segmented.d2[i, segmented.offsets[cols, None] + np.arange(s)]
+            codes = (runs.astype(np.intp) - 1) @ k ** np.arange(s - 1, -1, -1)
+            table = repetition_table(est.p_x, est.p_y_given_x, s)
+            ll_joint += np.log2(table[x_row[cols] - 1, codes]).sum()
+            ll_y += np.log2(table[:, codes].sum(axis=0)).sum()
+    return (
+        abs(-ll_joint / n - est.joint_entropy),
+        abs(-ll_x / n - est.x_entropy),
+        abs(-ll_y / n - est.y_entropy),
+    )
+
+
 def unsupported_x(est):
     """Symbols whose conditional row in the estimate is all-zero."""
     return ~est.p_y_given_x.any(axis=1)

@@ -315,10 +315,13 @@ def test_detect_deletions_no_useful_remapping_exit(tmp_path, capsys):
     g2 = rng.integers(1, 3, size=(2000, 6)).astype(np.uint8)  # unrelated
     write_matrix(tmp_path / "g1.dbm", g1)
     write_matrix(tmp_path / "g2.dbm", g2)
-    rc = main(
-        ["detect-deletions", "--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
-    )
-    assert rc == EXIT_NO_REMAPPING
+    seeds = ["--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
+    assert main(["detect-deletions", *seeds]) == EXIT_NO_REMAPPING
+    capsys.readouterr()
+    # `estimate` reaches the same failure after its replica stage, and its
+    # recorded error exits with the same code, not the generic 4.
+    assert main(["estimate", *seeds]) == EXIT_NO_REMAPPING
+    assert "detection failed: all remappings useless" in capsys.readouterr().err
 
 
 def test_estimate_command_round_trips(tmp_path, config_file, capsys):

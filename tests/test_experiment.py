@@ -18,16 +18,16 @@ from dbalign import (
     segment,
     wilson_interval,
 )
+from dbalign.deletions import seed_bytes
 from dbalign.experiment import (
     CSV_COLUMNS,
     DEFAULT_MEMORY_CAP,
     _estimated_bytes,
-    _instance_bytes,
-    _match_bytes,
-    _seed_bytes,
     estimate_tv_distance,
     render,
 )
+from dbalign.matching import match_bytes
+from dbalign.model import instance_bytes
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 
@@ -199,6 +199,15 @@ def test_sweep_rows_and_growth_rates(tmp_path):
     assert rates[12] == pytest.approx(math.log2(16) / 12)
 
 
+def test_m_sweep_runs_each_point_at_its_row_count():
+    report = run_experiment(small_config(trials=2, sweep_axis="m", sweep_values=[16, 32]))
+    assert [(p.m, p.n) for p in report.points] == [(16, 10), (32, 10)]
+    for point in report.points:
+        assert len(point.trials) == 2
+        assert all(t.m == point.m and t.n == 10 for t in point.trials)
+        assert point.growth_rate == pytest.approx(math.log2(point.m) / 10)
+
+
 def test_aggregates_recomputable_from_trials():
     report = run_experiment(small_config(trials=4))
     for point in report.points:
@@ -292,7 +301,7 @@ def test_memory_estimate_bounds_the_matcher(spec, m, n):
     # The guard is only as truthful as its matcher term: the measured peak,
     # one score tile included, must stay within it.
     peak, _ = _matcher_peak(spec, m, n, 0.3)
-    assert peak <= _match_bytes(m, n, spec.s_max, spec.alphabet_size)
+    assert peak <= match_bytes(m, n, spec.s_max, spec.alphabet_size)
 
 
 @pytest.mark.parametrize(
@@ -307,7 +316,7 @@ def test_memory_estimate_bounds_the_matcher_when_every_pair_is_a_candidate(spec,
     # the matcher's worst case: each tile then lists all of its pairs.
     peak, result = _matcher_peak(spec, m, n, 5.0)
     assert result.status_counts()["ambiguous"] == m
-    assert peak <= _match_bytes(m, n, spec.s_max, spec.alphabet_size)
+    assert peak <= match_bytes(m, n, spec.s_max, spec.alphabet_size)
 
 
 @pytest.mark.parametrize(
@@ -328,7 +337,7 @@ def test_memory_estimate_bounds_the_generator(spec, m, n, num_seeds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _instance_bytes(m, n, num_seeds, spec.s_max)
+    assert peak <= instance_bytes(m, n, num_seeds, spec.s_max)
 
 
 def _traced_peak(call):
@@ -362,8 +371,8 @@ def test_memory_estimate_bounds_the_seed_stages(spec, n, num_seeds):
     _, estimate_peak = _traced_peak(
         lambda: estimate_from_seeds(seeds.g1, retention, pair.pattern, k)
     )
-    assert detect_peak <= _seed_bytes(n, num_seeds, k)
-    assert estimate_peak <= _seed_bytes(n, num_seeds, k)
+    assert detect_peak <= seed_bytes(n, num_seeds, k)
+    assert estimate_peak <= seed_bytes(n, num_seeds, k)
 
 
 def test_paper_scale_fits_default_cap_at_m_2_16():

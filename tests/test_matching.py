@@ -41,6 +41,7 @@ from oracles import (
     reduceat_cells,
     row_cells,
     typicality_deviation,
+    typicality_deviations,
     ungated_replicas,
 )
 
@@ -114,6 +115,25 @@ def test_typicality_deviation_zero_probability_is_infinite():
     assert devs[1] < math.inf and devs[2] < math.inf
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        bsc_spec(flip=0.1, p_s=(0.0, 1.0)),
+        bsc_spec(flip=0.1, p_s=(0.2, 0.5, 0.3)),
+        symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)),
+        noiseless_spec(size=2, p_s=(0.2, 0.4, 0.4)),  # false pairs reach zero probability
+    ],
+)
+def test_vectorized_typicality_deviations_agree_with_the_scalar_oracle(spec):
+    pair, _ = sample_instance(6, 40, 1, spec, master_seed=5)
+    seg, est = segment(pair.d2, pair.pattern), from_model_spec(spec)
+    for x_row in pair.d1:
+        for i in range(6):
+            fast = typicality_deviations(x_row, seg, i, est)
+            slow = typicality_deviation(x_row, row_cells(seg, i), est)
+            assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
+
+
 def test_typicality_deviation_concentrates_for_true_pairs():
     spec = bsc_spec(flip=0.1, p_s=(0.0, 1.0))
     est = from_model_spec(spec)
@@ -121,8 +141,8 @@ def test_typicality_deviation_concentrates_for_true_pairs():
     hits = 0
     for seed in range(100):
         pair, _ = sample_instance(1, n, 1, spec, master_seed=seed)
-        cells = row_cells(segment(pair.d2, pair.pattern), pair.sigma[0])
-        dev_joint, _, _ = typicality_deviation(pair.d1[0], cells, est)
+        seg = segment(pair.d2, pair.pattern)
+        dev_joint, _, _ = typicality_deviations(pair.d1[0], seg, pair.sigma[0], est)
         hits += dev_joint <= 0.05
     assert hits >= 99
 
@@ -695,7 +715,9 @@ def test_deanonymize_rejects_bad_alphabet_before_a_stage_fails(alphabet_size, me
         deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size)
 
 
-@pytest.mark.parametrize("bad", ["d1 symbol", "d2 symbol", "epsilon", "d1 width"])
+@pytest.mark.parametrize(
+    "bad", ["d1 symbol", "d2 symbol", "epsilon", "d1 width", "epsilon ceiling"]
+)
 def test_deanonymize_rejects_bad_matcher_input_before_a_stage_fails(bad):
     # Two rows fail replica detection, but input the matcher rejects is bad
     # input and must raise, not hide behind that recorded failure.
@@ -709,6 +731,10 @@ def test_deanonymize_rejects_bad_matcher_input_before_a_stage_fails(bad):
         d2[0, 0] = 7
     elif bad == "epsilon":
         epsilon, message = math.nan, "epsilon must be finite and positive"
+    elif bad == "epsilon ceiling":
+        # Past match_rows' clamp check, which needs the estimate: the bound
+        # on the plug-in entropy rejects it from the input alone.
+        epsilon, message = 1e29, "epsilon 1e+29 too large for 12 columns"
     else:
         d1, message = d1[:, 1:], "d1 has 11 columns, the repetition pattern 12"
     with pytest.raises(ValueError, match=re.escape(message)):
