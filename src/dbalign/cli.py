@@ -106,13 +106,12 @@ def _cmd_detect_replicas(args) -> int:
 def _cmd_detect_deletions(args) -> int:
     g1 = read_matrix(args.g1)
     g2 = read_matrix(args.g2)
+    alphabet_size = _alphabet_size(args, g1, g2)
+    deletions.check_seeds(g1, g2, alphabet_size)  # whole g2, before --dedup or --dump-l
     if args.dedup:
         g2 = g2[:, replicas.column_runs(replicas.detect_replicas(g2), g2.shape[1])[0]]
-    alphabet_size = _alphabet_size(args, g1, g2)
     counts = None
     if args.dump_l is not None:
-        deletions.check_symbols(alphabet_size, g1, g2)
-        deletions.check_remap_alphabet(alphabet_size)
         phi = np.arange(1, alphabet_size + 1, dtype=np.uint8)  # the identity remapping
         counts = deletions.cooccurrence(g1, g2, alphabet_size)
         l = deletions.cross_hamming(g1, g2, phi, counts)

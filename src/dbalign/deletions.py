@@ -93,6 +93,23 @@ def check_symbols(alphabet_size: int, *mats: np.ndarray) -> None:
             raise ValueError(f"symbols must lie in 1..{alphabet_size}")
 
 
+def check_seeds(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> None:
+    """Raise ValueError unless g1 and g2 are a seed pair, in this order: both
+    2-D, equal row counts, a seed row, MIN_COLUMNS original columns, every
+    symbol in 1..alphabet_size, and the alphabet within the remapping cap."""
+    if np.ndim(g1) != 2 or np.ndim(g2) != 2:
+        raise ValueError("seed matrices must be 2-D")
+    num_seeds, n = np.shape(g1)
+    if num_seeds != np.shape(g2)[0]:
+        raise ValueError("seed matrices must have the same row count")
+    if num_seeds < 1:
+        raise ValueError("need at least one seed row")
+    if n < MIN_COLUMNS:
+        raise ValueError(f"need at least {MIN_COLUMNS} original columns")
+    check_symbols(alphabet_size, g1, g2)
+    check_remap_alphabet(alphabet_size)
+
+
 def deletion_threshold(num_seeds: int, n: int) -> float:
     """Outlier threshold: THRESHOLD_CONSTANT * Lambda^(2/3) * (log2 n)^(1/3).
 
@@ -248,25 +265,20 @@ def detect_deletions(
     Pass ``counts`` (from `cooccurrence` of the same g1, g2 and alphabet)
     to reuse them; they are computed here when omitted.
 
-    Raises MisdetectionError on an inconsistent outlier pattern and
+    Raises ValueError on seeds `check_seeds` rejects or a g2 wider than
+    g1, MisdetectionError on an inconsistent outlier pattern and
     NoUsefulRemappingError when the sweep is exhausted.
     """
-    g1 = np.asarray(g1)
-    g2 = np.asarray(g2)
-    if g1.shape[0] != g2.shape[0]:
-        raise ValueError("seed matrices must have the same row count")
-    n = g1.shape[1]
+    g1, g2 = np.asarray(g1), np.asarray(g2)
+    check_seeds(g1, g2, alphabet_size)
+    num_seeds, n = g1.shape
     kt = g2.shape[1]
-    if n < MIN_COLUMNS:
-        raise ValueError(f"need at least {MIN_COLUMNS} original columns")
     if kt > n:
         raise ValueError("replica-free g2 cannot have more columns than g1")
-    check_symbols(alphabet_size, g1, g2)
-    remappings = enumerate_remappings(alphabet_size)  # rejects a large alphabet first
-    tau_hat = deletion_threshold(g1.shape[0], n)
+    tau_hat = deletion_threshold(num_seeds, n)
     if counts is None:
         counts = cooccurrence(g1, g2, alphabet_size)
-    for phi in remappings:
+    for phi in enumerate_remappings(alphabet_size):
         rows = scan_remapping(cross_hamming(g1, g2, phi, counts), tau_hat)
         if rows is not None:
             deleted = np.setdiff1d(np.arange(n), rows)

@@ -23,6 +23,7 @@ from .infotheory import capacity, check_table_size, repetition_table
 from .model import ModelSpec, instance_bytes, sample_instance
 
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
+WILSON_Z = 1.96  # the normal quantile of a two-sided 95% interval
 
 # Report keys that differ from the dataclass field names.
 KEY_NAMES = {"num_seeds": "lambda", "growth_rate": "R"}
@@ -74,8 +75,6 @@ class ExperimentConfig:
     num_seeds: int = _key(as_integer)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.num_seeds < 1:
-            raise ValueError("m, n, and lambda must be positive")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0.0 < self.epsilon < math.inf:
@@ -86,8 +85,9 @@ class ExperimentConfig:
             raise ValueError("sweep axis must be 'm' or 'n'")
         if self.sweep_axis is None and self.sweep_values:
             raise ValueError("sweep values given without a sweep axis")
-        if any(int(v) < 1 for v in self.sweep_values):
-            raise ValueError("sweep values must be positive")
+        points = [(self.m, self.n), *self.points()]
+        if self.num_seeds < 1 or any(m < 1 or n < deletions.MIN_COLUMNS for m, n in points):
+            raise ValueError(f"need lambda, m >= 1 and n >= {deletions.MIN_COLUMNS} at each point")
 
     def points(self) -> list[tuple[int, int]]:
         """(m, n) per experiment point; empty sweep gives no points."""
@@ -189,10 +189,11 @@ class ExperimentReport(_Record):
     points: list
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """Wilson 95% score interval; behaves sensibly at small counts."""
     if total == 0:
         return (0.0, 1.0)
+    z = WILSON_Z
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom

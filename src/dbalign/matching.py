@@ -273,12 +273,14 @@ def _at_least(values: np.ndarray, floor, mask: np.ndarray) -> np.ndarray:
 
 def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> None:
     """Raise ValueError on row-matching input that is bad whatever the
-    estimate: epsilon not finite and positive, d1 not n columns wide,
-    unequal row counts, a d1 or d2 symbol outside 1..alphabet_size, or
+    estimate: epsilon not finite and positive, d1 or d2 not 2-D, d1 not n
+    columns wide, unequal row counts, a symbol outside 1..alphabet_size, or
     epsilon past the clamp of `match_rows` for any plug-in estimate of
     this input, whose n H is at most log2(k) (n + d2's column count)."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
+    if d1.ndim != 2 or d2.ndim != 2:
+        raise ValueError("databases must be 2-D")
     if d1.shape[1] != n:
         raise ValueError(f"d1 has {d1.shape[1]} columns, the repetition pattern {n}")
     if d1.shape[0] != d2.shape[0]:
@@ -497,15 +499,13 @@ def estimate_stages(
     counts up to the largest detected one. Detection failures, and a
     detected count too long to tabulate, are recorded in the result
     instead of raising. Bad input raises ValueError before any stage
-    runs: a g1 symbol outside 1..alphabet_size, or an alphabet size
-    outside 1..MAX_REMAP_ALPHABET.
+    runs: seeds that `deletions.check_seeds` rejects, or a g2 whose
+    column count is not d2's.
     """
     d2, g1, g2 = np.asarray(d2), np.asarray(g1), np.asarray(g2)
+    deletions.check_seeds(g1, g2, alphabet_size)
     if g2.shape[1] != d2.shape[1]:
         raise ValueError("g2 must share the database's repetition pattern")
-    # In deletion detection's order: a bad alphabet names g1's symbols first.
-    deletions.check_symbols(alphabet_size, g1)
-    deletions.check_remap_alphabet(alphabet_size)
     n = g1.shape[1]
     result = PipelineResult()
 
@@ -549,10 +549,11 @@ def deanonymize(
 
     Of the model, only ``alphabet_size`` is assumed known. Algorithmic
     failures are recorded, never raised, so a Monte Carlo harness never
-    aborts. Bad input raises ValueError before any stage runs, the
-    matcher's own checks included.
+    aborts. Bad input raises ValueError before any stage runs: seeds
+    that `deletions.check_seeds` rejects, then the matcher's own checks.
     """
     d1, d2 = np.asarray(d1), np.asarray(d2)
+    deletions.check_seeds(g1, g2, alphabet_size)
     _check_match_input(d1, d2, np.shape(g1)[1], alphabet_size, epsilon)
     result = estimate_stages(d2, g1, g2, alphabet_size)
     if result.ok:

@@ -474,6 +474,19 @@ def test_experiment_bad_sweep_axis_exit_config(config_file, capsys):
     assert "sweep axis must be 'm' or 'n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--n", "2"], ["--sweep-axis", "n", "--sweep-values", "10,2"]], ids=["n", "sweep"]
+)
+def test_experiment_too_few_columns_exit_config(tmp_path, config_file, capsys, flags):
+    # Deletion detection needs three original columns; a point with fewer
+    # is a configuration error, found before any trial runs.
+    report = tmp_path / "report.csv"
+    argv = ["experiment", "--config", str(config_file), "--out", str(report), *flags]
+    assert main(argv) == EXIT_CONFIG
+    assert "n >= 3 at each point" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_experiment_infeasible_exit(tmp_path, config_file):
     cfg = json.loads(config_file.read_text())
     cfg["memory_cap_bytes"] = 10
@@ -645,6 +658,31 @@ def _two_row_match_argv(tmp_path):
     return argv
 
 
+@pytest.mark.parametrize("bad", ["g2 symbol in a replica column", "zero seed rows"])
+@pytest.mark.parametrize("command", ["detect-deletions", "estimate", "match"])
+def test_bad_seeds_exit_config(tmp_path, capsys, command, bad):
+    # Seeds are checked whole before any stage: replica detection would drop
+    # the bad column, and zero seed rows would fail it as a recorded stage.
+    pair, seeds = sample_instance(64, 12, 3000, bsc_spec(p_s=(0.1, 0.5, 0.4)), master_seed=1)
+    g1, g2 = seeds.g1, seeds.g2.copy()
+    if bad == "zero seed rows":
+        g1, g2, message = g1[:0], g2[:0], "need at least one seed row"
+    else:
+        assert np.repeat(np.arange(12), pair.pattern.s)[1:3].tolist() == [1, 1]
+        g2[0, 2], message = 7, "symbols must lie in 1..2"
+    mats = {"d1": pair.d1, "d2": pair.d2, "g1": g1, "g2": g2}
+    out = tmp_path / "out.json"
+    argv = [command, "--alphabet-size", "2", "--out", str(out)]
+    for name in SYMBOL_INPUTS[command]:
+        write_matrix(tmp_path / f"{name}.dbm", mats[name])
+        argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
+    if command == "detect-deletions":
+        argv += ["--dedup"]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_match_epsilon_past_the_log_zero_clamp_exit_config(tmp_path, capsys):
     argv = _instance_argv(tmp_path, "match")
     assert main([*argv, "--epsilon", "1e28"]) == EXIT_OK
@@ -762,7 +800,7 @@ def test_experiment_flags_are_the_config_keys():
 
 def test_config_with_every_key_set_round_trips(config_file):
     spec = model_spec_to_dict(model_spec_from_dict(load_json_object(config_file)))
-    defaults = ExperimentConfig.from_dict({**spec, "m": 1, "n": 1, "lambda": 1}).to_dict()
+    defaults = ExperimentConfig.from_dict({**spec, "m": 1, "n": 3, "lambda": 1}).to_dict()
     assert all(defaults[key] != value for key, value in EVERY_KEY.items())
     d = {**spec, **EVERY_KEY}
     config = ExperimentConfig.from_dict(d)

@@ -18,7 +18,7 @@ from dbalign import (
     segment,
     wilson_interval,
 )
-from dbalign.deletions import seed_bytes
+from dbalign.deletions import MIN_COLUMNS, seed_bytes
 from dbalign.experiment import (
     CSV_COLUMNS,
     DEFAULT_MEMORY_CAP,
@@ -83,6 +83,23 @@ def test_config_validation():
         small_config(sweep_axis=None, sweep_values=[4])
     with pytest.raises(ValueError):
         small_config(sweep_axis="n", sweep_values=[0])
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n=2),
+        dict(n=2, sweep_axis="m", sweep_values=[16, 32]),
+        dict(sweep_axis="n", sweep_values=[10, 2]),
+        dict(n=2, sweep_axis="n", sweep_values=[10, 12]),
+    ],
+    ids=["n", "m sweep", "n sweep", "n under an n sweep"],
+)
+def test_config_rejects_fewer_than_three_columns_at_any_point(overrides):
+    # Deletion detection needs MIN_COLUMNS original columns, so every trial
+    # of such a point would raise; the config refuses it up front.
+    with pytest.raises(ValueError, match=f"n >= {MIN_COLUMNS} at each point"):
+        small_config(**overrides)
 
 
 def test_config_dict_round_trip():

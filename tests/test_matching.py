@@ -21,8 +21,8 @@ from dbalign import (
     segment,
     substream,
 )
-from dbalign import deletions, matching, replicas
-from dbalign.deletions import RetentionResult
+from dbalign import deletions, estimation, matching, replicas
+from dbalign.deletions import MIN_COLUMNS, RetentionResult
 from dbalign.infotheory import TABLE_LIMIT
 from dbalign.replicas import dispersion, dispersion_bound
 from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
@@ -527,22 +527,25 @@ def test_match_equivariance_under_row_relabeling(rng):
 
 
 @settings(derandomize=True, deadline=None)
-@given(s=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+@given(s=st.lists(st.integers(0, 3), min_size=MIN_COLUMNS, max_size=12))
 @example(s=[0, 0, 0])
 def test_estimate_stages_pattern_round_trip(s):
-    # Any pattern, all-deleted included. Segmenting a database whose
-    # columns name their origin gives each origin its run. With both
-    # detectors returning the truth, estimate_stages hands deletion
-    # detection the first seed column of each run and gives the pattern
-    # back, grouping the columns into runs once.
+    # Any pattern of at least MIN_COLUMNS columns, all-deleted included.
+    # Segmenting a database whose columns name their origin gives each
+    # origin its run. With both detectors returning the truth,
+    # estimate_stages hands deletion detection the first seed column of
+    # each run and gives the pattern back, grouping the columns into runs
+    # once.
     pattern = RepetitionPattern(s)
     origin = np.repeat(np.arange(pattern.n), pattern.s)
     seg = segment(origin[None, :] + 1, pattern)
     for j, count in enumerate(s):
         assert cell(seg, 0, j) == ((j + 1,) * count if count else ERASURE)
-    d2 = np.tile(origin + 1, (3, 1)).astype(np.uint8)
+    # Binary symbols: seed row r holds bit r of each column's origin, so no
+    # two origins share a seed column, and every symbol is in the alphabet.
     g1 = np.tile(np.arange(pattern.n) % 2 + 1, (4, 1)).astype(np.uint8)
-    g2 = np.tile(origin + 1, (4, 1)).astype(np.uint8)
+    g2 = ((origin >> np.arange(4)[:, None]) % 2 + 1).astype(np.uint8)
+    d2 = g2[:3]
     runs = []
     column_runs = replicas.column_runs
 
@@ -568,6 +571,13 @@ def test_estimate_stages_pattern_round_trip(s):
     assert result.failed_stage is None
     assert np.array_equal(result.pattern.s, pattern.s)
     assert len(runs) == 1
+
+
+@pytest.mark.parametrize("n", range(1, MIN_COLUMNS))
+def test_estimate_stages_rejects_too_few_original_columns(n):
+    g = np.ones((4, n), dtype=np.uint8)
+    with pytest.raises(ValueError, match=f"at least {MIN_COLUMNS} original columns"):
+        estimate_stages(g, g, g, alphabet_size=2)
 
 
 def test_deanonymize_illustration_instance():
@@ -739,6 +749,54 @@ def test_deanonymize_rejects_bad_matcher_input_before_a_stage_fails(bad):
         d1, message = d1[:, 1:], "d1 has 11 columns, the repetition pattern 12"
     with pytest.raises(ValueError, match=re.escape(message)):
         deanonymize(d1, d2, seeds.g1, seeds.g2, 2, epsilon=epsilon)
+
+
+BAD_SEEDS = {
+    "g2 symbol in a replica column": "symbols must lie in 1..2",
+    "seed row mismatch": "same row count",
+    "zero seed rows": "at least one seed row",
+    "two original columns": f"at least {MIN_COLUMNS} original columns",
+    "1-D d1": "databases must be 2-D",
+    "1-D g1": "seed matrices must be 2-D",
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SEEDS)
+def test_deanonymize_rejects_bad_seeds_before_any_stage(bad, monkeypatch):
+    # Every seed rule is checked once, up front: no stage runs on input
+    # that deletion detection would refuse.
+    spec = bsc_spec(p_s=(0.1, 0.5, 0.4))
+    n = 2 if bad == "two original columns" else 12
+    pair, seeds = sample_instance(64, n, 3000, spec, master_seed=1)
+    d1, d2, g1, g2 = pair.d1, pair.d2, seeds.g1, seeds.g2.copy()
+    if bad == "g2 symbol in a replica column":
+        assert np.repeat(np.arange(12), pair.pattern.s)[1:3].tolist() == [1, 1]
+        g2[0, 2] = 7
+    elif bad == "seed row mismatch":
+        g2 = g2[:-1]
+    elif bad == "zero seed rows":
+        g1, g2 = g1[:0], g2[:0]
+    elif bad == "1-D d1":
+        d1 = d1[0]
+    elif bad == "1-D g1":
+        g1 = g1[0]
+    stages = []
+
+    def spy(module, name):
+        stage = getattr(module, name)
+
+        def spied(*args, **kwargs):
+            stages.append(name)
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spied)
+
+    spy(replicas, "detect_replicas")
+    spy(deletions, "detect_deletions")
+    spy(estimation, "estimate_from_seeds")
+    with pytest.raises(ValueError, match=re.escape(BAD_SEEDS[bad])):
+        deanonymize(d1, d2, g1, g2, alphabet_size=2)
+    assert stages == []
 
 
 @pytest.mark.parametrize("constant", [math.nan, -1.0, 0.0, math.inf])

@@ -1,4 +1,4 @@
-"""The CI workflow's benchmark steps name what the repository defines.
+"""The CI workflow's steps name what the repository defines.
 
 The workflow is read as plain text: CI installs only the test extras,
 which do not include a YAML parser.
@@ -13,6 +13,7 @@ from dbalign.experiment import DEFAULT_MEMORY_CAP, ExperimentConfig, _estimated_
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+PYPROJECT = (ROOT / "pyproject.toml").read_text()  # as text: Python 3.10 has no tomllib
 
 
 def test_traced_benchmark_loop_names_defined_workloads(monkeypatch):
@@ -40,3 +41,12 @@ def test_paper_scale_config_fits_the_default_memory_cap():
         config.m, config.n, config.num_seeds, config.spec.s_max, config.spec.alphabet_size
     )
     assert need <= DEFAULT_MEMORY_CAP
+
+
+def test_floor_job_pins_the_declared_floors():
+    (python,) = re.findall(r'^requires-python = ">=([\d.]+)"$', PYPROJECT, flags=re.M)
+    (numpy,) = re.findall(r'"numpy>=([\d.]+)"', PYPROJECT)
+    (versions,) = re.findall(r"^\s*python-version: \[(.*)\]$", WORKFLOW, flags=re.M)
+    assert re.findall(r'"([\d.]+)"', versions)[0] == python
+    floor = rf'^\s*- python-version: "{re.escape(python)}"\n\s*numpy: "{re.escape(numpy)}\.\*"$'
+    assert re.search(floor, WORKFLOW, flags=re.M)
