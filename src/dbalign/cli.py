@@ -68,7 +68,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    config = ExperimentConfig.from_json_file(args.config)
+    config = ExperimentConfig.from_dict(load_json_object(args.config))
     out_dir = _out_path(args.out)
     os.makedirs(out_dir, exist_ok=True)
     pair, seeds = sample_instance(
@@ -103,42 +103,48 @@ def _cmd_detect_replicas(args) -> int:
     return EXIT_OK
 
 
-def _cmd_detect_deletions(args) -> int:
-    g1 = read_matrix(args.g1)
-    g2 = read_matrix(args.g2)
+def _seed_stages(args):
+    """Read the seeds and run every stage before matching on them once. The
+    seeds share the database's pattern, so g2 stands in for d2."""
+    g1, g2 = read_matrix(args.g1), read_matrix(args.g2)
     alphabet_size = _alphabet_size(args, g1, g2)
-    deletions.check_seeds(g1, g2, alphabet_size)  # whole g2, before --dedup or --dump-l
-    if args.dedup:
-        g2 = g2[:, replicas.column_runs(replicas.detect_replicas(g2), g2.shape[1])[0]]
-    counts = None
-    if args.dump_l is not None:
+    return g1, g2, alphabet_size, matching.estimate_stages(g2, g1, g2, alphabet_size)
+
+
+def _detection_exit(result) -> int:
+    # What detection found is not a configuration error: a recorded failure
+    # exits 4, or 5 for no useful remapping.
+    if isinstance(result.error, deletions.NoUsefulRemappingError):
+        raise result.error
+    print(f"detection failed ({result.failed_stage}): {result.error}", file=sys.stderr)
+    return EXIT_DETECTION
+
+
+def _cmd_detect_deletions(args) -> int:
+    g1, g2, alphabet_size, result = _seed_stages(args)
+    if args.dump_l is not None and result.failed_stage != "replica":
+        # Distances to the replica-free seed columns, written even when
+        # deletion detection then fails.
+        g2 = g2[:, replicas.column_runs(result.is_replica, g2.shape[1])[0]]
         phi = np.arange(1, alphabet_size + 1, dtype=np.uint8)  # the identity remapping
-        counts = deletions.cooccurrence(g1, g2, alphabet_size)
-        l = deletions.cross_hamming(g1, g2, phi, counts)
+        l = deletions.cross_hamming(g1, g2, phi, deletions.cooccurrence(g1, g2, alphabet_size))
         rows = [",".join(str(v) for v in row) for row in l]
         _write_text(args.dump_l, "\n".join(rows) + "\n")
-    result = deletions.detect_deletions(g1, g2, alphabet_size, counts=counts)
+    if result.retention is None:
+        return _detection_exit(result)
     out = {
-        "retained": result.retained.tolist(),
-        "deleted": result.deleted.tolist(),
-        "n": result.n,
+        "retained": result.retention.retained.tolist(),
+        "deleted": result.retention.deleted.tolist(),
+        "n": result.retention.n,
     }
     _write_text(args.out, json.dumps(out, indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    g1 = read_matrix(args.g1)
-    g2 = read_matrix(args.g2)
-    # The seeds share the database's pattern, so g2 also fixes the pattern.
-    result = matching.estimate_stages(g2, g1, g2, _alphabet_size(args, g1, g2))
-    # What detection found is not a configuration error: a recorded failure
-    # exits 4, or 5 for no useful remapping as in `detect-deletions`.
-    if isinstance(result.error, deletions.NoUsefulRemappingError):
-        raise result.error
-    if result.error is not None:
-        print(f"detection failed ({result.failed_stage}): {result.error}", file=sys.stderr)
-        return EXIT_DETECTION
+    result = _seed_stages(args)[-1]
+    if not result.ok:
+        return _detection_exit(result)
     _write_text(args.out, json.dumps(result.estimate.to_dict(), indent=2) + "\n")
     return EXIT_OK
 
@@ -222,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
-    p.add_argument("--dedup", action="store_true", help="remove replica columns from g2 first")
     p.add_argument("--dump-l", default=None, help="write the identity-remapping distance matrix as CSV")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_detect_deletions)
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=float, default=matching.DEFAULT_EPSILON)
     p.add_argument("--truth", default=None, help="truth.json for error-rate scoring")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_match)
@@ -266,7 +271,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         return args.func(args)
-    except (deletions.MisdetectionError, replicas.SingleComponentError) as exc:
+    except replicas.SingleComponentError as exc:  # detect-replicas; the seed stages record theirs
         print(f"detection failed: {exc}", file=sys.stderr)
         return EXIT_DETECTION
     except deletions.NoUsefulRemappingError as exc:

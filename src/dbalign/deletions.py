@@ -249,21 +249,13 @@ def scan_remapping(l: np.ndarray, tau_hat: float) -> np.ndarray | None:
     return rows
 
 
-def detect_deletions(
-    g1: np.ndarray,
-    g2: np.ndarray,
-    alphabet_size: int,
-    *,
-    counts: np.ndarray | None = None,
-) -> RetentionResult:
+def detect_deletions(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> RetentionResult:
     """Infer which original columns survived, from replica-free seeds.
 
     g2 must already be replica-free (one column per retained original
     column; with none, every original column is deleted). Sweeps
     remappings in lexicographic order and returns the retention set of
     the first useful one, with the symbol-pair counts at its column pairs.
-    Pass ``counts`` (from `cooccurrence` of the same g1, g2 and alphabet)
-    to reuse them; they are computed here when omitted.
 
     Raises ValueError on seeds `check_seeds` rejects or a g2 wider than
     g1, MisdetectionError on an inconsistent outlier pattern and
@@ -276,8 +268,7 @@ def detect_deletions(
     if kt > n:
         raise ValueError("replica-free g2 cannot have more columns than g1")
     tau_hat = deletion_threshold(num_seeds, n)
-    if counts is None:
-        counts = cooccurrence(g1, g2, alphabet_size)
+    counts = cooccurrence(g1, g2, alphabet_size)
     for phi in enumerate_remappings(alphabet_size):
         rows = scan_remapping(cross_hamming(g1, g2, phi, counts), tau_hat)
         if rows is not None:

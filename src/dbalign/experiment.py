@@ -16,9 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import deletions, estimation, matching
-from .dbio import (
-    SPEC_KEYS, as_integer, as_real, load_json_object, model_spec_from_dict, model_spec_to_dict
-)
+from .dbio import SPEC_KEYS, as_integer, as_real, model_spec_from_dict, model_spec_to_dict
 from .infotheory import capacity, check_table_size, repetition_table
 from .model import ModelSpec, instance_bytes, sample_instance
 
@@ -67,7 +65,7 @@ class ExperimentConfig:
     n: int = _key(as_integer)
     trials: int = _key(as_integer, default=10)
     master_seed: int = _key(as_integer, default=0)
-    epsilon: float = _key(as_real, default=0.05)
+    epsilon: float = _key(as_real, default=matching.DEFAULT_EPSILON)
     sweep_axis: str | None = _key(_as_is, default=None)
     sweep_values: list = _key(_integer_list, default_factory=list)
     workers: int = _key(as_integer, default=1)
@@ -113,10 +111,6 @@ class ExperimentConfig:
         out = model_spec_to_dict(self.spec)
         out.update((key, _plain(getattr(self, f.name))) for f, key in _keyed_fields(self)[1:])
         return out
-
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(load_json_object(path))
 
 
 # (field, key) of each config key after the model spec's, in report order.

@@ -32,6 +32,10 @@ from .model import RepetitionPattern, as_permutation
 # sized to the instance instead (see match_rows).
 LOG_ZERO = -1.0e30
 
+# The typicality slack when none is given: `deanonymize`, `dbalign match`
+# and the experiment config all default to it.
+DEFAULT_EPSILON = 0.05
+
 # The matcher scores d1 against TILE_BYTES // (8 m) repeated rows at a
 # time, so its working set grows linearly in m: a float32 tile of half
 # TILE_BYTES, its bool mask, and the list of the tile's candidates. On a
@@ -499,10 +503,12 @@ def estimate_stages(
     counts up to the largest detected one. Detection failures, and a
     detected count too long to tabulate, are recorded in the result
     instead of raising. Bad input raises ValueError before any stage
-    runs: seeds that `deletions.check_seeds` rejects, or a g2 whose
-    column count is not d2's.
+    runs: a d2 that is not 2-D, seeds that `deletions.check_seeds`
+    rejects, or a g2 whose column count is not d2's.
     """
     d2, g1, g2 = np.asarray(d2), np.asarray(g1), np.asarray(g2)
+    if d2.ndim != 2:
+        raise ValueError("databases must be 2-D")
     deletions.check_seeds(g1, g2, alphabet_size)
     if g2.shape[1] != d2.shape[1]:
         raise ValueError("g2 must share the database's repetition pattern")
@@ -543,7 +549,7 @@ def deanonymize(
     g1: np.ndarray,
     g2: np.ndarray,
     alphabet_size: int,
-    epsilon: float = 0.05,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> PipelineResult:
     """Full pipeline: ``estimate_stages``, then match rows.
 

@@ -309,6 +309,62 @@ def test_detect_deletions_dump_l_rejects_a_bad_threshold_constant_first(tmp_path
     assert not dump.exists()
 
 
+def _seed_argv(tmp_path, g1, g2):
+    write_matrix(tmp_path / "g1.dbm", g1)
+    write_matrix(tmp_path / "g2.dbm", g2)
+    return ["--g1", str(tmp_path / "g1.dbm"), "--g2", str(tmp_path / "g2.dbm")]
+
+
+def test_seed_commands_share_the_run_count_rule(tmp_path, capsys):
+    # Both commands run one chain of seed stages: more replica runs than
+    # original columns is a recorded replica failure in each, before a dump.
+    rng = np.random.default_rng(0)
+    g1 = rng.integers(1, 3, size=(2000, 3)).astype(np.uint8)
+    g2 = rng.integers(1, 3, size=(2000, 6)).astype(np.uint8)  # unrelated
+    seeds = _seed_argv(tmp_path, g1, g2)
+    dump = tmp_path / "l.csv"
+    for argv in (["estimate", *seeds], ["detect-deletions", *seeds, "--dump-l", str(dump)]):
+        assert main(argv) == EXIT_DETECTION
+        assert "detection failed (replica): 6 replica runs for 3 original columns" in capsys.readouterr().err
+    assert not dump.exists()
+
+
+def test_detect_deletions_reads_the_replica_free_seed_columns(tmp_path, capsys):
+    # A generated instance with replicas: the command prints estimate_stages'
+    # retention, and the dump holds the identity remapping's distances to
+    # the first g2 column of each detected run.
+    pair, seeds = sample_instance(256, 12, 3000, bsc_spec(p_s=(0.1, 0.5, 0.4)), master_seed=1)
+    assert pair.pattern.s.max() > 1
+    argv = ["detect-deletions", *_seed_argv(tmp_path, seeds.g1, seeds.g2)]
+    dump = tmp_path / "l.csv"
+    assert main([*argv, "--dump-l", str(dump)]) == EXIT_OK
+    result = dbalign.estimate_stages(seeds.g2, seeds.g1, seeds.g2, 2)
+    assert json.loads(capsys.readouterr().out) == {
+        "retained": result.retention.retained.tolist(),
+        "deleted": result.retention.deleted.tolist(),
+        "n": 12,
+    }
+    assert np.array_equal(result.pattern.s, pair.pattern.s)
+    starts = np.flatnonzero(np.concatenate(([True], ~result.is_replica)))
+    identity = np.array([1, 2], dtype=np.uint8)
+    expected = "".join(
+        ",".join(str(v) for v in row) + "\n"
+        for row in cross_hamming_loop(seeds.g1, seeds.g2[:, starts], identity)
+    )
+    assert dump.read_bytes() == expected.encode()
+    # Replica detection always runs, so there is no switch for it.
+    assert main([*argv, "--dedup"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --dedup" in capsys.readouterr().err
+
+
+def test_match_and_config_share_the_epsilon_default():
+    match = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices["match"]
+    config_default = next(f.default for f, key in CONFIG_FIELDS if key == "epsilon")
+    assert match.get_default("epsilon") == config_default == dbalign.matching.DEFAULT_EPSILON
+
+
 def test_detect_deletions_no_useful_remapping_exit(tmp_path, capsys):
     rng = np.random.default_rng(0)
     g1 = rng.integers(1, 3, size=(2000, 8)).astype(np.uint8)
@@ -541,7 +597,7 @@ def test_all_deleted_instance_commands(tmp_path, config_file, capsys):
     seeds = ["--g1", str(inst / "g1.dbm"), "--g2", str(inst / "g2.dbm")]
     capsys.readouterr()
 
-    assert main(["detect-deletions", *seeds, "--dedup", "--dump-l", str(tmp_path / "l.csv")]) == EXIT_OK
+    assert main(["detect-deletions", *seeds, "--dump-l", str(tmp_path / "l.csv")]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["deleted"] == list(range(6))
 
     assert main(["estimate", *seeds]) == EXIT_OK
@@ -604,8 +660,6 @@ def test_bad_symbols_exit_config(tmp_path, capsys, command):
 def test_nonpositive_alphabet_size_exit_config(tmp_path, capsys, command, size):
     # A stated alphabet is never replaced by the inferred one, 0 included.
     argv = _instance_argv(tmp_path, command)
-    if command == "detect-deletions":
-        argv += ["--dedup"]
     assert main([*argv, "--alphabet-size", size]) == EXIT_CONFIG
     assert f"symbols must lie in 1..{size}" in capsys.readouterr().err
 
@@ -676,8 +730,6 @@ def test_bad_seeds_exit_config(tmp_path, capsys, command, bad):
     for name in SYMBOL_INPUTS[command]:
         write_matrix(tmp_path / f"{name}.dbm", mats[name])
         argv += [f"--{name}", str(tmp_path / f"{name}.dbm")]
-    if command == "detect-deletions":
-        argv += ["--dedup"]
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -721,6 +773,10 @@ def test_over_long_run_commands(tmp_path, capsys):
     assert main(["estimate", *seeds]) == EXIT_DETECTION
     assert "exceeds limit" in capsys.readouterr().err
 
+    # The retention is what `detect-deletions` prints, and it was found.
+    assert main(["detect-deletions", *seeds]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["retained"]
+
 
 def test_estimate_recorded_replica_failure_exits_detection(tmp_path, capsys):
     # `estimate` detects replicas on g2's rows, and two seeds cannot give
@@ -735,8 +791,8 @@ def test_estimate_recorded_replica_failure_exits_detection(tmp_path, capsys):
 
 @pytest.mark.parametrize("dump", [False, True])
 def test_detect_deletions_counts_seeds_once(tmp_path, capsys, monkeypatch, dump):
-    # The dumped distance matrix reads the same co-occurrence counts as the
-    # detection, so the command tabulates the seeds once.
+    # Detection tabulates the seeds once; the dumped distance matrix is read
+    # off a tabulation of its own.
     from dbalign import RepetitionPattern, deletions, generate_seeds, substream
 
     calls = []
@@ -757,7 +813,7 @@ def test_detect_deletions_counts_seeds_once(tmp_path, capsys, monkeypatch, dump)
         argv += ["--dump-l", str(tmp_path / "l.csv")]
     assert main(argv) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["deleted"] == [3]
-    assert len(calls) == 1
+    assert len(calls) == 1 + dump
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", '"x"', "3", "null"])

@@ -18,6 +18,7 @@ from dbalign import (
     segment,
     wilson_interval,
 )
+from dbalign.dbio import load_json_object
 from dbalign.deletions import MIN_COLUMNS, seed_bytes
 from dbalign.experiment import (
     CSV_COLUMNS,
@@ -114,7 +115,7 @@ def test_config_dict_round_trip():
 def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_config().to_dict()))
-    config = ExperimentConfig.from_json_file(path)
+    config = ExperimentConfig.from_dict(load_json_object(path))
     assert config.m == 16 and config.num_seeds == 4000
     with pytest.raises(ValueError):
         bad = small_config().to_dict()

@@ -573,11 +573,17 @@ def test_estimate_stages_pattern_round_trip(s):
     assert len(runs) == 1
 
 
-@pytest.mark.parametrize("n", range(1, MIN_COLUMNS))
-def test_estimate_stages_rejects_too_few_original_columns(n):
-    g = np.ones((4, n), dtype=np.uint8)
-    with pytest.raises(ValueError, match=f"at least {MIN_COLUMNS} original columns"):
-        estimate_stages(g, g, g, alphabet_size=2)
+@pytest.mark.parametrize("bad", [*map(str, range(1, MIN_COLUMNS)), "1-D d2"])
+def test_estimate_stages_rejects_bad_input(bad):
+    # Too few original columns, or a d2 that is not 2-D, is refused up front.
+    if bad == "1-D d2":
+        g = np.ones((4, MIN_COLUMNS), dtype=np.uint8)
+        d2, message = g[0], "databases must be 2-D"
+    else:
+        d2 = g = np.ones((4, int(bad)), dtype=np.uint8)
+        message = f"at least {MIN_COLUMNS} original columns"
+    with pytest.raises(ValueError, match=message):
+        estimate_stages(d2, g, g, alphabet_size=2)
 
 
 def test_deanonymize_illustration_instance():

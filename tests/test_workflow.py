@@ -17,10 +17,13 @@ PYPROJECT = (ROOT / "pyproject.toml").read_text()  # as text: Python 3.10 has no
 
 
 def test_traced_benchmark_loop_names_defined_workloads(monkeypatch):
+    # Exactly the defined and the declared workloads: a new one that the
+    # loop leaves out would never run in CI.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     (names,) = re.findall(r"^\s*for w in ([\w ]+); do$", WORKFLOW, flags=re.M)
-    assert names.split() and set(names.split()) <= set(workloads.WORKLOADS)
+    assert sorted(names.split()) == sorted(workloads.WORKLOADS) == sorted(declared)
 
 
 def test_benchmark_loop_runs_both_trace_modes():
