@@ -15,7 +15,11 @@ import numpy as np
 from .dbio import model_spec_to_dict
 from .deletions import RetentionResult, check_symbols
 from .infotheory import entropy, repetition_entropies
-from .model import ModelSpec, RepetitionPattern
+from .model import ModelSpec, RepetitionPattern, check_prob_vector
+
+# Mass tolerance of an estimate's components: frequencies from counts
+# carry the rounding of one division per entry.
+ESTIMATE_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,18 +101,16 @@ def assemble_joint(
 ) -> DistributionEstimate:
     """Validate the components and derive their entropies.
 
-    p_x and p_s must each sum to 1, and each channel row must sum to 1
-    or be all-zero (an unsupported symbol), all to 1e-9.
+    p_x, p_s and each channel row must pass a ModelSpec's rule
+    (``model.check_prob_vector``) at the mass tolerance ESTIMATE_ATOL; a
+    channel row may also be all-zero (an unsupported symbol).
     """
-    p_x = np.asarray(p_x, dtype=float)
+    p_x = check_prob_vector(p_x, "p_x", ESTIMATE_ATOL)
+    p_s = check_prob_vector(p_s, "p_s", ESTIMATE_ATOL)
     p_y_given_x = np.asarray(p_y_given_x, dtype=float)
-    p_s = np.asarray(p_s, dtype=float)
-    for name, p in (("p_x", p_x), ("p_s", p_s)):
-        if not abs(float(p.sum()) - 1.0) <= 1e-9:
-            raise ValueError(f"{name} mass deviates from 1")
-    rows = p_y_given_x.sum(axis=1)
-    if np.any(~(np.abs(rows - 1.0) <= 1e-9) & p_y_given_x.any(axis=1)):
-        raise ValueError("a channel row mass deviates from 1")
+    for i, row in enumerate(p_y_given_x):
+        if row.any():
+            check_prob_vector(row, f"channel row {i}", ESTIMATE_ATOL)
 
     h_y, h_xy = repetition_entropies(p_x, p_y_given_x, p_s.size - 1)
     return DistributionEstimate(

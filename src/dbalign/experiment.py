@@ -4,14 +4,28 @@ Each trial draws a fresh instance from its own substream, runs the full
 pipeline, and scores every stage against the hidden ground truth. Trials
 are independent, so worker threads never change the numbers, and the
 emitted CSV is byte-identical for a fixed master seed.
+
+While ``min(workers, trials) > 1`` trials run at once, the thread count of
+the OpenBLAS that numpy loaded is cut to its share of the old count, since
+every trial's GEMMs would otherwise spread over all cores and the BLAS
+threads of different trials would contend. The count is restored when the
+trials are done. Where numpy's OpenBLAS is not found, BLAS is left alone.
+No report depends on the count: the matcher's screen holds for a float32
+GEMM in any summation order, and the seed co-occurrence counts are exact.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -261,8 +275,86 @@ def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
     )
 
 
+# numpy's bundled OpenBLAS as each wheel names it, newest first:
+# (library glob under numpy.libs, get symbol, set symbol).
+OPENBLAS_NAMES = (
+    (
+        "libscipy_openblas*.so*",
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_set_num_threads64_",
+    ),
+    ("libopenblas*.so*", "openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+@functools.cache
+def openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None where there is none under a known name.
+
+    Only a library already in the process is opened (RTLD_NOLOAD), so no
+    second OpenBLAS, with a thread pool of its own, is ever loaded.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for pattern, get_name, set_name in OPENBLAS_NAMES:
+        for path in sorted(libs.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:
+                continue
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+class _BlasCap:
+    """Shares the cores between trial threads and BLAS threads.
+
+    Each trial's GEMMs already spread over every core, so while several
+    trials run at once their BLAS threads only contend. The thread count is
+    process-wide: the first holder saves it and the last one restores it,
+    so nested and concurrent experiments put back the original count.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    @contextmanager
+    def capped(self, concurrent: int):
+        """Cap BLAS at max(1, count // concurrent) threads inside the block."""
+        blas = openblas_threads()
+        if blas is None:
+            yield
+            return
+        get, put = blas
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+            self._depth += 1
+            put(min(get(), max(1, self._saved // concurrent)))
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    put(self._saved)
+
+
+_BLAS_CAP = _BlasCap()
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """All sweep points and trials; deterministic for a fixed master seed."""
+    """All sweep points and trials; deterministic for a fixed master seed.
+
+    With more than one trial at once, each runs on its own thread and
+    numpy's OpenBLAS is capped to its share of the cores until all are done.
+    """
     points = config.points()
     try:
         check_table_size(config.spec.alphabet_size, config.spec.s_max)
@@ -278,16 +370,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"point m={m} n={n} needs ~{need} bytes for {concurrent} concurrent "
                 f"trial(s), cap is {config.memory_cap_bytes}"
             )
+    if concurrent > 1:
+        with _BLAS_CAP.capped(concurrent), ThreadPoolExecutor(concurrent) as pool:
+            return _report(config, pool.map)
+    return _report(config, map)
 
+
+def _report(config: ExperimentConfig, run) -> ExperimentReport:
+    """Run every trial of every point through ``run``, a map, and summarise."""
     summaries = []
-    for point_idx, (m, n) in enumerate(points):
-        trials = range(config.trials)
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                records = list(pool.map(lambda i: run_trial(config, point_idx, i), trials))
-        else:
-            records = [run_trial(config, point_idx, i) for i in trials]
-
+    for point_idx, (m, n) in enumerate(config.points()):
+        records = list(run(lambda i: run_trial(config, point_idx, i), range(config.trials)))
         replica_hits = sum(r.replica_ok for r in records)
         deletion_hits = sum(r.deletion_ok for r in records)
         tvs = [r.est_tv for r in records if not math.isnan(r.est_tv)]

@@ -33,14 +33,20 @@ ROLE_CHANNEL = 3
 ROLE_SEEDS = 4
 
 
-def _check_prob_vector(p, name):
+def check_prob_vector(p, name, atol=PROB_ATOL):
+    """``p`` as a float array; ValueError unless it is a nonempty 1-D vector
+    of entries in [0, 1] that sums to 1 within ``atol``.
+
+    A NaN or infinite entry makes the sum non-finite, so it fails the mass test.
+    """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D probability vector")
+    total = float(p.sum())
+    if not abs(total - 1.0) <= atol:
+        raise ValueError(f"{name} mass deviates from 1: it sums to {total!r}")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError(f"{name} entries must lie in [0, 1]")
-    if abs(float(p.sum()) - 1.0) > PROB_ATOL:
-        raise ValueError(f"{name} must sum to 1, got {float(p.sum())!r}")
     return p
 
 
@@ -73,8 +79,8 @@ class ModelSpec:
     p_s: np.ndarray
 
     def __post_init__(self):
-        p_x = _check_prob_vector(self.p_x, "p_x")
-        p_s = _check_prob_vector(self.p_s, "p_s")
+        p_x = check_prob_vector(self.p_x, "p_x")
+        p_s = check_prob_vector(self.p_s, "p_s")
         size = p_x.size
         if size > MAX_ALPHABET:
             raise ValueError(f"alphabet size {size} exceeds {MAX_ALPHABET}")
@@ -84,7 +90,7 @@ class ModelSpec:
                 f"p_y_given_x must be {size}x{size}, got {p_ygx.shape}"
             )
         for i in range(size):
-            _check_prob_vector(p_ygx[i], f"p_y_given_x[{i}]")
+            check_prob_vector(p_ygx[i], f"p_y_given_x[{i}]")
         object.__setattr__(self, "p_x", _frozen(p_x))
         object.__setattr__(self, "p_y_given_x", _frozen(p_ygx))
         object.__setattr__(self, "p_s", _frozen(p_s))

@@ -123,6 +123,18 @@ def test_config_with_an_unknown_key_exit_config(tmp_path, config_file, capsys, c
     assert not (tmp_path / "inst").exists()
 
 
+@pytest.mark.parametrize("command", ["capacity", "experiment"])
+def test_nan_probability_exit_config(tmp_path, config_file, capsys, command):
+    # Python's json reads the literal NaN; the spec must refuse it rather
+    # than report a capacity of 0.
+    bad = tmp_path / "bad.json"
+    bad.write_text(config_file.read_text().replace('"p_x": [0.5, 0.5]', '"p_x": [NaN, 1.0]'))
+    assert main([command, "--config", str(bad)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "p_x mass deviates from 1" in captured.err
+    assert captured.out == ""
+
+
 def test_capacity_command(config_file, capsys):
     assert main(["capacity", "--config", str(config_file)]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)

@@ -175,6 +175,11 @@ def test_assemble_joint_table_limit():
         (([0.5, 0.5], [[0.9, 0.1], [0.0, 1e-3]], [0.0, 1.0]), "channel row"),
         (([0.5, 0.5], [[0.9, 0.1], [np.nan, 0.0]], [0.0, 1.0]), "channel row"),
         (([np.nan, 0.5], [[0.9, 0.1], [0.1, 0.9]], [0.0, 1.0]), "p_x mass"),
+        # These sum to 1, so only the range test catches them; unchecked,
+        # p_x = [1.5, -0.5] gives H(X) = -0.877.
+        (([1.5, -0.5], [[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0]), "p_x entries"),
+        (([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], [-0.5, 1.5]), "p_s entries"),
+        (([0.5, 0.5], [[1.2, -0.2], [0.0, 1.0]], [0.0, 1.0]), "channel row 0 entries"),
     ],
 )
 def test_assemble_joint_rejects_components_that_are_not_distributions(components, message):

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from dbalign import (
     segment,
     wilson_interval,
 )
+from dbalign import experiment
 from dbalign.dbio import load_json_object
 from dbalign.deletions import MIN_COLUMNS, seed_bytes
 from dbalign.experiment import (
@@ -194,6 +197,143 @@ def test_worker_count_does_not_change_results(tmp_path):
     (tmp_path / "w1.csv").write_text(render(run_experiment(small_config(workers=1)), "csv"))
     (tmp_path / "w3.csv").write_text(render(run_experiment(small_config(workers=3)), "csv"))
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
+
+
+@pytest.fixture
+def blas():
+    """(get, set) of numpy's OpenBLAS thread count, restored after the test."""
+    found = experiment.openblas_threads()
+    if found is None:
+        pytest.skip("numpy's OpenBLAS was not found under a known name")
+    get, put = found
+    before = get()
+    yield found
+    put(before)
+
+
+def _record_blas_threads(monkeypatch, get) -> list:
+    """The BLAS thread count seen at the start of each trial, in start order."""
+    seen = []
+    trial = experiment.run_trial
+
+    def recorded(config, point, i):
+        seen.append(get())
+        return trial(config, point, i)
+
+    monkeypatch.setattr(experiment, "run_trial", recorded)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "workers, trials, during",
+    [(2, 2, 2), (4, 3, 1), (3, 5, 1), (4, 1, 4), (1, 3, 4)],
+)
+def test_blas_is_capped_while_trials_run_at_once(blas, monkeypatch, workers, trials, during):
+    # 4 threads split over min(workers, trials) concurrent trials.
+    get, put = blas
+    put(4)
+    seen = _record_blas_threads(monkeypatch, get)
+    run_experiment(small_config(workers=workers, trials=trials))
+    assert seen == [during] * trials
+    assert get() == 4
+
+
+def test_blas_count_is_restored_when_a_trial_raises(blas, monkeypatch):
+    get, put = blas
+    put(4)
+    trial = experiment.run_trial
+
+    def fails_once(config, point, i):
+        if i == 1:
+            raise RuntimeError("trial 1 failed")
+        return trial(config, point, i)
+
+    monkeypatch.setattr(experiment, "run_trial", fails_once)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_experiment(small_config(workers=2, trials=3))
+    assert get() == 4
+
+
+def test_blas_count_is_restored_after_nested_calls(blas, monkeypatch):
+    get, put = blas
+    put(4)
+    inner = []
+    trial = experiment.run_trial
+
+    def nests(config, point, i):
+        if config.trials == 2 and i == 0:  # an outer trial runs an inner experiment
+            run_experiment(small_config(workers=2, trials=3))
+        elif config.trials == 3:
+            inner.append(get())
+        return trial(config, point, i)
+
+    monkeypatch.setattr(experiment, "run_trial", nests)
+    run_experiment(small_config(workers=2, trials=2))
+    # The inner call caps from the saved 4 to 2, not from the outer cap of 2 to 1.
+    assert inner == [2] * 3
+    assert get() == 4
+
+
+def test_blas_count_is_restored_after_concurrent_calls(blas, monkeypatch):
+    # Three experiments of two trial threads each, switching often; each
+    # holds its first trial until all three are inside the cap, so that
+    # their saves and restores interleave.
+    get, put = blas
+    put(4)
+    inside = threading.Barrier(3, timeout=30)
+    trial = experiment.run_trial
+
+    def meets(config, point, i):
+        if i == 0:
+            inside.wait()
+        return trial(config, point, i)
+
+    monkeypatch.setattr(experiment, "run_trial", meets)
+    errors = []
+
+    def one_experiment():
+        try:
+            run_experiment(small_config(workers=2, trials=3))
+        except Exception as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=one_experiment) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert get() == 4
+
+
+def test_one_trial_runs_serially_and_leaves_blas_alone(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one trial needs no thread pool")
+
+    lookups = []
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(experiment, "openblas_threads", lambda: lookups.append(1))
+    report = run_experiment(small_config(workers=4, trials=1))
+    assert len(report.points[0].trials) == 1 and lookups == []
+
+
+def test_without_openblas_the_thread_count_is_untouched(blas, monkeypatch):
+    get, put = blas
+    put(4)
+    seen = _record_blas_threads(monkeypatch, get)
+    monkeypatch.setattr(experiment, "openblas_threads", lambda: None)
+    run_experiment(small_config(workers=2, trials=2))
+    assert seen == [4, 4] and get() == 4
+
+
+def test_openblas_lookup_without_a_known_library_finds_none(monkeypatch):
+    monkeypatch.setattr(experiment, "OPENBLAS_NAMES", (("libnothing*.so*", "get", "set"),))
+    assert experiment.openblas_threads.__wrapped__() is None
 
 
 def test_empty_sweep_emits_header_only(tmp_path):
@@ -514,10 +654,17 @@ GOLDEN_CONFIGS = {
 }
 
 
-def _golden_report(name):
+def _golden_report(name, workers=2):
     spec, m, n, num_seeds = GOLDEN_CONFIGS[name]
     config = ExperimentConfig(
-        spec=spec, m=m, n=n, num_seeds=num_seeds, trials=3, master_seed=7, epsilon=0.3, workers=2
+        spec=spec,
+        m=m,
+        n=n,
+        num_seeds=num_seeds,
+        trials=3,
+        master_seed=7,
+        epsilon=0.3,
+        workers=workers,
     )
     return run_experiment(config)
 
@@ -535,3 +682,15 @@ def test_report_json_is_byte_identical_to_committed():
     # each trial's failed stage, so one configuration is pinned in it too.
     expected = (GOLDEN / "report_bsc.json").read_text()
     assert render(_golden_report("bsc"), "json") == expected
+
+
+@pytest.mark.parametrize("workers, threads", [(1, 1), (1, 2), (1, 4), (3, 4)])
+def test_blas_thread_count_does_not_change_the_golden_report(blas, workers, threads):
+    # At m=512 the matcher's GEMM is split over the BLAS threads, so each
+    # count sums its float32 products in another order; the screen's bound
+    # and the exact seed counts keep every byte. At 3 workers the cap
+    # takes the 4 threads down to 1.
+    _, put = blas
+    put(threads)
+    expected = (GOLDEN / "report_bsc.csv").read_text()
+    assert render(_golden_report("bsc", workers), "csv") == expected

@@ -40,6 +40,23 @@ def test_spec_validation_rejects_bad_vectors():
         ModelSpec(p_x=[1.0], p_y_given_x=np.eye(2), p_s=[1.0])
 
 
+@pytest.mark.parametrize(
+    "p_x, chan, p_s, name",
+    [
+        ([np.nan, 1.0], np.eye(2), [0.0, 1.0], "p_x"),
+        ([0.5, 0.5], [[0.9, 0.1], [np.nan, 1.0]], [0.0, 1.0], r"p_y_given_x\[1\]"),
+        ([0.5, 0.5], np.eye(2), [np.nan, 1.0], "p_s"),
+        ([np.inf, 1.0], np.eye(2), [0.0, 1.0], "p_x"),
+    ],
+    ids=["nan-p_x", "nan-channel-row", "nan-p_s", "inf-p_x"],
+)
+def test_spec_rejects_non_finite_probabilities(p_x, chan, p_s, name):
+    # A NaN fails every comparison, so a tolerance test written as
+    # "deviation > atol" lets it through; the mass test must reject it.
+    with pytest.raises(ValueError, match=rf"{name} mass deviates from 1"):
+        ModelSpec(p_x=p_x, p_y_given_x=chan, p_s=p_s)
+
+
 def test_point_mass_alphabet(rng):
     spec = ModelSpec(p_x=[1.0], p_y_given_x=[[1.0]], p_s=[0.0, 1.0])
     mat = generate_database(5, 7, spec, rng)
