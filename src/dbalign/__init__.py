@@ -25,7 +25,6 @@ from .estimation import (
     assemble_joint,
     estimate_from_seeds,
     estimate_p_s,
-    estimate_p_x,
     estimate_p_y_given_x,
     from_model_spec,
 )

@@ -127,7 +127,7 @@ def _cmd_detect_deletions(args) -> int:
         # deletion detection then fails.
         g2 = g2[:, replicas.column_runs(result.is_replica, g2.shape[1])[0]]
         phi = np.arange(1, alphabet_size + 1, dtype=np.uint8)  # the identity remapping
-        l = deletions.cross_hamming(g1, g2, phi, deletions.cooccurrence(g1, g2, alphabet_size))
+        l = deletions.cross_hamming(g1, g2, phi, deletions.cooccurrence(g1, g2, alphabet_size)[0])
         rows = [",".join(str(v) for v in row) for row in l]
         _write_text(args.dump_l, "\n".join(rows) + "\n")
     if result.retention is None:

@@ -23,6 +23,8 @@ def write_matrix(path, mat: np.ndarray) -> None:
     mat = np.asarray(mat)
     if mat.ndim != 2:
         raise ValueError("only 2-D symbol matrices are supported")
+    if mat.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers, got dtype {mat.dtype}")
     if mat.size and (mat.min() < 1 or mat.max() > MAX_ALPHABET):
         raise ValueError(f"symbols must lie in 1..{MAX_ALPHABET}")
     with open(path, "wb") as fh:

@@ -9,9 +9,9 @@ symbol remappings of the repeated side until one separates an outlier
 in every column. The outlier's row index is the retained original
 column. The threshold depends only on the seed count and the column
 count, so it is computed once per detection. The seeds are read once,
-into symbol co-occurrence counts, and every remapping's distance matrix
-is read off those counts, as is the symbol-pair table at the detected
-column pairs.
+into symbol co-occurrence counts and g1's symbol totals. Every remapping's
+distance matrix is read off those counts, as is the symbol-pair table at
+the detected column pairs; the totals are the source's counts.
 """
 
 from __future__ import annotations
@@ -52,12 +52,14 @@ class RetentionResult:
 
     ``pair_counts[x, y]`` counts seed entries where a retained original
     column holds x+1 and its replica-free seed column holds y+1.
+    ``source_counts[x]`` counts g1 entries equal to x+1.
     """
 
     retained: np.ndarray
     deleted: np.ndarray
     n: int
     pair_counts: np.ndarray
+    source_counts: np.ndarray
 
 
 def check_remap_alphabet(alphabet_size: int) -> None:
@@ -120,11 +122,15 @@ def deletion_threshold(num_seeds: int, n: int) -> float:
     return THRESHOLD_CONSTANT * num_seeds ** (2.0 / 3.0) * math.log2(n) ** (1.0 / 3.0)
 
 
-def cooccurrence(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Symbol co-occurrence counts between every g1 and every g2 column.
+def cooccurrence(
+    g1: np.ndarray, g2: np.ndarray, alphabet_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol co-occurrence counts between every g1 and every g2 column,
+    and g1's symbol totals.
 
     ``C[x, i, y, j]`` (int64) is the number of seed rows where g1 column
-    i holds symbol x+1 and g2 column j holds y+1.
+    i holds symbol x+1 and g2 column j holds y+1; ``source_counts[x]``
+    (int64) is the number of g1 entries equal to x+1.
 
     Only symbols 2..k are one-hot encoded, as float32 indicators, each
     operand closed by a column of ones. One GEMM per block of SEED_BLOCK
@@ -143,7 +149,8 @@ def cooccurrence(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> np.ndarr
                         + sum_{x, y >= 1} C[x, i, y, j]
 
     which is one subtraction along the g1 symbol axis and then one along
-    the g2 symbol axis.
+    the g2 symbol axis. The source totals are N1 summed over the columns,
+    and symbol 1's is Lambda * n minus the rest, with or without g2 columns.
     """
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
@@ -165,27 +172,29 @@ def cooccurrence(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> np.ndarr
             np.equal(b2, b2.dtype.type(x), out=hot2[:rows, (x - 2) * kt : (x - 1) * kt])
         total += (hot1[:rows].T @ hot2[:rows]).astype(np.int64)
 
+    n1 = total[:-1, -1].reshape(k - 1, n)
+    source_counts = np.concatenate([[num_seeds * n - n1.sum()], n1.sum(axis=1)])
     counts = np.empty((k, n, k, kt), dtype=np.int64)
     counts[1:, :, 1:] = total[:-1, :-1].reshape(k - 1, n, k - 1, kt)
-    counts[1:, :, 0] = total[:-1, -1].reshape(k - 1, n, 1)
+    counts[1:, :, 0] = n1[..., None]
     counts[0, :, 1:] = total[-1, :-1].reshape(k - 1, kt)
     counts[0, :, 0] = num_seeds
     counts[0] -= counts[1:].sum(axis=0)
     counts[:, :, 0] -= counts[:, :, 1:].sum(axis=2)
-    return counts
+    return counts, source_counts
 
 
 def seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
-    """Upper bound on the seed stages' working set: deletion detection and
-    the plug-in estimate, with at most n replica-free g2 columns.
+    """Upper bound on the seed stages' working set: deletion detection, with
+    at most n replica-free g2 columns. The plug-in estimate reads only the
+    counts detection returns.
 
     `cooccurrence` holds two float32 operands of one seed block by
     (k - 1) * n + 1 columns, the int64 accumulator of their products, one
     block's float32 product and its int64 cast, and then the k^2 * n^2
     int64 counts with one k * n^2 sum while symbol 1's counts are rebuilt.
     Each remapping of the sweep gathers k * n^2 counts, sums them to n^2
-    distances and scans their float64 deviations. The source estimate
-    holds one bool mask of the seeds at a time.
+    distances and scans their float64 deviations.
     """
     k = alphabet_size
     width = (k - 1) * n + 1
@@ -193,7 +202,7 @@ def seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
     operands = 4 * block * 2 * width
     products = (8 + 4 + 8) * width * width
     counts = 8 * k * k * n * n + 8 * (k + 4) * n * n
-    return operands + products + counts + num_seeds * n
+    return operands + products + counts
 
 
 def cross_hamming(
@@ -255,7 +264,8 @@ def detect_deletions(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> Rete
     g2 must already be replica-free (one column per retained original
     column; with none, every original column is deleted). Sweeps
     remappings in lexicographic order and returns the retention set of
-    the first useful one, with the symbol-pair counts at its column pairs.
+    the first useful one, with the symbol-pair counts at its column pairs
+    and g1's symbol totals.
 
     Raises ValueError on seeds `check_seeds` rejects or a g2 wider than
     g1, MisdetectionError on an inconsistent outlier pattern and
@@ -268,11 +278,11 @@ def detect_deletions(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> Rete
     if kt > n:
         raise ValueError("replica-free g2 cannot have more columns than g1")
     tau_hat = deletion_threshold(num_seeds, n)
-    counts = cooccurrence(g1, g2, alphabet_size)
+    counts, source_counts = cooccurrence(g1, g2, alphabet_size)
     for phi in enumerate_remappings(alphabet_size):
         rows = scan_remapping(cross_hamming(g1, g2, phi, counts), tau_hat)
         if rows is not None:
             deleted = np.setdiff1d(np.arange(n), rows)
             pair_counts = counts[:, rows, :, np.arange(kt)].sum(axis=0)
-            return RetentionResult(retained=rows, deleted=deleted, n=n, pair_counts=pair_counts)
+            return RetentionResult(rows, deleted, n, pair_counts, source_counts)
     raise NoUsefulRemappingError("all remappings useless")

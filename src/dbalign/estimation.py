@@ -1,7 +1,7 @@
 """Plug-in estimation of the source, noise, and repetition distributions.
 
-Everything is estimated as raw empirical frequencies: the source from
-the original seeds, the channel from deletion detection's pair counts,
+Everything is estimated as raw empirical frequencies: the source and
+the channel from the counts deletion detection tabulated off the seeds,
 and the repetition counts from the detected pattern. Their entropies
 are what the typicality matcher compares its empirical rates against.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dbio import model_spec_to_dict
-from .deletions import RetentionResult, check_symbols
+from .deletions import RetentionResult
 from .infotheory import entropy, repetition_entropies
 from .model import ModelSpec, RepetitionPattern, check_prob_vector
 
@@ -53,24 +53,6 @@ class DistributionEstimate:
     def to_dict(self) -> dict:
         """The five keys of a model spec JSON, in its layout."""
         return model_spec_to_dict(self)
-
-
-def estimate_p_x(g1: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Empirical symbol frequencies over all seed entries.
-
-    Each symbol is counted against a scalar of the matrix's own dtype, so
-    no wider copy of the seeds is made.
-    """
-    g1 = np.asarray(g1)
-    if g1.size == 0:
-        raise ValueError("seed matrix is empty")
-    check_symbols(alphabet_size, g1)
-    symbol = g1.dtype.type
-    counts = np.array(
-        [np.count_nonzero(g1 == symbol(x)) for x in range(1, alphabet_size + 1)],
-        dtype=np.int64,
-    )
-    return counts / g1.size
 
 
 def estimate_p_y_given_x(pair_counts: np.ndarray) -> np.ndarray:
@@ -129,15 +111,15 @@ def from_model_spec(spec: ModelSpec) -> DistributionEstimate:
 
 
 def estimate_from_seeds(
-    g1: np.ndarray,
-    retention: RetentionResult,
-    pattern: RepetitionPattern,
-    alphabet_size: int,
+    retention: RetentionResult, pattern: RepetitionPattern
 ) -> DistributionEstimate:
-    """Full plug-in estimate from the original seeds and both detector outputs."""
-    if np.shape(retention.pair_counts) != (alphabet_size, alphabet_size):
-        raise ValueError(f"pair counts must be a {alphabet_size} x {alphabet_size} table")
-    p_x = estimate_p_x(g1, alphabet_size)
+    """Full plug-in estimate from both detector outputs: the source from
+    g1's symbol totals, the channel from the pair counts, and p_s from the
+    pattern. The alphabet is the totals' length."""
+    k = np.size(retention.source_counts)
+    if np.shape(retention.pair_counts) != (k, k):
+        raise ValueError(f"pair counts must be a {k} x {k} table")
+    p_x = retention.source_counts / np.sum(retention.source_counts)
     p_y_given_x = estimate_p_y_given_x(retention.pair_counts)
     p_s = estimate_p_s(pattern)
     return assemble_joint(p_x, p_y_given_x, p_s)

@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValueError("epsilon must be finite and positive")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
+        if self.master_seed < 0 or self.memory_cap_bytes < 1:
+            raise ValueError("need master_seed >= 0 and memory_cap_bytes >= 1")
         if self.sweep_axis not in (None, "m", "n"):
             raise ValueError("sweep axis must be 'm' or 'n'")
         if self.sweep_axis is None and self.sweep_values:
@@ -145,12 +147,14 @@ def _plain(value):
         return value.to_dict()
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None  # an unscored estimate; JSON has no NaN
     return value
 
 
 class _Record:
     """Dict form of a report dataclass: its fields in order, keys renamed
-    by KEY_NAMES, tuples as lists and nested records as dicts."""
+    by KEY_NAMES, tuples as lists, nested records as dicts and NaN as None."""
 
     def to_dict(self) -> dict:
         return {key: _plain(getattr(self, f.name)) for f, key in _keyed_fields(self)}
@@ -405,6 +409,8 @@ def _report(config: ExperimentConfig, run) -> ExperimentReport:
 
 
 def _csv_cell(value) -> str:
+    if value is None:
+        return "nan"  # the record's NaN, an unscored estimate
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -413,9 +419,10 @@ def _csv_cell(value) -> str:
 
 
 def render(report: ExperimentReport, fmt: str) -> str:
-    """The report as CSV (per-trial rows) or JSON (full schema) text."""
+    """The report as CSV (per-trial rows, an unscored estimate as nan) or
+    JSON (full schema, an unscored estimate as null) text."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
+        return json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
     rows = [r.to_dict() for point in report.points for r in point.trials]

@@ -537,9 +537,7 @@ def estimate_stages(
     except ValueError as exc:
         return result.fail("pattern", exc)
     result.pattern = RepetitionPattern(s)
-    result.estimate = estimation.estimate_from_seeds(
-        g1, result.retention, result.pattern, alphabet_size
-    )
+    result.estimate = estimation.estimate_from_seeds(result.retention, result.pattern)
     return result
 
 

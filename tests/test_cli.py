@@ -563,6 +563,19 @@ def test_experiment_infeasible_exit(tmp_path, config_file):
     assert main(["experiment", "--config", str(path)]) == EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize(
+    "key, value", [("master_seed", -1), ("memory_cap_bytes", 0), ("memory_cap_bytes", -10)]
+)
+def test_experiment_out_of_range_seed_or_cap_exit_config(tmp_path, config_file, capsys, key, value):
+    # Found at the config boundary and named there, before any trial runs.
+    report = tmp_path / "report.csv"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(config_file.read_text()), **{key: value})))
+    assert main(["experiment", "--config", str(bad), "--out", str(report)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_out_dir_env_override(tmp_path, config_file, monkeypatch, capsys):
     monkeypatch.setenv("DBALIGN_OUT_DIR", str(tmp_path))
     assert main(["capacity", "--config", str(config_file), "--out", "cap.json"]) == EXIT_OK

@@ -63,7 +63,7 @@ def test_enumerate_remappings_cap():
 def test_cross_hamming_matched_copy(rng):
     g1 = rng.integers(1, 4, size=(100, 4)).astype(np.uint8)
     g2 = g1[:, [1, 3]]
-    l = cross_hamming(g1, g2, np.array([1, 2, 3]), cooccurrence(g1, g2, 3))
+    l = cross_hamming(g1, g2, np.array([1, 2, 3]), cooccurrence(g1, g2, 3)[0])
     assert l[1, 0] == 0
     assert l[3, 1] == 0
     assert l.shape == (4, 2)
@@ -79,7 +79,7 @@ def test_cross_hamming_small_retention_outlier_profile():
     assert truth.q1 == pytest.approx(0.92)
     pattern = _deletion_pattern(10, (3, 5, 9))
     seeds = generate_seeds(10_000, 10, pattern, spec, substream(42, 0))
-    l = cross_hamming(seeds.g1, seeds.g2, np.arange(1, 5), cooccurrence(seeds.g1, seeds.g2, 4))
+    l = cross_hamming(seeds.g1, seeds.g2, np.arange(1, 5), cooccurrence(seeds.g1, seeds.g2, 4)[0])
     retained = pattern.retained_indices()
     for j in range(7):
         col = l[:, j]
@@ -108,7 +108,7 @@ def test_cross_hamming_matches_column_loop_oracle(spec_name, num_seeds, deleted)
     spec = ORACLE_SPECS[spec_name]
     pattern = _deletion_pattern(8, deleted)
     seeds = generate_seeds(num_seeds, 8, pattern, spec, substream(17, num_seeds))
-    counts = cooccurrence(seeds.g1, seeds.g2, spec.alphabet_size)
+    counts, _ = cooccurrence(seeds.g1, seeds.g2, spec.alphabet_size)
     for phi in enumerate_remappings(spec.alphabet_size):
         expected = cross_hamming_loop(seeds.g1, seeds.g2, phi)
         l = cross_hamming(seeds.g1, seeds.g2, phi, counts)
@@ -135,8 +135,9 @@ def test_seed_block_keeps_float32_counts_exact():
     data=st.data(),
 )
 def test_cooccurrence_matches_add_at_oracle(k, num_seeds, n, dtype, data):
-    # Exact int64 counts for every alphabet the sweep accepts, across block
-    # edges, with any number of g2 columns and symbols absent from a side.
+    # Exact int64 counts and g1 symbol totals for every alphabet the sweep
+    # accepts, across block edges, with any number of g2 columns (kt = 0
+    # included) and symbols absent from a side.
     kt = data.draw(st.integers(0, n), label="kt")
     symbols = st.lists(st.integers(1, k), min_size=1, unique=True)
     present1 = data.draw(symbols, label="g1 symbols")
@@ -144,11 +145,13 @@ def test_cooccurrence_matches_add_at_oracle(k, num_seeds, n, dtype, data):
     rng = substream(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     g1 = rng.choice(present1, size=(num_seeds, n)).astype(dtype)
     g2 = rng.choice(present2, size=(num_seeds, kt)).astype(dtype)
-    counts = cooccurrence(g1, g2, k)
+    counts, source_counts = cooccurrence(g1, g2, k)
     expected = cooccurrence_loop(g1, g2, k)
     assert counts.dtype == np.int64
     assert counts.shape == (k, n, k, kt)
     assert np.array_equal(counts, expected)
+    assert source_counts.dtype == np.int64
+    assert np.array_equal(source_counts, np.bincount(g1.ravel(), minlength=k + 1)[1:])
 
 
 # The 4-symbol channel with diagonal 0.08 needs about 5000 seeds to be
@@ -171,19 +174,22 @@ def test_detect_deletions_pair_counts_match_bincount_oracle(spec_name, num_seeds
     assert result.pair_counts.shape == (k, k)
     assert np.array_equal(result.pair_counts, expected)
     assert result.pair_counts.sum() == num_seeds * (8 - len(deleted))
+    # The source totals ride on the same tabulation, g2 columns or none.
+    assert result.source_counts.dtype == np.int64
+    assert np.array_equal(result.source_counts, np.bincount(seeds.g1.ravel(), minlength=k + 1)[1:])
 
 
 def test_cross_hamming_rejects_counts_of_another_shape(rng):
     g1 = rng.integers(1, 4, size=(50, 4)).astype(np.uint8)
     g2 = g1[:, [0, 2]]
     with pytest.raises(ValueError, match="shape"):
-        cross_hamming(g1, g2, np.array([1, 2]), cooccurrence(g1, g2, 3))
+        cross_hamming(g1, g2, np.array([1, 2]), cooccurrence(g1, g2, 3)[0])
 
 
 def test_cross_hamming_dimension_mismatch(rng):
     g1 = rng.integers(1, 3, size=(10, 4)).astype(np.uint8)
     g2 = rng.integers(1, 3, size=(11, 3)).astype(np.uint8)
-    counts = cooccurrence(g1, g2[:10], 2)
+    counts, _ = cooccurrence(g1, g2[:10], 2)
     with pytest.raises(ValueError, match="same row count"):
         cross_hamming(g1, g2, np.array([1, 2]), counts)
 
@@ -346,7 +352,7 @@ def test_unit_trace_channel_needs_remapping():
     assert truth.q0 == pytest.approx(truth.q1)
     pattern = _deletion_pattern(10, (2, 6))
     seeds = generate_seeds(10_000, 10, pattern, spec, substream(13, 0))
-    counts = cooccurrence(seeds.g1, seeds.g2, 3)
+    counts, _ = cooccurrence(seeds.g1, seeds.g2, 3)
     identity_l = cross_hamming(seeds.g1, seeds.g2, np.array([1, 2, 3]), counts)
     assert scan_remapping(identity_l, deletion_threshold(10_000, 10)) is None
     result = detect_deletions(seeds.g1, seeds.g2, alphabet_size=3)

@@ -9,7 +9,6 @@ from dbalign import (
     capacity,
     estimate_from_seeds,
     estimate_p_s,
-    estimate_p_x,
     estimate_p_y_given_x,
     entropy,
     from_model_spec,
@@ -18,30 +17,45 @@ from dbalign import (
     repetition_table,
     substream,
 )
-from dbalign.deletions import RetentionResult, detect_deletions
+from dbalign.deletions import RetentionResult, cooccurrence, detect_deletions
 
 from conftest import bsc_spec, noiseless_spec
 from oracles import aligned_pair_counts, unsupported_x
 
 
+def _p_x(g1, alphabet_size):
+    """The plug-in source estimate of g1: its symbol totals, tabulated
+    against no g2 columns (every original column deleted), estimated."""
+    source_counts = cooccurrence(g1, g1[:, :0], alphabet_size)[1]
+    n = g1.shape[1]
+    retention = RetentionResult(
+        retained=np.arange(0),
+        deleted=np.arange(n),
+        n=n,
+        pair_counts=np.eye(alphabet_size, dtype=np.int64),
+        source_counts=source_counts,
+    )
+    return estimate_from_seeds(retention, RepetitionPattern(np.zeros(n, dtype=int))).p_x
+
+
 def test_estimate_p_x_point_mass():
     g1 = np.ones((3, 4), dtype=np.uint8)
-    assert np.array_equal(estimate_p_x(g1, 1), [1.0])
-    assert np.array_equal(estimate_p_x(g1, 3), [1.0, 0.0, 0.0])
+    assert np.array_equal(_p_x(g1, 1), [1.0])
+    assert np.array_equal(_p_x(g1, 3), [1.0, 0.0, 0.0])
 
 
 def test_estimate_p_x_direct_count():
     g1 = np.array([[1, 2], [2, 1]], dtype=np.uint8)
-    assert np.array_equal(estimate_p_x(g1, 2), [0.5, 0.5])
+    assert np.array_equal(_p_x(g1, 2), [0.5, 0.5])
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 def test_estimate_p_x_equals_bincount(dtype):
-    # Counting one symbol at a time gives the bincount's frequencies bit
-    # for bit, with symbols 2 and 5 absent from the seeds.
+    # The totals read off the co-occurrence GEMM give the bincount's
+    # frequencies bit for bit, with symbols 2 and 5 absent from the seeds.
     g1 = substream(8, 0).choice([1, 3, 4], size=(500, 7)).astype(dtype)
     expected = np.bincount(g1.ravel().astype(np.intp), minlength=6)[1:] / g1.size
-    p_x = estimate_p_x(g1, 5)
+    p_x = _p_x(g1, 5)
     assert p_x.dtype == expected.dtype
     assert np.array_equal(p_x, expected)
     assert p_x[1] == p_x[4] == 0.0
@@ -50,7 +64,7 @@ def test_estimate_p_x_equals_bincount(dtype):
 def test_estimate_p_x_concentration():
     for seed in range(20):
         g1 = generate_database(1000, 1000, bsc_spec(), substream(seed, 4))
-        assert abs(estimate_p_x(g1, 2)[0] - 0.5) <= 0.002
+        assert abs(_p_x(g1, 2)[0] - 0.5) <= 0.002
 
 
 def test_estimate_p_y_given_x_identity_channel():
@@ -226,10 +240,14 @@ def test_estimation_error_halves_when_seeds_quadruple():
 
 
 def test_estimators_reject_symbols_outside_alphabet():
-    # A bad g2 symbol is rejected by deletion detection, which owns the
-    # channel counts; the estimator reads only g1.
+    # A bad g1 or g2 symbol is rejected by deletion detection, which owns
+    # the seed counts; the estimator reads only what detection returned.
+    g1 = np.array([[3, 1, 2]], dtype=np.uint8)
+    for g2 in (g1[:, :0], np.array([[1, 2, 1]], dtype=np.uint8)):
+        with pytest.raises(ValueError, match="1..2"):
+            detect_deletions(g1, g2, 2)
     with pytest.raises(ValueError, match="1..2"):
-        estimate_p_x(np.array([[3]], dtype=np.uint8), 2)
+        detect_deletions(g1[:, [1, 2, 2]], g1, 2)
 
 
 def _round_trip(est):
@@ -265,7 +283,8 @@ def test_estimate_from_seeds_full_pipeline():
     seeds = generate_seeds(20_000, 12, pattern, spec, substream(55, 0))
     retention = detect_deletions(seeds.g1, seeds.g2, alphabet_size=2)
     assert np.array_equal(retention.retained, pattern.retained_indices())
-    est = estimate_from_seeds(seeds.g1, retention, pattern, 2)
+    est = estimate_from_seeds(retention, pattern)
+    assert np.array_equal(est.p_x, np.bincount(seeds.g1.ravel())[1:] / seeds.g1.size)
     assert np.allclose(est.p_x, spec.p_x, atol=0.01)
     assert np.allclose(est.p_y_given_x, spec.p_y_given_x, atol=0.01)
     assert np.array_equal(est.p_s, estimate_p_s(pattern))
@@ -273,12 +292,14 @@ def test_estimate_from_seeds_full_pipeline():
 
 @pytest.mark.parametrize("counts_size", [2, 4])
 def test_estimate_from_seeds_rejects_pair_counts_of_another_alphabet(counts_size):
-    g1 = np.array([[1, 2, 3], [3, 2, 1]], dtype=np.uint8)
+    # A hand-built result whose tables disagree on the alphabet fails loudly;
+    # the source totals set it.
     retention = RetentionResult(
         retained=np.arange(3),
         deleted=np.array([], dtype=np.int64),
         n=3,
         pair_counts=np.ones((counts_size, counts_size), dtype=np.int64),
+        source_counts=np.array([2, 2, 2], dtype=np.int64),
     )
     with pytest.raises(ValueError, match="3 x 3"):
-        estimate_from_seeds(g1, retention, RepetitionPattern(np.ones(3, dtype=int)), 3)
+        estimate_from_seeds(retention, RepetitionPattern(np.ones(3, dtype=int)))

@@ -87,6 +87,13 @@ def test_config_validation():
         small_config(sweep_axis=None, sweep_values=[4])
     with pytest.raises(ValueError):
         small_config(sweep_axis="n", sweep_values=[0])
+    # A negative seed would fail mid-run inside numpy, and a cap of no
+    # bytes would read as an infeasible size; both are config errors.
+    with pytest.raises(ValueError, match="master_seed >= 0"):
+        small_config(master_seed=-1)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="memory_cap_bytes >= 1"):
+            small_config(memory_cap_bytes=cap)
 
 
 @pytest.mark.parametrize(
@@ -527,7 +534,7 @@ def test_memory_estimate_bounds_the_seed_stages(spec, n, num_seeds):
     k = spec.alphabet_size
     retention, detect_peak = _traced_peak(lambda: detect_deletions(seeds.g1, g2_free, k))
     _, estimate_peak = _traced_peak(
-        lambda: estimate_from_seeds(seeds.g1, retention, pair.pattern, k)
+        lambda: estimate_from_seeds(retention, pair.pattern)
     )
     assert detect_peak <= seed_bytes(n, num_seeds, k)
     assert estimate_peak <= seed_bytes(n, num_seeds, k)
@@ -640,6 +647,25 @@ def test_failed_trials_count_as_full_error():
         assert math.isnan(record.est_tv)
         assert not record.deletion_ok
     assert math.isnan(report.points[0].mean_est_tv)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_report_writes_an_unscored_estimate_as_null():
+    # Both trials fail at the replica stage, so neither scores an estimate:
+    # the CSV keeps nan, and the JSON writes null, which strict JSON parsers
+    # accept.
+    report = run_experiment(small_config(m=2, n=10, num_seeds=50, trials=2))
+    assert [r.failed_stage for r in report.points[0].trials] == ["replica", "replica"]
+    point = json.loads(render(report, "json"), parse_constant=_reject_constant)["points"][0]
+    assert point["mean_est_tv"] is None
+    assert [t["est_tv"] for t in point["trials"]] == [None, None]
+    rows = [line.split(",") for line in render(report, "csv").splitlines()[1:]]
+    assert [row[CSV_COLUMNS.index("est_tv")] for row in rows] == ["nan", "nan"]
+    # The records' dict forms are the JSON's, None where no estimate was scored.
+    assert [t.to_dict() for t in report.points[0].trials] == point["trials"]
 
 
 GOLDEN = Path(__file__).parent / "golden"

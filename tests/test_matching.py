@@ -557,6 +557,7 @@ def test_estimate_stages_pattern_round_trip(s):
             deleted=np.flatnonzero(pattern.s == 0),
             n=pattern.n,
             pair_counts=np.ones((2, 2), dtype=np.int64),
+            source_counts=np.ones(2, dtype=np.int64),
         )
 
     def counting(*args):

@@ -390,6 +390,19 @@ def test_matrix_io_rejects_corruption(tmp_path, rng):
         write_matrix(tmp_path / "zeros.dbm", np.zeros((2, 2), dtype=int))
 
 
+@pytest.mark.parametrize(
+    "mat", [np.array([[1.7, 2.2]]), np.array([[True, True]]), np.array([[1.0, 2.0]])],
+    ids=["float", "bool", "whole floats"],
+)
+def test_matrix_io_rejects_symbols_that_are_not_integers(tmp_path, mat):
+    # Cast to one-byte symbols, [[1.7, 2.2]] would read back as [[1, 2]]
+    # and an all-True bool matrix as 1s; only integer dtypes are written.
+    path = tmp_path / "mat.dbm"
+    with pytest.raises(ValueError, match="integers"):
+        write_matrix(path, mat)
+    assert not path.exists()
+
+
 def test_matrix_io_rejects_zero_symbol_on_read(tmp_path, rng):
     # The writer refuses symbols outside 1..255; the reader must too.
     path = tmp_path / "mat.dbm"

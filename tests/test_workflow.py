@@ -4,9 +4,11 @@ The workflow is read as plain text: CI installs only the test extras,
 which do not include a YAML parser.
 """
 
+import ast
 import importlib
 import json
 import re
+import sys
 from pathlib import Path
 
 from dbalign.experiment import DEFAULT_MEMORY_CAP, ExperimentConfig, _estimated_bytes
@@ -53,3 +55,20 @@ def test_floor_job_pins_the_declared_floors():
     assert re.findall(r'"([\d.]+)"', versions)[0] == python
     floor = rf'^\s*- python-version: "{re.escape(python)}"\n\s*numpy: "{re.escape(numpy)}\.\*"$'
     assert re.search(floor, WORKFLOW, flags=re.M)
+
+
+def test_package_imports_numpy_and_the_standard_library_only():
+    # The package declares numpy as its one dependency. An undeclared import,
+    # scipy say, passes wherever it happens to be installed and fails on a
+    # clean install. Package-relative imports are the package's own.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "__future__"}
+    for path in sorted((ROOT / "src" / "dbalign").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
