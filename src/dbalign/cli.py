@@ -114,10 +114,9 @@ def _seed_stages(args):
 def _detection_exit(result) -> int:
     # What detection found is not a configuration error: a recorded failure
     # exits 4, or 5 for no useful remapping.
-    if isinstance(result.error, deletions.NoUsefulRemappingError):
-        raise result.error
     print(f"detection failed ({result.failed_stage}): {result.error}", file=sys.stderr)
-    return EXIT_DETECTION
+    no_remapping = isinstance(result.error, deletions.NoUsefulRemappingError)
+    return EXIT_NO_REMAPPING if no_remapping else EXIT_DETECTION
 
 
 def _cmd_detect_deletions(args) -> int:
@@ -274,9 +273,6 @@ def main(argv=None) -> int:
     except replicas.SingleComponentError as exc:  # detect-replicas; the seed stages record theirs
         print(f"detection failed: {exc}", file=sys.stderr)
         return EXIT_DETECTION
-    except deletions.NoUsefulRemappingError as exc:
-        print(f"detection failed: {exc}", file=sys.stderr)
-        return EXIT_NO_REMAPPING
     except InfeasibleSizeError as exc:
         print(f"infeasible size: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

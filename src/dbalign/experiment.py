@@ -24,7 +24,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,10 @@ from .model import ModelSpec, instance_bytes, sample_instance
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
 WILSON_Z = 1.96  # the normal quantile of a two-sided 95% interval
 
-# Report keys that differ from the dataclass field names.
+# Report keys that differ from the dataclass field names, and the field
+# that each sweep axis, named by its config key, sets at every point.
 KEY_NAMES = {"num_seeds": "lambda", "growth_rate": "R"}
+SWEEP_FIELDS = {"m": "m", "n": "n", "lambda": "num_seeds"}
 
 
 class InfeasibleSizeError(RuntimeError):
@@ -67,7 +69,7 @@ def _integer_list(key, value) -> list:
 
 @dataclass(kw_only=True)
 class ExperimentConfig:
-    """Everything one experiment needs, sweepable over m or n.
+    """Everything one experiment needs, sweepable over m, n or lambda.
 
     Each field after ``spec`` is one config key, named by KEY_NAMES where
     they differ, and the field order is the report's key order after the
@@ -95,21 +97,21 @@ class ExperimentConfig:
             raise ValueError("worker count must be positive")
         if self.master_seed < 0 or self.memory_cap_bytes < 1:
             raise ValueError("need master_seed >= 0 and memory_cap_bytes >= 1")
-        if self.sweep_axis not in (None, "m", "n"):
-            raise ValueError("sweep axis must be 'm' or 'n'")
+        if self.sweep_axis not in (None, *SWEEP_FIELDS):
+            raise ValueError("sweep axis must be 'm', 'n' or 'lambda'")
         if self.sweep_axis is None and self.sweep_values:
             raise ValueError("sweep values given without a sweep axis")
-        points = [(self.m, self.n), *self.points()]
-        if self.num_seeds < 1 or any(m < 1 or n < deletions.MIN_COLUMNS for m, n in points):
+        if self.num_seeds < 1 or self.m < 1 or self.n < deletions.MIN_COLUMNS:
             raise ValueError(f"need lambda, m >= 1 and n >= {deletions.MIN_COLUMNS} at each point")
+        self.points()  # each point checks its own sizes as it is built
 
-    def points(self) -> list[tuple[int, int]]:
-        """(m, n) per experiment point; empty sweep gives no points."""
+    def points(self) -> list["ExperimentConfig"]:
+        """One unswept config per experiment point; an empty sweep gives none."""
         if self.sweep_axis is None:
-            return [(self.m, self.n)]
-        if self.sweep_axis == "m":
-            return [(int(v), self.n) for v in self.sweep_values]
-        return [(self.m, int(v)) for v in self.sweep_values]
+            return [self]
+        axis = SWEEP_FIELDS[self.sweep_axis]
+        return [replace(self, sweep_axis=None, sweep_values=[], **{axis: v})
+                for v in self.sweep_values]
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -239,17 +241,17 @@ def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: 
 
 def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
     """One seeded end-to-end trial at ``config.points()[point]``, scored
-    against ground truth."""
-    m, n = config.points()[point]
-    spec = config.spec
-    pair, seeds = sample_instance(m, n, config.num_seeds, spec, config.master_seed, point, trial)
+    against ground truth; m, n, lambda and epsilon are that point's own."""
+    cfg = config.points()[point]
+    m, n, spec = cfg.m, cfg.n, cfg.spec
+    pair, seeds = sample_instance(m, n, cfg.num_seeds, spec, cfg.master_seed, point, trial)
     result = matching.deanonymize(
         pair.d1,
         pair.d2,
         seeds.g1,
         seeds.g2,
         alphabet_size=spec.alphabet_size,
-        epsilon=config.epsilon,
+        epsilon=cfg.epsilon,
     )
 
     true_adj = _true_adjacency(pair.pattern)
@@ -260,14 +262,14 @@ def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
     est_tv = math.nan if result.estimate is None else estimate_tv_distance(spec, result.estimate)
     row_error = 1.0 if result.match is None else result.match.row_error_rate(pair.sigma)
     fingerprint = int(
-        np.random.SeedSequence(config.master_seed, spawn_key=(point, trial)).generate_state(1)[0]
+        np.random.SeedSequence(cfg.master_seed, spawn_key=(point, trial)).generate_state(1)[0]
     )
     cap = capacity(spec).capacity
     return TrialRecord(
         trial=trial,
         n=n,
         m=m,
-        num_seeds=config.num_seeds,
+        num_seeds=cfg.num_seeds,
         growth_rate=math.log2(m) / n,
         capacity=cap,
         replica_ok=bool(replica_ok),
@@ -359,20 +361,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     With more than one trial at once, each runs on its own thread and
     numpy's OpenBLAS is capped to its share of the cores until all are done.
     """
-    points = config.points()
     try:
         check_table_size(config.spec.alphabet_size, config.spec.s_max)
     except ValueError as exc:
         raise InfeasibleSizeError(str(exc)) from exc
     concurrent = min(config.workers, config.trials)  # each thread holds its own trial
-    for m, n in points:
+    for p in config.points():
         need = concurrent * _estimated_bytes(
-            m, n, config.num_seeds, config.spec.s_max, config.spec.alphabet_size
+            p.m, p.n, p.num_seeds, config.spec.s_max, config.spec.alphabet_size
         )
         if need > config.memory_cap_bytes:
             raise InfeasibleSizeError(
-                f"point m={m} n={n} needs ~{need} bytes for {concurrent} concurrent "
-                f"trial(s), cap is {config.memory_cap_bytes}"
+                f"point m={p.m} n={p.n} lambda={p.num_seeds} needs ~{need} bytes for "
+                f"{concurrent} concurrent trial(s), cap is {config.memory_cap_bytes}"
             )
     if concurrent > 1:
         with _BLAS_CAP.capped(concurrent), ThreadPoolExecutor(concurrent) as pool:
@@ -383,15 +384,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def _report(config: ExperimentConfig, run) -> ExperimentReport:
     """Run every trial of every point through ``run``, a map, and summarise."""
     summaries = []
-    for point_idx, (m, n) in enumerate(config.points()):
+    for point_idx, p in enumerate(config.points()):
         records = list(run(lambda i: run_trial(config, point_idx, i), range(config.trials)))
         replica_hits = sum(r.replica_ok for r in records)
         deletion_hits = sum(r.deletion_ok for r in records)
         tvs = [r.est_tv for r in records if not math.isnan(r.est_tv)]
         summaries.append(
             PointSummary(
-                m=m,
-                n=n,
+                m=p.m,
+                n=p.n,
                 growth_rate=records[0].growth_rate,
                 capacity=records[0].capacity,
                 trials=records,

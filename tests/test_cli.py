@@ -389,7 +389,7 @@ def test_detect_deletions_no_useful_remapping_exit(tmp_path, capsys):
     # `estimate` reaches the same failure after its replica stage, and its
     # recorded error exits with the same code, not the generic 4.
     assert main(["estimate", *seeds]) == EXIT_NO_REMAPPING
-    assert "detection failed: all remappings useless" in capsys.readouterr().err
+    assert "detection failed (deletion): all remappings useless" in capsys.readouterr().err
 
 
 def test_estimate_command_round_trips(tmp_path, config_file, capsys):
@@ -537,9 +537,9 @@ def test_experiment_rejects_knobs_not_finite_and_positive(config_file, capsys, f
 
 
 def test_experiment_bad_sweep_axis_exit_config(config_file, capsys):
-    argv = ["experiment", "--config", str(config_file), "--sweep-axis", "lambda"]
+    argv = ["experiment", "--config", str(config_file), "--sweep-axis", "trials"]
     assert main(argv) == EXIT_CONFIG
-    assert "sweep axis must be 'm' or 'n'" in capsys.readouterr().err
+    assert "sweep axis must be 'm', 'n' or 'lambda'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -573,6 +573,21 @@ def test_experiment_out_of_range_seed_or_cap_exit_config(tmp_path, config_file, 
     bad.write_text(json.dumps(dict(json.loads(config_file.read_text()), **{key: value})))
     assert main(["experiment", "--config", str(bad), "--out", str(report)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_experiment_zero_workers_exit_config(tmp_path, config_file, capsys, source):
+    report = tmp_path / "report.csv"
+    argv = ["experiment", "--config", str(config_file), "--out", str(report)]
+    if source == "flag":
+        argv += ["--workers", "0"]
+    else:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(config_file.read_text()), workers=0)))
+        argv[2] = str(bad)
+    assert main(argv) == EXIT_CONFIG
+    assert "worker count must be positive" in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -58,6 +58,8 @@ def test_enumerate_remappings_group_order():
 def test_enumerate_remappings_cap():
     with pytest.raises(ValueError):
         enumerate_remappings(9)
+    with pytest.raises(ValueError, match="alphabet size must be positive"):
+        enumerate_remappings(0)
 
 
 def test_cross_hamming_matched_copy(rng):
@@ -192,6 +194,8 @@ def test_cross_hamming_dimension_mismatch(rng):
     counts, _ = cooccurrence(g1, g2[:10], 2)
     with pytest.raises(ValueError, match="same row count"):
         cross_hamming(g1, g2, np.array([1, 2]), counts)
+    with pytest.raises(ValueError, match="same row count"):
+        cooccurrence(g1, g2, 2)
 
 
 def test_threshold_formula():

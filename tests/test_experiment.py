@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import sys
@@ -15,14 +16,16 @@ from dbalign import (
     estimate_from_seeds,
     from_model_spec,
     match_rows,
+    mixture_truth,
     run_experiment,
     sample_instance,
     segment,
     wilson_interval,
 )
 from dbalign import experiment
+from dbalign.cli import main
 from dbalign.dbio import load_json_object
-from dbalign.deletions import MIN_COLUMNS, seed_bytes
+from dbalign.deletions import MIN_COLUMNS, THRESHOLD_CONSTANT, seed_bytes
 from dbalign.experiment import (
     CSV_COLUMNS,
     DEFAULT_MEMORY_CAP,
@@ -87,6 +90,8 @@ def test_config_validation():
         small_config(sweep_axis=None, sweep_values=[4])
     with pytest.raises(ValueError):
         small_config(sweep_axis="n", sweep_values=[0])
+    with pytest.raises(ValueError, match="worker count must be positive"):
+        small_config(workers=0)
     # A negative seed would fail mid-run inside numpy, and a cap of no
     # bytes would read as an infeasible size; both are config errors.
     with pytest.raises(ValueError, match="master_seed >= 0"):
@@ -119,7 +124,7 @@ def test_config_dict_round_trip():
     assert d["lambda"] == 4000
     back = ExperimentConfig.from_dict(json.loads(json.dumps(d)))
     assert back.to_dict() == d
-    assert back.points() == [(16, 10), (16, 12)]
+    assert [(p.m, p.n) for p in back.points()] == [(16, 10), (16, 12)]
 
 
 def test_config_from_json_file(tmp_path):
@@ -158,7 +163,7 @@ def test_config_from_dict_rejects_values_that_are_not_whole_numbers(key, value):
 def test_config_from_dict_accepts_integral_floats():
     d = dict(small_config().to_dict(), m=32.0, sweep_axis="n", sweep_values=[10.0, 12])
     config = ExperimentConfig.from_dict(d)
-    assert config.points() == [(32, 10), (32, 12)]
+    assert [(p.m, p.n) for p in config.points()] == [(32, 10), (32, 12)]
     assert type(config.m) is int and all(type(v) is int for v in config.sweep_values)
 
 
@@ -371,6 +376,32 @@ def test_m_sweep_runs_each_point_at_its_row_count():
         assert len(point.trials) == 2
         assert all(t.m == point.m and t.n == 10 for t in point.trials)
         assert point.growth_rate == pytest.approx(math.log2(point.m) / 10)
+
+
+def test_lambda_sweep_runs_each_point_at_its_seed_count():
+    config = small_config(trials=2, sweep_axis="lambda", sweep_values=[2000, 4000])
+    report = run_experiment(config)
+    assert len(report.points) == 2
+    for num_seeds, point in zip(config.sweep_values, report.points):
+        assert [t.to_dict()["lambda"] for t in point.trials] == [num_seeds, num_seeds]
+
+
+def test_memory_guard_sizes_each_lambda_point(monkeypatch):
+    # The seed stages grow with lambda, so a lambda sweep is sized point by
+    # point: the first point fits the cap, the last does not.
+    config = small_config()
+    lambdas = [100, 1_000_000]
+    first, last = (
+        _estimated_bytes(config.m, config.n, v, config.spec.s_max, config.spec.alphabet_size)
+        for v in lambdas
+    )
+    assert first < last
+    ran = []
+    monkeypatch.setattr(experiment, "run_trial", lambda *args: ran.append(args))
+    swept = small_config(sweep_axis="lambda", sweep_values=lambdas, memory_cap_bytes=first)
+    with pytest.raises(InfeasibleSizeError, match=f"lambda={lambdas[-1]} needs"):
+        run_experiment(swept)
+    assert ran == []
 
 
 def test_aggregates_recomputable_from_trials():
@@ -708,6 +739,31 @@ def test_report_json_is_byte_identical_to_committed():
     # each trial's failed stage, so one configuration is pinned in it too.
     expected = (GOLDEN / "report_bsc.json").read_text()
     assert render(_golden_report("bsc"), "json") == expected
+
+
+EXPERIMENTS = Path(__file__).parents[1] / "experiments"
+
+
+def test_seed_size_report_is_reproduced_by_its_config(tmp_path):
+    # The paper's seed-size transition as one lambda sweep: deletion
+    # detection fails every trial up to lambda=800 and succeeds from 1200.
+    out = tmp_path / "seed_size_bsc.csv"
+    argv = ["experiment", "--config", str(EXPERIMENTS / "seed_size_bsc.json"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (EXPERIMENTS / "seed_size_bsc.csv").read_bytes()
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    by_lambda = {}
+    for row in rows:
+        by_lambda.setdefault(int(row["lambda"]), []).append(row)
+    assert list(by_lambda) == [400, 600, 800, 1000, 1200, 1600]
+    deletion_rate = [np.mean([r["deletion_ok"] == "1" for r in v]) for v in by_lambda.values()]
+    assert deletion_rate == [0, 0, 0, 0.9, 1, 1]
+    assert all(r["replica_ok"] == "1" for r in rows)
+    # The scan's prediction c^3 * log2(n) / |q0 - q1|^3, noted beside the report.
+    config = ExperimentConfig.from_dict(load_json_object(EXPERIMENTS / "seed_size_bsc.json"))
+    truth = mixture_truth(config.spec)
+    predicted = THRESHOLD_CONSTANT ** 3 * math.log2(config.n) / abs(truth.q0 - truth.q1) ** 3
+    assert round(predicted) == 738
 
 
 @pytest.mark.parametrize("workers, threads", [(1, 1), (1, 2), (1, 4), (3, 4)])

@@ -261,5 +261,7 @@ def test_check_table_size_limit():
     check_table_size(10, 6)  # exactly TABLE_LIMIT cells
     with pytest.raises(ValueError, match=r"10\^8 cells exceeds limit"):
         check_table_size(10, 7)
+    with pytest.raises(ValueError, match="repetition count must be nonnegative"):
+        check_table_size(2, -1)
     with pytest.raises(ValueError, match=r"2\^24 cells"):
         repetition_table([0.5, 0.5], np.eye(2), 23)

@@ -10,6 +10,7 @@ from dbalign import (
     DatabasePair,
     ModelSpec,
     RepetitionPattern,
+    SeedPair,
     apply_channel,
     draw_pattern,
     generate_database,
@@ -38,6 +39,13 @@ def test_spec_validation_rejects_bad_vectors():
         ModelSpec(p_x=[0.5, 0.5], p_y_given_x=np.eye(2), p_s=[-0.1, 1.1])
     with pytest.raises(ValueError):
         ModelSpec(p_x=[1.0], p_y_given_x=np.eye(2), p_s=[1.0])
+    for p_x in ([], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="p_x must be a nonempty 1-D probability vector"):
+            ModelSpec(p_x=p_x, p_y_given_x=np.eye(2), p_s=[1.0])
+    with pytest.raises(ValueError, match="alphabet size 256 exceeds 255"):
+        ModelSpec(p_x=np.full(256, 1 / 256), p_y_given_x=np.eye(256), p_s=[1.0])
+    with pytest.raises(ValueError, match="repetition counts must be nonnegative"):
+        RepetitionPattern(np.array([1, -1]))
 
 
 @pytest.mark.parametrize(
@@ -339,6 +347,10 @@ def test_database_pair_invariants(rng):
         DatabasePair(d1, d2[:, :-1] if d2.shape[1] else d2, np.arange(10), pattern)
     with pytest.raises(ValueError):
         DatabasePair(d1, d2, np.zeros(10, dtype=int), pattern)
+    with pytest.raises(ValueError, match="d1 and d2 must have the same row count"):
+        DatabasePair(d1, d2[:-1], np.arange(10), pattern)
+    with pytest.raises(ValueError, match="seed matrices must have the same row count"):
+        SeedPair(d1, d2[:-1])
 
 
 def test_substreams_disjoint():
@@ -386,8 +398,17 @@ def test_matrix_io_rejects_corruption(tmp_path, rng):
     (tmp_path / "truncated.dbm").write_bytes(raw[:-3])
     with pytest.raises(ValueError):
         read_matrix(tmp_path / "truncated.dbm")
+    (tmp_path / "short_header.dbm").write_bytes(raw[:10])
+    with pytest.raises(ValueError, match="truncated header"):
+        read_matrix(tmp_path / "short_header.dbm")
+    (tmp_path / "version.dbm").write_bytes(raw[:4] + (2).to_bytes(2, "little") + raw[6:])
+    with pytest.raises(ValueError, match="unsupported version 2"):
+        read_matrix(tmp_path / "version.dbm")
     with pytest.raises(ValueError):
         write_matrix(tmp_path / "zeros.dbm", np.zeros((2, 2), dtype=int))
+    for shape in ((4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="only 2-D"):
+            write_matrix(tmp_path / "flat.dbm", np.ones(shape, dtype=np.uint8))
 
 
 @pytest.mark.parametrize(
