@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fanout
+
 MAX_REMAP_ALPHABET = 8  # 8! = 40320 remappings; larger sweeps are rejected
 
 MIN_COLUMNS = 3  # an outlier needs a bulk to stand out from
@@ -140,6 +142,10 @@ def cooccurrence(
     at most SEED_BLOCK < 2^24 rows; each partial sum is an integer of at
     most that size, so every float32 addition is exact, in whatever order
     the GEMM sums. The products are added into an int64 accumulator.
+    The blocks split into contiguous runs over the calling thread's budget
+    (``fanout.parts``), each run with its own operands, product, int64
+    cast and accumulator, and the accumulators are summed: exact integers,
+    so the split never changes a count.
     Symbol 1's rows and columns are the complements over the other
     symbols, in integers:
 
@@ -160,17 +166,38 @@ def cooccurrence(
     kt = g2.shape[1]
     k = alphabet_size
     block = min(num_seeds, SEED_BLOCK)
-    hot1 = np.ones((block, (k - 1) * n + 1), dtype=np.float32)
-    hot2 = np.ones((block, (k - 1) * kt + 1), dtype=np.float32)
-    total = np.zeros((hot1.shape[1], hot2.shape[1]), dtype=np.int64)
-    for start in range(0, num_seeds, SEED_BLOCK):
-        b1 = g1[start : start + SEED_BLOCK]
-        b2 = g2[start : start + SEED_BLOCK]
-        rows = b1.shape[0]
-        for x in range(2, k + 1):
-            np.equal(b1, b1.dtype.type(x), out=hot1[:rows, (x - 2) * n : (x - 1) * n])
-            np.equal(b2, b2.dtype.type(x), out=hot2[:rows, (x - 2) * kt : (x - 1) * kt])
-        total += (hot1[:rows].T @ hot2[:rows]).astype(np.int64)
+    starts = range(0, num_seeds, SEED_BLOCK)
+    spans = fanout.parts(len(starts), 1)
+    width1, width2 = (k - 1) * n + 1, (k - 1) * kt + 1
+    buffers = [
+        (
+            np.ones((block, width1), dtype=np.float32),
+            np.ones((block, width2), dtype=np.float32),
+            np.empty((width1, width2), dtype=np.float32),
+            np.empty((width1, width2), dtype=np.int64),
+            np.zeros((width1, width2), dtype=np.int64),
+        )
+        for _ in spans
+    ]
+
+    def tabulate(j):
+        hot1, hot2, product, cast, total = buffers[j]
+        for start in starts[slice(*spans[j])]:
+            b1 = g1[start : start + SEED_BLOCK]
+            b2 = g2[start : start + SEED_BLOCK]
+            rows = b1.shape[0]
+            for x in range(2, k + 1):
+                np.equal(b1, b1.dtype.type(x), out=hot1[:rows, (x - 2) * n : (x - 1) * n])
+                np.equal(b2, b2.dtype.type(x), out=hot2[:rows, (x - 2) * kt : (x - 1) * kt])
+            np.matmul(hot1[:rows].T, hot2[:rows], out=product)
+            np.copyto(cast, product, casting="unsafe")
+            total += cast
+        return total
+
+    total, *others = fanout.fan_out(tabulate, range(len(spans)))
+    for other in others:
+        total += other
+    del buffers, others  # only the sum outlives the tabulation
 
     n1 = total[:-1, -1].reshape(k - 1, n)
     source_counts = np.concatenate([[num_seeds * n - n1.sum()], n1.sum(axis=1)])
@@ -184,25 +211,27 @@ def cooccurrence(
     return counts, source_counts
 
 
-def seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
+def seed_bytes(n: int, num_seeds: int, alphabet_size: int, threads: int = 1) -> int:
     """Upper bound on the seed stages' working set: deletion detection, with
-    at most n replica-free g2 columns. The plug-in estimate reads only the
-    counts detection returns.
+    at most n replica-free g2 columns, on a thread budget of ``threads``.
+    The plug-in estimate reads only the counts detection returns.
 
-    `cooccurrence` holds two float32 operands of one seed block by
-    (k - 1) * n + 1 columns, the int64 accumulator of their products, one
-    block's float32 product and its int64 cast, and then the k^2 * n^2
-    int64 counts with one k * n^2 sum while symbol 1's counts are rebuilt.
-    Each remapping of the sweep gathers k * n^2 counts, sums them to n^2
+    Each of `cooccurrence`'s parts, one per thread the budget gives its
+    seed blocks, holds two float32 operands of one seed block by
+    (k - 1) * n + 1 columns, one block's float32 product, its int64 cast
+    and the int64 accumulator of the casts; then come the k^2 * n^2 int64
+    counts with one k * n^2 sum while symbol 1's counts are rebuilt. Each
+    remapping of the sweep gathers k * n^2 counts, sums them to n^2
     distances and scans their float64 deviations.
     """
     k = alphabet_size
     width = (k - 1) * n + 1
     block = min(num_seeds, SEED_BLOCK)
+    parts = len(fanout.parts(-(-num_seeds // SEED_BLOCK), 1, threads))
     operands = 4 * block * 2 * width
-    products = (8 + 4 + 8) * width * width
+    products = (4 + 8 + 8) * width * width
     counts = 8 * k * k * n * n + 8 * (k + 4) * n * n
-    return operands + products + counts
+    return parts * (operands + products) + counts
 
 
 def cross_hamming(

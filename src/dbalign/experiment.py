@@ -5,13 +5,18 @@ pipeline, and scores every stage against the hidden ground truth. Trials
 are independent, so worker threads never change the numbers, and the
 emitted CSV is byte-identical for a fixed master seed.
 
-While ``min(workers, trials) > 1`` trials run at once, the thread count of
-the OpenBLAS that numpy loaded is cut to its share of the old count, since
-every trial's GEMMs would otherwise spread over all cores and the BLAS
-threads of different trials would contend. The count is restored when the
-trials are done. Where numpy's OpenBLAS is not found, BLAS is left alone.
-No report depends on the count: the matcher's screen holds for a float32
-GEMM in any summation order, and the seed co-occurrence counts are exact.
+While ``run_experiment`` runs, the OpenBLAS that numpy loaded is pinned
+to one thread, and the count it had is shared out instead: each of the
+``min(workers, trials)`` trials that run at once gets a thread budget of
+``max(1, count // concurrent)``, which the sampler, the seed
+co-occurrence and the matcher spend by splitting their work into
+independent parts (``fanout``). A pinned BLAS leaves no idle BLAS thread
+spinning on a core that a trial thread or a part needs. The count is
+restored when the trials are done. Where numpy's OpenBLAS is not found,
+BLAS is left alone and every budget is 1. No report depends on the
+count or the budget: the matcher's screen holds for a float32 GEMM in
+any summation order, the seed co-occurrence counts are exact, and a
+split draw consumes the same uniforms.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import ctypes
 import functools
 import json
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import deletions, estimation, matching
+from . import deletions, estimation, fanout, matching
 from .dbio import SPEC_KEYS, as_integer, as_real, model_spec_from_dict, model_spec_to_dict
 from .infotheory import capacity, check_table_size, repetition_table
 from .model import ModelSpec, instance_bytes, sample_instance
@@ -61,6 +67,14 @@ def _as_is(key, value):
     return value  # sweep_axis: __post_init__ checks it, as for a direct call
 
 
+def _integral(key, value) -> int:
+    """A directly given config value as int: ValueError unless it is an
+    integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _integer_list(key, value) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list, got {value!r}")
@@ -89,6 +103,10 @@ class ExperimentConfig:
     num_seeds: int = _key(as_integer)
 
     def __post_init__(self):
+        for f, key in _keyed_fields(self)[1:]:
+            if f.metadata["parse"] is as_integer:
+                setattr(self, f.name, _integral(key, getattr(self, f.name)))
+        self.sweep_values = [_integral("sweep_values", v) for v in self.sweep_values]
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0.0 < self.epsilon < math.inf:
@@ -232,11 +250,15 @@ def estimate_tv_distance(spec: ModelSpec, est: estimation.DistributionEstimate) 
     return 0.5 * total
 
 
-def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int) -> int:
-    """Working set of one trial: the matcher, the instance and the seed stages."""
+def _estimated_bytes(
+    m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int, threads: int = 1
+) -> int:
+    """Working set of one trial on a thread budget of ``threads``: the
+    matcher, the instance and the seed stages."""
     instance = instance_bytes(m, n, num_seeds, s_max)
-    seeds = deletions.seed_bytes(n, num_seeds, alphabet_size)
-    return int(1.5 * (matching.match_bytes(m, n, s_max, alphabet_size) + instance + seeds))
+    seeds = deletions.seed_bytes(n, num_seeds, alphabet_size, threads)
+    matcher = matching.match_bytes(m, n, s_max, alphabet_size, threads)
+    return int(1.5 * (matcher + instance + seeds))
 
 
 def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
@@ -316,13 +338,12 @@ def openblas_threads():
     return None
 
 
-class _BlasCap:
-    """Shares the cores between trial threads and BLAS threads.
+class _BlasPin:
+    """Pins numpy's OpenBLAS to one thread while experiments run.
 
-    Each trial's GEMMs already spread over every core, so while several
-    trials run at once their BLAS threads only contend. The thread count is
-    process-wide: the first holder saves it and the last one restores it,
-    so nested and concurrent experiments put back the original count.
+    The thread count is process-wide: the first holder saves it and pins
+    it, and the last one restores it, so nested and concurrent
+    experiments all see the original count and put it back.
     """
 
     def __init__(self):
@@ -331,20 +352,22 @@ class _BlasCap:
         self._saved = 0
 
     @contextmanager
-    def capped(self, concurrent: int):
-        """Cap BLAS at max(1, count // concurrent) threads inside the block."""
+    def pinned(self):
+        """Pin BLAS at one thread inside the block, yielding the saved
+        count, or None where numpy's OpenBLAS is not found."""
         blas = openblas_threads()
         if blas is None:
-            yield
+            yield None
             return
         get, put = blas
         with self._lock:
             if self._depth == 0:
                 self._saved = get()
+                put(1)
             self._depth += 1
-            put(min(get(), max(1, self._saved // concurrent)))
+            saved = self._saved
         try:
-            yield
+            yield saved
         finally:
             with self._lock:
                 self._depth -= 1
@@ -352,40 +375,49 @@ class _BlasCap:
                     put(self._saved)
 
 
-_BLAS_CAP = _BlasCap()
+_BLAS_PIN = _BlasPin()
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """All sweep points and trials; deterministic for a fixed master seed.
 
-    With more than one trial at once, each runs on its own thread and
-    numpy's OpenBLAS is capped to its share of the cores until all are done.
+    With more than one trial at once, each runs on its own thread. numpy's
+    OpenBLAS runs one thread until all are done, and each trial gets its
+    share of the old count as its thread budget.
     """
     try:
         check_table_size(config.spec.alphabet_size, config.spec.s_max)
     except ValueError as exc:
         raise InfeasibleSizeError(str(exc)) from exc
     concurrent = min(config.workers, config.trials)  # each thread holds its own trial
-    for p in config.points():
-        need = concurrent * _estimated_bytes(
-            p.m, p.n, p.num_seeds, config.spec.s_max, config.spec.alphabet_size
-        )
-        if need > config.memory_cap_bytes:
-            raise InfeasibleSizeError(
-                f"point m={p.m} n={p.n} lambda={p.num_seeds} needs ~{need} bytes for "
-                f"{concurrent} concurrent trial(s), cap is {config.memory_cap_bytes}"
+    with _BLAS_PIN.pinned() as count:
+        threads = 1 if count is None else max(1, count // concurrent)
+        for p in config.points():
+            need = concurrent * _estimated_bytes(
+                p.m, p.n, p.num_seeds, config.spec.s_max, config.spec.alphabet_size, threads
             )
-    if concurrent > 1:
-        with _BLAS_CAP.capped(concurrent), ThreadPoolExecutor(concurrent) as pool:
-            return _report(config, pool.map)
-    return _report(config, map)
+            if need > config.memory_cap_bytes:
+                raise InfeasibleSizeError(
+                    f"point m={p.m} n={p.n} lambda={p.num_seeds} needs ~{need} bytes for "
+                    f"{concurrent} concurrent trial(s), cap is {config.memory_cap_bytes}"
+                )
+        if concurrent > 1:
+            with ThreadPoolExecutor(concurrent) as pool:
+                return _report(config, pool.map, threads)
+        return _report(config, map, threads)
 
 
-def _report(config: ExperimentConfig, run) -> ExperimentReport:
-    """Run every trial of every point through ``run``, a map, and summarise."""
+def _report(config: ExperimentConfig, run, threads: int) -> ExperimentReport:
+    """Run every trial of every point through ``run``, a map, each on a
+    thread budget of ``threads``, and summarise."""
     summaries = []
     for point_idx, p in enumerate(config.points()):
-        records = list(run(lambda i: run_trial(config, point_idx, i), range(config.trials)))
+
+        def trial(i):
+            with fanout.budget(threads):
+                return run_trial(config, point_idx, i)
+
+        records = list(run(trial, range(config.trials)))
         replica_hits = sum(r.replica_ok for r in records)
         deletion_hits = sum(r.deletion_ok for r in records)
         tvs = [r.est_tv for r in records if not math.isnan(r.est_tv)]

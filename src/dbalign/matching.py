@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import deletions, estimation, replicas
+from . import deletions, estimation, fanout, replicas
 from .deletions import RetentionResult
 from .estimation import DistributionEstimate
 from .infotheory import check_table_size
@@ -43,6 +43,10 @@ DEFAULT_EPSILON = 0.05
 # faster than 4 MiB at m=8192 and 15% at m=16384, but raised the peak RSS
 # of a paper-scale trial (m=8192) by about 1 MiB; 2 MiB was slower.
 TILE_BYTES = 4 * 1024 * 1024
+
+# Fewest columns of d1 that each block of a split matcher scores (see
+# match_rows); the thread budget sets how many blocks there are.
+MATCH_PART = 1024
 
 # Unit roundoff of float32, the precision of the matcher's screen.
 _F32_UNIT = 2.0**-24
@@ -371,34 +375,61 @@ def match_rows(
     # scores above +n eps. A repeated row's count saturates at 2: status
     # needs no, one or several hits. The count and the first hit are all
     # that outlive the tile.
-    counts = np.zeros(m2, dtype=np.intp)
-    first = np.zeros(m2, dtype=np.intp)
+    #
+    # b's columns, d1's rows, split into contiguous blocks over the calling
+    # thread's budget (fanout.parts), and each block runs this loop over
+    # every repeated row with its own tile, mask, counts and first hits,
+    # allocated here. Every block's tile has the same rows, so the tiles
+    # and the recheck chunks of all blocks share one TILE_BYTES. A row's
+    # counts add up over the blocks, and a row with one hit in all took
+    # it in the one block that counted it.
     rows = max(1, min(m2, TILE_BYTES // (8 * max(m1, 1))))
-    chunk = max(1, TILE_BYTES // (16 * (r + 3)))
-    tile = np.empty((rows, m1), dtype=np.float32)
-    mask = np.empty(-(-rows * m1 // 8) * 8, dtype=bool)
-    for l0 in range(0, m2, rows):
-        l1 = min(l0 + rows, m2)
-        scores = np.matmul(a[l0:l1], b, out=tile[: l1 - l0])
-        l, i = np.divmod(_at_least(scores.ravel(), -hi[l0:l1].max(), mask), m1)
-        magnitude = np.abs(scores[l, i])
-        l += l0
-        hit = magnitude <= lo[l]
-        recheck = np.flatnonzero(np.not_equal(magnitude <= hi[l], hit))
-        for c in range(0, recheck.size, chunk):
-            at = recheck[c : c + chunk]
-            pl, pi = l[at], i[at]
-            pair_cells = table[x_cells[pi], ids[pl]]
-            hit[at] = np.abs(pair_cells.sum(axis=1) + offset[pi]) <= bound
-        del magnitude, recheck  # match_bytes counts them only until here
-        l = l[hit]
-        i = i[hit]
-        # l is sorted, so each row's hits start at its running total.
-        num = np.bincount(l - l0, minlength=l1 - l0)
-        counts[l0:l1] = np.minimum(num, 2)
-        found = num > 0
-        first[l0:l1][found] = i[(np.cumsum(num) - num)[found]]
-        del l, i, hit  # nothing per candidate outlives its tile
+    spans = fanout.parts(m1, MATCH_PART)
+    chunk = max(1, TILE_BYTES // (16 * (r + 3) * len(spans)))
+    blocks = [
+        (
+            c0,
+            np.empty((rows, c1 - c0), dtype=np.float32),
+            np.empty(-(-rows * (c1 - c0) // 8) * 8, dtype=bool),
+            np.zeros(m2, dtype=np.intp),
+            np.zeros(m2, dtype=np.intp),
+        )
+        for c0, c1 in spans
+    ]
+
+    def tile_loop(block):
+        c0, tile, mask, counts, first = block
+        width = tile.shape[1]
+        b_block = b[:, c0 : c0 + width]
+        for l0 in range(0, m2, rows):
+            l1 = min(l0 + rows, m2)
+            scores = np.matmul(a[l0:l1], b_block, out=tile[: l1 - l0])
+            l, i = np.divmod(_at_least(scores.ravel(), -hi[l0:l1].max(), mask), width)
+            magnitude = np.abs(scores[l, i])
+            l += l0
+            i += c0
+            hit = magnitude <= lo[l]
+            recheck = np.flatnonzero(np.not_equal(magnitude <= hi[l], hit))
+            for c in range(0, recheck.size, chunk):
+                at = recheck[c : c + chunk]
+                pl, pi = l[at], i[at]
+                pair_cells = table[x_cells[pi], ids[pl]]
+                hit[at] = np.abs(pair_cells.sum(axis=1) + offset[pi]) <= bound
+            del magnitude, recheck  # match_bytes counts them only until here
+            l = l[hit]
+            i = i[hit]
+            # l is sorted, so each row's hits start at its running total.
+            num = np.bincount(l - l0, minlength=l1 - l0)
+            counts[l0:l1] = np.minimum(num, 2)
+            found = num > 0
+            first[l0:l1][found] = i[(np.cumsum(num) - num)[found]]
+            del l, i, hit  # nothing per candidate outlives its tile
+
+    fanout.fan_out(tile_loop, blocks)
+    _, _, _, counts, first = blocks[0]
+    for _, _, _, more, hits in blocks[1:]:
+        first[more > 0] = hits[more > 0]
+        counts += more
     unique = counts == 1
     assigned = np.where(unique, first, -1)
     status = np.where(
@@ -413,8 +444,9 @@ def match_rows(
     return MatchResult(assigned=assigned, status=status)
 
 
-def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
-    """Upper bound on `match_rows`' working set at m rows.
+def match_bytes(m: int, n: int, s_max: int, alphabet_size: int, threads: int = 1) -> int:
+    """Upper bound on `match_rows`' working set at m rows, on a thread
+    budget of ``threads``.
 
     Every array it holds is linear in m, except the table of distinct
     runs, one tile of joint scores and one chunk of the float64 recheck.
@@ -425,20 +457,24 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     from it (8 + 2 + 6 + 8 + 16 bytes). Per row also: the float32 GEMM
     operands, the absolute values that size the screen and the buffer the
     differences are gathered through ((k - 1) * n + 2 entries each), and
-    a few per-row vectors. Runs of up to s_max copies take
-    sum_{s <= s_max} k^s codes, each with a presence flag and an int64
+    a few per-row vectors, the first column block's int64 counts and first
+    hits among them, and each further block's. Runs of up to s_max copies
+    take sum_{s <= s_max} k^s codes, each with a presence flag and an int64
     index; each distinct run, at most min(m * n, codes) of them, holds its
     decoded copies, their k log-likelihoods each, its k cells and their
-    exp2, and a few scalars. A tile holds at most max(TILE_BYTES // 8, m)
-    float32 scores and their bool mask. At worst every score is a
-    candidate, so per score the tile also holds, at once, the candidate's
-    int64 row and column, its float32 |S32|, two bool masks, and the int64
-    index of the band to recheck; the search for candidates holds less, an
-    int64 flat index and the two int64 halves it is built from. A recheck
-    chunk holds at most 17 bytes per gathered cell, under 2 * TILE_BYTES.
+    exp2, and a few scalars.
+    The tiles of all column blocks hold at most max(TILE_BYTES // 8, m)
+    float32 scores and their bool masks between them. At worst every score
+    is a candidate, so per score the tiles also hold, at once, the
+    candidate's int64 row and column, its float32 |S32|, two bool masks,
+    and the int64 index of the band to recheck; the search for candidates
+    holds less, an int64 flat index and the two int64 halves it is built
+    from. The recheck chunks of all blocks hold at most 17 bytes per
+    gathered cell between them, under 2 * TILE_BYTES.
     """
     k = alphabet_size
-    per_row = (8 + 2 + 6 + 8 + 16) * n + 16 * ((k - 1) * n + 2) + 128
+    blocks = len(fanout.parts(m, MATCH_PART, threads))
+    per_row = (8 + 2 + 6 + 8 + 16) * n + 16 * ((k - 1) * n + 2) + 128 + 16 * (blocks - 1)
     codes = sum(k**s for s in range(s_max + 1))
     runs = min(m * n, codes)
     table = 9 * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)

@@ -11,7 +11,10 @@ bytes (``uint8``). They are drawn bit-identically to
 ``Generator.choice(symbols, size, p=p)``: the same uniforms, consumed in
 the same order, give the same symbols. The largest transient of a draw is
 its float64 uniforms, 8 bytes per symbol drawn, plus, in the channel, 8
-bytes per int64 position of the input symbol being resampled.
+bytes per int64 position of the input symbol being resampled. A large
+draw fills its uniforms in contiguous parts over the calling thread's
+budget (``fanout``), each part from the stream advanced to its offset, so
+the budget never changes a symbol.
 """
 
 from __future__ import annotations
@@ -20,9 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fanout
+
 MAX_ALPHABET = 255  # one-byte symbol storage
 
 PROB_ATOL = 1e-12
+
+# Uniforms that each part of a split draw fills at least (see _draw); a
+# thread start costs about as much as drawing 2^15 of them.
+DRAW_PART = 1 << 17
 
 # Substream roles used by sample_instance: streams are keyed by
 # (master_seed, point, trial, role) and never overlap.
@@ -203,13 +212,40 @@ def _draw(p, size, rng: np.random.Generator) -> np.ndarray:
     size, p=p)``, which returns 1 plus the number of entries of the
     normalised cdf at or below each uniform u. The last entry is exactly
     1 > u, so counting the first len(p) - 1 entries gives the same value.
+
+    A PCG64 stream with no buffered 32-bit half gives one 64-bit output
+    per float64 uniform, so the uniforms split into contiguous parts of at
+    least DRAW_PART (``fanout.parts``): each part after the first draws
+    from a copy of the stream advanced to its offset, and ``rng`` itself
+    draws the first part and is then advanced past the rest. Any other
+    stream draws in one part.
     """
-    u = rng.random(size)
+    u = np.empty(size)
+    out = np.ones(u.shape, dtype=np.uint8)
+    above = np.empty(u.shape, dtype=bool)
+    flat_u, flat_out, flat_above = u.reshape(-1), out.reshape(-1), above.reshape(-1)
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    out = np.ones(u.shape, dtype=np.uint8)
-    for edge in cdf[:-1]:
-        out += u >= edge
+    bit_gen = rng.bit_generator
+    state = bit_gen.state
+    split = type(bit_gen) is np.random.PCG64 and not state["has_uint32"]
+    spans = fanout.parts(u.size, DRAW_PART, None if split else 1)
+    streams = [rng]
+    for start, _ in spans[1:]:
+        copy = np.random.PCG64()
+        copy.state = state
+        streams.append(np.random.Generator(copy.advance(start)))
+
+    def fill(j):
+        part = slice(*spans[j])
+        streams[j].random(out=flat_u[part])
+        for edge in cdf[:-1]:
+            np.greater_equal(flat_u[part], edge, out=flat_above[part])
+            flat_out[part] += flat_above[part].view(np.uint8)
+
+    fanout.fan_out(fill, range(len(spans)))
+    if len(spans) > 1:
+        bit_gen.advance(u.size - spans[0][1])
     return out
 
 

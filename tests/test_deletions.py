@@ -18,7 +18,7 @@ from dbalign import (
     mixture_truth,
     substream,
 )
-from dbalign import deletions
+from dbalign import deletions, fanout
 from dbalign.deletions import MAX_REMAP_ALPHABET, SEED_BLOCK, cooccurrence, scan_remapping
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
@@ -134,12 +134,14 @@ def test_seed_block_keeps_float32_counts_exact():
     num_seeds=st.sampled_from([1, SEED_BLOCK, SEED_BLOCK + 1, 2 * SEED_BLOCK + 37]),
     n=st.integers(0, 5),
     dtype=st.sampled_from([np.uint8, np.int64]),
+    budget=st.integers(1, 3),
     data=st.data(),
 )
-def test_cooccurrence_matches_add_at_oracle(k, num_seeds, n, dtype, data):
+def test_cooccurrence_matches_add_at_oracle(k, num_seeds, n, dtype, budget, data):
     # Exact int64 counts and g1 symbol totals for every alphabet the sweep
     # accepts, across block edges, with any number of g2 columns (kt = 0
-    # included) and symbols absent from a side.
+    # included) and symbols absent from a side, on any thread budget: up
+    # to 3 seed blocks make up to 3 parts.
     kt = data.draw(st.integers(0, n), label="kt")
     symbols = st.lists(st.integers(1, k), min_size=1, unique=True)
     present1 = data.draw(symbols, label="g1 symbols")
@@ -147,7 +149,8 @@ def test_cooccurrence_matches_add_at_oracle(k, num_seeds, n, dtype, data):
     rng = substream(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     g1 = rng.choice(present1, size=(num_seeds, n)).astype(dtype)
     g2 = rng.choice(present2, size=(num_seeds, kt)).astype(dtype)
-    counts, source_counts = cooccurrence(g1, g2, k)
+    with fanout.budget(budget):
+        counts, source_counts = cooccurrence(g1, g2, k)
     expected = cooccurrence_loop(g1, g2, k)
     assert counts.dtype == np.int64
     assert counts.shape == (k, n, k, kt)

@@ -22,10 +22,10 @@ from dbalign import (
     segment,
     wilson_interval,
 )
-from dbalign import experiment
+from dbalign import deletions, experiment, fanout, matching, model
 from dbalign.cli import main
 from dbalign.dbio import load_json_object
-from dbalign.deletions import MIN_COLUMNS, THRESHOLD_CONSTANT, seed_bytes
+from dbalign.deletions import MIN_COLUMNS, SEED_BLOCK, THRESHOLD_CONSTANT, seed_bytes
 from dbalign.experiment import (
     CSV_COLUMNS,
     DEFAULT_MEMORY_CAP,
@@ -99,6 +99,33 @@ def test_config_validation():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="memory_cap_bytes >= 1"):
             small_config(memory_cap_bytes=cap)
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (dict(n=10.0), "n"),
+        (dict(m=True), "m"),
+        (dict(num_seeds="4000"), "lambda"),
+        (dict(trials=True), "trials"),
+        (dict(workers=2.0), "workers"),
+        (dict(master_seed=1.5), "master_seed"),
+        (dict(memory_cap_bytes=2e9), "memory_cap_bytes"),
+        (dict(sweep_axis="n", sweep_values=[10.0]), "sweep_values"),
+        (dict(sweep_axis="m", sweep_values=[16, False]), "sweep_values"),
+    ],
+)
+def test_config_rejects_integer_fields_of_another_type(overrides, key):
+    # A direct construction is checked like a config file: a float or bool
+    # integer would otherwise fail only at the first trial, inside numpy.
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+        small_config(**overrides)
+
+
+def test_config_takes_numpy_integers_as_ints():
+    config = small_config(m=np.int64(16), sweep_axis="n", sweep_values=[np.uint8(10)])
+    assert type(config.m) is int and [type(v) for v in config.sweep_values] == [int]
+    assert json.loads(json.dumps(config.to_dict()))["m"] == 16
 
 
 @pytest.mark.parametrize(
@@ -224,12 +251,13 @@ def blas():
 
 
 def _record_blas_threads(monkeypatch, get) -> list:
-    """The BLAS thread count seen at the start of each trial, in start order."""
+    """(BLAS thread count, thread budget) seen at the start of each trial,
+    in start order."""
     seen = []
     trial = experiment.run_trial
 
     def recorded(config, point, i):
-        seen.append(get())
+        seen.append((get(), fanout.threads()))
         return trial(config, point, i)
 
     monkeypatch.setattr(experiment, "run_trial", recorded)
@@ -237,22 +265,23 @@ def _record_blas_threads(monkeypatch, get) -> list:
 
 
 @pytest.mark.parametrize(
-    "workers, trials, during",
+    "workers, trials, budget",
     [(2, 2, 2), (4, 3, 1), (3, 5, 1), (4, 1, 4), (1, 3, 4)],
 )
-def test_blas_is_capped_while_trials_run_at_once(blas, monkeypatch, workers, trials, during):
-    # 4 threads split over min(workers, trials) concurrent trials.
+def test_blas_is_capped_while_trials_run_at_once(blas, monkeypatch, workers, trials, budget):
+    # BLAS runs one thread while the trials run, one at a time or not, and
+    # its 4 threads are shared out as budgets over min(workers, trials)
+    # concurrent trials.
     get, put = blas
     put(4)
     seen = _record_blas_threads(monkeypatch, get)
     run_experiment(small_config(workers=workers, trials=trials))
-    assert seen == [during] * trials
-    assert get() == 4
+    assert seen == [(1, budget)] * trials
+    assert get() == 4 and fanout.threads() == 1
 
 
-def test_blas_count_is_restored_when_a_trial_raises(blas, monkeypatch):
-    get, put = blas
-    put(4)
+def _fails_once(monkeypatch):
+    """Make trial 1 of every point raise RuntimeError."""
     trial = experiment.run_trial
 
     def fails_once(config, point, i):
@@ -261,9 +290,26 @@ def test_blas_count_is_restored_when_a_trial_raises(blas, monkeypatch):
         return trial(config, point, i)
 
     monkeypatch.setattr(experiment, "run_trial", fails_once)
+
+
+def test_blas_count_is_restored_when_a_trial_raises(blas, monkeypatch):
+    get, put = blas
+    put(4)
+    _fails_once(monkeypatch)
     with pytest.raises(RuntimeError, match="trial 1 failed"):
         run_experiment(small_config(workers=2, trials=3))
-    assert get() == 4
+    assert get() == 4 and fanout.threads() == 1
+
+
+def test_blas_count_and_budget_are_restored_when_a_one_worker_run_raises(blas, monkeypatch):
+    # One worker runs its trials on the calling thread, which holds the
+    # whole budget while they run.
+    get, put = blas
+    put(4)
+    _fails_once(monkeypatch)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_experiment(small_config(workers=1, trials=3))
+    assert get() == 4 and fanout.threads() == 1
 
 
 def test_blas_count_is_restored_after_nested_calls(blas, monkeypatch):
@@ -276,13 +322,13 @@ def test_blas_count_is_restored_after_nested_calls(blas, monkeypatch):
         if config.trials == 2 and i == 0:  # an outer trial runs an inner experiment
             run_experiment(small_config(workers=2, trials=3))
         elif config.trials == 3:
-            inner.append(get())
+            inner.append((get(), fanout.threads()))
         return trial(config, point, i)
 
     monkeypatch.setattr(experiment, "run_trial", nests)
     run_experiment(small_config(workers=2, trials=2))
-    # The inner call caps from the saved 4 to 2, not from the outer cap of 2 to 1.
-    assert inner == [2] * 3
+    # The inner call shares out the saved 4, not the outer pin of 1.
+    assert inner == [(1, 2)] * 3
     assert get() == 4
 
 
@@ -323,24 +369,28 @@ def test_blas_count_is_restored_after_concurrent_calls(blas, monkeypatch):
     assert get() == 4
 
 
-def test_one_trial_runs_serially_and_leaves_blas_alone(monkeypatch):
+def test_one_trial_runs_serially_with_blas_pinned_and_the_whole_budget(blas, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("one trial needs no thread pool")
 
-    lookups = []
+    get, put = blas
+    put(4)
     monkeypatch.setattr(experiment, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(experiment, "openblas_threads", lambda: lookups.append(1))
+    seen = _record_blas_threads(monkeypatch, get)
     report = run_experiment(small_config(workers=4, trials=1))
-    assert len(report.points[0].trials) == 1 and lookups == []
+    assert len(report.points[0].trials) == 1
+    assert seen == [(1, 4)] and get() == 4
 
 
 def test_without_openblas_the_thread_count_is_untouched(blas, monkeypatch):
+    # Without the library there is no count to share, so every budget is 1.
     get, put = blas
     put(4)
     seen = _record_blas_threads(monkeypatch, get)
     monkeypatch.setattr(experiment, "openblas_threads", lambda: None)
-    run_experiment(small_config(workers=2, trials=2))
-    assert seen == [4, 4] and get() == 4
+    for workers, trials in ((2, 2), (1, 1)):
+        run_experiment(small_config(workers=workers, trials=trials))
+    assert seen == [(4, 1)] * 3 and get() == 4
 
 
 def test_openblas_lookup_without_a_known_library_finds_none(monkeypatch):
@@ -571,6 +621,27 @@ def test_memory_estimate_bounds_the_seed_stages(spec, n, num_seeds):
     assert estimate_peak <= seed_bytes(n, num_seeds, k)
 
 
+@pytest.mark.parametrize("budget", [2, 3])
+def test_memory_estimate_bounds_the_split_stages(monkeypatch, budget):
+    # Each part of a split co-occurrence holds its own seed block operands
+    # and accumulator, and each column block of a split matcher its own
+    # counts; the tracemalloc peak counts the allocations of every thread.
+    # Every pair is a candidate, the matcher's worst case.
+    spec = bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4))
+    m, n, num_seeds, k = 3000, 60, 3 * SEED_BLOCK, spec.alphabet_size
+    monkeypatch.setattr(matching, "MATCH_PART", m // budget)
+    pair, seeds = sample_instance(m, n, num_seeds, spec, master_seed=7)
+    s = pair.pattern.s
+    g2_free = seeds.g2[:, (np.cumsum(s) - s)[s > 0]]
+    segmented, est = segment(pair.d2, pair.pattern), from_model_spec(spec)
+    with fanout.budget(budget):
+        _, detect_peak = _traced_peak(lambda: detect_deletions(seeds.g1, g2_free, k))
+        result, match_peak = _traced_peak(lambda: match_rows(pair.d1, segmented, est, 5.0))
+    assert result.status_counts()["ambiguous"] == m
+    assert seed_bytes(n, num_seeds, k) < detect_peak <= seed_bytes(n, num_seeds, k, budget)
+    assert match_peak <= match_bytes(m, n, spec.s_max, k, budget)
+
+
 def test_paper_scale_fits_default_cap_at_m_2_16():
     # The matcher's working set is linear in m, so the paper's binary model
     # at n=60 and 10^4 seeds fits the default cap on one worker at m=2^16.
@@ -766,13 +837,20 @@ def test_seed_size_report_is_reproduced_by_its_config(tmp_path):
     assert round(predicted) == 738
 
 
-@pytest.mark.parametrize("workers, threads", [(1, 1), (1, 2), (1, 4), (3, 4)])
-def test_blas_thread_count_does_not_change_the_golden_report(blas, workers, threads):
-    # At m=512 the matcher's GEMM is split over the BLAS threads, so each
-    # count sums its float32 products in another order; the screen's bound
-    # and the exact seed counts keep every byte. At 3 workers the cap
-    # takes the 4 threads down to 1.
+@pytest.mark.parametrize(
+    "workers, threads", [(1, 1), (1, 2), (1, 4), (3, 4), (1, 3), (2, 4)]
+)
+def test_blas_thread_count_does_not_change_the_golden_report(blas, monkeypatch, workers, threads):
+    # The count is shared out as the trials' thread budgets, max(1, threads
+    # // min(workers, 3 trials)): 1, 2, 4, 1, 3 and 2. With the part sizes
+    # forced down, every budget above 1 splits the sampler's draws, the
+    # seed blocks and the matcher's columns, and each split GEMM sums its
+    # float32 products in another order; the split streams, the screen's
+    # bound and the exact seed counts keep every byte.
     _, put = blas
     put(threads)
+    monkeypatch.setattr(model, "DRAW_PART", 1000)
+    monkeypatch.setattr(deletions, "SEED_BLOCK", 1000)
+    monkeypatch.setattr(matching, "MATCH_PART", 100)
     expected = (GOLDEN / "report_bsc.csv").read_text()
     assert render(_golden_report("bsc", workers), "csv") == expected

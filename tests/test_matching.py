@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -21,7 +22,7 @@ from dbalign import (
     segment,
     substream,
 )
-from dbalign import deletions, estimation, matching, replicas
+from dbalign import deletions, estimation, fanout, matching, replicas
 from dbalign.deletions import MIN_COLUMNS, RetentionResult
 from dbalign.infotheory import TABLE_LIMIT
 from dbalign.replicas import dispersion, dispersion_bound
@@ -244,14 +245,18 @@ def _oracle_instance(case, seed, m, n):
 @example(**ORACLE_EXAMPLES[1])
 def test_match_rows_tiles_agree_with_dense_oracle(case, seed, m, n, epsilon):
     # Each repeated row's count and first hit depend on its own scores
-    # only, so no tiling of the repeated rows can change the result.
+    # only, so no tiling of the repeated rows, and no split of d1's rows
+    # into column blocks (one per thread of the budget, of at least one
+    # column each here), can change the result.
     pair, seg, est = _oracle_instance(case, seed, m, n)
     dense = dense_match_rows(pair.d1, seg, est, epsilon)
-    for rows in _tile_sizes(m):
+    for rows, budget in itertools.product(_tile_sizes(m), (1, 2, 3)):
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")
             mp.setattr(matching, "TILE_BYTES", 8 * m * rows)
-            tiled = match_rows(pair.d1, seg, est, epsilon)
+            mp.setattr(matching, "MATCH_PART", 1)
+            with fanout.budget(budget):
+                tiled = match_rows(pair.d1, seg, est, epsilon)
         assert np.array_equal(tiled.assigned, dense.assigned)
         assert np.array_equal(tiled.status, dense.status)
 

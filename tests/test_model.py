@@ -25,6 +25,7 @@ from dbalign.dbio import (
     read_matrix,
     write_matrix,
 )
+from dbalign import fanout, model
 from dbalign.model import _draw
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
@@ -211,6 +212,59 @@ def test_draw_is_bit_identical_to_choice(weights, size, seed):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert ours.random() == theirs.random()
+
+
+# Sizes below, at and above twice the part size (the least draw that is
+# split), with the part size forced down to 64 uniforms.
+SPLIT_PART = 64
+SPLIT_SIZES = [0, 5, 2 * SPLIT_PART - 1, 2 * SPLIT_PART, (3, 2 * SPLIT_PART + 1), 1000]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+@pytest.mark.parametrize("size", SPLIT_SIZES, ids=str)
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_draw_does_not_depend_on_the_thread_budget(monkeypatch, bit_generator, size, budget):
+    # A split PCG64 draw fills each part from a copy of the stream advanced
+    # to the part's offset; any other stream draws in one part. Either
+    # way the symbols and the stream left behind match Generator.choice.
+    monkeypatch.setattr(model, "DRAW_PART", SPLIT_PART)
+    p = np.array([0.2, 0.5, 0.3])
+    ours, theirs = (np.random.Generator(bit_generator(17)) for _ in range(2))
+    with fanout.budget(budget):
+        got = _draw(p, size, ours)
+    want = theirs.choice(np.arange(1, 4, dtype=np.uint8), size, p=p)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert ours.random() == theirs.random()
+
+
+def test_draw_keeps_a_buffered_half_output_in_one_part(monkeypatch):
+    # A stream holding half of a 64-bit output is not split, so the half
+    # stays where the next 32-bit draw expects it.
+    monkeypatch.setattr(model, "DRAW_PART", SPLIT_PART)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for rng in (ours, theirs):
+        rng.integers(2**32, dtype=np.uint32)
+    with fanout.budget(3):
+        got = _draw(np.array([0.5, 0.5]), 1000, ours)
+    assert np.array_equal(got, theirs.choice(np.arange(1, 3, dtype=np.uint8), 1000, p=[0.5, 0.5]))
+    assert ours.integers(2**32, dtype=np.uint32) == theirs.integers(2**32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("part", [SPLIT_PART, model.DRAW_PART])
+def test_sample_instance_does_not_depend_on_the_thread_budget(monkeypatch, part):
+    monkeypatch.setattr(model, "DRAW_PART", part)
+    spec = symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2))
+    instances = []
+    for budget in (1, 2, 3):
+        with fanout.budget(budget):
+            instances.append(sample_instance(300, 40, 500, spec, master_seed=9, point=1, trial=2))
+    (pair0, seeds0), *others = instances
+    for pair, seeds in others:
+        for name in ("d1", "d2", "sigma"):
+            assert np.array_equal(getattr(pair, name), getattr(pair0, name))
+        assert np.array_equal(pair.pattern.s, pair0.pattern.s)
+        assert np.array_equal(seeds.g1, seeds0.g1) and np.array_equal(seeds.g2, seeds0.g2)
 
 
 def test_channel_output_is_c_contiguous(rng):
