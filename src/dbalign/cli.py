@@ -25,6 +25,7 @@ from .experiment import (
     ExperimentConfig,
     InfeasibleSizeError,
     check_config_keys,
+    check_feasible,
     render,
     run_experiment,
 )
@@ -62,7 +63,9 @@ def _cmd_capacity(args) -> int:
     # A model spec or a whole experiment config; any other key is a typo.
     raw = load_json_object(args.config)
     check_config_keys(raw)
-    report = capacity(model_spec_from_dict(raw))
+    spec = model_spec_from_dict(raw)
+    check_feasible(spec)  # an oversized table is an infeasible size, as for `experiment`
+    report = capacity(spec)
     _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     return EXIT_OK
 

@@ -2,36 +2,26 @@
 
 Each trial draws a fresh instance from its own substream, runs the full
 pipeline, and scores every stage against the hidden ground truth. Trials
-are independent, so worker threads never change the numbers, and the
-emitted CSV is byte-identical for a fixed master seed.
+are independent, so how they are spread over threads never changes the
+numbers, and the emitted CSV is byte-identical for a fixed master seed.
 
-While ``run_experiment`` runs, the OpenBLAS that numpy loaded is pinned
-to one thread, and the count it had is shared out instead: each of the
-``min(workers, trials)`` trials that run at once gets a thread budget of
-``max(1, count // concurrent)``, which the sampler, the seed
-co-occurrence and the matcher spend by splitting their work into
-independent parts (``fanout``). A pinned BLAS leaves no idle BLAS thread
-spinning on a core that a trial thread or a part needs. The count is
-restored when the trials are done. Where numpy's OpenBLAS is not found,
-BLAS is left alone and every budget is 1. No report depends on the
-count or the budget: the matcher's screen holds for a float32 GEMM in
-any summation order, the seed co-occurrence counts are exact, and a
-split draw consumes the same uniforms.
+``run_experiment`` splits each point's trials into ``min(workers,
+trials)`` contiguous parts and fans them out (``fanout``), the first on
+the calling thread. Inside ``fanout.cores`` the OpenBLAS that numpy
+loaded runs one thread, and each part runs its trials in order on the
+budget that ``cores`` shares out, which the sampler, the seed
+co-occurrence and the matcher spend by splitting their own work. No
+report depends on the count or the budget: the matcher's screen holds
+for a float32 GEMM in any summation order, the seed co-occurrence counts
+are exact, and a split draw consumes the same uniforms.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import math
 import numbers
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -104,8 +94,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f, key in _keyed_fields(self)[1:]:
-            if f.metadata["parse"] is as_integer:
-                setattr(self, f.name, _integral(key, getattr(self, f.name)))
+            check = {as_integer: _integral, as_real: as_real}.get(f.metadata["parse"])
+            if check is not None:
+                setattr(self, f.name, check(key, getattr(self, f.name)))
         self.sweep_values = [_integral("sweep_values", v) for v in self.sweep_values]
         if self.trials < 1:
             raise ValueError("need at least one trial")
@@ -303,95 +294,25 @@ def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
     )
 
 
-# numpy's bundled OpenBLAS as each wheel names it, newest first:
-# (library glob under numpy.libs, get symbol, set symbol).
-OPENBLAS_NAMES = (
-    (
-        "libscipy_openblas*.so*",
-        "scipy_openblas_get_num_threads64_",
-        "scipy_openblas_set_num_threads64_",
-    ),
-    ("libopenblas*.so*", "openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-)
-
-
-@functools.cache
-def openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
-    None where there is none under a known name.
-
-    Only a library already in the process is opened (RTLD_NOLOAD), so no
-    second OpenBLAS, with a thread pool of its own, is ever loaded.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for pattern, get_name, set_name in OPENBLAS_NAMES:
-        for path in sorted(libs.glob(pattern)):
-            try:
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-            except OSError:
-                continue
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
-    return None
-
-
-class _BlasPin:
-    """Pins numpy's OpenBLAS to one thread while experiments run.
-
-    The thread count is process-wide: the first holder saves it and pins
-    it, and the last one restores it, so nested and concurrent
-    experiments all see the original count and put it back.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-
-    @contextmanager
-    def pinned(self):
-        """Pin BLAS at one thread inside the block, yielding the saved
-        count, or None where numpy's OpenBLAS is not found."""
-        blas = openblas_threads()
-        if blas is None:
-            yield None
-            return
-        get, put = blas
-        with self._lock:
-            if self._depth == 0:
-                self._saved = get()
-                put(1)
-            self._depth += 1
-            saved = self._saved
-        try:
-            yield saved
-        finally:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    put(self._saved)
-
-
-_BLAS_PIN = _BlasPin()
+def check_feasible(spec: ModelSpec) -> None:
+    """Raise InfeasibleSizeError unless spec's (X, Y^s) tables fit TABLE_LIMIT."""
+    try:
+        check_table_size(spec.alphabet_size, spec.s_max)
+    except ValueError as exc:
+        raise InfeasibleSizeError(str(exc)) from exc
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """All sweep points and trials; deterministic for a fixed master seed.
 
-    With more than one trial at once, each runs on its own thread. numpy's
-    OpenBLAS runs one thread until all are done, and each trial gets its
-    share of the old count as its thread budget.
+    Each point's trials run in ``min(workers, trials)`` contiguous parts at
+    once, each part's in order on its own thread, the first on the calling
+    thread. numpy's OpenBLAS runs one thread until all are done, and each
+    part gets its share of the old count as its thread budget.
     """
-    try:
-        check_table_size(config.spec.alphabet_size, config.spec.s_max)
-    except ValueError as exc:
-        raise InfeasibleSizeError(str(exc)) from exc
-    concurrent = min(config.workers, config.trials)  # each thread holds its own trial
-    with _BLAS_PIN.pinned() as count:
-        threads = 1 if count is None else max(1, count // concurrent)
+    check_feasible(config.spec)
+    concurrent = min(config.workers, config.trials)  # each part holds one trial at a time
+    with fanout.cores(concurrent) as threads:
         for p in config.points():
             need = concurrent * _estimated_bytes(
                 p.m, p.n, p.num_seeds, config.spec.s_max, config.spec.alphabet_size, threads
@@ -401,23 +322,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     f"point m={p.m} n={p.n} lambda={p.num_seeds} needs ~{need} bytes for "
                     f"{concurrent} concurrent trial(s), cap is {config.memory_cap_bytes}"
                 )
-        if concurrent > 1:
-            with ThreadPoolExecutor(concurrent) as pool:
-                return _report(config, pool.map, threads)
-        return _report(config, map, threads)
+        return _report(config, fanout.parts(config.trials, 1, concurrent), threads)
 
 
-def _report(config: ExperimentConfig, run, threads: int) -> ExperimentReport:
-    """Run every trial of every point through ``run``, a map, each on a
-    thread budget of ``threads``, and summarise."""
+def _report(config: ExperimentConfig, spans: list, threads: int) -> ExperimentReport:
+    """Run every point's trials in the contiguous ``spans`` of trial
+    numbers, fanned out, each span on a thread budget of ``threads``, and
+    summarise."""
     summaries = []
     for point_idx, p in enumerate(config.points()):
 
-        def trial(i):
+        def part(span):
             with fanout.budget(threads):
-                return run_trial(config, point_idx, i)
+                return [run_trial(config, point_idx, i) for i in range(*span)]
 
-        records = list(run(trial, range(config.trials)))
+        records = [r for rs in fanout.fan_out(part, spans) for r in rs]
         replica_hits = sum(r.replica_ok for r in records)
         deletion_hits = sum(r.deletion_ok for r in records)
         tvs = [r.est_tv for r in records if not math.isnan(r.est_tv)]

@@ -1,23 +1,46 @@
 """A thread's budget of cores, and the fan-out that spends it.
 
-A stage that splits its work into independent contiguous parts asks
-``parts`` how many the calling thread's budget allows and runs them
-through ``fan_out``: part 0 on the calling thread, each other part on a
-thread of its own. With a budget of 1 there is one part, run inline, so
-the serial path is the same loop. The budget is thread-local and 1 unless
-a caller sets it with ``budget``; the threads of a fan-out keep 1, so
-fan-outs never nest. The parts must not depend on each other's results.
-Each stage allocates its parts' buffers before the fan-out, on the
-calling thread, so that no worker thread grows an allocator arena of its
-own.
+``cores`` pins the OpenBLAS that numpy loaded to one thread, so that no
+idle BLAS thread spins on a core that a part needs, and shares the count
+it had out as the budgets of the jobs that run at once. A stage that
+splits its work into independent contiguous parts asks ``parts`` how many
+the calling thread's budget allows and runs them through ``fan_out``:
+part 0 on the calling thread, each other part on a thread of its own.
+With a budget of 1 there is one part, run inline, so the serial path is
+the same loop. The budget is thread-local and 1 unless a caller sets it
+with ``budget``; a fan-out's threads start at 1, and a job that sets its
+own may fan out inside it, as an experiment's trial parts do around their
+stages. The parts must not depend on each other's results. Each stage
+allocates its parts' buffers before the fan-out, on the calling thread,
+so that no worker thread grows an allocator arena of its own.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 import threading
 from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
 
 _LOCAL = threading.local()
+
+# numpy's bundled OpenBLAS as each wheel names it, newest first:
+# (library glob under numpy.libs, get symbol, set symbol).
+OPENBLAS_NAMES = (
+    (
+        "libscipy_openblas*.so*",
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_set_num_threads64_",
+    ),
+    ("libopenblas*.so*", "openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+_PIN_LOCK = threading.Lock()
+_holders = _saved = 0  # the process-wide pin's holders, and the count it saved
 
 
 def threads() -> int:
@@ -34,6 +57,56 @@ def budget(count: int):
         yield
     finally:
         _LOCAL.threads = saved
+
+
+@functools.cache
+def openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None where there is none under a known name.
+
+    Only a library already in the process is opened (RTLD_NOLOAD), so no
+    second OpenBLAS, with a thread pool of its own, is ever loaded.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for pattern, get_name, set_name in OPENBLAS_NAMES:
+        for path in sorted(libs.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:
+                continue
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextmanager
+def cores(concurrent: int):
+    """Pin numpy's OpenBLAS to one thread inside the block, yielding each of
+    ``concurrent`` jobs' budget, ``max(1, count // concurrent)``; where it
+    is not found, BLAS is left alone and the budget is 1. The first of
+    nested or concurrent blocks saves the count and the last restores it."""
+    global _holders, _saved
+    blas = openblas_threads()
+    if blas is None:
+        yield 1
+        return
+    get, put = blas
+    with _PIN_LOCK:
+        if _holders == 0:
+            _saved = get()
+            put(1)
+        _holders += 1
+        count = _saved
+    try:
+        yield max(1, count // concurrent)
+    finally:
+        with _PIN_LOCK:
+            _holders -= 1
+            if _holders == 0:
+                put(_saved)
 
 
 def parts(total: int, least: int, count: int | None = None) -> list[tuple[int, int]]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import deletions, estimation, fanout, replicas
+from .dbio import as_real
 from .deletions import RetentionResult
 from .estimation import DistributionEstimate
 from .infotheory import check_table_size
@@ -281,11 +282,11 @@ def _at_least(values: np.ndarray, floor, mask: np.ndarray) -> np.ndarray:
 
 def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> None:
     """Raise ValueError on row-matching input that is bad whatever the
-    estimate: epsilon not finite and positive, d1 or d2 not 2-D, d1 not n
-    columns wide, unequal row counts, a symbol outside 1..alphabet_size, or
-    epsilon past the clamp of `match_rows` for any plug-in estimate of
+    estimate: epsilon not a finite positive real (a bool is none), d1 or
+    d2 not 2-D, d1 not n columns wide, unequal row counts, a symbol outside
+    1..alphabet_size, or epsilon past the clamp of `match_rows` for any plug-in estimate of
     this input, whose n H is at most log2(k) (n + d2's column count)."""
-    if not 0.0 < epsilon < math.inf:
+    if not 0.0 < as_real("epsilon", epsilon) < math.inf:
         raise ValueError("epsilon must be finite and positive")
     if d1.ndim != 2 or d2.ndim != 2:
         raise ValueError("databases must be 2-D")

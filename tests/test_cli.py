@@ -563,6 +563,20 @@ def test_experiment_infeasible_exit(tmp_path, config_file):
     assert main(["experiment", "--config", str(path)]) == EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize("command", ["capacity", "experiment"])
+def test_oversized_table_exits_infeasible_for_every_command(tmp_path, capsys, command):
+    # k=4 with p_s of length 12 makes a 4^12-cell (X, Y^s) table, past TABLE_LIMIT.
+    p_s = [0.0] * 11 + [1.0]
+    cfg = {"p_x": [0.25] * 4, "p_y_given_x": np.eye(4).tolist(), "p_s": p_s,
+           "m": 16, "n": 10, "lambda": 100}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("infeasible size: joint table with 4^12 cells")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "key, value", [("master_seed", -1), ("memory_cap_bytes", 0), ("memory_cap_bytes", -10)]
 )

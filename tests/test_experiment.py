@@ -122,6 +122,20 @@ def test_config_rejects_integer_fields_of_another_type(overrides, key):
         small_config(**overrides)
 
 
+@pytest.mark.parametrize("value", [True, "0.3", None])
+def test_config_rejects_an_epsilon_that_is_not_a_real_number(value):
+    # As in a config file: a bool would run at 1 and echo as true, and a
+    # string would fail inside the range check.
+    with pytest.raises(ValueError, match="^epsilon must be a real number, got "):
+        small_config(epsilon=value)
+
+
+def test_config_takes_a_numpy_or_integer_epsilon_as_a_float():
+    for value in (np.float32(0.5), 1):
+        config = small_config(epsilon=value)
+        assert type(config.epsilon) is float and config.epsilon == float(value)
+
+
 def test_config_takes_numpy_integers_as_ints():
     config = small_config(m=np.int64(16), sweep_axis="n", sweep_values=[np.uint8(10)])
     assert type(config.m) is int and [type(v) for v in config.sweep_values] == [int]
@@ -233,15 +247,21 @@ def test_emitted_csv_is_deterministic(tmp_path):
 
 
 def test_worker_count_does_not_change_results(tmp_path):
-    (tmp_path / "w1.csv").write_text(render(run_experiment(small_config(workers=1)), "csv"))
-    (tmp_path / "w3.csv").write_text(render(run_experiment(small_config(workers=3)), "csv"))
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
+    # 5 trials over 3 workers make parts of unequal sizes, whose records
+    # still come back in trial order.
+    for trials in (3, 5):
+        serial = run_experiment(small_config(workers=1, trials=trials))
+        fanned = run_experiment(small_config(workers=3, trials=trials))
+        assert [r.trial for r in fanned.points[0].trials] == list(range(trials))
+        (tmp_path / "w1.csv").write_text(render(serial, "csv"))
+        (tmp_path / "w3.csv").write_text(render(fanned, "csv"))
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
 
 
 @pytest.fixture
 def blas():
     """(get, set) of numpy's OpenBLAS thread count, restored after the test."""
-    found = experiment.openblas_threads()
+    found = fanout.openblas_threads()
     if found is None:
         pytest.skip("numpy's OpenBLAS was not found under a known name")
     get, put = found
@@ -370,15 +390,19 @@ def test_blas_count_is_restored_after_concurrent_calls(blas, monkeypatch):
 
 
 def test_one_trial_runs_serially_with_blas_pinned_and_the_whole_budget(blas, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("one trial needs no thread pool")
-
     get, put = blas
     put(4)
-    monkeypatch.setattr(experiment, "ThreadPoolExecutor", no_pool)
+    here, ran_on = threading.get_ident(), []
+    trial = experiment.run_trial
+
+    def recorded(config, point, i):
+        ran_on.append(threading.get_ident())
+        return trial(config, point, i)
+
+    monkeypatch.setattr(experiment, "run_trial", recorded)
     seen = _record_blas_threads(monkeypatch, get)
     report = run_experiment(small_config(workers=4, trials=1))
-    assert len(report.points[0].trials) == 1
+    assert len(report.points[0].trials) == 1 and ran_on == [here]
     assert seen == [(1, 4)] and get() == 4
 
 
@@ -387,15 +411,15 @@ def test_without_openblas_the_thread_count_is_untouched(blas, monkeypatch):
     get, put = blas
     put(4)
     seen = _record_blas_threads(monkeypatch, get)
-    monkeypatch.setattr(experiment, "openblas_threads", lambda: None)
+    monkeypatch.setattr(fanout, "openblas_threads", lambda: None)
     for workers, trials in ((2, 2), (1, 1)):
         run_experiment(small_config(workers=workers, trials=trials))
     assert seen == [(4, 1)] * 3 and get() == 4
 
 
 def test_openblas_lookup_without_a_known_library_finds_none(monkeypatch):
-    monkeypatch.setattr(experiment, "OPENBLAS_NAMES", (("libnothing*.so*", "get", "set"),))
-    assert experiment.openblas_threads.__wrapped__() is None
+    monkeypatch.setattr(fanout, "OPENBLAS_NAMES", (("libnothing*.so*", "get", "set"),))
+    assert fanout.openblas_threads.__wrapped__() is None
 
 
 def test_empty_sweep_emits_header_only(tmp_path):

@@ -22,7 +22,7 @@ def test_the_budget_is_per_thread_and_restored():
     seen = []
     with fanout.budget(3):
         assert fanout.parts(30, 1) == [(0, 10), (10, 20), (20, 30)]
-        # A fan-out's threads keep a budget of 1, so fan-outs never nest.
+        # A fan-out's threads start at a budget of 1.
         fanout.fan_out(lambda j: seen.append(fanout.threads()), [0, 1, 2])
         assert fanout.threads() == 3
     assert fanout.threads() == 1
@@ -47,3 +47,17 @@ def test_fan_out_joins_every_job_before_raising(failing):
     with pytest.raises(RuntimeError, match=f"job {failing[0]}"):
         fanout.fan_out(work, [0, 1, 2, 3])
     assert sorted(done) == [j for j in range(4) if j not in failing]
+
+
+def test_a_job_with_a_budget_of_its_own_fans_out_inside_it():
+    before = set(threading.enumerate())
+
+    def job(j):
+        with fanout.budget(2):
+            inner = fanout.fan_out(lambda i: (j, i, fanout.threads()), [0, 1])
+            return inner, fanout.threads()
+
+    results = fanout.fan_out(job, [0, 1, 2])
+    assert results == [([(j, 0, 2), (j, 1, 1)], 2) for j in range(3)]
+    assert fanout.threads() == 1
+    assert set(threading.enumerate()) == before  # every thread is joined

@@ -690,6 +690,15 @@ def test_match_rows_rejects_epsilon_not_finite_and_positive(epsilon):
         match_rows(d1, seg, from_model_spec(spec), epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [True, "0.3", None])
+def test_deanonymize_rejects_an_epsilon_that_is_not_a_real_number(epsilon):
+    # True would otherwise run at epsilon 1, before the matcher is reached.
+    spec = bsc_spec(flip=0.1, p_s=(0.2, 0.5, 0.3))
+    pair, seeds = sample_instance(32, 12, 5000, spec, master_seed=1)
+    with pytest.raises(ValueError, match="^epsilon must be a real number, got "):
+        deanonymize(pair.d1, pair.d2, seeds.g1, seeds.g2, alphabet_size=2, epsilon=epsilon)
+
+
 def test_match_rows_rejects_epsilon_past_the_log_zero_clamp():
     # The clamp on the joint cells, -2 (n (H + eps) + 1), must reach the
     # LOG_ZERO of a zero-probability cell, or such pairs count as typical.

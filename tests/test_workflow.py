@@ -72,3 +72,19 @@ def test_package_imports_numpy_and_the_standard_library_only():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_fanout_is_the_only_module_that_reaches_blas_through_ctypes():
+    # One owner for the cores: the BLAS pin and the budgets live together.
+    users = []
+    for path in sorted((ROOT / "src" / "dbalign").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                users.append(path.name)
+    assert users == ["fanout.py"]
