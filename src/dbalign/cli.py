@@ -30,7 +30,7 @@ from .experiment import (
     run_experiment,
 )
 from .infotheory import capacity
-from .model import as_permutation, sample_instance
+from .model import as_permutation, instance_bytes, sample_instance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,6 +72,14 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_gen(args) -> int:
     config = ExperimentConfig.from_dict(load_json_object(args.config))
+    # The experiment's memory guard, for the instance alone; checked before
+    # the output directory is made.
+    need = int(1.5 * instance_bytes(config.m, config.n, config.num_seeds, config.spec.s_max))
+    if need > config.memory_cap_bytes:
+        raise InfeasibleSizeError(
+            f"instance m={config.m} n={config.n} lambda={config.num_seeds} needs ~{need} "
+            f"bytes, cap is {config.memory_cap_bytes}"
+        )
     out_dir = _out_path(args.out)
     os.makedirs(out_dir, exist_ok=True)
     pair, seeds = sample_instance(

@@ -9,12 +9,15 @@ changing the result.
 Symbols are the integers ``1..alphabet_size`` and are stored as single
 bytes (``uint8``). They are drawn bit-identically to
 ``Generator.choice(symbols, size, p=p)``: the same uniforms, consumed in
-the same order, give the same symbols. The largest transient of a draw is
-its float64 uniforms, 8 bytes per symbol drawn, plus, in the channel, 8
-bytes per int64 position of the input symbol being resampled. A large
-draw fills its uniforms in contiguous parts over the calling thread's
-budget (``fanout``), each part from the stream advanced to its offset, so
-the budget never changes a symbol.
+the same order, give the same symbols. A draw fills its float64 uniforms,
+8 bytes per symbol, in contiguous parts over the calling thread's budget
+(``fanout``), each part from the stream advanced to its offset, so the
+budget never changes a symbol. The noise channel splits its rows the same
+way; each part finds its own positions of each input symbol and draws
+their outputs from the stream at that (part, symbol)'s offset, so its
+transient is each part's positions and uniforms of one symbol, in chunks
+of DRAW_PART entries when split. What is left of the sampler's time is
+mostly the uniform stream.
 """
 
 from __future__ import annotations
@@ -205,47 +208,75 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
+def _splittable(rng: np.random.Generator):
+    """The state of ``rng``'s PCG64, or None where its stream must not be
+    split: any other bit generator, or a PCG64 holding a buffered 32-bit half.
+
+    A PCG64 without that half gives one 64-bit output per float64 uniform,
+    so the uniform at offset i of the stream is the first uniform of a copy
+    advanced by i (``_stream_at``).
+    """
+    state = rng.bit_generator.state
+    if type(rng.bit_generator) is np.random.PCG64 and not state["has_uint32"]:
+        return state
+    return None
+
+
+def _stream_at(state, offset: int) -> np.random.Generator:
+    """A generator on a copy of the PCG64 ``state`` advanced by ``offset``."""
+    copy = np.random.PCG64()
+    copy.state = state
+    return np.random.Generator(copy.advance(offset))
+
+
+def _cdf(p) -> np.ndarray:
+    """The cumulative sum of p, normalised so that its last entry is 1."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _count_cdf(u, cdf, out, above) -> None:
+    """Write into uint8 ``out`` 1 plus the number of entries of ``cdf`` but
+    the last at or below each uniform of ``u``; ``above`` is a bool buffer
+    of u's shape. The last entry is exactly 1 > u, so the count is the
+    symbol that ``Generator.choice`` picks with that uniform."""
+    out.fill(1)
+    for edge in cdf[:-1]:
+        np.greater_equal(u, edge, out=above)
+        out += above.view(np.uint8)
+
+
 def _draw(p, size, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. symbols 1..len(p) from p, as uint8 of shape size.
 
     Bit-identical to ``rng.choice(np.arange(1, len(p) + 1, dtype=np.uint8),
     size, p=p)``, which returns 1 plus the number of entries of the
-    normalised cdf at or below each uniform u. The last entry is exactly
-    1 > u, so counting the first len(p) - 1 entries gives the same value.
+    normalised cdf at or below each uniform u (``_count_cdf``).
 
-    A PCG64 stream with no buffered 32-bit half gives one 64-bit output
-    per float64 uniform, so the uniforms split into contiguous parts of at
-    least DRAW_PART (``fanout.parts``): each part after the first draws
-    from a copy of the stream advanced to its offset, and ``rng`` itself
-    draws the first part and is then advanced past the rest. Any other
-    stream draws in one part.
+    A stream that may be split (``_splittable``) fills its uniforms in
+    contiguous parts of at least DRAW_PART (``fanout.parts``): each part
+    after the first draws from a copy of the stream advanced to its
+    offset, and ``rng`` itself draws the first part and is then advanced
+    past the rest. Any other stream draws in one part.
     """
     u = np.empty(size)
-    out = np.ones(u.shape, dtype=np.uint8)
+    out = np.empty(u.shape, dtype=np.uint8)
     above = np.empty(u.shape, dtype=bool)
     flat_u, flat_out, flat_above = u.reshape(-1), out.reshape(-1), above.reshape(-1)
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    bit_gen = rng.bit_generator
-    state = bit_gen.state
-    split = type(bit_gen) is np.random.PCG64 and not state["has_uint32"]
-    spans = fanout.parts(u.size, DRAW_PART, None if split else 1)
-    streams = [rng]
-    for start, _ in spans[1:]:
-        copy = np.random.PCG64()
-        copy.state = state
-        streams.append(np.random.Generator(copy.advance(start)))
+    cdf = _cdf(p)
+    state = _splittable(rng)
+    spans = fanout.parts(u.size, DRAW_PART, None if state else 1)
+    streams = [rng] + [_stream_at(state, start) for start, _ in spans[1:]]
 
     def fill(j):
         part = slice(*spans[j])
         streams[j].random(out=flat_u[part])
-        for edge in cdf[:-1]:
-            np.greater_equal(flat_u[part], edge, out=flat_above[part])
-            flat_out[part] += flat_above[part].view(np.uint8)
+        _count_cdf(flat_u[part], cdf, flat_out[part], flat_above[part])
 
     fanout.fan_out(fill, range(len(spans)))
     if len(spans) > 1:
-        bit_gen.advance(u.size - spans[0][1])
+        rng.bit_generator.advance(u.size - spans[0][1])
     return out
 
 
@@ -274,27 +305,91 @@ def apply_channel(
     Row i of the output holds, for each original column j in order,
     ``pattern.s[j]`` independent noisy copies of ``d1[i, j]``. Deleted
     columns (count 0) contribute nothing.
+
+    The stream is spent one input symbol at a time, each symbol's entries
+    in row-major order, each output drawn as by ``_draw``: the entry at
+    rank r among the entries of symbol x takes the uniform at offset
+    (entries of the symbols below x) + r.
+
+    A stream that may be split (``_splittable``) splits the rows into
+    contiguous parts of at least DRAW_PART entries over the calling
+    thread's budget. The first fan-out builds each part's rows of the
+    expanded input and counts its symbols, which fixes the offset of each
+    (part, symbol); the second resamples each part's entries of each
+    symbol from a copy of the stream advanced to that offset, and ``rng``
+    is then advanced past every entry. Any other stream runs in one part
+    on ``rng`` itself, and counts nothing in advance.
+
+    A split part walks its entries in chunks of DRAW_PART, so that the
+    positions a worker thread allocates, whose high-water mark its
+    allocator arena keeps, stay small. One part resamples each symbol's
+    entries at once, as a serial loop does.
     """
-    n = d1.shape[1]
+    m, n = d1.shape
     if pattern.n != n:
         raise ValueError("pattern length must equal the column count of d1")
 
     cols = np.repeat(np.arange(n), pattern.s)
-    expanded = np.take(d1, cols, axis=1)
-    # noisy must be C-ordered, so that flat is a view of it and not a copy
-    # that silently drops every write.
+    k = spec.alphabet_size
+    expanded = np.empty((m, cols.size), d1.dtype)
+    # noisy must be C-ordered, so that each part's flat view is a view of it
+    # and not a copy that silently drops every write.
     noisy = np.empty(expanded.shape, np.uint8)
-    flat = noisy.reshape(-1)
-    # One input symbol at a time, in row-major order: the transient is that
-    # symbol's int64 positions and float64 uniforms, 16 bytes per entry.
-    # An entry outside 1..k is never written, so the writes must cover all.
-    written = 0
-    for x in range(1, spec.alphabet_size + 1):
-        at = np.flatnonzero(expanded == x)
-        flat[at] = _draw(spec.p_y_given_x[x - 1], at.size, rng)
-        written += at.size
-    if written != expanded.size:
-        raise ValueError(f"d1 symbols must lie in 1..{spec.alphabet_size}")
+    state = _splittable(rng)
+    rows = fanout.parts(m, -(-DRAW_PART // max(cols.size, 1)), None if state else 1)
+    split = len(rows) > 1
+    chunk = DRAW_PART if split else max(1, expanded.size)
+    masks = [np.empty(chunk, bool) for _ in rows]
+    # A split part's uniforms and symbols for a chunk, allocated here so that
+    # no worker thread allocates them; one part allocates each symbol's own.
+    buffers = [(np.empty(chunk), np.empty(chunk, np.uint8)) if split else None for _ in rows]
+
+    def chunks(j):
+        """Part j's (input, output) flat chunks, in row-major order."""
+        r0, r1 = rows[j]
+        flat_in, flat_out = expanded[r0:r1].reshape(-1), noisy[r0:r1].reshape(-1)
+        starts = range(0, flat_in.size, chunk)
+        return [(flat_in[c : c + chunk], flat_out[c : c + chunk]) for c in starts]
+
+    def expand(j):
+        r0, r1 = rows[j]
+        np.take(d1[r0:r1], cols, axis=1, out=expanded[r0:r1], mode="clip")
+        if not split:  # only the offsets of a split stream need the counts
+            return []
+        hit = masks[j]
+        return [
+            sum(np.count_nonzero(np.equal(x_in, x, out=hit[: x_in.size])) for x_in, _ in chunks(j))
+            for x in range(1, k + 1)
+        ]
+
+    counts = np.array(fanout.fan_out(expand, range(len(rows))), np.int64)
+    if split:
+        totals = counts.sum(axis=0)
+        offsets = (np.cumsum(totals) - totals) + (np.cumsum(counts, axis=0) - counts)
+        streams = [[_stream_at(state, int(o)) for o in part] for part in offsets]
+    else:
+        streams = [[rng] * k]
+
+    def resample(j):
+        hit, written = masks[j], 0
+        for x in range(k):
+            cdf = _cdf(spec.p_y_given_x[x])
+            for x_in, x_out in chunks(j):
+                at = np.flatnonzero(np.equal(x_in, x + 1, out=hit[: x_in.size]))
+                size = at.size
+                u, out = buffers[j] or (np.empty(size), np.empty(size, np.uint8))
+                streams[j][x].random(out=u[:size])
+                _count_cdf(u[:size], cdf, out[:size], hit[:size])  # hit is free again
+                x_out[at] = out[:size]
+                written += size
+                del at, u, out  # before the next chunk's are allocated
+        return written
+
+    if sum(fanout.fan_out(resample, range(len(rows)))) != expanded.size:
+        # an entry outside 1..k was never written
+        raise ValueError(f"d1 symbols must lie in 1..{k}")
+    if split:
+        rng.bit_generator.advance(expanded.size)
     return noisy
 
 
@@ -345,10 +440,12 @@ def instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
     """Upper bound on `sample_instance`'s working set.
 
     The kept uint8 arrays (d1, d2 and the channel output it is scattered
-    from; g1, g2 and the channel's expanded input and symbol mask), plus
-    the generator's largest transient: one float64 uniform per symbol of
-    the largest single draw and one int64 position per entry the channel
-    resamples at once, both at most max(m, num_seeds) * k_max.
+    from; g1, g2, the channel's expanded input, and its parts' symbol
+    masks and drawn symbols, at most one byte each per entry), plus the
+    generator's largest transient, 16 bytes per entry of at most
+    max(m, num_seeds) * k_max: the float64 uniforms of the largest single
+    draw, or the channel's float64 uniforms and int64 positions, which it
+    holds for one symbol's entries in one chunk of each part at a time.
     """
     k_max = n * max(s_max, 1)
     kept = 2 * m * (n + k_max) + 4 * num_seeds * (n + k_max)

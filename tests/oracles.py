@@ -236,3 +236,24 @@ def dense_match_rows(d1, segmented, est, epsilon):
     status[collided] = STATUS_AMBIGUOUS
     assigned[collided] = -1
     return MatchResult(assigned=assigned, status=status)
+
+
+def serial_channel(d1, pattern, spec, rng):
+    """Reference channel: one loop over the input symbols on one stream.
+
+    The entries of each symbol, found in row-major order over the expanded
+    input, are resampled by one ``Generator.choice`` call, which draws the
+    same uniforms in the same order as the split sampler.
+    """
+    expanded = np.take(d1, np.repeat(np.arange(d1.shape[1]), pattern.s), axis=1)
+    noisy = np.empty(expanded.shape, np.uint8)
+    flat = noisy.reshape(-1)
+    symbols = np.arange(1, spec.alphabet_size + 1, dtype=np.uint8)
+    written = 0
+    for x in symbols:
+        at = np.flatnonzero(expanded == x)
+        flat[at] = rng.choice(symbols, at.size, p=spec.p_y_given_x[x - 1])
+        written += at.size
+    if written != expanded.size:
+        raise ValueError(f"d1 symbols must lie in 1..{spec.alphabet_size}")
+    return noisy

@@ -563,6 +563,20 @@ def test_experiment_infeasible_exit(tmp_path, config_file):
     assert main(["experiment", "--config", str(path)]) == EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize("key, value", [("m", 4_000_000_000), ("memory_cap_bytes", 10)])
+def test_gen_infeasible_exit_leaves_no_directory(tmp_path, config_file, capsys, key, value):
+    # gen applies the experiment's memory guard to the instance before it
+    # makes the output directory, instead of failing to allocate it.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(json.loads(config_file.read_text()), **{key: value})))
+    out_dir = tmp_path / "inst"
+    assert main(["gen", "--config", str(path), "--out", str(out_dir)]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("infeasible size: instance m=")
+    assert "cap is" in captured.err and captured.out == ""
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["capacity", "experiment"])
 def test_oversized_table_exits_infeasible_for_every_command(tmp_path, capsys, command):
     # k=4 with p_s of length 12 makes a 4^12-cell (X, Y^s) table, past TABLE_LIMIT.

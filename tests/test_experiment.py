@@ -589,15 +589,15 @@ def test_memory_estimate_bounds_the_matcher_when_every_pair_is_a_candidate(spec,
     assert peak <= match_bytes(m, n, spec.s_max, spec.alphabet_size)
 
 
-@pytest.mark.parametrize(
-    "spec, m, n, num_seeds",
-    [
-        (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 8192, 60, 10_000),  # paper_bsc
-        (unit_trace_cyclic_spec((0.3, 0.7)), 1024, 60, 30_000),  # remap_sweep
-        (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 240, 5000),  # wide_repeat
-        (bsc_spec(flip=0.1, p_s=(0.1, 0.9)), 1024, 60, 200_000),
-    ],
-)
+GENERATOR_SIZES = [
+    (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 8192, 60, 10_000),  # paper_bsc
+    (unit_trace_cyclic_spec((0.3, 0.7)), 1024, 60, 30_000),  # remap_sweep
+    (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 240, 5000),  # wide_repeat
+    (bsc_spec(flip=0.1, p_s=(0.1, 0.9)), 1024, 60, 200_000),
+]
+
+
+@pytest.mark.parametrize("spec, m, n, num_seeds", GENERATOR_SIZES)
 def test_memory_estimate_bounds_the_generator(spec, m, n, num_seeds):
     # The instance term must cover the generator's transient uniforms and
     # positions, not only the arrays it keeps.
@@ -607,6 +607,17 @@ def test_memory_estimate_bounds_the_generator(spec, m, n, num_seeds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= instance_bytes(m, n, num_seeds, spec.s_max)
+
+
+@pytest.mark.parametrize("budget", [2, 3])
+@pytest.mark.parametrize("spec, m, n, num_seeds", GENERATOR_SIZES)
+def test_memory_estimate_bounds_the_split_generator(spec, m, n, num_seeds, budget):
+    # Each part of a split draw fills its share of one uniform array, and
+    # each part of a split channel holds its own chunk buffers and
+    # positions; the tracemalloc peak counts the allocations of every thread.
+    with fanout.budget(budget):
+        _, peak = _traced_peak(lambda: sample_instance(m, n, num_seeds, spec, master_seed=7))
     assert peak <= instance_bytes(m, n, num_seeds, spec.s_max)
 
 

@@ -29,6 +29,7 @@ from dbalign import fanout, model
 from dbalign.model import _draw
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
+from oracles import serial_channel
 
 
 def test_spec_validation_rejects_bad_vectors():
@@ -251,6 +252,75 @@ def test_draw_keeps_a_buffered_half_output_in_one_part(monkeypatch):
     assert ours.integers(2**32, dtype=np.uint32) == theirs.integers(2**32, dtype=np.uint32)
 
 
+def _buffered_half(rng):
+    rng.integers(2**32, dtype=np.uint32)
+    return rng
+
+
+# Streams a channel test draws from: a PCG64 may be split, and neither an
+# MT19937 nor a PCG64 holding half of a 64-bit output may.
+CHANNEL_STREAMS = {
+    "pcg64": lambda: np.random.default_rng(17),
+    "mt19937": lambda: np.random.Generator(np.random.MT19937(17)),
+    "pcg64-half": lambda: _buffered_half(np.random.default_rng(17)),
+}
+
+# (rows, pattern, most parts) with the part size forced to SPLIT_PART
+# entries: no entry, too few entries for two parts, exactly two parts, and
+# parts walked in several chunks. A budget splits a PCG64 channel into as
+# many parts as it allows, up to the most.
+CHANNEL_SHAPES = [
+    pytest.param(40, [0, 0, 0], 1, id="no-entry"),
+    pytest.param(3, [1, 0, 2], 1, id="one-chunk"),
+    pytest.param(15, [1, 2, 0, 1, 4], 1, id="under-two-parts"),
+    pytest.param(16, [1, 2, 0, 1, 4], 2, id="two-parts"),
+    pytest.param(200, [1], 3, id="one-column"),
+    pytest.param(300, [0, 1, 2, 3, 1, 0, 2], 3, id="chunked-parts"),
+]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+@pytest.mark.parametrize("rows, s, most", CHANNEL_SHAPES)
+@pytest.mark.parametrize("stream", CHANNEL_STREAMS)
+def test_channel_does_not_depend_on_the_thread_budget(monkeypatch, stream, rows, s, most, budget):
+    # Each part of a split channel resamples its own entries of each symbol
+    # from a copy of the stream advanced to that (part, symbol)'s offset;
+    # the outputs and the stream left behind match one loop over the
+    # symbols on one stream.
+    monkeypatch.setattr(model, "DRAW_PART", SPLIT_PART)
+    fan_outs, fan_out = [], fanout.fan_out
+
+    def recording_fan_out(work, jobs):
+        fan_outs.append(len(jobs))
+        return fan_out(work, jobs)
+
+    monkeypatch.setattr(fanout, "fan_out", recording_fan_out)
+    spec = symmetric_spec(3, 0.6, (0.0, 1.0))
+    d1 = generate_database(rows, len(s), spec, substream(11, rows))
+    pattern = RepetitionPattern(s)
+    ours, theirs = CHANNEL_STREAMS[stream](), CHANNEL_STREAMS[stream]()
+    with fanout.budget(budget):
+        got = apply_channel(d1, pattern, spec, ours)
+    want = serial_channel(d1, pattern, spec, theirs)
+    assert got.dtype == np.uint8 and got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert max(fan_outs) == (min(budget, most) if stream == "pcg64" else 1)
+    assert ours.integers(2**32, dtype=np.uint32) == theirs.integers(2**32, dtype=np.uint32)
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_split_channel_rejects_symbols_outside_the_alphabet(monkeypatch, budget):
+    monkeypatch.setattr(model, "DRAW_PART", SPLIT_PART)
+    d1 = generate_database(300, 7, bsc_spec(), substream(3, 0))
+    pattern = RepetitionPattern([1, 2, 0, 1, 3, 1, 1])
+    for row, col, symbol in ((0, 0, 0), (299, 4, 3), (150, 6, 255)):
+        bad = d1.copy()
+        bad[row, col] = symbol
+        with fanout.budget(budget), pytest.raises(ValueError, match=r"symbols must lie in 1\.\.2"):
+            apply_channel(bad, pattern, bsc_spec(), np.random.default_rng(1))
+
+
 @pytest.mark.parametrize("part", [SPLIT_PART, model.DRAW_PART])
 def test_sample_instance_does_not_depend_on_the_thread_budget(monkeypatch, part):
     monkeypatch.setattr(model, "DRAW_PART", part)
@@ -369,14 +439,29 @@ PINNED_INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("name", PINNED_INSTANCES)
-def test_sample_instance_is_pinned_bit_for_bit(name):
+def _check_pinned(name):
     (spec, m, n, num_seeds, master_seed), expected = PINNED_INSTANCES[name]
     pair, seeds = sample_instance(m, n, num_seeds, spec, master_seed, point=1, trial=2)
     if name != "bsc":
         assert np.any(pair.pattern.s == 0) and np.any(pair.pattern.s > 1)
     arrays = {"d1": pair.d1, "d2": pair.d2, "sigma": pair.sigma, "g1": seeds.g1, "g2": seeds.g2}
     assert {key: _sha256(arr) for key, arr in arrays.items()} == expected
+
+
+@pytest.mark.parametrize("name", PINNED_INSTANCES)
+def test_sample_instance_is_pinned_bit_for_bit(name):
+    _check_pinned(name)
+
+
+@pytest.mark.parametrize("budget", [2, 3])
+@pytest.mark.parametrize("name", PINNED_INSTANCES)
+def test_split_sample_instance_is_pinned_bit_for_bit(monkeypatch, name, budget):
+    # Every pinned instance is smaller than two parts of DRAW_PART, so the
+    # pins are checked again with parts of SPLIT_PART, where every symbol
+    # draw and channel of each instance splits.
+    monkeypatch.setattr(model, "DRAW_PART", SPLIT_PART)
+    with fanout.budget(budget):
+        _check_pinned(name)
 
 
 def test_empirical_frequencies_converge():
