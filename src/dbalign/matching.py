@@ -37,16 +37,16 @@ LOG_ZERO = -1.0e30
 # and the experiment config all default to it.
 DEFAULT_EPSILON = 0.05
 
-# The matcher scores d1 against TILE_BYTES // (8 m) repeated rows at a
-# time, so its working set grows linearly in m: a float32 tile of half
-# TILE_BYTES, its bool mask, and the list of the tile's candidates. On a
-# 2-core Xeon with 2 MiB of L2 per core, 8 MiB ran the matcher about 5%
-# faster than 4 MiB at m=8192 and 15% at m=16384, but raised the peak RSS
-# of a paper-scale trial (m=8192) by about 1 MiB; 2 MiB was slower.
+# All the matcher's tiles hold TILE_BYTES of float64 scores, as float32 in
+# half of it: each of its parts scores TILE_BYTES // (8 MATCH_PART parts)
+# repeated rows against MATCH_PART rows of d1 at a time, whatever m is. On
+# a 2-core Xeon (2 MiB L2 per core, paper_bsc's model, BLAS pinned), 4 MiB
+# ran m=8192 and 16384 6-20% faster than 2 or 8 MiB at a budget of 2, a
+# paper-scale trial's; at a budget of 1, 2 MiB was 13% faster than 4 MiB.
 TILE_BYTES = 4 * 1024 * 1024
 
-# Fewest columns of d1 that each block of a split matcher scores (see
-# match_rows); the thread budget sets how many blocks there are.
+# Fewest repeated rows per part of a split matcher, and the width of every
+# tile in rows of d1 (see match_rows); the budget sets the part count.
 MATCH_PART = 1024
 
 # Unit roundoff of float32, the precision of the matcher's screen.
@@ -264,10 +264,14 @@ def _at_least(values: np.ndarray, floor, mask: np.ndarray) -> np.ndarray:
     """Ascending indices of the entries of the flat ``values`` >= ``floor``.
 
     ``mask`` is a bool buffer of at least ``values.size`` entries rounded
-    up to whole 8-byte words. Few entries reach the floor, and
-    ``np.flatnonzero`` of the compare's mask would cost more than the
-    compare itself; a uint64 view finds the nonzero words, an eighth as
-    many, and only those are searched byte by byte.
+    up to whole 8-byte words. Few entries reach the floor: a uint64 view
+    finds the nonzero words, an eighth as many, and only those are
+    searched byte by byte. On numpy 2.4.6 (2-core Xeon) a call took 31 us
+    against 42 for ``np.flatnonzero`` of the same compare on a 64 x 4096
+    tile, 38 against 48 on 256 x 1024. End to end, ``wide_repeat`` (two
+    trials at once) read 4-5% slower with flatnonzero in one set of 3
+    alternating pairs and 2% faster in another, both inside its pair
+    noise, for causes not verified: judge a swap by benchmark pairs.
     """
     size = values.size
     padded = -(-size // 8) * 8
@@ -377,60 +381,52 @@ def match_rows(
     # needs no, one or several hits. The count and the first hit are all
     # that outlive the tile.
     #
-    # b's columns, d1's rows, split into contiguous blocks over the calling
-    # thread's budget (fanout.parts), and each block runs this loop over
-    # every repeated row with its own tile, mask, counts and first hits,
-    # allocated here. Every block's tile has the same rows, so the tiles
-    # and the recheck chunks of all blocks share one TILE_BYTES. A row's
-    # counts add up over the blocks, and a row with one hit in all took
-    # it in the one block that counted it.
-    rows = max(1, min(m2, TILE_BYTES // (8 * max(m1, 1))))
-    spans = fanout.parts(m1, MATCH_PART)
+    # The repeated rows split into contiguous parts over the calling
+    # thread's budget (fanout.parts), each row decided on one thread into
+    # the shared counts and first hits. A part walks d1 in column tiles
+    # MATCH_PART wide, in order, so a row's first hit is in its first tile
+    # with one. Each GEMM writes a C-contiguous prefix of the part's tile,
+    # allocated here (a strided out= is written through a copy). All the
+    # tiles and recheck chunks share one TILE_BYTES.
+    spans = fanout.parts(m2, MATCH_PART)
+    rows = max(1, TILE_BYTES // (8 * MATCH_PART * len(spans)))
     chunk = max(1, TILE_BYTES // (16 * (r + 3) * len(spans)))
-    blocks = [
-        (
-            c0,
-            np.empty((rows, c1 - c0), dtype=np.float32),
-            np.empty(-(-rows * (c1 - c0) // 8) * 8, dtype=bool),
-            np.zeros(m2, dtype=np.intp),
-            np.zeros(m2, dtype=np.intp),
-        )
-        for c0, c1 in spans
-    ]
+    counts, first = np.zeros((2, m2), dtype=np.intp)
+    sizes = [min(rows, p1 - p0) * MATCH_PART for p0, p1 in spans]
+    tiles = [(np.empty(size, np.float32), np.empty(-(-size // 8) * 8, bool)) for size in sizes]
 
-    def tile_loop(block):
-        c0, tile, mask, counts, first = block
-        width = tile.shape[1]
-        b_block = b[:, c0 : c0 + width]
-        for l0 in range(0, m2, rows):
-            l1 = min(l0 + rows, m2)
-            scores = np.matmul(a[l0:l1], b_block, out=tile[: l1 - l0])
-            l, i = np.divmod(_at_least(scores.ravel(), -hi[l0:l1].max(), mask), width)
-            magnitude = np.abs(scores[l, i])
-            l += l0
-            i += c0
-            hit = magnitude <= lo[l]
-            recheck = np.flatnonzero(np.not_equal(magnitude <= hi[l], hit))
-            for c in range(0, recheck.size, chunk):
-                at = recheck[c : c + chunk]
-                pl, pi = l[at], i[at]
-                pair_cells = table[x_cells[pi], ids[pl]]
-                hit[at] = np.abs(pair_cells.sum(axis=1) + offset[pi]) <= bound
-            del magnitude, recheck  # match_bytes counts them only until here
-            l = l[hit]
-            i = i[hit]
-            # l is sorted, so each row's hits start at its running total.
-            num = np.bincount(l - l0, minlength=l1 - l0)
-            counts[l0:l1] = np.minimum(num, 2)
-            found = num > 0
-            first[l0:l1][found] = i[(np.cumsum(num) - num)[found]]
-            del l, i, hit  # nothing per candidate outlives its tile
+    def tile_loop(j):
+        (p0, p1), (tile, mask) = spans[j], tiles[j]
+        for l0 in range(p0, p1, rows):
+            l1 = min(l0 + rows, p1)
+            floor = -hi[l0:l1].max()
+            for c0 in range(0, m1, MATCH_PART):
+                width = min(MATCH_PART, m1 - c0)
+                scores = tile[: (l1 - l0) * width].reshape(l1 - l0, width)
+                np.matmul(a[l0:l1], b[:, c0 : c0 + width], out=scores)
+                l, i = np.divmod(_at_least(scores.ravel(), floor, mask), width)
+                magnitude = np.abs(scores[l, i])
+                l += l0
+                i += c0
+                hit = magnitude <= lo[l]
+                recheck = np.flatnonzero(np.not_equal(magnitude <= hi[l], hit))
+                for c in range(0, recheck.size, chunk):
+                    at = recheck[c : c + chunk]
+                    pl, pi = l[at], i[at]
+                    pair_cells = table[x_cells[pi], ids[pl]]
+                    hit[at] = np.abs(pair_cells.sum(axis=1) + offset[pi]) <= bound
+                del magnitude, recheck  # match_bytes counts them only until here
+                l = l[hit]
+                i = i[hit]
+                # l is sorted, so each row's hits start at its running total.
+                num = np.bincount(l - l0, minlength=l1 - l0)
+                seen = counts[l0:l1]
+                found = (num > 0) & (seen == 0)
+                first[l0:l1][found] = i[(np.cumsum(num) - num)[found]]
+                np.minimum(seen + num, 2, out=seen)
+                del l, i, hit  # nothing per candidate outlives its tile
 
-    fanout.fan_out(tile_loop, blocks)
-    _, _, _, counts, first = blocks[0]
-    for _, _, _, more, hits in blocks[1:]:
-        first[more > 0] = hits[more > 0]
-        counts += more
+    fanout.fan_out(tile_loop, range(len(spans)))
     unique = counts == 1
     assigned = np.where(unique, first, -1)
     status = np.where(
@@ -450,7 +446,7 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int, threads: int = 1
     budget of ``threads``.
 
     Every array it holds is linear in m, except the table of distinct
-    runs, one tile of joint scores and one chunk of the float64 recheck.
+    runs, the tiles of joint scores and the chunks of the float64 recheck.
     Per row and column of d1 or d2: d1's float64 log-probabilities, its
     uint8 retained symbols and their 0-based copy, the int32 run codes and
     two uint8 columns of d2 they are built from, the int64 ids of the runs
@@ -458,29 +454,29 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int, threads: int = 1
     from it (8 + 2 + 6 + 8 + 16 bytes). Per row also: the float32 GEMM
     operands, the absolute values that size the screen and the buffer the
     differences are gathered through ((k - 1) * n + 2 entries each), and
-    a few per-row vectors, the first column block's int64 counts and first
-    hits among them, and each further block's. Runs of up to s_max copies
-    take sum_{s <= s_max} k^s codes, each with a presence flag and an int64
-    index; each distinct run, at most min(m * n, codes) of them, holds its
-    decoded copies, their k log-likelihoods each, its k cells and their
-    exp2, and a few scalars.
-    The tiles of all column blocks hold at most max(TILE_BYTES // 8, m)
-    float32 scores and their bool masks between them. At worst every score
-    is a candidate, so per score the tiles also hold, at once, the
-    candidate's int64 row and column, its float32 |S32|, two bool masks,
-    and the int64 index of the band to recheck; the search for candidates
-    holds less, an int64 flat index and the two int64 halves it is built
-    from. The recheck chunks of all blocks hold at most 17 bytes per
-    gathered cell between them, under 2 * TILE_BYTES.
+    a few per-row vectors, the int64 counts and first hits among them.
+    Runs of up to s_max copies take sum_{s <= s_max} k^s codes, each with
+    a presence flag and an int64 index; each distinct run, at most
+    min(m * n, codes) of them, holds its decoded copies, their k
+    log-likelihoods each, its k cells and their exp2, and a few scalars.
+    The tiles of all row parts, MATCH_PART columns wide, hold at most
+    max(TILE_BYTES // 8, MATCH_PART * parts) float32 scores and their bool
+    masks between them. At worst every score is a candidate, so per score
+    the tiles also hold, at once, the candidate's int64 row and column,
+    its float32 |S32|, two bool masks, and the int64 index of the band to
+    recheck; the search for candidates holds less, an int64 flat index
+    and the two int64 halves it is built from. The recheck chunks of all
+    parts hold at most 17 bytes per gathered cell between them, under
+    2 * TILE_BYTES.
     """
     k = alphabet_size
-    blocks = len(fanout.parts(m, MATCH_PART, threads))
-    per_row = (8 + 2 + 6 + 8 + 16) * n + 16 * ((k - 1) * n + 2) + 128 + 16 * (blocks - 1)
+    parts = len(fanout.parts(m, MATCH_PART, threads))
+    per_row = (8 + 2 + 6 + 8 + 16) * n + 16 * ((k - 1) * n + 2) + 128
     codes = sum(k**s for s in range(s_max + 1))
     runs = min(m * n, codes)
     table = 9 * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)
     per_score = 4 + 1 + (8 + 8 + 4 + 1 + 1 + 8)  # tile, mask, then each candidate's share
-    tile = per_score * max(TILE_BYTES // 8, m) + 2 * TILE_BYTES
+    tile = per_score * max(TILE_BYTES // 8, MATCH_PART * parts) + 2 * TILE_BYTES
     return m * per_row + table + tile
 
 

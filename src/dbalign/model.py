@@ -439,14 +439,15 @@ def sample_instance(
 def instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
     """Upper bound on `sample_instance`'s working set.
 
-    The kept uint8 arrays (d1, d2 and the channel output it is scattered
-    from; g1, g2, the channel's expanded input, and its parts' symbol
-    masks and drawn symbols, at most one byte each per entry), plus the
-    generator's largest transient, 16 bytes per entry of at most
-    max(m, num_seeds) * k_max: the float64 uniforms of the largest single
-    draw, or the channel's float64 uniforms and int64 positions, which it
-    holds for one symbol's entries in one chunk of each part at a time.
+    Kept: sigma's int64 entries and, for d1 and for g1, the uint8 source
+    rows and, per entry of the channel's output, one byte each of the
+    expanded input, the output, the parts' masks and drawn symbols (d2
+    later takes the masks' place). Transient: 16 bytes per entry of at
+    most max(m, num_seeds) * k_max, the float64 uniforms of the largest
+    draw, or the channel's float64 uniforms and int64 positions of one
+    symbol in one chunk per part at a time. And 64 KiB of generators,
+    cdfs and array headers (about 6 KiB measured).
     """
     k_max = n * max(s_max, 1)
-    kept = 2 * m * (n + k_max) + 4 * num_seeds * (n + k_max)
-    return kept + 16 * max(m, num_seeds) * k_max
+    kept = (m + num_seeds) * (n + 4 * k_max) + 8 * m
+    return kept + 16 * max(m, num_seeds) * k_max + 64 * 1024

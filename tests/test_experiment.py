@@ -594,13 +594,18 @@ GENERATOR_SIZES = [
     (unit_trace_cyclic_spec((0.3, 0.7)), 1024, 60, 30_000),  # remap_sweep
     (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 240, 5000),  # wide_repeat
     (bsc_spec(flip=0.1, p_s=(0.1, 0.9)), 1024, 60, 200_000),
+    # one source symbol, every column at s_max: the channel resamples every
+    # entry at once, beside sigma, its mask and its drawn symbols
+    (bsc_spec(flip=0.1, p_s=(0.0, 0.0, 1.0), p_x=(1.0, 0.0)), 20_000, 8, 10),
 ]
 
 
 @pytest.mark.parametrize("spec, m, n, num_seeds", GENERATOR_SIZES)
 def test_memory_estimate_bounds_the_generator(spec, m, n, num_seeds):
     # The instance term must cover the generator's transient uniforms and
-    # positions, not only the arrays it keeps.
+    # positions, not only the arrays it keeps. A first small call imports
+    # what numpy.random loads lazily, outside the trace.
+    sample_instance(16, n, 1, spec, master_seed=7)
     tracemalloc.start()
     try:
         sample_instance(m, n, num_seeds, spec, master_seed=7)
@@ -616,6 +621,7 @@ def test_memory_estimate_bounds_the_split_generator(spec, m, n, num_seeds, budge
     # Each part of a split draw fills its share of one uniform array, and
     # each part of a split channel holds its own chunk buffers and
     # positions; the tracemalloc peak counts the allocations of every thread.
+    sample_instance(16, n, 1, spec, master_seed=7)
     with fanout.budget(budget):
         _, peak = _traced_peak(lambda: sample_instance(m, n, num_seeds, spec, master_seed=7))
     assert peak <= instance_bytes(m, n, num_seeds, spec.s_max)
@@ -659,8 +665,8 @@ def test_memory_estimate_bounds_the_seed_stages(spec, n, num_seeds):
 @pytest.mark.parametrize("budget", [2, 3])
 def test_memory_estimate_bounds_the_split_stages(monkeypatch, budget):
     # Each part of a split co-occurrence holds its own seed block operands
-    # and accumulator, and each column block of a split matcher its own
-    # counts; the tracemalloc peak counts the allocations of every thread.
+    # and accumulator, and each row part of a split matcher its own tile
+    # and mask; the tracemalloc peak counts the allocations of every thread.
     # Every pair is a candidate, the matcher's worst case.
     spec = bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4))
     m, n, num_seeds, k = 3000, 60, 3 * SEED_BLOCK, spec.alphabet_size
@@ -879,9 +885,10 @@ def test_blas_thread_count_does_not_change_the_golden_report(blas, monkeypatch, 
     # The count is shared out as the trials' thread budgets, max(1, threads
     # // min(workers, 3 trials)): 1, 2, 4, 1, 3 and 2. With the part sizes
     # forced down, every budget above 1 splits the sampler's draws, the
-    # seed blocks and the matcher's columns, and each split GEMM sums its
-    # float32 products in another order; the split streams, the screen's
-    # bound and the exact seed counts keep every byte.
+    # seed blocks and the matcher's repeated rows, whose column tiles of
+    # d1 end in a narrower one, and each split GEMM sums its float32
+    # products in another order; the split streams, the screen's bound and
+    # the exact seed counts keep every byte.
     _, put = blas
     put(threads)
     monkeypatch.setattr(model, "DRAW_PART", 1000)

@@ -244,17 +244,18 @@ def _oracle_instance(case, seed, m, n):
 @example(**ORACLE_EXAMPLES[0])
 @example(**ORACLE_EXAMPLES[1])
 def test_match_rows_tiles_agree_with_dense_oracle(case, seed, m, n, epsilon):
-    # Each repeated row's count and first hit depend on its own scores
-    # only, so no tiling of the repeated rows, and no split of d1's rows
-    # into column blocks (one per thread of the budget, of at least one
-    # column each here), can change the result.
+    # Each repeated row is decided on one thread from its own scores, so
+    # no split of the repeated rows into parts (one per thread of the
+    # budget, of at least MATCH_PART rows each), no tile height and no tile
+    # width (MATCH_PART columns of d1) can change the result. Widths of 2
+    # and 3 leave a narrower last column tile where they do not divide m.
     pair, seg, est = _oracle_instance(case, seed, m, n)
     dense = dense_match_rows(pair.d1, seg, est, epsilon)
-    for rows, budget in itertools.product(_tile_sizes(m), (1, 2, 3)):
+    for rows, width, budget in itertools.product(_tile_sizes(m), (1, 2, 3, m), (1, 2, 3)):
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")
-            mp.setattr(matching, "TILE_BYTES", 8 * m * rows)
-            mp.setattr(matching, "MATCH_PART", 1)
+            mp.setattr(matching, "TILE_BYTES", 8 * width * rows)
+            mp.setattr(matching, "MATCH_PART", width)
             with fanout.budget(budget):
                 tiled = match_rows(pair.d1, seg, est, epsilon)
         assert np.array_equal(tiled.assigned, dense.assigned)
@@ -413,6 +414,7 @@ def test_match_rows_rejects_pairs_too_likely_to_be_typical():
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")
             mp.setattr(matching, "TILE_BYTES", 8 * m * rows)
+            mp.setattr(matching, "MATCH_PART", m)  # tiles of `rows` rows, m wide
             tiled = match_rows(pair.d1, seg, est, epsilon)
         assert np.array_equal(tiled.assigned, dense.assigned)
         assert np.array_equal(tiled.status, dense.status)
