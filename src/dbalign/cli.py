@@ -26,6 +26,7 @@ from .experiment import (
     InfeasibleSizeError,
     check_config_keys,
     check_feasible,
+    check_memory,
     render,
     run_experiment,
 )
@@ -74,12 +75,11 @@ def _cmd_gen(args) -> int:
     config = ExperimentConfig.from_dict(load_json_object(args.config))
     # The experiment's memory guard, for the instance alone; checked before
     # the output directory is made.
-    need = int(1.5 * instance_bytes(config.m, config.n, config.num_seeds, config.spec.s_max))
-    if need > config.memory_cap_bytes:
-        raise InfeasibleSizeError(
-            f"instance m={config.m} n={config.n} lambda={config.num_seeds} needs ~{need} "
-            f"bytes, cap is {config.memory_cap_bytes}"
-        )
+    check_memory(
+        f"instance m={config.m} n={config.n} lambda={config.num_seeds}",
+        instance_bytes(config.m, config.n, config.num_seeds, config.spec.s_max),
+        config.memory_cap_bytes,
+    )
     out_dir = _out_path(args.out)
     os.makedirs(out_dir, exist_ok=True)
     pair, seeds = sample_instance(

@@ -249,7 +249,17 @@ def _estimated_bytes(
     instance = instance_bytes(m, n, num_seeds, s_max)
     seeds = deletions.seed_bytes(n, num_seeds, alphabet_size, threads)
     matcher = matching.match_bytes(m, n, s_max, alphabet_size, threads)
-    return int(1.5 * (matcher + instance + seeds))
+    return matcher + instance + seeds
+
+
+def check_memory(what: str, working_set: int, cap: int, concurrent: int = 1) -> None:
+    """Raise InfeasibleSizeError unless ``concurrent`` working sets of
+    ``working_set`` bytes, each with half again as slack, fit ``cap``;
+    ``what`` names the size in the message."""
+    need = concurrent * int(1.5 * working_set)
+    if need > cap:
+        trials = f" for {concurrent} concurrent trial(s)" if concurrent > 1 else ""
+        raise InfeasibleSizeError(f"{what} needs ~{need} bytes{trials}, cap is {cap}")
 
 
 def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
@@ -314,14 +324,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     concurrent = min(config.workers, config.trials)  # each part holds one trial at a time
     with fanout.cores(concurrent) as threads:
         for p in config.points():
-            need = concurrent * _estimated_bytes(
-                p.m, p.n, p.num_seeds, config.spec.s_max, config.spec.alphabet_size, threads
+            check_memory(
+                f"point m={p.m} n={p.n} lambda={p.num_seeds}",
+                _estimated_bytes(
+                    p.m, p.n, p.num_seeds, config.spec.s_max, config.spec.alphabet_size, threads
+                ),
+                config.memory_cap_bytes,
+                concurrent,
             )
-            if need > config.memory_cap_bytes:
-                raise InfeasibleSizeError(
-                    f"point m={p.m} n={p.n} lambda={p.num_seeds} needs ~{need} bytes for "
-                    f"{concurrent} concurrent trial(s), cap is {config.memory_cap_bytes}"
-                )
         return _report(config, fanout.parts(config.trials, 1, concurrent), threads)
 
 

@@ -16,8 +16,8 @@ budget never changes a symbol. The noise channel splits its rows the same
 way; each part finds its own positions of each input symbol and draws
 their outputs from the stream at that (part, symbol)'s offset, so its
 transient is each part's positions and uniforms of one symbol, in chunks
-of DRAW_PART entries when split. What is left of the sampler's time is
-mostly the uniform stream.
+of DRAW_PART entries. What is left of the sampler's time is mostly the
+uniform stream.
 """
 
 from __future__ import annotations
@@ -311,19 +311,14 @@ def apply_channel(
     rank r among the entries of symbol x takes the uniform at offset
     (entries of the symbols below x) + r.
 
-    A stream that may be split (``_splittable``) splits the rows into
-    contiguous parts of at least DRAW_PART entries over the calling
-    thread's budget. The first fan-out builds each part's rows of the
-    expanded input and counts its symbols, which fixes the offset of each
-    (part, symbol); the second resamples each part's entries of each
-    symbol from a copy of the stream advanced to that offset, and ``rng``
-    is then advanced past every entry. Any other stream runs in one part
-    on ``rng`` itself, and counts nothing in advance.
-
-    A split part walks its entries in chunks of DRAW_PART, so that the
-    positions a worker thread allocates, whose high-water mark its
-    allocator arena keeps, stay small. One part resamples each symbol's
-    entries at once, as a serial loop does.
+    The rows split into contiguous parts of at least DRAW_PART entries
+    over the calling thread's budget (``fanout.parts``), one part unless
+    the stream may be split (``_splittable``). The first fan-out builds
+    each part's rows of the expanded input and counts its symbols, which
+    fixes the offset of each (part, symbol); the second resamples each
+    part's entries of each symbol, in chunks of DRAW_PART, from a copy of
+    the stream advanced to that offset, and ``rng`` is then advanced past
+    every entry. A stream that may not be split is drawn from directly.
     """
     m, n = d1.shape
     if pattern.n != n:
@@ -337,12 +332,10 @@ def apply_channel(
     noisy = np.empty(expanded.shape, np.uint8)
     state = _splittable(rng)
     rows = fanout.parts(m, -(-DRAW_PART // max(cols.size, 1)), None if state else 1)
-    split = len(rows) > 1
-    chunk = DRAW_PART if split else max(1, expanded.size)
-    masks = [np.empty(chunk, bool) for _ in rows]
-    # A split part's uniforms and symbols for a chunk, allocated here so that
-    # no worker thread allocates them; one part allocates each symbol's own.
-    buffers = [(np.empty(chunk), np.empty(chunk, np.uint8)) if split else None for _ in rows]
+    chunk = max(1, min(DRAW_PART, expanded.size))
+    # Each part's mask, uniforms and symbols for one chunk, allocated here
+    # so that no worker thread grows an allocator arena of its own.
+    buffers = [(np.empty(chunk, bool), np.empty(chunk), np.empty(chunk, np.uint8)) for _ in rows]
 
     def chunks(j):
         """Part j's (input, output) flat chunks, in row-major order."""
@@ -354,41 +347,33 @@ def apply_channel(
     def expand(j):
         r0, r1 = rows[j]
         np.take(d1[r0:r1], cols, axis=1, out=expanded[r0:r1], mode="clip")
-        if not split:  # only the offsets of a split stream need the counts
-            return []
-        hit = masks[j]
+        hit = buffers[j][0]
         return [
             sum(np.count_nonzero(np.equal(x_in, x, out=hit[: x_in.size])) for x_in, _ in chunks(j))
             for x in range(1, k + 1)
         ]
 
     counts = np.array(fanout.fan_out(expand, range(len(rows))), np.int64)
-    if split:
-        totals = counts.sum(axis=0)
-        offsets = (np.cumsum(totals) - totals) + (np.cumsum(counts, axis=0) - counts)
-        streams = [[_stream_at(state, int(o)) for o in part] for part in offsets]
-    else:
-        streams = [[rng] * k]
+    if counts.sum() != expanded.size:  # before any draw, so rng is left as it was
+        raise ValueError(f"d1 symbols must lie in 1..{k}")
+    totals = counts.sum(axis=0)
+    offsets = (np.cumsum(totals) - totals) + (np.cumsum(counts, axis=0) - counts)
+    streams = [[_stream_at(state, int(o)) if state else rng for o in part] for part in offsets]
 
     def resample(j):
-        hit, written = masks[j], 0
+        hit, u, out = buffers[j]
         for x in range(k):
             cdf = _cdf(spec.p_y_given_x[x])
             for x_in, x_out in chunks(j):
                 at = np.flatnonzero(np.equal(x_in, x + 1, out=hit[: x_in.size]))
                 size = at.size
-                u, out = buffers[j] or (np.empty(size), np.empty(size, np.uint8))
                 streams[j][x].random(out=u[:size])
                 _count_cdf(u[:size], cdf, out[:size], hit[:size])  # hit is free again
                 x_out[at] = out[:size]
-                written += size
-                del at, u, out  # before the next chunk's are allocated
-        return written
+                del at  # before the next chunk's positions are allocated
 
-    if sum(fanout.fan_out(resample, range(len(rows)))) != expanded.size:
-        # an entry outside 1..k was never written
-        raise ValueError(f"d1 symbols must lie in 1..{k}")
-    if split:
+    fanout.fan_out(resample, range(len(rows)))
+    if state:
         rng.bit_generator.advance(expanded.size)
     return noisy
 
@@ -445,8 +430,8 @@ def instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
     later takes the masks' place). Transient: 16 bytes per entry of at
     most max(m, num_seeds) * k_max, the float64 uniforms of the largest
     draw, or the channel's float64 uniforms and int64 positions of one
-    symbol in one chunk per part at a time. And 64 KiB of generators,
-    cdfs and array headers (about 6 KiB measured).
+    chunk per part, at every budget. And 64 KiB of generators, cdfs and
+    array headers (about 6 KiB measured).
     """
     k_max = n * max(s_max, 1)
     kept = (m + num_seeds) * (n + 4 * k_max) + 8 * m

@@ -30,6 +30,7 @@ from dbalign.experiment import (
     CSV_COLUMNS,
     DEFAULT_MEMORY_CAP,
     _estimated_bytes,
+    check_memory,
     estimate_tv_distance,
     render,
 )
@@ -472,7 +473,8 @@ def test_memory_guard_sizes_each_lambda_point(monkeypatch):
     assert first < last
     ran = []
     monkeypatch.setattr(experiment, "run_trial", lambda *args: ran.append(args))
-    swept = small_config(sweep_axis="lambda", sweep_values=lambdas, memory_cap_bytes=first)
+    cap = first * 3 // 2  # the guard's half again as slack
+    swept = small_config(sweep_axis="lambda", sweep_values=lambdas, memory_cap_bytes=cap)
     with pytest.raises(InfeasibleSizeError, match=f"lambda={lambdas[-1]} needs"):
         run_experiment(swept)
     assert ran == []
@@ -529,7 +531,7 @@ def test_memory_cap_counts_concurrent_trials():
     one_trial = _estimated_bytes(
         config.m, config.n, config.num_seeds, config.spec.s_max, config.spec.alphabet_size
     )
-    cap = one_trial * 3 // 2
+    cap = (one_trial * 3 // 2) * 3 // 2  # half again over the guard's own slack
     with pytest.raises(InfeasibleSizeError, match="2 concurrent"):
         run_experiment(small_config(workers=2, memory_cap_bytes=cap))
     report = run_experiment(small_config(workers=1, memory_cap_bytes=cap))
@@ -686,7 +688,7 @@ def test_memory_estimate_bounds_the_split_stages(monkeypatch, budget):
 def test_paper_scale_fits_default_cap_at_m_2_16():
     # The matcher's working set is linear in m, so the paper's binary model
     # at n=60 and 10^4 seeds fits the default cap on one worker at m=2^16.
-    assert _estimated_bytes(2**16, 60, 10_000, 2, 2) <= DEFAULT_MEMORY_CAP
+    check_memory("m=2^16", _estimated_bytes(2**16, 60, 10_000, 2, 2), DEFAULT_MEMORY_CAP)
 
 
 def test_render_unknown_format():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,16 +143,25 @@ def test_channel_dimension_mismatch(rng):
         apply_channel(d1, RepetitionPattern([1, 1]), spec, rng)
 
 
+def _rejects_without_drawing(d1, pattern):
+    """apply_channel rejects d1, and the caller's PCG64 or MT19937 stream
+    draws on as an untouched twin does."""
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        ours, twin = (np.random.Generator(bit_generator(1)) for _ in range(2))
+        with pytest.raises(ValueError, match=r"symbols must lie in 1\.\.2"):
+            apply_channel(d1, pattern, bsc_spec(), ours)
+        assert ours.random() == twin.random()
+
+
 @pytest.mark.parametrize("symbol", [0, 3, 7])
 def test_channel_rejects_symbols_outside_the_alphabet(rng, symbol):
     # No row of the channel draws an output for such a symbol, so the
-    # entry would otherwise be returned unwritten.
+    # entry would otherwise be returned unwritten. The symbol counts catch
+    # it before any draw, so the caller's stream is not used up.
     d1 = generate_database(10, 5, bsc_spec(), rng)
     d1[4, 2] = symbol
-    with pytest.raises(ValueError, match=r"symbols must lie in 1\.\.2"):
-        apply_channel(d1, RepetitionPattern([1, 2, 1, 0, 1]), bsc_spec(), rng)
-    with pytest.raises(ValueError, match=r"symbols must lie in 1\.\.2"):
-        apply_channel(np.full((3, 4), symbol, np.uint8), RepetitionPattern([1] * 4), bsc_spec(), rng)
+    _rejects_without_drawing(d1, RepetitionPattern([1, 2, 1, 0, 1]))
+    _rejects_without_drawing(np.full((3, 4), symbol, np.uint8), RepetitionPattern([1] * 4))
 
 
 def test_deleted_columns_absent(rng):
@@ -317,8 +327,28 @@ def test_split_channel_rejects_symbols_outside_the_alphabet(monkeypatch, budget)
     for row, col, symbol in ((0, 0, 0), (299, 4, 3), (150, 6, 255)):
         bad = d1.copy()
         bad[row, col] = symbol
-        with fanout.budget(budget), pytest.raises(ValueError, match=r"symbols must lie in 1\.\.2"):
-            apply_channel(bad, pattern, bsc_spec(), np.random.default_rng(1))
+        with fanout.budget(budget):
+            _rejects_without_drawing(bad, pattern)
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_channel_holds_a_few_chunks_per_part(budget):
+    # Each part walks its entries in chunks of DRAW_PART at every budget,
+    # so beside the expanded input and the output the channel holds only
+    # each part's mask, uniforms, symbols and positions of one chunk.
+    spec = bsc_spec(p_s=(0.0, 0.0, 1.0))
+    d1 = generate_database(40_000, 60, spec, substream(5, 0))
+    pattern = RepetitionPattern([2] * 60)
+    apply_channel(d1[:16], pattern, spec, substream(5, 1))  # imports numpy's lazy modules
+    with fanout.budget(budget):
+        tracemalloc.start()
+        try:
+            noisy = apply_channel(d1, pattern, spec, substream(5, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert noisy.size >= 4_000_000
+    assert peak <= 2 * noisy.nbytes + 32 * model.DRAW_PART * budget
 
 
 @pytest.mark.parametrize("part", [SPLIT_PART, model.DRAW_PART])

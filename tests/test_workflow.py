@@ -11,7 +11,7 @@ import re
 import sys
 from pathlib import Path
 
-from dbalign.experiment import DEFAULT_MEMORY_CAP, ExperimentConfig, _estimated_bytes
+from dbalign.experiment import DEFAULT_MEMORY_CAP, ExperimentConfig, _estimated_bytes, check_memory
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
@@ -42,10 +42,10 @@ def test_paper_scale_config_fits_the_default_memory_cap():
     assert "memory_cap_bytes" not in raw
     config = ExperimentConfig.from_dict(raw)
     assert config.memory_cap_bytes == DEFAULT_MEMORY_CAP
-    need = min(config.workers, config.trials) * _estimated_bytes(
+    one_trial = _estimated_bytes(
         config.m, config.n, config.num_seeds, config.spec.s_max, config.spec.alphabet_size
     )
-    assert need <= DEFAULT_MEMORY_CAP
+    check_memory("paper scale", one_trial, DEFAULT_MEMORY_CAP, min(config.workers, config.trials))
 
 
 def test_floor_job_pins_the_declared_floors():
