@@ -141,11 +141,12 @@ def cooccurrence(
     the block's row count. Every entry of a block's product is a count of
     at most SEED_BLOCK < 2^24 rows; each partial sum is an integer of at
     most that size, so every float32 addition is exact, in whatever order
-    the GEMM sums. The products are added into an int64 accumulator.
-    The blocks split into contiguous runs over the calling thread's budget
-    (``fanout.parts``), each run with its own operands, product, int64
-    cast and accumulator, and the accumulators are summed: exact integers,
-    so the split never changes a count.
+    the GEMM sums. Each product is added straight into a float64 total,
+    whose integer sums stay exact below 2^53, and the totals are cast to
+    int64 once, as the counts are built. The blocks split into contiguous
+    runs over the calling thread's budget (``fanout.parts``), each run
+    with its own operands, product and total, and the totals are summed:
+    exact integers, so the split never changes a count.
     Symbol 1's rows and columns are the complements over the other
     symbols, in integers:
 
@@ -174,14 +175,13 @@ def cooccurrence(
             np.ones((block, width1), dtype=np.float32),
             np.ones((block, width2), dtype=np.float32),
             np.empty((width1, width2), dtype=np.float32),
-            np.empty((width1, width2), dtype=np.int64),
-            np.zeros((width1, width2), dtype=np.int64),
+            np.zeros((width1, width2)),
         )
         for _ in spans
     ]
 
     def tabulate(j):
-        hot1, hot2, product, cast, total = buffers[j]
+        hot1, hot2, product, total = buffers[j]
         for start in starts[slice(*spans[j])]:
             b1 = g1[start : start + SEED_BLOCK]
             b2 = g2[start : start + SEED_BLOCK]
@@ -190,8 +190,7 @@ def cooccurrence(
                 np.equal(b1, b1.dtype.type(x), out=hot1[:rows, (x - 2) * n : (x - 1) * n])
                 np.equal(b2, b2.dtype.type(x), out=hot2[:rows, (x - 2) * kt : (x - 1) * kt])
             np.matmul(hot1[:rows].T, hot2[:rows], out=product)
-            np.copyto(cast, product, casting="unsafe")
-            total += cast
+            total += product
         return total
 
     total, *others = fanout.fan_out(tabulate, range(len(spans)))
@@ -200,15 +199,15 @@ def cooccurrence(
     del buffers, others  # only the sum outlives the tabulation
 
     n1 = total[:-1, -1].reshape(k - 1, n)
-    source_counts = np.concatenate([[num_seeds * n - n1.sum()], n1.sum(axis=1)])
-    counts = np.empty((k, n, k, kt), dtype=np.int64)
+    counts = np.empty((k, n, k, kt), dtype=np.int64)  # the totals are cast to int64 here
     counts[1:, :, 1:] = total[:-1, :-1].reshape(k - 1, n, k - 1, kt)
     counts[1:, :, 0] = n1[..., None]
     counts[0, :, 1:] = total[-1, :-1].reshape(k - 1, kt)
     counts[0, :, 0] = num_seeds
     counts[0] -= counts[1:].sum(axis=0)
     counts[:, :, 0] -= counts[:, :, 1:].sum(axis=2)
-    return counts, source_counts
+    source_counts = np.concatenate([[num_seeds * n - n1.sum()], n1.sum(axis=1)])
+    return counts, source_counts.astype(np.int64)
 
 
 def seed_bytes(n: int, num_seeds: int, alphabet_size: int, threads: int = 1) -> int:
@@ -218,18 +217,18 @@ def seed_bytes(n: int, num_seeds: int, alphabet_size: int, threads: int = 1) -> 
 
     Each of `cooccurrence`'s parts, one per thread the budget gives its
     seed blocks, holds two float32 operands of one seed block by
-    (k - 1) * n + 1 columns, one block's float32 product, its int64 cast
-    and the int64 accumulator of the casts; then come the k^2 * n^2 int64
-    counts with one k * n^2 sum while symbol 1's counts are rebuilt. Each
-    remapping of the sweep gathers k * n^2 counts, sums them to n^2
-    distances and scans their float64 deviations.
+    (k - 1) * n + 1 columns, one block's float32 product and the float64
+    total of the products; then come the k^2 * n^2 int64 counts with one
+    k * n^2 sum while symbol 1's counts are rebuilt. Each remapping of the
+    sweep gathers k * n^2 counts, sums them to n^2 distances and scans
+    their float64 deviations.
     """
     k = alphabet_size
     width = (k - 1) * n + 1
     block = min(num_seeds, SEED_BLOCK)
     parts = len(fanout.parts(-(-num_seeds // SEED_BLOCK), 1, threads))
     operands = 4 * block * 2 * width
-    products = (4 + 8 + 8) * width * width
+    products = (4 + 8) * width * width
     counts = 8 * k * k * n * n + 8 * (k + 4) * n * n
     return parts * (operands + products) + counts
 

@@ -246,9 +246,9 @@ def _estimated_bytes(
 ) -> int:
     """Working set of one trial on a thread budget of ``threads``: the
     matcher, the instance and the seed stages."""
-    instance = instance_bytes(m, n, num_seeds, s_max)
+    instance = instance_bytes(m, n, num_seeds, s_max, threads)
     seeds = deletions.seed_bytes(n, num_seeds, alphabet_size, threads)
-    matcher = matching.match_bytes(m, n, s_max, alphabet_size, threads)
+    matcher = matching.match_bytes(m, n, s_max, alphabet_size)
     return matcher + instance + seeds
 
 

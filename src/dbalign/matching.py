@@ -441,9 +441,8 @@ def match_rows(
     return MatchResult(assigned=assigned, status=status)
 
 
-def match_bytes(m: int, n: int, s_max: int, alphabet_size: int, threads: int = 1) -> int:
-    """Upper bound on `match_rows`' working set at m rows, on a thread
-    budget of ``threads``.
+def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
+    """Upper bound on `match_rows`' working set at m rows, on any thread budget.
 
     Every array it holds is linear in m, except the table of distinct
     runs, the tiles of joint scores and the chunks of the float64 recheck.
@@ -459,10 +458,11 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int, threads: int = 1
     a presence flag and an int64 index; each distinct run, at most
     min(m * n, codes) of them, holds its decoded copies, their k
     log-likelihoods each, its k cells and their exp2, and a few scalars.
-    The tiles of all row parts, MATCH_PART columns wide, hold at most
-    max(TILE_BYTES // 8, MATCH_PART * parts) float32 scores and their bool
-    masks between them. At worst every score is a candidate, so per score
-    the tiles also hold, at once, the candidate's int64 row and column,
+    The tiles of all row parts, MATCH_PART columns wide, share TILE_BYTES
+    or are one row high in at most m / MATCH_PART parts, so they hold at
+    most max(TILE_BYTES // 8, m) float32 scores and their bool masks
+    between them. At worst every score is a candidate, so per score the
+    tiles also hold, at once, the candidate's int64 row and column,
     its float32 |S32|, two bool masks, and the int64 index of the band to
     recheck; the search for candidates holds less, an int64 flat index
     and the two int64 halves it is built from. The recheck chunks of all
@@ -470,13 +470,12 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int, threads: int = 1
     2 * TILE_BYTES.
     """
     k = alphabet_size
-    parts = len(fanout.parts(m, MATCH_PART, threads))
     per_row = (8 + 2 + 6 + 8 + 16) * n + 16 * ((k - 1) * n + 2) + 128
     codes = sum(k**s for s in range(s_max + 1))
     runs = min(m * n, codes)
     table = 9 * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)
     per_score = 4 + 1 + (8 + 8 + 4 + 1 + 1 + 8)  # tile, mask, then each candidate's share
-    tile = per_score * max(TILE_BYTES // 8, MATCH_PART * parts) + 2 * TILE_BYTES
+    tile = per_score * max(TILE_BYTES // 8, m) + 2 * TILE_BYTES
     return m * per_row + table + tile
 
 

@@ -421,18 +421,20 @@ def sample_instance(
     return DatabasePair(d1, d2, sigma, pattern), seeds
 
 
-def instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
-    """Upper bound on `sample_instance`'s working set.
+def instance_bytes(m: int, n: int, num_seeds: int, s_max: int, threads: int = 1) -> int:
+    """Upper bound on `sample_instance`'s working set on a budget of ``threads``.
 
     Kept: sigma's int64 entries and, for d1 and for g1, the uint8 source
-    rows and, per entry of the channel's output, one byte each of the
-    expanded input, the output, the parts' masks and drawn symbols (d2
-    later takes the masks' place). Transient: 16 bytes per entry of at
-    most max(m, num_seeds) * k_max, the float64 uniforms of the largest
-    draw, or the channel's float64 uniforms and int64 positions of one
-    chunk per part, at every budget. And 64 KiB of generators, cdfs and
-    array headers (about 6 KiB measured).
+    rows and two uint8 arrays the size of the channel's output (the
+    expanded input and the output; d2 later takes the input's place).
+    Transient, the larger of: the largest draw's float64 uniforms and
+    compare mask, 9 bytes per entry of at most max(m, num_seeds) * n; or
+    each channel part's chunk of DRAW_PART entries, one byte each of mask
+    and drawn symbols, its float64 uniforms and int64 positions. And
+    64 KiB of generators, cdfs and array headers (about 6 KiB measured).
     """
     k_max = n * max(s_max, 1)
-    kept = (m + num_seeds) * (n + 4 * k_max) + 8 * m
-    return kept + 16 * max(m, num_seeds) * k_max + 64 * 1024
+    rows = max(m, num_seeds)
+    kept = (m + num_seeds) * (n + 2 * k_max) + 8 * m
+    parts = len(fanout.parts(rows, -(-DRAW_PART // k_max), threads))
+    return kept + max(9 * rows * n, 18 * DRAW_PART * parts) + 64 * 1024

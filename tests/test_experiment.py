@@ -605,8 +605,9 @@ GENERATOR_SIZES = [
 @pytest.mark.parametrize("spec, m, n, num_seeds", GENERATOR_SIZES)
 def test_memory_estimate_bounds_the_generator(spec, m, n, num_seeds):
     # The instance term must cover the generator's transient uniforms and
-    # positions, not only the arrays it keeps. A first small call imports
-    # what numpy.random loads lazily, outside the trace.
+    # positions, not only the arrays it keeps, and count nothing it no
+    # longer holds, so that the guard refuses no size that fits. A first
+    # small call imports what numpy.random loads lazily, outside the trace.
     sample_instance(16, n, 1, spec, master_seed=7)
     tracemalloc.start()
     try:
@@ -614,7 +615,7 @@ def test_memory_estimate_bounds_the_generator(spec, m, n, num_seeds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= instance_bytes(m, n, num_seeds, spec.s_max)
+    assert peak <= instance_bytes(m, n, num_seeds, spec.s_max) <= 2 * peak
 
 
 @pytest.mark.parametrize("budget", [2, 3])
@@ -626,7 +627,7 @@ def test_memory_estimate_bounds_the_split_generator(spec, m, n, num_seeds, budge
     sample_instance(16, n, 1, spec, master_seed=7)
     with fanout.budget(budget):
         _, peak = _traced_peak(lambda: sample_instance(m, n, num_seeds, spec, master_seed=7))
-    assert peak <= instance_bytes(m, n, num_seeds, spec.s_max)
+    assert peak <= instance_bytes(m, n, num_seeds, spec.s_max, budget) <= 2 * peak
 
 
 def _traced_peak(call):
@@ -682,13 +683,16 @@ def test_memory_estimate_bounds_the_split_stages(monkeypatch, budget):
         result, match_peak = _traced_peak(lambda: match_rows(pair.d1, segmented, est, 5.0))
     assert result.status_counts()["ambiguous"] == m
     assert seed_bytes(n, num_seeds, k) < detect_peak <= seed_bytes(n, num_seeds, k, budget)
-    assert match_peak <= match_bytes(m, n, spec.s_max, k, budget)
+    assert match_peak <= match_bytes(m, n, spec.s_max, k)
 
 
 def test_paper_scale_fits_default_cap_at_m_2_16():
     # The matcher's working set is linear in m, so the paper's binary model
-    # at n=60 and 10^4 seeds fits the default cap on one worker at m=2^16.
-    check_memory("m=2^16", _estimated_bytes(2**16, 60, 10_000, 2, 2), DEFAULT_MEMORY_CAP)
+    # at n=60 and 10^4 seeds fits the default cap on one worker at m=2^16,
+    # and at m=2^18 on a budget of 1 or 2.
+    for m, budget in [(2**16, 1), (2**18, 1), (2**18, 2)]:
+        working_set = _estimated_bytes(m, 60, 10_000, 2, 2, budget)
+        check_memory(f"m={m} budget={budget}", working_set, DEFAULT_MEMORY_CAP)
 
 
 def test_render_unknown_format():

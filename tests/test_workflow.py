@@ -11,7 +11,13 @@ import re
 import sys
 from pathlib import Path
 
-from dbalign.experiment import DEFAULT_MEMORY_CAP, ExperimentConfig, _estimated_bytes, check_memory
+from dbalign.experiment import (
+    DEFAULT_MEMORY_CAP,
+    ExperimentConfig,
+    InfeasibleSizeError,
+    _estimated_bytes,
+    check_memory,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
@@ -46,6 +52,32 @@ def test_paper_scale_config_fits_the_default_memory_cap():
         config.m, config.n, config.num_seeds, config.spec.s_max, config.spec.alphabet_size
     )
     check_memory("paper scale", one_trial, DEFAULT_MEMORY_CAP, min(config.workers, config.trials))
+
+
+def _largest_admitted_m(threads):
+    """The largest m whose paper-model trial (binary, n=60, s_max=2, 10^4
+    seeds) the guard admits under the default cap on a budget of
+    ``threads``; the estimate grows with m, so bisection finds it."""
+
+    def admits(m):
+        try:
+            check_memory("m", _estimated_bytes(m, 60, 10_000, 2, 2, threads), DEFAULT_MEMORY_CAP)
+        except InfeasibleSizeError:
+            return False
+        return True
+
+    lo, hi = 1, 1 << 24
+    assert admits(lo) and not admits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admits(mid) else (lo, mid)
+    return lo
+
+
+def test_readme_states_the_largest_admitted_m_at_budgets_1_and_2():
+    readme = (ROOT / "README.md").read_text()
+    for threads in (1, 2):
+        assert f"{_largest_admitted_m(threads):,}" in readme
 
 
 def test_floor_job_pins_the_declared_floors():
