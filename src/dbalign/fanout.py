@@ -11,8 +11,11 @@ the same loop. The budget is thread-local and 1 unless a caller sets it
 with ``budget``; a fan-out's threads start at 1, and a job that sets its
 own may fan out inside it, as an experiment's trial parts do around their
 stages. The parts must not depend on each other's results. Each stage
-allocates its parts' buffers before the fan-out, on the calling thread,
-so that no worker thread grows an allocator arena of its own.
+allocates the buffers sized by a part before the fan-out, on the calling
+thread. Per-chunk and per-tile transients, such as the channel's
+positions and the matcher's candidate lists and recheck chunks, are
+allocated on the worker, whose allocator arena keeps their high-water
+mark.
 """
 
 from __future__ import annotations

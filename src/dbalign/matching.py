@@ -329,8 +329,11 @@ def match_rows(
     m2 = d2.shape[0]
     # Zero-probability cells sit at LOG_ZERO; the clamp below must reach them.
     penalty = -2.0 * (n * (est.joint_entropy + epsilon) + 1.0)
-    if penalty < LOG_ZERO:
-        raise ValueError(f"epsilon {epsilon:g} too large for {n} columns")
+    if not penalty >= LOG_ZERO:  # NaN too: it would silently match no row
+        raise ValueError(
+            f"no finite clamp for {n} columns: the estimate's joint entropy is "
+            f"{est.joint_entropy:g}, epsilon {epsilon:g}"
+        )
     retained = np.flatnonzero(segmented.pattern.s)
     r = retained.size
 

@@ -417,6 +417,7 @@ def sample_instance(
     noisy = apply_channel(d1, pattern, spec, substream(master_seed, *key, ROLE_CHANNEL))
     d2 = np.empty_like(noisy)
     d2[sigma] = noisy
+    del noisy  # before the seeds are drawn
     seeds = generate_seeds(num_seeds, n, pattern, spec, substream(master_seed, *key, ROLE_SEEDS))
     return DatabasePair(d1, d2, sigma, pattern), seeds
 
@@ -426,7 +427,8 @@ def instance_bytes(m: int, n: int, num_seeds: int, s_max: int, threads: int = 1)
 
     Kept: sigma's int64 entries and, for d1 and for g1, the uint8 source
     rows and two uint8 arrays the size of the channel's output (the
-    expanded input and the output; d2 later takes the input's place).
+    expanded input and the output; on d1's side, d2 then takes the
+    input's place until the output is freed, before the seeds are drawn).
     Transient, the larger of: the largest draw's float64 uniforms and
     compare mask, 9 bytes per entry of at most max(m, num_seeds) * n; or
     each channel part's chunk of DRAW_PART entries, one byte each of mask

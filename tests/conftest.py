@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dbalign import ModelSpec
+from dbalign.model import ModelSpec
 
 # Hypothesis imports this module to report a failing example. Where libcst
 # is installed, that import warns about mypy_extensions.TypedDict, and

@@ -12,25 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from dbalign import (
-    ModelSpec,
-    RepetitionPattern,
-    blischke_estimate,
-    capacity,
-    deanonymize,
-    detect_deletions,
-    detect_replicas,
-    from_model_spec,
-    generate_seeds,
-    match_rows,
-    mixture_truth,
-    repetition_table,
-    run_trial,
-    sample_instance,
-    segment,
-    substream,
-)
-from dbalign.experiment import ExperimentConfig, render, run_experiment
+from dbalign.deletions import detect_deletions
+from dbalign.estimation import from_model_spec
+from dbalign.experiment import ExperimentConfig, render, run_experiment, run_trial
+from dbalign.infotheory import capacity, mixture_truth, repetition_table
+from dbalign.matching import deanonymize, match_rows, segment
+from dbalign.model import ModelSpec, RepetitionPattern, generate_seeds, sample_instance, substream
+from dbalign.replicas import blischke_estimate, detect_replicas
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 from oracles import unsupported_x

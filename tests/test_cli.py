@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dbalign
-from dbalign import cli, deanonymize, detect_replicas, running_hamming, sample_instance
+from dbalign import cli
 from dbalign.cli import (
     EXIT_CONFIG,
     EXIT_DETECTION,
@@ -24,6 +24,9 @@ from dbalign.cli import (
 )
 from dbalign.dbio import load_json_object, model_spec_from_dict, model_spec_to_dict, read_matrix, write_matrix
 from dbalign.experiment import CONFIG_FIELDS, CONFIG_KEYS, ExperimentConfig, ExperimentReport
+from dbalign.matching import DEFAULT_EPSILON, deanonymize, estimate_stages
+from dbalign.model import sample_instance
+from dbalign.replicas import detect_replicas, running_hamming
 
 from conftest import bsc_spec, long_run_instance, symmetric_spec
 from oracles import cross_hamming_loop
@@ -240,7 +243,7 @@ def test_detect_replicas_two_rows_exit_code(tmp_path, capsys):
 
 
 def test_detect_deletions_command(tmp_path, capsys):
-    from dbalign import RepetitionPattern, generate_seeds, substream
+    from dbalign.model import RepetitionPattern, generate_seeds, substream
 
     spec = bsc_spec(flip=0.1, p_s=(0.3, 0.7))
     s = np.ones(10, dtype=int)
@@ -268,7 +271,8 @@ def test_detect_deletions_command(tmp_path, capsys):
 def test_detect_deletions_dump_l_is_the_identity_remapping(tmp_path, capsys, monkeypatch):
     # The dump holds the identity remapping's distances, byte for byte; the
     # remappings are enumerated once, by the detection, not for the dump.
-    from dbalign import RepetitionPattern, deletions, generate_seeds, substream
+    from dbalign import deletions
+    from dbalign.model import RepetitionPattern, generate_seeds, substream
 
     calls = []
     enumerate_all = deletions.enumerate_remappings
@@ -350,7 +354,7 @@ def test_detect_deletions_reads_the_replica_free_seed_columns(tmp_path, capsys):
     argv = ["detect-deletions", *_seed_argv(tmp_path, seeds.g1, seeds.g2)]
     dump = tmp_path / "l.csv"
     assert main([*argv, "--dump-l", str(dump)]) == EXIT_OK
-    result = dbalign.estimate_stages(seeds.g2, seeds.g1, seeds.g2, 2)
+    result = estimate_stages(seeds.g2, seeds.g1, seeds.g2, 2)
     assert json.loads(capsys.readouterr().out) == {
         "retained": result.retention.retained.tolist(),
         "deleted": result.retention.deleted.tolist(),
@@ -374,7 +378,7 @@ def test_match_and_config_share_the_epsilon_default():
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ).choices["match"]
     config_default = next(f.default for f, key in CONFIG_FIELDS if key == "epsilon")
-    assert match.get_default("epsilon") == config_default == dbalign.matching.DEFAULT_EPSILON
+    assert match.get_default("epsilon") == config_default == DEFAULT_EPSILON
 
 
 def test_detect_deletions_no_useful_remapping_exit(tmp_path, capsys):
@@ -861,7 +865,8 @@ def test_estimate_recorded_replica_failure_exits_detection(tmp_path, capsys):
 def test_detect_deletions_counts_seeds_once(tmp_path, capsys, monkeypatch, dump):
     # Detection tabulates the seeds once; the dumped distance matrix is read
     # off a tabulation of its own.
-    from dbalign import RepetitionPattern, deletions, generate_seeds, substream
+    from dbalign import deletions
+    from dbalign.model import RepetitionPattern, generate_seeds, substream
 
     calls = []
     build = deletions.cooccurrence

@@ -6,20 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dbalign import (
+from dbalign import deletions, fanout
+from dbalign.deletions import (
+    MAX_REMAP_ALPHABET,
     MisdetectionError,
     NoUsefulRemappingError,
-    RepetitionPattern,
+    SEED_BLOCK,
+    cooccurrence,
     cross_hamming,
     deletion_threshold,
     detect_deletions,
     enumerate_remappings,
-    generate_seeds,
-    mixture_truth,
-    substream,
+    scan_remapping,
 )
-from dbalign import deletions, fanout
-from dbalign.deletions import MAX_REMAP_ALPHABET, SEED_BLOCK, cooccurrence, scan_remapping
+from dbalign.infotheory import mixture_truth
+from dbalign.model import RepetitionPattern, generate_seeds, substream
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 from oracles import (

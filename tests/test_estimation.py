@@ -3,21 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from dbalign import (
-    RepetitionPattern,
+from dbalign.deletions import RetentionResult, cooccurrence, detect_deletions
+from dbalign.estimation import (
     assemble_joint,
-    capacity,
     estimate_from_seeds,
     estimate_p_s,
     estimate_p_y_given_x,
-    entropy,
     from_model_spec,
-    generate_database,
-    generate_seeds,
-    repetition_table,
-    substream,
 )
-from dbalign.deletions import RetentionResult, cooccurrence, detect_deletions
+from dbalign.infotheory import capacity, entropy, repetition_table
+from dbalign.model import RepetitionPattern, generate_database, generate_seeds, substream
 
 from conftest import bsc_spec, noiseless_spec
 from oracles import aligned_pair_counts, unsupported_x

@@ -9,33 +9,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dbalign import (
-    ExperimentConfig,
-    InfeasibleSizeError,
-    detect_deletions,
-    estimate_from_seeds,
-    from_model_spec,
-    match_rows,
-    mixture_truth,
-    run_experiment,
-    sample_instance,
-    segment,
-    wilson_interval,
-)
 from dbalign import deletions, experiment, fanout, matching, model
 from dbalign.cli import main
 from dbalign.dbio import load_json_object
-from dbalign.deletions import MIN_COLUMNS, SEED_BLOCK, THRESHOLD_CONSTANT, seed_bytes
+from dbalign.deletions import MIN_COLUMNS, SEED_BLOCK, THRESHOLD_CONSTANT, detect_deletions, seed_bytes
+from dbalign.estimation import estimate_from_seeds, from_model_spec
 from dbalign.experiment import (
     CSV_COLUMNS,
     DEFAULT_MEMORY_CAP,
+    ExperimentConfig,
+    InfeasibleSizeError,
     _estimated_bytes,
     check_memory,
     estimate_tv_distance,
     render,
+    run_experiment,
+    wilson_interval,
 )
-from dbalign.matching import match_bytes
-from dbalign.model import instance_bytes
+from dbalign.infotheory import mixture_truth
+from dbalign.matching import match_bytes, match_rows, segment
+from dbalign.model import instance_bytes, sample_instance
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 
@@ -775,7 +768,7 @@ def test_infeasible_joint_table_rejected_up_front():
 def test_failed_trials_count_as_full_error():
     # Independent channel: deletion detection cannot work; the harness
     # records the stage and a worst-case row error rather than aborting.
-    from dbalign import ModelSpec
+    from dbalign.model import ModelSpec
 
     config = ExperimentConfig(
         spec=ModelSpec(

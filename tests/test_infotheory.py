@@ -4,8 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from dbalign import ModelSpec, capacity, entropy, mixture_truth, repetition_table
-from dbalign.infotheory import TABLE_LIMIT, check_table_size, repetition_entropies
+from dbalign.infotheory import (
+    TABLE_LIMIT,
+    capacity,
+    check_table_size,
+    entropy,
+    mixture_truth,
+    repetition_entropies,
+    repetition_table,
+)
+from dbalign.model import ModelSpec
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 

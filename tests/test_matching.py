@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -8,25 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dbalign import (
-    ModelSpec,
-    RepetitionPattern,
-    assemble_joint,
-    deanonymize,
-    estimate_stages,
-    from_model_spec,
-    generate_database,
-    match_rows,
-    running_hamming,
-    sample_instance,
-    segment,
-    substream,
-)
 from dbalign import deletions, estimation, fanout, matching, replicas
 from dbalign.deletions import MIN_COLUMNS, RetentionResult
+from dbalign.estimation import assemble_joint, from_model_spec
 from dbalign.infotheory import TABLE_LIMIT
-from dbalign.replicas import dispersion, dispersion_bound
-from dbalign.matching import STATUS_AMBIGUOUS, STATUS_MATCHED, MatchResult
+from dbalign.matching import (
+    MatchResult,
+    STATUS_AMBIGUOUS,
+    STATUS_MATCHED,
+    deanonymize,
+    estimate_stages,
+    match_rows,
+    segment,
+)
+from dbalign.model import ModelSpec, RepetitionPattern, generate_database, sample_instance, substream
+from dbalign.replicas import dispersion, dispersion_bound, running_hamming
 
 from conftest import (
     bsc_spec,
@@ -604,7 +601,7 @@ def test_deanonymize_illustration_instance():
     d1 = generate_database(8, 6, spec, substream(1, 0))
     pattern = RepetitionPattern([1, 2, 1, 0, 1, 1])
     sigma = substream(1, 1).permutation(8)
-    from dbalign import apply_channel, generate_seeds
+    from dbalign.model import apply_channel, generate_seeds
 
     d2 = np.empty((8, pattern.total), dtype=np.uint8)
     d2[sigma] = apply_channel(d1, pattern, spec, substream(1, 2))
@@ -721,6 +718,19 @@ def test_match_rows_rejects_epsilon_past_the_log_zero_clamp():
     for epsilon in (edge * (1 + 1e-9), 1e31, 1e38):
         with pytest.raises(ValueError, match="too large for 9 columns"):
             match_rows(pair.d1, seg, est, epsilon)
+
+
+@pytest.mark.parametrize("joint_entropy", [math.nan, 1e30])
+def test_match_rows_rejects_an_estimate_past_the_log_zero_clamp(joint_entropy):
+    # The input check bounds any plug-in estimate of the input; an estimate
+    # past that bound, or NaN, must raise and name its entropy. With NaN the
+    # clamp never fires and every row would get no typical candidate.
+    spec = bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4))
+    pair, _ = sample_instance(256, 30, 1, spec, master_seed=3)
+    est = dataclasses.replace(from_model_spec(spec), joint_entropy=joint_entropy)
+    message = f"the estimate's joint entropy is {joint_entropy:g}, epsilon 0.3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        match_rows(pair.d1, segment(pair.d2, pair.pattern), est, 0.3)
 
 
 @pytest.mark.parametrize("side, value", [("d1", 0), ("d2", 3), ("g2", 3)])

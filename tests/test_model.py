@@ -7,11 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from dbalign import (
+from dbalign import fanout, model
+from dbalign.dbio import load_json_object, model_spec_from_dict, model_spec_to_dict, read_matrix, write_matrix
+from dbalign.model import (
     DatabasePair,
     ModelSpec,
     RepetitionPattern,
     SeedPair,
+    _draw,
     apply_channel,
     draw_pattern,
     generate_database,
@@ -19,15 +22,6 @@ from dbalign import (
     sample_instance,
     substream,
 )
-from dbalign.dbio import (
-    load_json_object,
-    model_spec_from_dict,
-    model_spec_to_dict,
-    read_matrix,
-    write_matrix,
-)
-from dbalign import fanout, model
-from dbalign.model import _draw
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 from oracles import serial_channel

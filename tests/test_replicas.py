@@ -3,21 +3,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dbalign import (
-    RepetitionPattern,
+from dbalign import replicas
+from dbalign.infotheory import mixture_truth
+from dbalign.model import RepetitionPattern, apply_channel, draw_pattern, generate_database, substream
+from dbalign.replicas import (
     SingleComponentError,
-    apply_channel,
+    _factorial_moments,
     blischke_estimate,
     column_runs,
     detect_replicas,
-    draw_pattern,
-    generate_database,
-    mixture_truth,
+    dispersion,
+    dispersion_bound,
     running_hamming,
-    substream,
 )
-from dbalign import replicas
-from dbalign.replicas import _factorial_moments, dispersion, dispersion_bound
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
 from oracles import ungated_replicas

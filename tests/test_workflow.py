@@ -7,7 +7,9 @@ which do not include a YAML parser.
 import ast
 import importlib
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from dbalign.experiment import (
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
 PYPROJECT = (ROOT / "pyproject.toml").read_text()  # as text: Python 3.10 has no tomllib
+SUBMODULES = {path.stem for path in (ROOT / "src" / "dbalign").glob("*.py")} - {"__init__"}
 
 
 def test_traced_benchmark_loop_names_defined_workloads(monkeypatch):
@@ -120,3 +123,34 @@ def test_fanout_is_the_only_module_that_reaches_blas_through_ctypes():
             if any(name.split(".")[0] == "ctypes" for name in names):
                 users.append(path.name)
     assert users == ["fanout.py"]
+
+
+def test_package_binds_no_name_but_its_version():
+    # One import path per name: the module that defines it. A fresh
+    # interpreter, because any submodule import binds that module here.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import dbalign as d; print('__version__' in vars(d), *(n for n in vars(d) if n[:2] != '__'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True, check=True)
+    assert out.stdout.split() == ["True"]
+
+
+def test_no_name_is_imported_from_the_package_top_level():
+    # In the package itself, `from . import x` is the same statement.
+    found = []
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            top_level = {(0, "dbalign")}
+            if path.parent == ROOT / "src" / "dbalign":
+                top_level.add((1, None))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.ImportFrom) and (node.level, node.module) in top_level:
+                    found += [f"{path.name}: {a.name}" for a in node.names if a.name not in SUBMODULES]
+    assert found == []
+
+
+def test_readme_library_layout_names_every_module():
+    # With the package's top level empty, this table is the index of the API.
+    readme = (ROOT / "README.md").read_text()
+    layout = readme.split("\n## Library layout\n")[1].split("\n## ")[0]
+    assert set(re.findall(r"^\| `dbalign\.(\w+)` \|", layout, flags=re.M)) == SUBMODULES
