@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     except InfeasibleSizeError as exc:
         print(f"infeasible size: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 
+from .deletions import check_symbols
 from .model import MAX_ALPHABET, ModelSpec
 
 MAGIC = b"DBMX"
@@ -23,10 +24,7 @@ def write_matrix(path, mat: np.ndarray) -> None:
     mat = np.asarray(mat)
     if mat.ndim != 2:
         raise ValueError("only 2-D symbol matrices are supported")
-    if mat.dtype.kind not in "iu":
-        raise ValueError(f"symbols must be integers, got dtype {mat.dtype}")
-    if mat.size and (mat.min() < 1 or mat.max() > MAX_ALPHABET):
-        raise ValueError(f"symbols must lie in 1..{MAX_ALPHABET}")
+    check_symbols(MAX_ALPHABET, mat)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, mat.shape[0], mat.shape[1]))
         fh.write(np.ascontiguousarray(mat, dtype=np.uint8).tobytes())

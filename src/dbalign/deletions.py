@@ -91,9 +91,11 @@ def infer_alphabet_size(*mats: np.ndarray) -> int:
 
 
 def check_symbols(alphabet_size: int, *mats: np.ndarray) -> None:
-    """Raise ValueError unless every symbol in every matrix lies in 1..alphabet_size."""
-    for mat in mats:
-        if np.size(mat) and (np.min(mat) < 1 or np.max(mat) > alphabet_size):
+    """Raise ValueError unless every matrix holds integers in 1..alphabet_size."""
+    for mat in map(np.asarray, mats):
+        if mat.dtype.kind not in "iu":
+            raise ValueError(f"symbols must be integers, got dtype {mat.dtype}")
+        if mat.size and (mat.min() < 1 or mat.max() > alphabet_size):
             raise ValueError(f"symbols must lie in 1..{alphabet_size}")
 
 
@@ -281,7 +283,7 @@ def scan_remapping(l: np.ndarray, tau_hat: float) -> np.ndarray | None:
             )
         return None
     rows = np.argmax(outlier, axis=0)
-    if rows.size > 1 and np.any(np.diff(rows) <= 0):
+    if np.any(np.diff(rows) <= 0):
         raise MisdetectionError("outlier rows are not strictly increasing")
     return rows
 

@@ -286,10 +286,10 @@ def _at_least(values: np.ndarray, floor, mask: np.ndarray) -> np.ndarray:
 
 def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> None:
     """Raise ValueError on row-matching input that is bad whatever the
-    estimate: epsilon not a finite positive real (a bool is none), d1 or
-    d2 not 2-D, d1 not n columns wide, unequal row counts, a symbol outside
-    1..alphabet_size, or epsilon past the clamp of `match_rows` for any plug-in estimate of
-    this input, whose n H is at most log2(k) (n + d2's column count)."""
+    estimate: epsilon not a finite positive real (a bool is none), d1 or d2
+    not 2-D, d1 not n columns wide, unequal row counts, a symbol not an
+    integer in 1..alphabet_size, or epsilon past `match_rows`' clamp for
+    any plug-in estimate (whose n H is at most log2(k) (n + d2's width))."""
     if not 0.0 < as_real("epsilon", epsilon) < math.inf:
         raise ValueError("epsilon must be finite and positive")
     if d1.ndim != 2 or d2.ndim != 2:
@@ -449,14 +449,12 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
 
     Every array it holds is linear in m, except the table of distinct
     runs, the tiles of joint scores and the chunks of the float64 recheck.
-    Per row and column of d1 or d2: d1's float64 log-probabilities, its
-    uint8 retained symbols and their 0-based copy, the int32 run codes and
-    two uint8 columns of d2 they are built from, the int64 ids of the runs
-    in the table, and the float64 log2 q_y and baseline cells gathered
-    from it (8 + 2 + 6 + 8 + 16 bytes). Per row also: the float32 GEMM
-    operands, the absolute values that size the screen and the buffer the
-    differences are gathered through ((k - 1) * n + 2 entries each), and
-    a few per-row vectors, the int64 counts and first hits among them.
+    Per row, with w = (k - 1) n + 2 the GEMM width, it peaks in `_screen`
+    with the int64 ids, uint8 ``x_cells`` and float32 ``a``, ``b`` and
+    ``|a|`` alive (9 n + 12 w bytes), or as it gathers the float64 baseline
+    column beside ids, ``x_cells`` and ``a`` (17 n + 4 w). Earlier phases
+    hold less (`_cell_table`'s codes beside the ids 13 n, the log2 q_y
+    gather 16 n) and the tiles no ``|a|``; per-row vectors add 64 bytes.
     Runs of up to s_max copies take sum_{s <= s_max} k^s codes, each with
     a presence flag and an int64 index; each distinct run, at most
     min(m * n, codes) of them, holds its decoded copies, their k
@@ -473,7 +471,8 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     2 * TILE_BYTES.
     """
     k = alphabet_size
-    per_row = (8 + 2 + 6 + 8 + 16) * n + 16 * ((k - 1) * n + 2) + 128
+    w = (k - 1) * n + 2
+    per_row = max(9 * n + 12 * w, 17 * n + 4 * w) + 64
     codes = sum(k**s for s in range(s_max + 1))
     runs = min(m * n, codes)
     table = 9 * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)

@@ -135,12 +135,12 @@ class RepetitionPattern:
     s: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.int64)
-        if s.ndim != 1 or s.size == 0:
+        s = np.asarray(self.s)
+        if s.dtype.kind not in "iu" or s.ndim != 1 or s.size == 0:
             raise ValueError("pattern must be a nonempty 1-D integer vector")
         if np.any(s < 0):
             raise ValueError("repetition counts must be nonnegative")
-        object.__setattr__(self, "s", _frozen(s))
+        object.__setattr__(self, "s", _frozen(s.astype(np.int64, copy=False)))
 
     @property
     def n(self) -> int:

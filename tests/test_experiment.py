@@ -574,14 +574,19 @@ def test_memory_estimate_bounds_the_matcher(spec, m, n):
     [
         (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 3000, 60),
         (bsc_spec(flip=0.1), 4096, 4),
+        (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 120),
+        (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 240),  # wide_repeat's shape
     ],
 )
 def test_memory_estimate_bounds_the_matcher_when_every_pair_is_a_candidate(spec, m, n):
     # At a wide epsilon every score of every tile is a typical candidate,
-    # the matcher's worst case: each tile then lists all of its pairs.
+    # the matcher's worst case: each tile then lists all of its pairs. The
+    # bound counts the matcher's peak phase, so it stays within 2x of the
+    # peak; a reorder of its allocations that moves the peak fails one side
+    # or the other.
     peak, result = _matcher_peak(spec, m, n, 5.0)
     assert result.status_counts()["ambiguous"] == m
-    assert peak <= match_bytes(m, n, spec.s_max, spec.alphabet_size)
+    assert peak <= match_bytes(m, n, spec.s_max, spec.alphabet_size) <= 2 * peak
 
 
 GENERATOR_SIZES = [
@@ -654,7 +659,7 @@ def test_memory_estimate_bounds_the_seed_stages(spec, n, num_seeds):
     _, estimate_peak = _traced_peak(
         lambda: estimate_from_seeds(retention, pair.pattern)
     )
-    assert detect_peak <= seed_bytes(n, num_seeds, k)
+    assert detect_peak <= seed_bytes(n, num_seeds, k) <= 2 * detect_peak
     assert estimate_peak <= seed_bytes(n, num_seeds, k)
 
 
@@ -682,8 +687,8 @@ def test_memory_estimate_bounds_the_split_stages(monkeypatch, budget):
 def test_paper_scale_fits_default_cap_at_m_2_16():
     # The matcher's working set is linear in m, so the paper's binary model
     # at n=60 and 10^4 seeds fits the default cap on one worker at m=2^16,
-    # and at m=2^18 on a budget of 1 or 2.
-    for m, budget in [(2**16, 1), (2**18, 1), (2**18, 2)]:
+    # and at m=2^18 and 2^19 on a budget of 1 or 2.
+    for m, budget in [(2**16, 1), (2**18, 1), (2**18, 2), (2**19, 1), (2**19, 2)]:
         working_set = _estimated_bytes(m, 60, 10_000, 2, 2, budget)
         check_memory(f"m={m} budget={budget}", working_set, DEFAULT_MEMORY_CAP)
 

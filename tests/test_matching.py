@@ -759,7 +759,7 @@ def test_deanonymize_rejects_bad_alphabet_before_a_stage_fails(alphabet_size, me
 
 
 @pytest.mark.parametrize(
-    "bad", ["d1 symbol", "d2 symbol", "epsilon", "d1 width", "epsilon ceiling"]
+    "bad", ["d1 symbol", "d2 symbol", "d1 dtype", "epsilon", "d1 width", "epsilon ceiling"]
 )
 def test_deanonymize_rejects_bad_matcher_input_before_a_stage_fails(bad):
     # Two rows fail replica detection, but input the matcher rejects is bad
@@ -772,6 +772,9 @@ def test_deanonymize_rejects_bad_matcher_input_before_a_stage_fails(bad):
         d1[0, 0] = 7
     elif bad == "d2 symbol":
         d2[0, 0] = 7
+    elif bad == "d1 dtype":
+        # Symbols 1.0 and 2.0 lie in range, but the matcher indexes by them.
+        d1, message = d1.astype(np.float64), "symbols must be integers, got dtype float64"
     elif bad == "epsilon":
         epsilon, message = math.nan, "epsilon must be finite and positive"
     elif bad == "epsilon ceiling":
@@ -791,6 +794,7 @@ BAD_SEEDS = {
     "two original columns": f"at least {MIN_COLUMNS} original columns",
     "1-D d1": "databases must be 2-D",
     "1-D g1": "seed matrices must be 2-D",
+    "float g1": "symbols must be integers, got dtype float64",
 }
 
 
@@ -813,6 +817,9 @@ def test_deanonymize_rejects_bad_seeds_before_any_stage(bad, monkeypatch):
         d1 = d1[0]
     elif bad == "1-D g1":
         g1 = g1[0]
+    elif bad == "float g1":
+        g1 = g1.astype(np.float64)
+        g1[0, 0] = 2.5  # in range, and tabulated as symbol 1 if let through
     stages = []
 
     def spy(module, name):

@@ -43,6 +43,9 @@ def test_spec_validation_rejects_bad_vectors():
         ModelSpec(p_x=np.full(256, 1 / 256), p_y_given_x=np.eye(256), p_s=[1.0])
     with pytest.raises(ValueError, match="repetition counts must be nonnegative"):
         RepetitionPattern(np.array([1, -1]))
+    for s in ([], [[1, 2]], [1.5, 2.7], [True, False], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="pattern must be a nonempty 1-D integer vector"):
+            RepetitionPattern(s)
 
 
 @pytest.mark.parametrize(
