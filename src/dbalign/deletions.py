@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -101,8 +102,9 @@ def check_symbols(alphabet_size: int, *mats: np.ndarray) -> None:
 
 def check_seeds(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> None:
     """Raise ValueError unless g1 and g2 are a seed pair, in this order: both
-    2-D, equal row counts, a seed row, MIN_COLUMNS original columns, every
-    symbol in 1..alphabet_size, and the alphabet within the remapping cap."""
+    2-D, equal row counts, a seed row, MIN_COLUMNS original columns, an
+    integer alphabet size (a bool is none), every symbol in
+    1..alphabet_size, and the alphabet within the remapping cap."""
     if np.ndim(g1) != 2 or np.ndim(g2) != 2:
         raise ValueError("seed matrices must be 2-D")
     num_seeds, n = np.shape(g1)
@@ -112,6 +114,8 @@ def check_seeds(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> None:
         raise ValueError("need at least one seed row")
     if n < MIN_COLUMNS:
         raise ValueError(f"need at least {MIN_COLUMNS} original columns")
+    if isinstance(alphabet_size, bool) or not isinstance(alphabet_size, numbers.Integral):
+        raise ValueError(f"alphabet size must be an integer, got {alphabet_size!r}")
     check_symbols(alphabet_size, g1, g2)
     check_remap_alphabet(alphabet_size)
 

@@ -5,11 +5,11 @@ database's columns into one run per original column by the detected
 repetition pattern, then matches rows by three-part weak typicality: a
 candidate pair is accepted when the joint and both marginal empirical
 log-likelihood rates sit within epsilon of the corresponding plug-in
-entropies, and exactly one candidate survives. A run of s copies takes
-one of k^s values, so the matcher scores each distinct run once, in a
-table indexed by run codes, and gathers every cell from it. Everything
-before matching is one shared stage function, ``estimate_stages``, which
-the CLI also calls.
+entropies, and exactly one candidate survives. The matcher scores each
+distinct run once, in a table indexed by run codes; one generator yields
+the joint scores tile by tile, and the typicality rule reads the tiles
+in any order. Everything before matching is one shared stage function,
+``estimate_stages``, which the CLI also calls.
 """
 
 from __future__ import annotations
@@ -267,11 +267,9 @@ def _at_least(values: np.ndarray, floor, mask: np.ndarray) -> np.ndarray:
     up to whole 8-byte words. Few entries reach the floor: a uint64 view
     finds the nonzero words, an eighth as many, and only those are
     searched byte by byte. On numpy 2.4.6 (2-core Xeon) a call took 31 us
-    against 42 for ``np.flatnonzero`` of the same compare on a 64 x 4096
-    tile, 38 against 48 on 256 x 1024. End to end, ``wide_repeat`` (two
-    trials at once) read 4-5% slower with flatnonzero in one set of 3
-    alternating pairs and 2% faster in another, both inside its pair
-    noise, for causes not verified: judge a swap by benchmark pairs.
+    against 42 for ``np.flatnonzero`` on a 64 x 4096 tile, 38 against 48
+    on 256 x 1024; end to end the two read within pair noise (README), so
+    judge a swap by benchmark pairs.
     """
     size = values.size
     padded = -(-size // 8) * 8
@@ -282,6 +280,22 @@ def _at_least(values: np.ndarray, floor, mask: np.ndarray) -> np.ndarray:
     flat = 8 * nonzero[word]
     flat += byte
     return flat
+
+
+def _tiles(a: np.ndarray, b: np.ndarray, span: tuple[int, int], rows: int, tile: np.ndarray):
+    """Yield ``(l0, c0, scores)``, scores[l - l0, i - c0] = (a @ b)[l, i], for
+    every block of up to ``rows`` of the rows ``span`` and ``MATCH_PART``
+    columns of ``b``: one float32 GEMM into a C-contiguous prefix of ``tile``
+    (a strided out= is written through a copy), overwritten by the next."""
+    p0, p1 = span
+    m1 = b.shape[1]
+    for l0 in range(p0, p1, rows):
+        l1 = min(l0 + rows, p1)
+        for c0 in range(0, m1, MATCH_PART):
+            width = min(MATCH_PART, m1 - c0)
+            scores = tile[: (l1 - l0) * width].reshape(l1 - l0, width)
+            np.matmul(a[l0:l1], b[:, c0 : c0 + width], out=scores)
+            yield l0, c0, scores
 
 
 def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> None:
@@ -320,13 +334,15 @@ def match_rows(
     Joint typicality is screened in float32 (``_screen``, whose docstring
     proves the bounds) and decided in float64: hits within a row's
     rounding band of n epsilon are recomputed from the float64 cells.
-    Each distinct run of d2 is scored once (``_cell_table``); a run too
-    long to tabulate (``infotheory.check_table_size``) raises ValueError.
+    Any order of ``_tiles``' score tiles gives the same decisions. Each
+    distinct run of d2 is scored once (``_cell_table``); a run too long
+    to tabulate (``infotheory.check_table_size``) raises ValueError.
     """
     d1, d2, k = np.asarray(d1), segmented.d2, est.alphabet_size
     _check_match_input(d1, d2, segmented.n, k, epsilon)
-    m1, n = d1.shape
-    m2 = d2.shape[0]
+    # Symbols lie in 1..k now: the least unsigned type holding k reads them.
+    d1, d2 = (mat.astype(np.min_scalar_type(k), copy=False) for mat in (d1, d2))
+    (m1, n), m2 = d1.shape, d2.shape[0]
     # Zero-probability cells sit at LOG_ZERO; the clamp below must reach them.
     penalty = -2.0 * (n * (est.joint_entropy + epsilon) + 1.0)
     if not penalty >= LOG_ZERO:  # NaN too: it would silently match no row
@@ -335,7 +351,6 @@ def match_rows(
             f"{est.joint_entropy:g}, epsilon {epsilon:g}"
         )
     retained = np.flatnonzero(segmented.pattern.s)
-    r = retained.size
 
     # X-marginal deviation: depends on the anonymized row only. A zero in
     # front of the log-probabilities lets d1's symbols 1..k index them.
@@ -348,8 +363,6 @@ def match_rows(
     # retained cells; the copies are conditionally independent given x,
     # and the runs tile d2's columns in order. An erasure is certain
     # whatever x is, so it adds nothing to the joint or Y log-likelihood.
-    # A run of s copies takes one of k^s values, so each distinct run is
-    # scored once and every cell is gathered from its table column.
     log_channel = np.zeros((k, k + 1))
     log_channel[:, 1:] = _safe_log2(est.p_y_given_x)
     table, ids = _cell_table(
@@ -373,65 +386,51 @@ def match_rows(
     x_cells = d1[:, retained] - 1  # 0-based, in d1's own dtype
     a, b, lo, hi = _screen(table, ids, dev_y <= epsilon, x_cells, offset, bound)
 
-    # Each tile takes one float32 GEMM and one one-sided compare. A pair
-    # the float64 rule finds typical has S32 >= -hi[l] >= -max(hi) over
-    # the tile's rows, so every pair below that floor is atypical, and so
-    # is every NaN score, which never compares >=. The candidates left
-    # are decided one by one: typical up to lo, recomputed in float64
-    # from the table in the band lo < |S32| <= hi (at most TILE_BYTES of
-    # gathered cells at a time), and atypical beyond it, which includes
-    # scores above +n eps. A repeated row's count saturates at 2: status
-    # needs no, one or several hits. The count and the first hit are all
-    # that outlive the tile.
-    #
-    # The repeated rows split into contiguous parts over the calling
-    # thread's budget (fanout.parts), each row decided on one thread into
-    # the shared counts and first hits. A part walks d1 in column tiles
-    # MATCH_PART wide, in order, so a row's first hit is in its first tile
-    # with one. Each GEMM writes a C-contiguous prefix of the part's tile,
-    # allocated here (a strided out= is written through a copy). All the
+    # One one-sided compare per tile. A pair the float64 rule finds typical
+    # has S32 >= -hi[l] >= -max(hi) over the tile's rows, so every pair
+    # below that floor is atypical, as is every NaN score (never >=). The
+    # rest are typical up to lo, decided by `recheck` in the band
+    # lo < |S32| <= hi, and atypical beyond it (scores above +n eps too).
+    # A row's hit count and one of its hits outlive the tile; the hit is
+    # read only where the count is 1, so tiles may come in any order. The
+    # repeated rows split into contiguous parts over the thread budget
+    # (fanout.parts), each row decided on one thread; all the parts'
     # tiles and recheck chunks share one TILE_BYTES.
     spans = fanout.parts(m2, MATCH_PART)
     rows = max(1, TILE_BYTES // (8 * MATCH_PART * len(spans)))
-    chunk = max(1, TILE_BYTES // (16 * (r + 3) * len(spans)))
-    counts, first = np.zeros((2, m2), dtype=np.intp)
+    chunk = max(1, TILE_BYTES // (16 * (retained.size + 3) * len(spans)))
+    counts, any_hit = np.zeros((2, m2), dtype=np.intp)
     sizes = [min(rows, p1 - p0) * MATCH_PART for p0, p1 in spans]
-    tiles = [(np.empty(size, np.float32), np.empty(-(-size // 8) * 8, bool)) for size in sizes]
+    buffers = [(np.empty(size, np.float32), np.empty(-(-size // 8) * 8, bool)) for size in sizes]
 
-    def tile_loop(j):
-        (p0, p1), (tile, mask) = spans[j], tiles[j]
-        for l0 in range(p0, p1, rows):
-            l1 = min(l0 + rows, p1)
-            floor = -hi[l0:l1].max()
-            for c0 in range(0, m1, MATCH_PART):
-                width = min(MATCH_PART, m1 - c0)
-                scores = tile[: (l1 - l0) * width].reshape(l1 - l0, width)
-                np.matmul(a[l0:l1], b[:, c0 : c0 + width], out=scores)
-                l, i = np.divmod(_at_least(scores.ravel(), floor, mask), width)
-                magnitude = np.abs(scores[l, i])
-                l += l0
-                i += c0
-                hit = magnitude <= lo[l]
-                recheck = np.flatnonzero(np.not_equal(magnitude <= hi[l], hit))
-                for c in range(0, recheck.size, chunk):
-                    at = recheck[c : c + chunk]
-                    pl, pi = l[at], i[at]
-                    pair_cells = table[x_cells[pi], ids[pl]]
-                    hit[at] = np.abs(pair_cells.sum(axis=1) + offset[pi]) <= bound
-                del magnitude, recheck  # match_bytes counts them only until here
-                l = l[hit]
-                i = i[hit]
-                # l is sorted, so each row's hits start at its running total.
-                num = np.bincount(l - l0, minlength=l1 - l0)
-                seen = counts[l0:l1]
-                found = (num > 0) & (seen == 0)
-                first[l0:l1][found] = i[(np.cumsum(num) - num)[found]]
-                np.minimum(seen + num, 2, out=seen)
-                del l, i, hit  # nothing per candidate outlives its tile
+    def recheck(l, i, band, hit):
+        """Decide the pairs (l, i)[band] in float64 into ``hit``, ``chunk`` at a time."""
+        for c in range(0, band.size, chunk):
+            at = band[c : c + chunk]
+            pl, pi = l[at], i[at]
+            hit[at] = np.abs(table[x_cells[pi], ids[pl]].sum(axis=1) + offset[pi]) <= bound
 
-    fanout.fan_out(tile_loop, range(len(spans)))
+    def typicality(j):
+        tile, mask = buffers[j]
+        for l0, c0, scores in _tiles(a, b, spans[j], rows, tile):
+            height, width = scores.shape
+            floor = -hi[l0 : l0 + height].max()
+            l, i = np.divmod(_at_least(scores.ravel(), floor, mask), width)
+            magnitude = np.abs(scores[l, i])
+            l += l0
+            i += c0
+            hit = magnitude <= lo[l]
+            band = np.flatnonzero(np.not_equal(magnitude <= hi[l], hit))
+            del magnitude  # match_bytes counts it only until here
+            recheck(l, i, band, hit)
+            l = l[hit]
+            any_hit[l] = i[hit]
+            counts[l0 : l0 + height] += np.bincount(l - l0, minlength=height)
+            del l, i, hit, band  # nothing per candidate outlives its tile
+
+    fanout.fan_out(typicality, range(len(spans)))
     unique = counts == 1
-    assigned = np.where(unique, first, -1)
+    assigned = np.where(unique, any_hit, -1)
     status = np.where(
         unique, STATUS_MATCHED, np.where(counts == 0, STATUS_NO_CANDIDATE, STATUS_AMBIGUOUS)
     ).astype(np.int8)

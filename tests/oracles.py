@@ -257,3 +257,16 @@ def serial_channel(d1, pattern, spec, rng):
     if written != expanded.size:
         raise ValueError(f"d1 symbols must lie in 1..{spec.alphabet_size}")
     return noisy
+
+
+def markov_rows(m, n, p_x, rho, rng):
+    """An m x n uint8 matrix whose rows are Markov chains off the i.i.d.
+    model: each entry after the first repeats the one before it with
+    probability rho and is otherwise fresh from p_x, so every entry's
+    marginal stays p_x."""
+    symbols = np.arange(1, len(p_x) + 1, dtype=np.uint8)
+    rows = rng.choice(symbols, size=(m, n), p=p_x)
+    repeat = rng.random((m, n)) < rho
+    for j in range(1, n):
+        rows[repeat[:, j], j] = rows[repeat[:, j], j - 1]
+    return rows

@@ -22,7 +22,15 @@ from dbalign.matching import (
     match_rows,
     segment,
 )
-from dbalign.model import ModelSpec, RepetitionPattern, generate_database, sample_instance, substream
+from dbalign.model import (
+    ModelSpec,
+    RepetitionPattern,
+    apply_channel,
+    draw_pattern,
+    generate_database,
+    sample_instance,
+    substream,
+)
 from dbalign.replicas import dispersion, dispersion_bound, running_hamming
 
 from conftest import (
@@ -36,6 +44,7 @@ from oracles import (
     ERASURE,
     cell,
     dense_match_rows,
+    markov_rows,
     reduceat_cells,
     row_cells,
     typicality_deviation,
@@ -277,6 +286,34 @@ def test_oracle_examples_reach_every_case():
         matched += int((dense.status == STATUS_MATCHED).sum())
     assert x_atypical and y_atypical and matched
     assert most_candidates >= 3
+
+
+@pytest.mark.parametrize(
+    "ex", [*ORACLE_EXAMPLES, dict(case="long_runs", seed=0, m=16, n=8, epsilon=0.5)]
+)
+def test_match_rows_decides_the_same_whatever_order_the_tiles_come_in(ex, monkeypatch):
+    # The rule keeps a count and one hit per repeated row, so a part's
+    # tiles may come in any order. Tiles at most 2 rows high, 3 columns wide,
+    # give each part several row blocks and column tiles to reverse.
+    pair, seg, est = _oracle_instance(ex["case"], ex["seed"], ex["m"], ex["n"])
+    dense = dense_match_rows(pair.d1, seg, est, ex["epsilon"])
+    monkeypatch.setattr(matching, "TILE_BYTES", 8 * 3 * 2)
+    monkeypatch.setattr(matching, "MATCH_PART", 3)
+    in_order = matching._tiles
+
+    def reversed_tiles(*args):
+        # _tiles writes every tile into one buffer, so each is copied.
+        return reversed([(l0, c0, scores.copy()) for l0, c0, scores in in_order(*args)])
+
+    for budget in (1, 2, 3):
+        with fanout.budget(budget):
+            forward = match_rows(pair.d1, seg, est, ex["epsilon"])
+            with monkeypatch.context() as mp:
+                mp.setattr(matching, "_tiles", reversed_tiles)
+                backward = match_rows(pair.d1, seg, est, ex["epsilon"])
+        for result in (forward, backward):
+            assert np.array_equal(result.assigned, dense.assigned)
+            assert np.array_equal(result.status, dense.status)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -660,6 +697,43 @@ def test_deanonymize_records_stage_failure():
     assert result.is_replica is not None  # earlier stage completed
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64, np.uint64])
+def test_deanonymize_matches_every_integer_dtype_as_uint8(dtype):
+    # check_symbols admits any integer dtype, so every stage must read it.
+    pair, seeds = sample_instance(512, 30, 1000, bsc_spec(p_s=(0.1, 0.5, 0.4)), master_seed=1)
+    mats = (pair.d1, pair.d2, seeds.g1, seeds.g2)
+    want = deanonymize(*mats, alphabet_size=2, epsilon=0.3)
+    got = deanonymize(*(mat.astype(dtype) for mat in mats), alphabet_size=2, epsilon=0.3)
+    assert want.ok and got.ok
+    assert np.array_equal(got.pattern.s, want.pattern.s)
+    assert np.array_equal(got.match.assigned, want.match.assigned)
+    assert np.array_equal(got.match.status, want.match.status)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [bsc_spec(p_s=(0.1, 0.5, 0.4)), symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2))],
+    ids=["bsc", "ternary"],
+)
+def test_deanonymize_is_never_silent_on_markov_rows(spec):
+    # Off the i.i.d. model (rows of d1 and g1 are Markov chains with p_x
+    # as marginal), a trial recovers the true pattern or records a failed
+    # stage. The grid spans both: exact at rho = 0, loud at rho = 0.9.
+    m, n, num_seeds = 512, 60, 10_000
+    outcomes = {}
+    for rho, draw in itertools.product((0.0, 0.2, 0.4, 0.6, 0.8, 0.9), range(3)):
+        rng = substream(draw, round(10 * rho))
+        pattern = draw_pattern(n, spec, rng)
+        d1 = markov_rows(m, n, spec.p_x, rho, rng)
+        d2 = apply_channel(d1, pattern, spec, rng)[rng.permutation(m)]
+        g1 = markov_rows(num_seeds, n, spec.p_x, rho, rng)
+        g2 = apply_channel(g1, pattern, spec, rng)
+        result = deanonymize(d1, d2, g1, g2, spec.alphabet_size, epsilon=0.3)
+        assert not result.ok or np.array_equal(result.pattern.s, pattern.s), (rho, draw)
+        outcomes.setdefault(rho, set()).add(result.ok)
+    assert outcomes[0.0] == {True} and outcomes[0.9] == {False}
+
+
 def test_deanonymize_pattern_sum_invariant():
     spec = bsc_spec(flip=0.05, p_s=(0.2, 0.5, 0.3))
     for seed in range(5):
@@ -747,7 +821,14 @@ def test_deanonymize_rejects_symbols_outside_alphabet(side, value):
 
 @pytest.mark.parametrize(
     "alphabet_size, message",
-    [(0, "symbols must lie in 1..0"), (-1, "symbols must lie in 1..-1"), (9, "exceeds remapping cap 8")],
+    [
+        (0, "symbols must lie in 1..0"),
+        (-1, "symbols must lie in 1..-1"),
+        (9, "exceeds remapping cap 8"),
+        (2.0, "alphabet size must be an integer, got 2.0"),
+        (2.5, "alphabet size must be an integer, got 2.5"),
+        (True, "alphabet size must be an integer, got True"),
+    ],
 )
 def test_deanonymize_rejects_bad_alphabet_before_a_stage_fails(alphabet_size, message):
     # Two rows fail replica detection, but a bad alphabet is bad input and
