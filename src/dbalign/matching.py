@@ -220,18 +220,21 @@ def _screen(
     offset row.
 
     Soundness, with u = 2^-24 and gamma_j = j u / (1 - j u): let
-    T_l = sum_t |a[l, t]| (t < w - 1) + max_i |offset[i]|. Every product
-    in row l's dot products is bounded by these terms, so a float32 GEMM
-    in any summation order is within gamma_w T_l of the exact product of
-    the float32 operands (Higham, Theorem 3.1). Rounding the operands to
-    float32 moves the exact value by at most gamma_2 T_l, and T_l itself
-    is taken from the rounded operands. Since each cell is <= 0,
-    sum_j |cells[l, x_ij, j]| <= |base_l| + sum of |differences|, so the
-    float64 score, summed either way, is within 2 gamma'_{r+1} T_l of the
-    exact one, with gamma' in float64 units: less than u T_l for
-    r < 2^28. Hence |S32 - S64| <= delta_l = gamma_{w+4} T_l, and with
-    ``hi`` = bound + delta_l and ``lo`` = bound - delta_l each rounded one
-    float32 step outward (a step exceeds the float64 rounding of the sum):
+    T_l = sum_t |a[l, t]| (t < w - 1) + max_i |offset[i]|, summed as ``a``
+    is built: each run's |differences| once, gathered by ``ids``. Every
+    product in row l's dot products is bounded by these terms, so a
+    float32 GEMM in any summation order is within gamma_w T_l of the
+    exact product of the float32 operands (Higham, Theorem 3.1). Rounding
+    the operands to float32 moves the exact value by at most gamma_2 T_l,
+    and T_l itself is taken from the rounded operands. Since each cell is
+    <= 0, sum_j |cells[l, x_ij, j]| <= |base_l| + sum of |differences|, so
+    the float64 score, summed either way, is within 2 gamma'_{r+1} T_l of
+    the exact one, with gamma' in float64 units: less than u T_l for
+    r < 2^28. That is gamma_{w+3} T_l in all; T_l is summed in float64 at
+    most w additions deep, in any order, and the margin's last u covers
+    that rounding for w < 2^25. Hence |S32 - S64| <= delta_l = gamma_{w+4} T_l,
+    and with ``hi`` = bound + delta_l and ``lo`` = bound - delta_l each rounded
+    one float32 step outward (a step exceeds the float64 rounding of the sum):
       - |S64| <= bound implies |S32| <= hi: the screen keeps every pair
         the float64 formula finds typical;
       - |S32| <= lo implies |S64| <= bound: those hits need no recheck.
@@ -241,10 +244,14 @@ def _screen(
     m2, r = ids.shape
     m1 = x_cells.shape[0]
     w = (k - 1) * r + 2
-    a = np.empty((m2, w), dtype=np.float32)
+    baseline = table[0].take(ids).sum(axis=1).astype(np.float32)
     differences = (table[1:] - table[:1]).astype(np.float32)
+    scale = np.abs(differences).sum(axis=0, dtype=np.float64).take(ids).sum(axis=1)
+    scale += np.abs(baseline)
+    scale += np.fmax.reduce(np.abs(offset), initial=0.0)  # NaN marks skipped
+    a = np.empty((m2, w), dtype=np.float32)
     np.take(differences, ids, axis=1, out=a[:, : w - 2].reshape(m2, k - 1, r).transpose(1, 0, 2))
-    a[:, w - 2] = table[0].take(ids).sum(axis=1)
+    a[:, w - 2] = baseline
     a[:, w - 1] = np.where(y_typical, 1.0, np.nan)
     b = np.empty((w, m1), dtype=np.float32)
     symbols = np.arange(1, k, dtype=x_cells.dtype)
@@ -252,8 +259,6 @@ def _screen(
     b[w - 2] = 1.0
     b[w - 1] = offset
 
-    scale = np.abs(a[:, : w - 1]).sum(axis=1, dtype=np.float64)
-    scale += np.fmax.reduce(np.abs(offset), initial=0.0)  # NaN marks skipped
     slack = scale * ((w + 4) * _F32_UNIT / (1.0 - (w + 4) * _F32_UNIT))
     hi = np.nextafter((bound + slack).astype(np.float32), np.float32(np.inf))
     lo = np.nextafter((bound - slack).astype(np.float32), np.float32(-np.inf))
@@ -446,32 +451,27 @@ def match_rows(
 def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     """Upper bound on `match_rows`' working set at m rows, on any thread budget.
 
-    Every array it holds is linear in m, except the table of distinct
-    runs, the tiles of joint scores and the chunks of the float64 recheck.
-    Per row, with w = (k - 1) n + 2 the GEMM width, it peaks in `_screen`
-    with the int64 ids, uint8 ``x_cells`` and float32 ``a``, ``b`` and
-    ``|a|`` alive (9 n + 12 w bytes), or as it gathers the float64 baseline
-    column beside ids, ``x_cells`` and ``a`` (17 n + 4 w). Earlier phases
-    hold less (`_cell_table`'s codes beside the ids 13 n, the log2 q_y
-    gather 16 n) and the tiles no ``|a|``; per-row vectors add 64 bytes.
-    Runs of up to s_max copies take sum_{s <= s_max} k^s codes, each with
-    a presence flag and an int64 index; each distinct run, at most
-    min(m * n, codes) of them, holds its decoded copies, their k
-    log-likelihoods each, its k cells and their exp2, and a few scalars.
-    The tiles of all row parts, MATCH_PART columns wide, share TILE_BYTES
-    or are one row high in at most m / MATCH_PART parts, so they hold at
-    most max(TILE_BYTES // 8, m) float32 scores and their bool masks
-    between them. At worst every score is a candidate, so per score the
-    tiles also hold, at once, the candidate's int64 row and column,
-    its float32 |S32|, two bool masks, and the int64 index of the band to
-    recheck; the search for candidates holds less, an int64 flat index
-    and the two int64 halves it is built from. The recheck chunks of all
-    parts hold at most 17 bytes per gathered cell between them, under
-    2 * TILE_BYTES.
+    Every array it holds is linear in m, except the table of distinct runs, the
+    tiles of joint scores and the chunks of the float64 recheck. Per row it
+    peaks in one phase: the int64 ids and uint8 ``x_cells`` (9 n bytes) beside a
+    float64 gather by ids (8 n) or, once `_screen` has gathered, its float32
+    ``a`` and ``b`` (8 w at the GEMM width w = (k - 1) n + 2); per-row vectors
+    add 64 bytes. Runs of up to s_max copies take sum_{s <= s_max} k^s codes,
+    each with a presence flag and an int64 index; each distinct run, at most
+    min(m * n, codes) of them, holds its decoded copies, their k log-likelihoods
+    each, its k cells and their exp2, and a few scalars. The tiles of all row
+    parts, MATCH_PART columns wide, share TILE_BYTES or are one row high in at
+    most m / MATCH_PART parts, so they hold at most max(TILE_BYTES // 8, m)
+    float32 scores and their bool masks between them. At worst every score is a
+    candidate, so per score the tiles also hold, at once, the candidate's int64
+    row and column, its float32 |S32|, two bool masks and the int64 index of the
+    band to recheck; the search for candidates holds less, an int64 flat index
+    and the two int64 halves it is built from. The recheck chunks of all parts
+    hold at most 17 bytes per gathered cell between them, under 2 * TILE_BYTES.
     """
     k = alphabet_size
     w = (k - 1) * n + 2
-    per_row = max(9 * n + 12 * w, 17 * n + 4 * w) + 64
+    per_row = 9 * n + 8 * max(n, w) + 64
     codes = sum(k**s for s in range(s_max + 1))
     runs = min(m * n, codes)
     table = 9 * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)

@@ -238,6 +238,33 @@ def dense_match_rows(d1, segmented, est, epsilon):
     return MatchResult(assigned=assigned, status=status)
 
 
+def full_width_screen(table, ids, y_typical, x_cells, offset, bound):
+    """Reference screen: ``matching._screen``'s operands, built from the
+    gathered cells, and its bounds from each row's rounding scale summed
+    over the full width of ``a``: T_l = sum_t |a[l, t]| (t < w - 1) plus
+    the largest finite |offset|, slack gamma_{w+4} T_l with u = 2^-24."""
+    k = table.shape[0]
+    m2, r = ids.shape
+    w = (k - 1) * r + 2
+    cells = table[:, ids]  # cells[x, l, j]
+    differences = (cells[1:] - cells[:1]).astype(np.float32)  # [x - 1, l, j]
+    a = np.empty((m2, w), dtype=np.float32)
+    a[:, : w - 2] = differences.transpose(1, 0, 2).reshape(m2, w - 2)
+    a[:, w - 2] = cells[0].sum(axis=1)
+    a[:, w - 1] = np.where(y_typical, 1.0, np.nan)
+    onehot = x_cells.T == np.arange(1, k)[:, None, None]  # [x - 1, j, i]
+    rows = [onehot.reshape(w - 2, x_cells.shape[0]), np.ones_like(offset), offset]
+    b = np.vstack(rows).astype(np.float32)
+
+    scale = np.abs(a[:, : w - 1]).sum(axis=1, dtype=np.float64)
+    scale += np.fmax.reduce(np.abs(offset), initial=0.0)
+    u = 2.0**-24
+    slack = scale * ((w + 4) * u / (1.0 - (w + 4) * u))
+    hi = np.nextafter((bound + slack).astype(np.float32), np.float32(np.inf))
+    lo = np.nextafter((bound - slack).astype(np.float32), np.float32(-np.inf))
+    return a, b, lo, hi
+
+
 def serial_channel(d1, pattern, spec, rng):
     """Reference channel: one loop over the input symbols on one stream.
 

@@ -26,7 +26,7 @@ from dbalign.experiment import (
     run_experiment,
     wilson_interval,
 )
-from dbalign.infotheory import mixture_truth
+from dbalign.infotheory import capacity, mixture_truth
 from dbalign.matching import match_bytes, match_rows, segment
 from dbalign.model import instance_bytes, sample_instance
 
@@ -560,6 +560,9 @@ def _matcher_peak(spec, m, n, epsilon):
         (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 120),
         (bsc_spec(flip=0.1), 4096, 4),  # narrow: the score tile dominates
         (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 240),  # wide_repeat's shape
+        # one symbol: the GEMM is 2 wide, so a float64 gather by ids is the
+        # largest per-row array
+        (noiseless_spec(size=1, p_s=(0.1, 0.5, 0.4), p_x=[1.0]), 4096, 60),
     ],
 )
 def test_memory_estimate_bounds_the_matcher(spec, m, n):
@@ -576,6 +579,7 @@ def test_memory_estimate_bounds_the_matcher(spec, m, n):
         (bsc_spec(flip=0.1), 4096, 4),
         (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 120),
         (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 240),  # wide_repeat's shape
+        (symmetric_spec(5, 0.6, (0.1, 0.4, 0.3, 0.2)), 2048, 60),
     ],
 )
 def test_memory_estimate_bounds_the_matcher_when_every_pair_is_a_candidate(spec, m, n):
@@ -587,6 +591,37 @@ def test_memory_estimate_bounds_the_matcher_when_every_pair_is_a_candidate(spec,
     peak, result = _matcher_peak(spec, m, n, 5.0)
     assert result.status_counts()["ambiguous"] == m
     assert peak <= match_bytes(m, n, spec.s_max, spec.alphabet_size) <= 2 * peak
+
+
+def _screen_arguments(spec, m, n):
+    """The arguments `match_rows` passes `_screen` on a sampled instance."""
+    pair, _ = sample_instance(m, n, 1, spec, master_seed=7)
+    calls, screen = [], matching._screen
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "_screen", lambda *args: calls.append(args) or screen(*args))
+        match_rows(pair.d1, segment(pair.d2, pair.pattern), from_model_spec(spec), 0.3)
+    (args,) = calls
+    return args
+
+
+@pytest.mark.parametrize(
+    "spec, m, n",
+    [
+        (bsc_spec(flip=0.1, p_s=(0.1, 0.5, 0.4)), 4096, 60),  # the paper model
+        (symmetric_spec(3, 0.8, (0.1, 0.4, 0.3, 0.2)), 2048, 240),  # wide_repeat's shape
+        (symmetric_spec(5, 0.6, (0.1, 0.4, 0.3, 0.2)), 2048, 60),
+    ],
+)
+def test_screen_holds_nothing_per_row_beyond_its_operands(spec, m, n):
+    # The screen sums each row's rounding scale once per distinct run and
+    # gathers it by ids before it allocates its operands, so it holds no
+    # array of the GEMM's width besides ``a`` and ``b``: above its inputs it
+    # peaks at the larger of the operands and one float64 gather by ids,
+    # plus per-row vectors and a few arrays the size of the run table.
+    args = _screen_arguments(spec, m, n)
+    table, ids = args[:2]
+    (a, b, _, _), peak = _traced_peak(lambda: matching._screen(*args))
+    assert peak <= max(a.nbytes + b.nbytes, 8 * ids.size) + 64 * m + 2 * table.nbytes
 
 
 GENERATOR_SIZES = [
@@ -880,6 +915,33 @@ def test_seed_size_report_is_reproduced_by_its_config(tmp_path):
     truth = mixture_truth(config.spec)
     predicted = THRESHOLD_CONSTANT ** 3 * math.log2(config.n) / abs(truth.q0 - truth.q1) ** 3
     assert round(predicted) == 738
+
+
+@pytest.mark.parametrize(
+    "m, row_error",
+    [(1024, [0.034, 0.381, 0.644, 0.928, 1, 1]), (4096, [0.025, 0.259, 0.867, 0.996, 1, 1])],
+)
+def test_phase_transition_report_is_reproduced_by_its_config(tmp_path, m, row_error):
+    # The capacity phase transition as one n sweep per m on BSC(0.1)
+    # without repetitions, at R/C near 0.4, 0.6, 0.8, 1.0, 1.2 and 1.5: the
+    # mean row error climbs from a few percent to 1, and steeper at the
+    # larger m. The m=2^14 config beside these takes about 20 s and is not
+    # re-run here.
+    name = f"phase_bsc_m{m}"
+    out = tmp_path / f"{name}.csv"
+    argv = ["experiment", "--config", str(EXPERIMENTS / f"{name}.json"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (EXPERIMENTS / f"{name}.csv").read_bytes()
+    by_n = {}
+    for row in csv.DictReader(out.read_text().splitlines()):
+        by_n.setdefault(int(row["n"]), []).append(row)
+    config = ExperimentConfig.from_dict(load_json_object(EXPERIMENTS / f"{name}.json"))
+    c = capacity(config.spec).capacity
+    assert {row["capacity"] for rows in by_n.values() for row in rows} == {repr(c)}
+    ratios = [math.log2(m) / n / c for n in by_n]
+    assert ratios == pytest.approx([0.4, 0.6, 0.8, 1.0, 1.2, 1.5], abs=0.06)
+    errors = [np.mean([float(row["row_error_rate"]) for row in rows]) for rows in by_n.values()]
+    assert [round(e, 3) for e in errors] == row_error
 
 
 @pytest.mark.parametrize(

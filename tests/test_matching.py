@@ -44,6 +44,7 @@ from oracles import (
     ERASURE,
     cell,
     dense_match_rows,
+    full_width_screen,
     markov_rows,
     reduceat_cells,
     row_cells,
@@ -398,6 +399,49 @@ def test_screen_keeps_every_pair_typical_in_float64(k, r, epsilon, steered, seed
     assert typical[screened <= lo[:, None]].all()
     near = np.abs(np.abs(s64[steered]) - bound) <= 3.5 * ulp
     assert near[~np.isnan(offset)].all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    k=st.integers(1, 8),
+    lengths=st.lists(st.integers(1, 4), min_size=1, max_size=40),
+    m=st.integers(1, 30),
+    skipped=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 10_000),
+)
+@example(k=1, lengths=[1], m=1, skipped=1.0, seed=0)
+@example(k=8, lengths=[4] * 40, m=30, skipped=0.3, seed=0)
+def test_screen_scale_summed_per_run_matches_the_full_width_sum(k, lengths, m, skipped, seed):
+    # The screen sums each row's rounding scale once per distinct run and
+    # gathers it by ids; the reference sums it over each row of ``a``. The
+    # two sums differ only in float64 rounding, so the bounds agree to one
+    # float32 step, and the operands bit for bit. Runs of up to 4 copies
+    # repeat across rows; ``skipped`` is the share of NaN offsets.
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    n = lengths.size
+    d2 = rng.integers(1, k + 1, size=(m, lengths.sum()), dtype=np.uint8)
+    channel = rng.uniform(size=(k, k))
+    channel[channel < 0.1] = 0.0
+    log_channel = np.zeros((k, k + 1))
+    log_channel[:, 1:] = matching._safe_log2(channel)
+    table, ids = matching._cell_table(d2, np.cumsum(lengths) - lengths, lengths, log_channel)
+    np.maximum(table, -2.0 * (n * (math.log2(k) + 1.0) + 1.0), out=table)  # match_rows' clamp
+    x_cells = rng.integers(0, k, size=(m, n), dtype=np.uint8)
+    offset = rng.uniform(-2.0 * n, n, size=m)
+    offset[rng.random(m) < skipped] = np.nan
+    y_typical = rng.random(m) < 0.9
+    bound = 0.3 * n
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b, lo, hi = matching._screen(table, ids, y_typical, x_cells, offset, bound)
+    ref_a, ref_b, ref_lo, ref_hi = full_width_screen(table, ids, y_typical, x_cells, offset, bound)
+    assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
+    for mine, ref in ((lo, ref_lo), (hi, ref_hi)):
+        step = np.maximum(np.spacing(np.abs(mine)), np.spacing(np.abs(ref)))
+        assert (np.abs(mine - ref) <= step).all()
+    assert (lo < bound).all() and (hi > bound).all()
 
 
 # Two pairs of one instance whose joint scores S are positive and negative;
