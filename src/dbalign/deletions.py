@@ -216,13 +216,13 @@ def cooccurrence(
     return counts, source_counts.astype(np.int64)
 
 
-def seed_bytes(n: int, num_seeds: int, alphabet_size: int, threads: int = 1) -> int:
+def seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
     """Upper bound on the seed stages' working set: deletion detection, with
-    at most n replica-free g2 columns, on a thread budget of ``threads``.
+    at most n replica-free g2 columns, on the calling thread's budget.
     The plug-in estimate reads only the counts detection returns.
 
-    Each of `cooccurrence`'s parts, one per thread the budget gives its
-    seed blocks, holds two float32 operands of one seed block by
+    Each of `cooccurrence`'s parts, counted as `cooccurrence` splits its
+    seed blocks over the budget, holds two float32 operands of one seed block by
     (k - 1) * n + 1 columns, one block's float32 product and the float64
     total of the products; then come the k^2 * n^2 int64 counts with one
     k * n^2 sum while symbol 1's counts are rebuilt. Each remapping of the
@@ -232,7 +232,7 @@ def seed_bytes(n: int, num_seeds: int, alphabet_size: int, threads: int = 1) -> 
     k = alphabet_size
     width = (k - 1) * n + 1
     block = min(num_seeds, SEED_BLOCK)
-    parts = len(fanout.parts(-(-num_seeds // SEED_BLOCK), 1, threads))
+    parts = len(fanout.parts(-(-num_seeds // SEED_BLOCK), 1))
     operands = 4 * block * 2 * width
     products = (4 + 8) * width * width
     counts = 8 * k * k * n * n + 8 * (k + 4) * n * n

@@ -9,8 +9,8 @@ numbers, and the emitted CSV is byte-identical for a fixed master seed.
 trials)`` contiguous parts and fans them out (``fanout``), the first on
 the calling thread. Inside ``fanout.cores`` the OpenBLAS that numpy
 loaded runs one thread, and each part runs its trials in order on the
-budget that ``cores`` shares out, which the sampler, the seed
-co-occurrence and the matcher spend by splitting their own work. No
+budget that ``cores`` sets, at which the memory guard sizes them and
+the sampler, the seed co-occurrence and the matcher split their work. No
 report depends on the count or the budget: the matcher's screen holds
 for a float32 GEMM in any summation order, the seed co-occurrence counts
 are exact, and a split draw consumes the same uniforms.
@@ -241,13 +241,11 @@ def estimate_tv_distance(spec: ModelSpec, est: estimation.DistributionEstimate) 
     return 0.5 * total
 
 
-def _estimated_bytes(
-    m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int, threads: int = 1
-) -> int:
-    """Working set of one trial on a thread budget of ``threads``: the
+def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: int) -> int:
+    """Working set of one trial on the calling thread's budget: the
     matcher, the instance and the seed stages."""
-    instance = instance_bytes(m, n, num_seeds, s_max, threads)
-    seeds = deletions.seed_bytes(n, num_seeds, alphabet_size, threads)
+    instance = instance_bytes(m, n, num_seeds, s_max)
+    seeds = deletions.seed_bytes(n, num_seeds, alphabet_size)
     matcher = matching.match_bytes(m, n, s_max, alphabet_size)
     return matcher + instance + seeds
 
@@ -318,27 +316,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Each point's trials run in ``min(workers, trials)`` contiguous parts at
     once, each part's in order on its own thread, the first on the calling
     thread. numpy's OpenBLAS runs one thread until all are done, and each
-    part gets its share of the old count as its thread budget.
+    part gets its share of the old count as the budget that the memory
+    guard sizes each trial at.
     """
     check_feasible(config.spec)
     concurrent = min(config.workers, config.trials)  # each part holds one trial at a time
-    with fanout.cores(concurrent) as threads:
+    with fanout.cores(concurrent):
         for p in config.points():
             check_memory(
                 f"point m={p.m} n={p.n} lambda={p.num_seeds}",
-                _estimated_bytes(
-                    p.m, p.n, p.num_seeds, config.spec.s_max, config.spec.alphabet_size, threads
-                ),
+                _estimated_bytes(p.m, p.n, p.num_seeds, p.spec.s_max, p.spec.alphabet_size),
                 config.memory_cap_bytes,
                 concurrent,
             )
-        return _report(config, fanout.parts(config.trials, 1, concurrent), threads)
+        return _report(config, fanout.parts(config.trials, 1, concurrent))
 
 
-def _report(config: ExperimentConfig, spans: list, threads: int) -> ExperimentReport:
+def _report(config: ExperimentConfig, spans: list) -> ExperimentReport:
     """Run every point's trials in the contiguous ``spans`` of trial
-    numbers, fanned out, each span on a thread budget of ``threads``, and
+    numbers, fanned out, each span on the calling thread's budget, and
     summarise."""
+    threads = fanout.threads()
     summaries = []
     for point_idx, p in enumerate(config.points()):
 

@@ -1,18 +1,19 @@
 """A thread's budget of cores, and the fan-out that spends it.
 
 ``cores`` pins the OpenBLAS that numpy loaded to one thread, so that no
-idle BLAS thread spins on a core that a part needs, and shares the count
-it had out as the budgets of the jobs that run at once. A stage that
-splits its work into independent contiguous parts asks ``parts`` how many
-the calling thread's budget allows and runs them through ``fan_out``:
-part 0 on the calling thread, each other part on a thread of its own.
-With a budget of 1 there is one part, run inline, so the serial path is
-the same loop. The budget is thread-local and 1 unless a caller sets it
-with ``budget``; a fan-out's threads start at 1, and a job that sets its
-own may fan out inside it, as an experiment's trial parts do around their
-stages. The parts must not depend on each other's results. Each stage
-allocates the buffers sized by a part before the fan-out, on the calling
-thread. Per-chunk and per-tile transients, such as the channel's
+idle BLAS thread spins on a core that a part needs, and sets the calling
+thread's budget to each concurrent job's share of the count it had. A
+stage that splits its work into independent contiguous parts asks
+``parts`` how many the calling thread's budget allows, as the memory
+bound that sizes it does, and runs them through ``fan_out``: part 0 on
+the calling thread, each other part on a thread of its own. With a
+budget of 1 there is one part, run inline, so the serial path is the
+same loop. The budget is thread-local and 1 unless ``budget`` or
+``cores`` sets it; a fan-out's threads start at 1, and a job that sets
+its own may fan out inside it, as an experiment's trial parts do around
+their stages. The parts must not depend on each other's results. Each
+stage allocates the buffers sized by a part before the fan-out, on the
+calling thread. Per-chunk and per-tile transients, such as the channel's
 positions and the matcher's candidate lists and recheck chunks, are
 allocated on the worker, whose allocator arena keeps their high-water
 mark.
@@ -87,16 +88,13 @@ def openblas_threads():
 
 @contextmanager
 def cores(concurrent: int):
-    """Pin numpy's OpenBLAS to one thread inside the block, yielding each of
-    ``concurrent`` jobs' budget, ``max(1, count // concurrent)``; where it
-    is not found, BLAS is left alone and the budget is 1. The first of
+    """Pin numpy's OpenBLAS to one thread inside the block, and set the
+    calling thread's budget there to each of ``concurrent`` jobs' share of
+    the count it had, ``max(1, count // concurrent)``; where it is not
+    found, BLAS is left alone and the count is taken as 1. The first of
     nested or concurrent blocks saves the count and the last restores it."""
     global _holders, _saved
-    blas = openblas_threads()
-    if blas is None:
-        yield 1
-        return
-    get, put = blas
+    get, put = openblas_threads() or (lambda: 1, lambda count: None)
     with _PIN_LOCK:
         if _holders == 0:
             _saved = get()
@@ -104,7 +102,8 @@ def cores(concurrent: int):
         _holders += 1
         count = _saved
     try:
-        yield max(1, count // concurrent)
+        with budget(max(1, count // concurrent)):
+            yield
     finally:
         with _PIN_LOCK:
             _holders -= 1

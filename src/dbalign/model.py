@@ -422,8 +422,8 @@ def sample_instance(
     return DatabasePair(d1, d2, sigma, pattern), seeds
 
 
-def instance_bytes(m: int, n: int, num_seeds: int, s_max: int, threads: int = 1) -> int:
-    """Upper bound on `sample_instance`'s working set on a budget of ``threads``.
+def instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
+    """Upper bound on `sample_instance`'s working set on the caller's budget.
 
     Kept: sigma's int64 entries and, for d1 and for g1, the uint8 source
     rows and two uint8 arrays the size of the channel's output (the
@@ -438,5 +438,5 @@ def instance_bytes(m: int, n: int, num_seeds: int, s_max: int, threads: int = 1)
     k_max = n * max(s_max, 1)
     rows = max(m, num_seeds)
     kept = (m + num_seeds) * (n + 2 * k_max) + 8 * m
-    parts = len(fanout.parts(rows, -(-DRAW_PART // k_max), threads))
+    parts = len(fanout.parts(rows, -(-DRAW_PART // k_max)))
     return kept + max(9 * rows * n, 18 * DRAW_PART * parts) + 64 * 1024

@@ -294,6 +294,31 @@ def test_blas_is_capped_while_trials_run_at_once(blas, monkeypatch, workers, tri
     assert get() == 4 and fanout.threads() == 1
 
 
+@pytest.mark.parametrize("workers, budget", [(1, 4), (2, 2), (4, 1)])
+def test_the_guard_sizes_each_trial_at_the_budget_it_runs_at(blas, monkeypatch, workers, budget):
+    # The memory bounds read the budget as the stages they bound do, so the
+    # guard's instance and seed terms count the parts that the sampler and
+    # deletion detection split into in the trials.
+    _, put = blas
+    put(4)
+    seen = {}
+
+    def record(module, name):
+        call = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            seen.setdefault(name, set()).add(fanout.threads())
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    called = ["instance_bytes", "seed_bytes", "sample_instance", "detect_deletions"]
+    for module, name in zip([experiment, deletions, experiment, deletions], called):
+        record(module, name)
+    run_experiment(small_config(workers=workers, trials=3))
+    assert seen == dict.fromkeys(called, {budget})
+
+
 def _fails_once(monkeypatch):
     """Make trial 1 of every point raise RuntimeError."""
     trial = experiment.run_trial
@@ -660,7 +685,7 @@ def test_memory_estimate_bounds_the_split_generator(spec, m, n, num_seeds, budge
     sample_instance(16, n, 1, spec, master_seed=7)
     with fanout.budget(budget):
         _, peak = _traced_peak(lambda: sample_instance(m, n, num_seeds, spec, master_seed=7))
-    assert peak <= instance_bytes(m, n, num_seeds, spec.s_max, budget) <= 2 * peak
+        assert peak <= instance_bytes(m, n, num_seeds, spec.s_max) <= 2 * peak
 
 
 def _traced_peak(call):
@@ -714,8 +739,9 @@ def test_memory_estimate_bounds_the_split_stages(monkeypatch, budget):
     with fanout.budget(budget):
         _, detect_peak = _traced_peak(lambda: detect_deletions(seeds.g1, g2_free, k))
         result, match_peak = _traced_peak(lambda: match_rows(pair.d1, segmented, est, 5.0))
+        split_bound = seed_bytes(n, num_seeds, k)
     assert result.status_counts()["ambiguous"] == m
-    assert seed_bytes(n, num_seeds, k) < detect_peak <= seed_bytes(n, num_seeds, k, budget)
+    assert seed_bytes(n, num_seeds, k) < detect_peak <= split_bound
     assert match_peak <= match_bytes(m, n, spec.s_max, k)
 
 
@@ -724,7 +750,8 @@ def test_paper_scale_fits_default_cap_at_m_2_16():
     # at n=60 and 10^4 seeds fits the default cap on one worker at m=2^16,
     # and at m=2^18 and 2^19 on a budget of 1 or 2.
     for m, budget in [(2**16, 1), (2**18, 1), (2**18, 2), (2**19, 1), (2**19, 2)]:
-        working_set = _estimated_bytes(m, 60, 10_000, 2, 2, budget)
+        with fanout.budget(budget):
+            working_set = _estimated_bytes(m, 60, 10_000, 2, 2)
         check_memory(f"m={m} budget={budget}", working_set, DEFAULT_MEMORY_CAP)
 
 
@@ -895,6 +922,69 @@ def test_report_json_is_byte_identical_to_committed():
 EXPERIMENTS = Path(__file__).parents[1] / "experiments"
 
 
+def _readme_tables(text):
+    """Each markdown table of ``text`` as a list of {header: cell} rows,
+    backticks dropped from the headers."""
+    tables, lines = [], []
+    for line in text.splitlines() + [""]:
+        if line.startswith("|"):
+            lines.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif lines:
+            header = [cell.strip("`") for cell in lines[0]]
+            tables.append([dict(zip(header, row)) for row in lines[2:]])
+            lines = []
+    return tables
+
+
+def _printed(value):
+    """``value`` rounded to 3 decimals and printed without trailing zeros."""
+    return format(round(value, 3), "g")
+
+
+# The README columns that name a point, out of those that the test knows.
+README_KEYS = ("m", "n", "lambda", "C")
+
+
+def test_every_committed_experiment_is_consistent_with_its_report_and_readme():
+    # Every config parses, its CSV holds one row per trial of each point
+    # under the report's header, each capacity is the model's, and every
+    # point's row of experiments/README.md prints its CSV's figures.
+    tables = _readme_tables((EXPERIMENTS / "README.md").read_text())
+    readme_rows = [row for table in tables for row in table]
+    matched = []
+    for path in sorted(EXPERIMENTS.glob("*.json")):
+        config = ExperimentConfig.from_dict(load_json_object(path))
+        header, *rows = path.with_suffix(".csv").read_text().splitlines()
+        assert tuple(header.split(",")) == CSV_COLUMNS
+        points = config.points()
+        assert len(rows) == len(points) * config.trials, path.name
+        rows = list(csv.DictReader([header, *rows]))
+        c = capacity(config.spec).capacity
+        assert {row["capacity"] for row in rows} == {repr(c)}
+        for j, p in enumerate(points):
+            trials = rows[j * config.trials : (j + 1) * config.trials]
+            rate = math.log2(p.m) / p.n
+            expected = {
+                "m": f"2^{math.log2(p.m):g}",
+                "n": str(p.n),
+                "lambda": str(p.num_seeds),
+                "R": f"{rate:.4f}",
+                "C": f"{c:.4f}",
+                "R/C": f"{rate / c:.2f}",
+                "replica_rate": _printed(np.mean([r["replica_ok"] == "1" for r in trials])),
+                "deletion_rate": _printed(np.mean([r["deletion_ok"] == "1" for r in trials])),
+                "row error": _printed(np.mean([float(r["row_error_rate"]) for r in trials])),
+            }
+            found = [
+                i for i, row in enumerate(readme_rows)
+                if all(row[key] == expected[key] for key in README_KEYS if key in row)
+            ]
+            assert len(found) == 1, f"{path.name} point {j}: README rows {found}"
+            assert readme_rows[found[0]] == {key: expected[key] for key in readme_rows[found[0]]}
+            matched += found
+    assert sorted(matched) == list(range(len(readme_rows)))
+
+
 def test_seed_size_report_is_reproduced_by_its_config(tmp_path):
     # The paper's seed-size transition as one lambda sweep: deletion
     # detection fails every trial up to lambda=800 and succeeds from 1200.
@@ -918,16 +1008,23 @@ def test_seed_size_report_is_reproduced_by_its_config(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "m, row_error",
-    [(1024, [0.034, 0.381, 0.644, 0.928, 1, 1]), (4096, [0.025, 0.259, 0.867, 0.996, 1, 1])],
+    "name, row_error",
+    [
+        pytest.param("phase_bsc_m1024", [0.034, 0.381, 0.644, 0.928, 1, 1], id="1024-row_error0"),
+        pytest.param("phase_bsc_m4096", [0.025, 0.259, 0.867, 0.996, 1, 1], id="4096-row_error1"),
+        pytest.param("phase_paper_bsc_m1024", [0.071, 0.327, 0.638, 0.879, 0.989, 0.981],
+                     id="paper_bsc-1024"),
+        pytest.param("phase_paper_bsc_m4096", [0.047, 0.313, 0.684, 0.918, 0.984, 0.996],
+                     id="paper_bsc-4096"),
+    ],
 )
-def test_phase_transition_report_is_reproduced_by_its_config(tmp_path, m, row_error):
-    # The capacity phase transition as one n sweep per m on BSC(0.1)
-    # without repetitions, at R/C near 0.4, 0.6, 0.8, 1.0, 1.2 and 1.5: the
-    # mean row error climbs from a few percent to 1, and steeper at the
-    # larger m. The m=2^14 config beside these takes about 20 s and is not
-    # re-run here.
-    name = f"phase_bsc_m{m}"
+def test_phase_transition_report_is_reproduced_by_its_config(tmp_path, name, row_error):
+    # The capacity phase transition as one n sweep per m, on BSC(0.1)
+    # without repetitions and on the paper's model with deletions and
+    # replicas, at R/C near 0.4, 0.6, 0.8, 1.0, 1.2 and 1.5: the mean row
+    # error climbs from a few percent to about 1, while every trial
+    # detects the replicas and deletions exactly. The m=2^14 config beside
+    # these takes about 20 s and is not re-run here.
     out = tmp_path / f"{name}.csv"
     argv = ["experiment", "--config", str(EXPERIMENTS / f"{name}.json"), "--out", str(out)]
     assert main(argv) == 0
@@ -935,10 +1032,11 @@ def test_phase_transition_report_is_reproduced_by_its_config(tmp_path, m, row_er
     by_n = {}
     for row in csv.DictReader(out.read_text().splitlines()):
         by_n.setdefault(int(row["n"]), []).append(row)
+    assert all(r["replica_ok"] == r["deletion_ok"] == "1" for rows in by_n.values() for r in rows)
     config = ExperimentConfig.from_dict(load_json_object(EXPERIMENTS / f"{name}.json"))
     c = capacity(config.spec).capacity
     assert {row["capacity"] for rows in by_n.values() for row in rows} == {repr(c)}
-    ratios = [math.log2(m) / n / c for n in by_n]
+    ratios = [math.log2(config.m) / n / c for n in by_n]
     assert ratios == pytest.approx([0.4, 0.6, 0.8, 1.0, 1.2, 1.5], abs=0.06)
     errors = [np.mean([float(row["row_error_rate"]) for row in rows]) for rows in by_n.values()]
     assert [round(e, 3) for e in errors] == row_error

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dbalign import fanout
 from dbalign.experiment import (
     DEFAULT_MEMORY_CAP,
     ExperimentConfig,
@@ -45,6 +46,15 @@ def test_benchmark_loop_runs_both_trace_modes():
     assert '--workload "$w"' in run and '--trace "$t"' in run
 
 
+def test_every_committed_experiment_is_rerun_and_compared():
+    # A glob, not a list of names: a config committed later is re-run too.
+    (var,) = re.findall(r"^\s*for (\w+) in experiments/\*\.json; do$", WORKFLOW, flags=re.M)
+    run = rf'^\s*dbalign experiment --config "\${var}" --out (\S+)$'
+    (out,) = re.findall(run, WORKFLOW, flags=re.M)
+    cmp = rf'^\s*cmp {re.escape(out)} "\${{{var}%\.json}}\.csv"$'
+    assert re.search(cmp, WORKFLOW, flags=re.M)
+
+
 def test_paper_scale_config_fits_the_default_memory_cap():
     (body,) = re.findall(r"<<'JSON'\n(.*?)\n\s*JSON\n", WORKFLOW, flags=re.S)
     raw = json.loads(body)
@@ -64,7 +74,9 @@ def _largest_admitted_m(threads):
 
     def admits(m):
         try:
-            check_memory("m", _estimated_bytes(m, 60, 10_000, 2, 2, threads), DEFAULT_MEMORY_CAP)
+            with fanout.budget(threads):
+                working_set = _estimated_bytes(m, 60, 10_000, 2, 2)
+            check_memory("m", working_set, DEFAULT_MEMORY_CAP)
         except InfeasibleSizeError:
             return False
         return True
