@@ -19,9 +19,8 @@ import sys
 import numpy as np
 
 from . import deletions, matching, replicas
-from .dbio import as_integer, as_real, load_json_object, model_spec_from_dict, read_matrix, write_matrix
+from .dbio import load_json_object, model_spec_from_dict, read_matrix, write_matrix
 from .experiment import (
-    CONFIG_FIELDS,
     ExperimentConfig,
     InfeasibleSizeError,
     check_config_keys,
@@ -198,13 +197,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    raw = load_json_object(args.config)
-    # flags mirror config keys and win over the file
-    flags = {key: getattr(args, key) for _, key in CONFIG_FIELDS}
-    if args.sweep_values is not None:
-        flags["sweep_values"] = [int(v) for v in args.sweep_values.split(",") if v]
-    raw.update((key, value) for key, value in flags.items() if value is not None)
-    config = ExperimentConfig.from_dict(raw)
+    config = ExperimentConfig.from_dict(load_json_object(args.config))
     _write_text(args.out, render(run_experiment(config), args.format))
     return EXIT_OK
 
@@ -264,11 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    # One flag per config key, typed by the key's parser; the config checks the values.
-    flag_types = {as_integer: int, as_real: float}
-    for f, key in CONFIG_FIELDS:
-        flag_type = flag_types.get(f.metadata["parse"], str)
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=flag_type)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

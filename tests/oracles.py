@@ -297,3 +297,55 @@ def markov_rows(m, n, p_x, rho, rng):
     for j in range(1, n):
         rows[repeat[:, j], j] = rows[repeat[:, j], j - 1]
     return rows
+
+
+# Closed-form row error of the matcher on a uniform binary source, BSC(p)
+# and no repetitions, where the true pair's Hamming distance D is
+# Binomial(n, p) and each false pair's is independently Binomial(n, 1/2).
+
+
+def binomial_pmf(n, p):
+    """P(Binomial(n, p) = d) for d = 0..n, summed in log space from lgamma."""
+    d = np.arange(n + 1)
+    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in d])
+    return np.exp(log_comb + d * math.log(p) + (n - d) * math.log1p(-p))
+
+
+def survival_power(x, exponent):
+    """(1 - x)^exponent for x in [0, 1], as exp(exponent * log1p(-x)):
+    finite at exponent = 2^40, and 0 (1 at exponent 0) where x = 1."""
+    if exponent == 0:
+        return 1.0
+    if x >= 1.0:
+        return 0.0
+    return math.exp(exponent * math.log1p(-x))
+
+
+def typical_window(n, p, epsilon):
+    """The distances D at which a pair is jointly typical under the true
+    distributions, as a bool mask over 0..n: the X and Y deviations are
+    exactly 0, and the joint one is |D - n p| log2((1 - p) / p) / n."""
+    d = np.arange(n + 1)
+    return np.abs(d - n * p) <= n * epsilon / math.log2((1 - p) / p)
+
+
+def typicality_row_error(m, n, p, epsilon):
+    """1 - P_correct of typicality with the true distributions:
+    P_correct = p_I (1 - q)^(m-1) (1 - (1 - p_I) q (1 - q)^(m-2))^(m-1).
+    p_I and q are the chances that the true and a false pair are typical;
+    the last factor is the chance that none of the m - 1 other repeated
+    rows claims this row uniquely, which a collision would demote."""
+    window = typical_window(n, p, epsilon)
+    p_in = float(binomial_pmf(n, p)[window].sum())
+    q = float(binomial_pmf(n, 0.5)[window].sum())
+    claim = (1.0 - p_in) * q * survival_power(q, m - 2)
+    return 1.0 - p_in * survival_power(q, m - 1) * survival_power(claim, m - 1)
+
+
+def min_distance_row_error(m, n, p):
+    """1 - E_D[(1 - F(D))^(m-1)] of the minimum-distance (ML) rule, a tie
+    counted as an error; F is a false pair's distance CDF, summed up from
+    d = 0, so that log1p(-F) keeps its precision where F is small."""
+    cdf = np.cumsum(binomial_pmf(n, 0.5))
+    beats = np.array([survival_power(f, m - 1) for f in cdf])
+    return 1.0 - float(binomial_pmf(n, p) @ beats)

@@ -11,7 +11,7 @@ import pytest
 
 from dbalign import deletions, experiment, fanout, matching, model
 from dbalign.cli import main
-from dbalign.dbio import load_json_object
+from dbalign.dbio import load_json_object, model_spec_to_dict
 from dbalign.deletions import MIN_COLUMNS, SEED_BLOCK, THRESHOLD_CONSTANT, detect_deletions, seed_bytes
 from dbalign.estimation import estimate_from_seeds, from_model_spec
 from dbalign.experiment import (
@@ -31,6 +31,7 @@ from dbalign.matching import match_bytes, match_rows, segment
 from dbalign.model import instance_bytes, sample_instance
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
+from oracles import min_distance_row_error, typicality_row_error
 
 
 def small_config(**overrides):
@@ -943,12 +944,22 @@ def _printed(value):
 
 # The README columns that name a point, out of those that the test knows.
 README_KEYS = ("m", "n", "lambda", "C")
+# The oracle's row errors, printed beside each point of its model.
+PREDICTION_KEYS = ("predicted, typicality", "predicted, min distance")
+
+
+def _oracle_flip(spec):
+    """p where ``spec`` is a uniform binary source through BSC(p) without
+    repetitions, the model of the oracle's row errors; None otherwise."""
+    p = float(spec.p_y_given_x[0][1])
+    return p if model_spec_to_dict(spec) == model_spec_to_dict(bsc_spec(flip=p)) else None
 
 
 def test_every_committed_experiment_is_consistent_with_its_report_and_readme():
     # Every config parses, its CSV holds one row per trial of each point
     # under the report's header, each capacity is the model's, and every
-    # point's row of experiments/README.md prints its CSV's figures.
+    # point's row of experiments/README.md prints its CSV's figures, and
+    # the oracle's predictions where the oracle's model is the config's.
     tables = _readme_tables((EXPERIMENTS / "README.md").read_text())
     readme_rows = [row for table in tables for row in table]
     matched = []
@@ -961,6 +972,7 @@ def test_every_committed_experiment_is_consistent_with_its_report_and_readme():
         rows = list(csv.DictReader([header, *rows]))
         c = capacity(config.spec).capacity
         assert {row["capacity"] for row in rows} == {repr(c)}
+        flip = _oracle_flip(config.spec)
         for j, p in enumerate(points):
             trials = rows[j * config.trials : (j + 1) * config.trials]
             rate = math.log2(p.m) / p.n
@@ -975,12 +987,17 @@ def test_every_committed_experiment_is_consistent_with_its_report_and_readme():
                 "deletion_rate": _printed(np.mean([r["deletion_ok"] == "1" for r in trials])),
                 "row error": _printed(np.mean([float(r["row_error_rate"]) for r in trials])),
             }
+            if flip is not None:
+                expected[PREDICTION_KEYS[0]] = _printed(typicality_row_error(p.m, p.n, flip, p.epsilon))
+                expected[PREDICTION_KEYS[1]] = _printed(min_distance_row_error(p.m, p.n, flip))
             found = [
                 i for i, row in enumerate(readme_rows)
                 if all(row[key] == expected[key] for key in README_KEYS if key in row)
             ]
             assert len(found) == 1, f"{path.name} point {j}: README rows {found}"
-            assert readme_rows[found[0]] == {key: expected[key] for key in readme_rows[found[0]]}
+            row = readme_rows[found[0]]
+            assert row == {key: expected[key] for key in row}
+            assert flip is None or set(PREDICTION_KEYS) <= set(row), f"{path.name} point {j}"
             matched += found
     assert sorted(matched) == list(range(len(readme_rows)))
 

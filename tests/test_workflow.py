@@ -9,11 +9,13 @@ import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 from dbalign import fanout
+from dbalign.cli import build_parser
 from dbalign.experiment import (
     DEFAULT_MEMORY_CAP,
     ExperimentConfig,
@@ -53,6 +55,20 @@ def test_every_committed_experiment_is_rerun_and_compared():
     (out,) = re.findall(run, WORKFLOW, flags=re.M)
     cmp = rf'^\s*cmp {re.escape(out)} "\${{{var}%\.json}}\.csv"$'
     assert re.search(cmp, WORKFLOW, flags=re.M)
+
+
+def test_every_documented_experiment_command_sets_its_values_in_the_config():
+    # The config file is the one place an experiment value is set: each
+    # command, in CI and in the docs, names a config, a format and an output.
+    for path in (ROOT / ".github" / "workflows" / "tests.yml", ROOT / "README.md",
+                 ROOT / "experiments" / "README.md"):
+        text = path.read_text().replace("\\\n", " ")
+        commands = re.findall(r"^\s*dbalign experiment (.*)$", text, flags=re.M)
+        assert commands, path.name
+        for command in commands:
+            args = shlex.split(command)
+            assert set(args[::2]) <= {"--config", "--format", "--out"}, command
+            build_parser().parse_args(["experiment", *args])
 
 
 def test_paper_scale_config_fits_the_default_memory_cap():
