@@ -50,7 +50,9 @@ def read_matrix(path) -> np.ndarray:
 
 def as_integer(key: str, value) -> int:
     """A config value as int: a whole number, not a fraction, string or bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    ):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -60,6 +62,14 @@ def as_real(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key} must be a real number, got {value!r}")
     return float(value)
+
+
+def as_epsilon(value) -> float:
+    """The matcher's epsilon as float: a finite positive real number."""
+    epsilon = as_real("epsilon", value)
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError("epsilon must be finite and positive")
+    return epsilon
 
 
 def _real_array(key: str, value) -> np.ndarray:

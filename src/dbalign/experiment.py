@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import deletions, estimation, fanout, matching
-from .dbio import SPEC_KEYS, as_integer, as_real, model_spec_from_dict, model_spec_to_dict
+from .dbio import SPEC_KEYS, as_epsilon, as_integer, model_spec_from_dict, model_spec_to_dict
 from .infotheory import capacity, check_table_size, repetition_table
 from .model import ModelSpec, instance_bytes, sample_instance
 
@@ -48,29 +47,6 @@ def _keyed_fields(record) -> list:
     return [(f, KEY_NAMES.get(f.name, f.name)) for f in fields(record)]
 
 
-def _key(parse, **kwargs):
-    """A config key's field; ``parse(key, value)`` reads its JSON value."""
-    return field(metadata={"parse": parse}, **kwargs)
-
-
-def _as_is(key, value):
-    return value  # sweep_axis: __post_init__ checks it, as for a direct call
-
-
-def _integral(key, value) -> int:
-    """A directly given config value as int: ValueError unless it is an
-    integer, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _integer_list(key, value) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    return [as_integer(key, v) for v in value]
-
-
 @dataclass(kw_only=True)
 class ExperimentConfig:
     """Everything one experiment needs, sweepable over m, n or lambda.
@@ -81,27 +57,28 @@ class ExperimentConfig:
     """
 
     spec: ModelSpec
-    m: int = _key(as_integer)
-    n: int = _key(as_integer)
-    trials: int = _key(as_integer, default=10)
-    master_seed: int = _key(as_integer, default=0)
-    epsilon: float = _key(as_real, default=matching.DEFAULT_EPSILON)
-    sweep_axis: str | None = _key(_as_is, default=None)
-    sweep_values: list = _key(_integer_list, default_factory=list)
-    workers: int = _key(as_integer, default=1)
-    memory_cap_bytes: int = _key(as_integer, default=DEFAULT_MEMORY_CAP)
-    num_seeds: int = _key(as_integer)
+    m: int
+    n: int
+    trials: int = 10
+    master_seed: int = 0
+    epsilon: float = matching.DEFAULT_EPSILON
+    sweep_axis: str | None = None
+    sweep_values: list = field(default_factory=list)
+    workers: int = 1
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP
+    num_seeds: int
 
     def __post_init__(self):
-        for f, key in _keyed_fields(self)[1:]:
-            check = {as_integer: _integral, as_real: as_real}.get(f.metadata["parse"])
-            if check is not None:
-                setattr(self, f.name, check(key, getattr(self, f.name)))
-        self.sweep_values = [_integral("sweep_values", v) for v in self.sweep_values]
+        # A config file's rule, however the config is built: ints as ints.
+        for f, key in CONFIG_FIELDS:
+            if f.type == "int":
+                setattr(self, f.name, as_integer(key, getattr(self, f.name)))
+        self.epsilon = as_epsilon(self.epsilon)
+        if not isinstance(self.sweep_values, (list, tuple)):
+            raise ValueError(f"sweep_values must be a list, got {self.sweep_values!r}")
+        self.sweep_values = [as_integer("sweep_values", v) for v in self.sweep_values]
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
         if self.master_seed < 0 or self.memory_cap_bytes < 1:
@@ -126,17 +103,14 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         check_config_keys(d)
         spec = model_spec_from_dict(d)
-        values = {}
-        for f, key in _keyed_fields(cls)[1:]:
-            if key in d:
-                values[f.name] = f.metadata["parse"](key, d[key])
-            elif f.default is MISSING and f.default_factory is MISSING:
+        for f, key in CONFIG_FIELDS:
+            if key not in d and f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"experiment config is missing key {key!r}")
-        return cls(spec=spec, **values)
+        return cls(spec=spec, **{f.name: d[key] for f, key in CONFIG_FIELDS if key in d})
 
     def to_dict(self) -> dict:
         out = model_spec_to_dict(self.spec)
-        out.update((key, _plain(getattr(self, f.name))) for f, key in _keyed_fields(self)[1:])
+        out.update((key, _plain(getattr(self, f.name))) for f, key in CONFIG_FIELDS)
         return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import deletions, estimation, fanout, replicas
-from .dbio import as_real
+from .dbio import as_epsilon
 from .deletions import RetentionResult
 from .estimation import DistributionEstimate
 from .infotheory import check_table_size
@@ -309,8 +309,7 @@ def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> No
     not 2-D, d1 not n columns wide, unequal row counts, a symbol not an
     integer in 1..alphabet_size, or epsilon past `match_rows`' clamp for
     any plug-in estimate (whose n H is at most log2(k) (n + d2's width))."""
-    if not 0.0 < as_real("epsilon", epsilon) < math.inf:
-        raise ValueError("epsilon must be finite and positive")
+    as_epsilon(epsilon)
     if d1.ndim != 2 or d2.ndim != 2:
         raise ValueError("databases must be 2-D")
     if d1.shape[1] != n:

@@ -349,3 +349,45 @@ def min_distance_row_error(m, n, p):
     cdf = np.cumsum(binomial_pmf(n, 0.5))
     beats = np.array([survival_power(f, m - 1) for f in cdf])
     return 1.0 - float(binomial_pmf(n, p) @ beats)
+
+
+# Exact row error of the minimum-distance (ML) rule with repetitions, on a
+# uniform binary source through BSC(p) and a fixed pattern s of runs of at
+# most 2 copies. A run of s copies with f ~ Binomial(s, p) flipped copies
+# adds f to the true row's distance, and to a false row's min(f, s - f)
+# plus (s - 2 min(f, s - f)) times a fair coin. A single copy (s = 1) is
+# the no-repetition case; a pair (s = 2) is a tie (f = 1), adding 1 to
+# both, or adds 2 f to the true row and 2 coins to a false one.
+
+
+def _doubled(pmf):
+    """The pmf of 2 B from the pmf of B."""
+    out = np.zeros(2 * len(pmf) - 1)
+    out[::2] = pmf
+    return out
+
+
+def pattern_min_distance_row_error(m, p, s):
+    """1 - E[(1 - F)^(m-1)] of the minimum-distance rule on the expanded
+    columns, a tie counted as an error: F = P(D' <= D) for a false row's
+    distance D' given the repeated row. The false rows are i.i.d. given
+    it, so the expectation is a finite sum over the count t of tied pairs
+    and the true distance's remainder w = v + 2 u, v flipped single
+    copies and u pairs with both copies flipped, against D' - t = B1 + 2 B2
+    with B1 ~ Binomial(#singles, 1/2) and B2 ~ Binomial(#pairs - t, 1/2)."""
+    s = np.asarray(s)
+    if s.size and s.max() > 2:
+        raise ValueError(f"runs of at most 2 copies supported, got {s.max()}")
+    singles, pairs = int((s == 1).sum()), int((s == 2).sum())
+    flipped = binomial_pmf(singles, p)
+    coins = binomial_pmf(singles, 0.5)
+    both = p * p / (p * p + (1 - p) ** 2)  # a pair's chance of 2 flips, given no tie
+    error = 0.0
+    for t, p_t in enumerate(binomial_pmf(pairs, 2 * p * (1 - p))):
+        true = np.convolve(flipped, _doubled(binomial_pmf(pairs - t, both)))
+        cdf = np.cumsum(np.convolve(coins, _doubled(binomial_pmf(pairs - t, 0.5))))
+        below = cdf < 1.0
+        log_beats = np.log1p(-np.where(below, cdf, 0.0)) * (m - 1)
+        loses = np.where(below, -np.expm1(log_beats), float(m > 1))
+        error += p_t * float(true @ loses)
+    return error

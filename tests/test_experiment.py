@@ -11,10 +11,11 @@ import pytest
 
 from dbalign import deletions, experiment, fanout, matching, model
 from dbalign.cli import main
-from dbalign.dbio import load_json_object, model_spec_to_dict
+from dbalign.dbio import load_json_object, model_spec_from_dict, model_spec_to_dict
 from dbalign.deletions import MIN_COLUMNS, SEED_BLOCK, THRESHOLD_CONSTANT, detect_deletions, seed_bytes
 from dbalign.estimation import estimate_from_seeds, from_model_spec
 from dbalign.experiment import (
+    CONFIG_FIELDS,
     CSV_COLUMNS,
     DEFAULT_MEMORY_CAP,
     ExperimentConfig,
@@ -28,10 +29,10 @@ from dbalign.experiment import (
 )
 from dbalign.infotheory import capacity, mixture_truth
 from dbalign.matching import match_bytes, match_rows, segment
-from dbalign.model import instance_bytes, sample_instance
+from dbalign.model import ROLE_PATTERN, draw_pattern, instance_bytes, sample_instance, substream
 
 from conftest import bsc_spec, noiseless_spec, symmetric_spec, unit_trace_cyclic_spec
-from oracles import min_distance_row_error, typicality_row_error
+from oracles import pattern_min_distance_row_error, typicality_row_error
 
 
 def small_config(**overrides):
@@ -99,22 +100,96 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "overrides, key",
     [
-        (dict(n=10.0), "n"),
-        (dict(m=True), "m"),
-        (dict(num_seeds="4000"), "lambda"),
-        (dict(trials=True), "trials"),
-        (dict(workers=2.0), "workers"),
-        (dict(master_seed=1.5), "master_seed"),
-        (dict(memory_cap_bytes=2e9), "memory_cap_bytes"),
-        (dict(sweep_axis="n", sweep_values=[10.0]), "sweep_values"),
-        (dict(sweep_axis="m", sweep_values=[16, False]), "sweep_values"),
+        pytest.param(dict(m=True), "m", id="overrides1-m"),
+        pytest.param(dict(num_seeds="4000"), "lambda", id="overrides2-lambda"),
+        pytest.param(dict(trials=True), "trials", id="overrides3-trials"),
+        pytest.param(dict(master_seed=1.5), "master_seed", id="overrides5-master_seed"),
+        pytest.param(dict(sweep_axis="m", sweep_values=[16, False]), "sweep_values",
+                     id="overrides8-sweep_values"),
     ],
 )
 def test_config_rejects_integer_fields_of_another_type(overrides, key):
-    # A direct construction is checked like a config file: a float or bool
-    # integer would otherwise fail only at the first trial, inside numpy.
+    # A direct construction is checked like a config file: a fraction,
+    # string or bool would otherwise fail only at the first trial.
     with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
         small_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, name, value",
+    [
+        (dict(n=10.0), "n", 10),
+        (dict(workers=2.0), "workers", 2),
+        (dict(memory_cap_bytes=2e9), "memory_cap_bytes", 2 * 10**9),
+        (dict(sweep_axis="n", sweep_values=[10.0]), "sweep_values", [10]),
+    ],
+    ids=["n", "workers", "memory_cap_bytes", "sweep_values"],
+)
+def test_config_reads_an_integral_float_as_an_int(overrides, name, value):
+    # As in a config file, 10.0 is the whole number 10, stored as an int
+    # before any trial runs, where numpy would refuse a float size.
+    config = small_config(**overrides)
+    assert getattr(config, name) == value and type(getattr(config, name)) is type(value)
+    assert all(type(v) is int for v in config.sweep_values)
+
+
+INTEGER_KEYS = ("m", "n", "lambda", "trials", "master_seed", "workers", "memory_cap_bytes")
+
+
+def _built_directly(d):
+    """``d``'s config from the constructor, each key's value as given."""
+    values = {f.name: d[key] for f, key in CONFIG_FIELDS if key in d}
+    return ExperimentConfig(spec=model_spec_from_dict(d), **values)
+
+
+def _result_or_message(call, *args, **kwargs):
+    """What ``call`` returns, or the message of the ValueError it raises."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10, 10.0, np.int64(10), np.float64(10.0), 10.5, True, "10", None, math.inf, math.nan,
+     np.float64(math.inf)],
+    ids=repr,
+)
+@pytest.mark.parametrize("key", [*INTEGER_KEYS, "sweep_values"])
+def test_config_file_and_constructor_read_an_integer_alike(key, value):
+    d = small_config().to_dict()
+    if key == "sweep_values":
+        d.update(sweep_axis="n", sweep_values=[value])
+    else:
+        d[key] = value
+    from_file = _result_or_message(ExperimentConfig.from_dict, d)
+    direct = _result_or_message(_built_directly, d)
+    if isinstance(from_file, str):
+        assert from_file == direct
+        assert from_file.startswith(f"{key} must be an integer, got ")
+        return
+    assert isinstance(direct, ExperimentConfig)
+    assert from_file.to_dict() == direct.to_dict()
+    for config in (from_file.to_dict(), direct.to_dict()):
+        assert all(type(config[k]) is int for k in INTEGER_KEYS)
+        assert all(type(v) is int for v in config["sweep_values"])
+
+
+@pytest.mark.parametrize("value", [True, "0.3", None, math.nan, math.inf, 0, -1], ids=repr)
+def test_config_file_constructor_and_deanonymize_reject_an_epsilon_alike(value):
+    d = {**small_config().to_dict(), "epsilon": value}
+    spec = bsc_spec(flip=0.1, p_s=(0.2, 0.5, 0.3))
+    pair, seeds = sample_instance(32, 12, 5000, spec, master_seed=1)
+    messages = [
+        _result_or_message(ExperimentConfig.from_dict, d),
+        _result_or_message(_built_directly, d),
+        _result_or_message(matching.deanonymize, pair.d1, pair.d2, seeds.g1, seeds.g2,
+                           alphabet_size=2, epsilon=value),
+    ]
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    expected = "epsilon must be finite and positive" if real else "epsilon must be a real number, got "
+    assert messages == [messages[0]] * 3 and messages[0].startswith(expected)
 
 
 @pytest.mark.parametrize("value", [True, "0.3", None])
@@ -949,17 +1024,21 @@ PREDICTION_KEYS = ("predicted, typicality", "predicted, min distance")
 
 
 def _oracle_flip(spec):
-    """p where ``spec`` is a uniform binary source through BSC(p) without
-    repetitions, the model of the oracle's row errors; None otherwise."""
+    """p where ``spec`` is a uniform binary source through BSC(p) with runs
+    of at most 2 copies, the model of the oracle's minimum-distance row
+    error; None otherwise."""
     p = float(spec.p_y_given_x[0][1])
-    return p if model_spec_to_dict(spec) == model_spec_to_dict(bsc_spec(flip=p)) else None
+    oracle = model_spec_to_dict(bsc_spec(flip=p, p_s=spec.p_s))
+    return p if spec.s_max <= 2 and model_spec_to_dict(spec) == oracle else None
 
 
 def test_every_committed_experiment_is_consistent_with_its_report_and_readme():
     # Every config parses, its CSV holds one row per trial of each point
     # under the report's header, each capacity is the model's, and every
-    # point's row of experiments/README.md prints its CSV's figures, and
-    # the oracle's predictions where the oracle's model is the config's.
+    # point's row of experiments/README.md prints its CSV's figures. Where
+    # the oracle's model is the config's, a row that prints a row error
+    # prints the minimum-distance prediction, the mean over the trials'
+    # repetition patterns, and without repetitions the typicality one.
     tables = _readme_tables((EXPERIMENTS / "README.md").read_text())
     readme_rows = [row for table in tables for row in table]
     matched = []
@@ -973,6 +1052,7 @@ def test_every_committed_experiment_is_consistent_with_its_report_and_readme():
         c = capacity(config.spec).capacity
         assert {row["capacity"] for row in rows} == {repr(c)}
         flip = _oracle_flip(config.spec)
+        repeats = tuple(config.spec.p_s) != (0, 1)
         for j, p in enumerate(points):
             trials = rows[j * config.trials : (j + 1) * config.trials]
             rate = math.log2(p.m) / p.n
@@ -987,17 +1067,23 @@ def test_every_committed_experiment_is_consistent_with_its_report_and_readme():
                 "deletion_rate": _printed(np.mean([r["deletion_ok"] == "1" for r in trials])),
                 "row error": _printed(np.mean([float(r["row_error_rate"]) for r in trials])),
             }
-            if flip is not None:
-                expected[PREDICTION_KEYS[0]] = _printed(typicality_row_error(p.m, p.n, flip, p.epsilon))
-                expected[PREDICTION_KEYS[1]] = _printed(min_distance_row_error(p.m, p.n, flip))
             found = [
                 i for i, row in enumerate(readme_rows)
                 if all(row[key] == expected[key] for key in README_KEYS if key in row)
             ]
             assert len(found) == 1, f"{path.name} point {j}: README rows {found}"
             row = readme_rows[found[0]]
+            if flip is not None and "row error" in row:
+                assert set(PREDICTION_KEYS[repeats:]) <= set(row), f"{path.name} point {j}"
+                if not repeats:
+                    expected[PREDICTION_KEYS[0]] = _printed(typicality_row_error(p.m, p.n, flip, p.epsilon))
+                patterns = [
+                    draw_pattern(p.n, p.spec, substream(p.master_seed, j, t, ROLE_PATTERN)).s
+                    for t in range(p.trials)
+                ]
+                errors = [pattern_min_distance_row_error(p.m, flip, s) for s in patterns]
+                expected[PREDICTION_KEYS[1]] = _printed(np.mean(errors))
             assert row == {key: expected[key] for key in row}
-            assert flip is None or set(PREDICTION_KEYS) <= set(row), f"{path.name} point {j}"
             matched += found
     assert sorted(matched) == list(range(len(readme_rows)))
 
@@ -1022,6 +1108,40 @@ def test_seed_size_report_is_reproduced_by_its_config(tmp_path):
     truth = mixture_truth(config.spec)
     predicted = THRESHOLD_CONSTANT ** 3 * math.log2(config.n) / abs(truth.q0 - truth.q1) ** 3
     assert round(predicted) == 738
+
+
+def _deletion_rates(csv_text):
+    """{lambda: the share of its trials that detected the deletions}."""
+    by_lambda = {}
+    for row in csv.DictReader(csv_text.splitlines()):
+        by_lambda.setdefault(int(row["lambda"]), []).append(row["deletion_ok"] == "1")
+    return {key: float(np.mean(v)) for key, v in by_lambda.items()}
+
+
+def test_seed_size_scan_over_n_steps_above_the_threshold(tmp_path):
+    # The same lambda scan at n = 8 (re-run here) and n = 960 (its committed
+    # CSV; CI re-runs it): every trial detects the deletions from 1.6 to 2.1
+    # times the scan's lambda*, a lambda that grows with log2 n.
+    out = tmp_path / "seed_size_bsc_n8.csv"
+    argv = ["experiment", "--config", str(EXPERIMENTS / "seed_size_bsc_n8.json"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (EXPERIMENTS / "seed_size_bsc_n8.csv").read_bytes()
+    expected = {
+        "seed_size_bsc_n8": (375, [0, 0, 0, 0, 0.1, 1], 800),
+        "seed_size_bsc": (738, [0, 0, 0, 0.9, 1, 1], 1200),
+        "seed_size_bsc_n960": (1238, [0, 0, 0, 0.95, 1, 1], 2400),
+    }
+    for name, (threshold, rates, exact) in expected.items():
+        config = ExperimentConfig.from_dict(load_json_object(EXPERIMENTS / f"{name}.json"))
+        text = (EXPERIMENTS / f"{name}.csv").read_text()
+        by_lambda = _deletion_rates(text)
+        assert list(by_lambda.values()) == rates
+        assert min(key for key, rate in by_lambda.items() if rate == 1) == exact
+        assert all(row["replica_ok"] == "1" for row in csv.DictReader(text.splitlines()))
+        truth = mixture_truth(config.spec)
+        predicted = THRESHOLD_CONSTANT ** 3 * math.log2(config.n) / abs(truth.q0 - truth.q1) ** 3
+        assert round(predicted) == threshold
+        assert 1.6 <= exact / predicted <= 2.2
 
 
 @pytest.mark.parametrize(

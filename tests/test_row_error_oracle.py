@@ -1,16 +1,22 @@
-"""The closed-form row error of ``oracles`` on a uniform binary source,
-BSC(p) and no repetitions: each piece against exact ``math.comb`` sums,
-its values at the committed phase-transition points, and the matcher
-with the true distributions against it."""
+"""The closed-form row errors of ``oracles`` on a uniform binary source
+through BSC(p): without repetitions, each piece against exact
+``math.comb`` sums, its values at the committed phase-transition points,
+and the matcher with the true distributions against it; with
+repetitions, the minimum-distance error against enumeration and a dense
+minimum-distance decoder on the committed instances."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dbalign.dbio import load_json_object
 from dbalign.estimation import from_model_spec
+from dbalign.experiment import ExperimentConfig
 from dbalign.matching import STATUS_MATCHED, match_rows, segment
 from dbalign.model import RepetitionPattern, sample_instance
 
@@ -18,11 +24,14 @@ from conftest import bsc_spec
 from oracles import (
     binomial_pmf,
     min_distance_row_error,
+    pattern_min_distance_row_error,
     survival_power,
     typical_window,
     typicality_row_error,
 )
 from test_acceptance import PHASE_EPSILON, PHASE_SPEC
+
+EXPERIMENTS = Path(__file__).parents[1] / "experiments"
 
 FLIP = 0.1
 
@@ -152,3 +161,87 @@ def test_matcher_with_the_true_distributions_meets_the_oracle(m, n):
     predicted = typicality_row_error(m, n, FLIP, PHASE_EPSILON)
     tolerance = 4 * KAPPA * math.sqrt(predicted * (1 - predicted) / (m * ORACLE_TRIALS))
     assert abs(np.mean(errors) - predicted) <= tolerance, (np.mean(errors), predicted, tolerance)
+
+
+def _enumerated_min_distance_error(m, p, s):
+    """1 - sum over every true row x and noisy expanded row y of
+    P(x, y) (1 - F)^(m-1), F the share of all rows x' (the uniform false
+    row) at most as far from y as x is."""
+    n, expand = len(s), np.repeat(np.arange(len(s)), s)
+    rows = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    copies = (np.arange(2**expand.size)[:, None] >> np.arange(expand.size)) & 1
+    dist = (rows[:, None, expand] != copies[None, :, :]).sum(axis=2)  # [x, y]
+    p_y = p**dist * (1 - p) ** (expand.size - dist)
+    beaten = (dist[:, None, :] >= dist[None, :, :]).mean(axis=1)  # [x, y]: F
+    return 1.0 - float((p_y * (1.0 - beaten) ** (m - 1)).sum()) / 2**n
+
+
+@pytest.mark.parametrize("m", [2, 3, 16])
+@pytest.mark.parametrize("p", [FLIP, 0.3])
+def test_min_distance_error_with_repetitions_is_the_enumeration(m, p):
+    for n in range(1, 5):
+        for s in itertools.product((0, 1, 2), repeat=n):
+            exact = _enumerated_min_distance_error(m, p, s)
+            assert pattern_min_distance_row_error(m, p, s) == pytest.approx(exact, rel=0, abs=1e-12), s
+
+
+def test_min_distance_error_without_repetitions_is_the_closed_form():
+    for m in (2, 3, 2**10, 2**12):
+        for n in range(3, 61):
+            expected = min_distance_row_error(m, n, FLIP)
+            found = pattern_min_distance_row_error(m, FLIP, np.ones(n, dtype=np.int64))
+            assert found == pytest.approx(expected, rel=0, abs=1e-12), (m, n)
+    # phase_bsc_m1024's points.
+    found = [pattern_min_distance_row_error(2**10, FLIP, np.ones(n, dtype=np.int64))
+             for n in (47, 31, 24, 19, 16, 13)]
+    assert [round(e, 6) for e in found] == [0.002686, 0.059881, 0.188236, 0.37584, 0.532655, 0.711837]
+
+
+def test_min_distance_error_with_repetitions_stays_finite_where_the_cdf_is_1():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1, 2, 2**10, 2**40):
+            for s in ([2] * 60, [1, 2] * 30, [0] * 5, []):
+                assert 0.0 <= pattern_min_distance_row_error(m, FLIP, s) <= 1.0
+    # Every column deleted: every false row ties the true one.
+    assert pattern_min_distance_row_error(2, FLIP, [0, 0, 0]) == 1.0
+
+
+def test_min_distance_error_refuses_runs_of_three():
+    with pytest.raises(ValueError, match="at most 2 copies"):
+        pattern_min_distance_row_error(16, FLIP, [1, 3, 2])
+
+
+def _dense_min_distance_error(pair):
+    """Share of the repeated rows whose true row is not strictly the
+    closest in Hamming distance over the expanded columns: one float32
+    GEMM of symbol agreements, a tie counted as an error."""
+    d1 = np.repeat(pair.d1, pair.pattern.s, axis=1)
+    symbols = np.arange(1, 3)
+    a = (d1[:, :, None] == symbols).reshape(d1.shape[0], -1).astype(np.float32)
+    b = (pair.d2[:, :, None] == symbols).reshape(pair.d2.shape[0], -1).astype(np.float32)
+    dist = d1.shape[1] - a @ b.T  # [row of d1, row of d2]
+    true = np.empty(dist.shape[1], dtype=dist.dtype)
+    true[pair.sigma] = dist[np.arange(dist.shape[0]), pair.sigma]
+    return float(((dist <= true).sum(axis=0) > 1).mean())
+
+
+# phase_paper_bsc_m*'s points: every n at m = 2^10, and R/C near 0.6 and
+# 1.0 at m = 2^12. KAPPA, as above, was fixed before the first run.
+@pytest.mark.parametrize(
+    "name, points",
+    [("phase_paper_bsc_m1024", range(6)), ("phase_paper_bsc_m4096", (1, 3))],
+)
+def test_dense_min_distance_decoder_meets_the_oracle_on_the_committed_instances(name, points):
+    config = ExperimentConfig.from_dict(load_json_object(EXPERIMENTS / f"{name}.json"))
+    flip = float(config.spec.p_y_given_x[0][1])
+    for point in points:
+        n = config.points()[point].n
+        errors, predicted = [], []
+        for trial in range(config.trials):
+            pair, _ = sample_instance(config.m, n, 1, config.spec, config.master_seed, point, trial)
+            errors.append(_dense_min_distance_error(pair))
+            predicted.append(pattern_min_distance_row_error(config.m, flip, pair.pattern.s))
+        p = np.mean(predicted)
+        tolerance = 4 * KAPPA * math.sqrt(p * (1 - p) / (config.m * config.trials))
+        assert abs(np.mean(errors) - p) <= tolerance, (n, np.mean(errors), p, tolerance)
