@@ -140,6 +140,21 @@ def _safe_log2(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blocks(m: int) -> list[slice]:
+    """Slices of MATCH_PART rows that tile range(m), in order."""
+    return [slice(l0, l0 + MATCH_PART) for l0 in range(0, m, MATCH_PART)]
+
+
+def _gathered_sums(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``values.take(ids).sum(axis=1)`` in float64, gathered one block of
+    rows of ``ids`` at a time (``_blocks``): each row is summed as in one
+    gather, so the result is bit-identical and no gather outgrows a block."""
+    out = np.empty(ids.shape[0])
+    for rows in _blocks(ids.shape[0]):
+        out[rows] = values.take(ids[rows]).sum(axis=1)
+    return out
+
+
 def _cell_table(
     d2: np.ndarray, starts: np.ndarray, lengths: np.ndarray, log_channel: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +170,9 @@ def _cell_table(
     ``ids``, with table[x, ids[l, j]] the log-likelihood of row l's run j
     given X = x + 1: its copies' log-likelihoods summed in order by
     ``np.add.reduceat``, so each cell is the one a reduceat over the row
-    itself would give.
+    itself would give. ``ids`` has the least unsigned dtype that holds the
+    number of distinct runs, and the codes are built MATCH_PART rows of d2
+    at a time.
     """
     k = log_channel.shape[0]
     s_max = int(lengths.max(initial=0))
@@ -164,19 +181,25 @@ def _cell_table(
     # One Horner pass per copy over all runs at once: a run without copy t
     # is multiplied by 1 and adds 0. Every code is below base[-1]: within
     # TABLE_LIMIT by the check, or s_max + 1 when k = 1.
-    codes = d2.take(starts, axis=1).astype(np.int32)
-    for t in range(1, s_max):
-        live = lengths > t
-        copy = d2.take(starts + t * live, axis=1)
-        copy *= live.astype(copy.dtype)
-        codes *= np.where(live, k, 1).astype(np.int32)
-        codes += copy
+    codes = np.empty((d2.shape[0], starts.size), dtype=np.min_scalar_type(int(base[-1]) - 1))
     present = np.zeros(int(base[-1]), dtype=bool)
-    present[codes] = True
+    for rows in _blocks(d2.shape[0]):
+        run_codes = d2[rows].take(starts, axis=1).astype(np.int32)
+        for t in range(1, s_max):
+            live = lengths > t
+            copy = d2[rows].take(starts + t * live, axis=1)
+            copy *= live.astype(copy.dtype)
+            run_codes *= np.where(live, k, 1).astype(np.int32)
+            run_codes += copy
+        present[run_codes] = True
+        codes[rows] = run_codes
     used = np.flatnonzero(present)
-    lookup = np.empty(present.size, dtype=np.intp)
+    lookup = np.empty(present.size, dtype=np.min_scalar_type(max(used.size - 1, 0)))
     lookup[used] = np.arange(used.size)
-    ids = lookup[codes]
+    ids = np.empty(codes.shape, dtype=lookup.dtype)
+    for rows in _blocks(d2.shape[0]):
+        ids[rows] = lookup.take(codes[rows])
+    del codes
 
     # Each used run's copies in order, decoded from its code, then one
     # reduceat over them all.
@@ -244,13 +267,16 @@ def _screen(
     m2, r = ids.shape
     m1 = x_cells.shape[0]
     w = (k - 1) * r + 2
-    baseline = table[0].take(ids).sum(axis=1).astype(np.float32)
+    baseline = _gathered_sums(table[0], ids).astype(np.float32)
     differences = (table[1:] - table[:1]).astype(np.float32)
-    scale = np.abs(differences).sum(axis=0, dtype=np.float64).take(ids).sum(axis=1)
+    scale = _gathered_sums(np.abs(differences).sum(axis=0, dtype=np.float64), ids)
     scale += np.abs(baseline)
     scale += np.fmax.reduce(np.abs(offset), initial=0.0)  # NaN marks skipped
     a = np.empty((m2, w), dtype=np.float32)
-    np.take(differences, ids, axis=1, out=a[:, : w - 2].reshape(m2, k - 1, r).transpose(1, 0, 2))
+    for rows in _blocks(m2):
+        block = a[rows, : w - 2]
+        cells = block.reshape(block.shape[0], k - 1, r).transpose(1, 0, 2)
+        np.take(differences, ids[rows], axis=1, out=cells)
     a[:, w - 2] = baseline
     a[:, w - 1] = np.where(y_typical, 1.0, np.nan)
     b = np.empty((w, m1), dtype=np.float32)
@@ -360,7 +386,7 @@ def match_rows(
     # front of the log-probabilities lets d1's symbols 1..k index them.
     log_px = np.zeros(k + 1)
     log_px[1:] = _safe_log2(est.p_x)
-    ll_x = log_px[d1].sum(axis=1)
+    ll_x = _gathered_sums(log_px, d1)
     dev_x = np.abs(-ll_x / n - est.x_entropy)
 
     # table[x, ids[l, j]]: log2 p(cell j of repeated row l | X = x) over the
@@ -376,7 +402,7 @@ def match_rows(
     # Y-marginal deviation: depends on the repeated row only; each cell's
     # probability is its likelihood averaged over the source symbol.
     log_q_y = _safe_log2(np.matmul(est.p_x, np.exp2(table)))
-    dev_y = np.abs(-log_q_y.take(ids).sum(axis=1) / n - est.y_entropy)
+    dev_y = np.abs(-_gathered_sums(log_q_y, ids) / n - est.y_entropy)
 
     # Joint typicality: |-(joint_ll + ll_x) / n - H| <= eps is |S| <= n eps
     # with S = joint_ll + ll_x + n H. Every cell log-likelihood and ll_x
@@ -387,7 +413,8 @@ def match_rows(
     np.maximum(table, penalty, out=table)
     offset = np.where(dev_x <= epsilon, ll_x + n * est.joint_entropy, np.nan)
     bound = n * epsilon
-    x_cells = d1[:, retained] - 1  # 0-based, in d1's own dtype
+    x_cells = d1.take(retained, axis=1)
+    x_cells -= 1  # 0-based, in d1's own dtype
     a, b, lo, hi = _screen(table, ids, dev_y <= epsilon, x_cells, offset, bound)
 
     # One one-sided compare per tile. A pair the float64 rule finds typical
@@ -451,32 +478,37 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     """Upper bound on `match_rows`' working set at m rows, on any thread budget.
 
     Every array it holds is linear in m, except the table of distinct runs, the
-    tiles of joint scores and the chunks of the float64 recheck. Per row it
-    peaks in one phase: the int64 ids and uint8 ``x_cells`` (9 n bytes) beside a
-    float64 gather by ids (8 n) or, once `_screen` has gathered, its float32
-    ``a`` and ``b`` (8 w at the GEMM width w = (k - 1) n + 2); per-row vectors
-    add 64 bytes. Runs of up to s_max copies take sum_{s <= s_max} k^s codes,
-    each with a presence flag and an int64 index; each distinct run, at most
-    min(m * n, codes) of them, holds its decoded copies, their k log-likelihoods
-    each, its k cells and their exp2, and a few scalars. The tiles of all row
-    parts, MATCH_PART columns wide, share TILE_BYTES or are one row high in at
-    most m / MATCH_PART parts, so they hold at most max(TILE_BYTES // 8, m)
-    float32 scores and their bool masks between them. At worst every score is a
-    candidate, so per score the tiles also hold, at once, the candidate's int64
-    row and column, its float32 |S32|, two bool masks and the int64 index of the
-    band to recheck; the search for candidates holds less, an int64 flat index
-    and the two int64 halves it is built from. The recheck chunks of all parts
-    hold at most 17 bytes per gathered cell between them, under 2 * TILE_BYTES.
+    blocks of its preparation, the tiles of joint scores and the chunks of the
+    float64 recheck. Per row it holds the run ids, in the least unsigned dtype
+    that holds the run count, the uint8 ``x_cells`` and the float32 GEMM
+    operands ``a`` and ``b`` (8 w bytes at the GEMM width w = (k - 1) n + 2);
+    per-row vectors add 64 bytes. Its preparation gathers MATCH_PART rows at a
+    time, at most 16 bytes per cell of a block: a float64 gather and its intp
+    indices. Runs of up to s_max copies take sum_{s <= s_max} k^s codes, each
+    with a presence flag and an index in the ids' dtype; each distinct run, at
+    most min(m * n, codes) of them, holds its decoded copies, their k
+    log-likelihoods each, its k cells and their exp2, and a few scalars. The
+    tiles of all row parts, MATCH_PART columns wide, share TILE_BYTES or are one
+    row high in at most m / MATCH_PART parts, so they hold at most
+    max(TILE_BYTES // 8, m) float32 scores and their bool masks between them. At
+    worst every score is a candidate, so per score the tiles also hold, at once,
+    the candidate's int64 row and column, its float32 |S32|, two bool masks and
+    the int64 index of the band to recheck; the search for candidates holds
+    less, an int64 flat index and the two int64 halves it is built from. The
+    recheck chunks of all parts hold at most 17 bytes per gathered cell between
+    them, under 2 * TILE_BYTES.
     """
     k = alphabet_size
     w = (k - 1) * n + 2
-    per_row = 9 * n + 8 * max(n, w) + 64
     codes = sum(k**s for s in range(s_max + 1))
     runs = min(m * n, codes)
-    table = 9 * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)
+    id_bytes = np.min_scalar_type(max(runs - 1, 0)).itemsize
+    per_row = (id_bytes + 1) * n + 8 * w + 64
+    block = 16 * min(m, MATCH_PART) * n
+    table = (1 + id_bytes) * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)
     per_score = 4 + 1 + (8 + 8 + 4 + 1 + 1 + 8)  # tile, mask, then each candidate's share
     tile = per_score * max(TILE_BYTES // 8, m) + 2 * TILE_BYTES
-    return m * per_row + table + tile
+    return m * per_row + block + table + tile
 
 
 @dataclass

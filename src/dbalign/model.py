@@ -9,15 +9,16 @@ changing the result.
 Symbols are the integers ``1..alphabet_size`` and are stored as single
 bytes (``uint8``). They are drawn bit-identically to
 ``Generator.choice(symbols, size, p=p)``: the same uniforms, consumed in
-the same order, give the same symbols. A draw fills its float64 uniforms,
-8 bytes per symbol, in contiguous parts over the calling thread's budget
-(``fanout``), each part from the stream advanced to its offset, so the
-budget never changes a symbol. The noise channel splits its rows the same
-way; each part finds its own positions of each input symbol and draws
-their outputs from the stream at that (part, symbol)'s offset, so its
-transient is each part's positions and uniforms of one symbol, in chunks
-of DRAW_PART entries. What is left of the sampler's time is mostly the
-uniform stream.
+the same order, give the same symbols. A draw fills its float64 uniforms
+in contiguous parts over the calling thread's budget (``fanout``), each
+part from the stream advanced to its offset, so the budget never changes a
+symbol; each part fills and counts them in chunks of DRAW_PART. The noise
+channel splits its rows the same way and expands each part's rows of d1
+one block of DRAW_PART entries at a time; each part finds its own
+positions of each input symbol and draws their outputs from the stream at
+that (part, symbol)'s offset. So neither holds more than a few chunks per
+part beside the matrices it returns. What is left of the sampler's time is
+mostly the uniform stream.
 """
 
 from __future__ import annotations
@@ -229,22 +230,36 @@ def _stream_at(state, offset: int) -> np.random.Generator:
     return np.random.Generator(copy.advance(offset))
 
 
-def _cdf(p) -> np.ndarray:
-    """The cumulative sum of p, normalised so that its last entry is 1."""
+def _edges(p):
+    """The compares that pick a symbol from p as ``Generator.choice`` does.
+
+    ``choice`` picks 1 plus the number of entries of p's normalised cdf at
+    or below a uniform u in [0, 1). The last entry is exactly 1 > u; of
+    the others, one <= 0 counts for every u and one >= 1 for none, and a
+    repeated one counts once per repeat. Returns the symbol that u below
+    every other entry picks, the distinct entries in (0, 1), and how many
+    times each occurs.
+    """
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    return cdf
+    inner = cdf[:-1]
+    cuts, repeats = np.unique(inner[(inner > 0.0) & (inner < 1.0)], return_counts=True)
+    return 1 + int(np.count_nonzero(inner <= 0.0)), cuts, repeats.tolist()
 
 
-def _count_cdf(u, cdf, out, above) -> None:
-    """Write into uint8 ``out`` 1 plus the number of entries of ``cdf`` but
-    the last at or below each uniform of ``u``; ``above`` is a bool buffer
-    of u's shape. The last entry is exactly 1 > u, so the count is the
-    symbol that ``Generator.choice`` picks with that uniform."""
-    out.fill(1)
-    for edge in cdf[:-1]:
-        np.greater_equal(u, edge, out=above)
-        out += above.view(np.uint8)
+def _count_cdf(u, edges, out, above) -> None:
+    """Write into uint8 ``out`` the symbol that each uniform of ``u`` picks
+    by ``edges`` (``_edges``): one compare per distinct reachable cdf
+    entry, its mask added once per repeat. ``above`` is a bool buffer of
+    u's shape."""
+    first, cuts, repeats = edges
+    out.fill(first)
+    mask = above.view(np.uint8)
+    for cut, times in zip(cuts, repeats):
+        np.greater_equal(u, cut, out=above)
+        if times > 1:
+            mask *= times
+        out += mask
 
 
 def _draw(p, size, rng: np.random.Generator) -> np.ndarray:
@@ -258,25 +273,31 @@ def _draw(p, size, rng: np.random.Generator) -> np.ndarray:
     contiguous parts of at least DRAW_PART (``fanout.parts``): each part
     after the first draws from a copy of the stream advanced to its
     offset, and ``rng`` itself draws the first part and is then advanced
-    past the rest. Any other stream draws in one part.
+    past the rest. Any other stream draws in one part. Each part fills and
+    counts its uniforms in chunks of DRAW_PART, in order.
     """
-    u = np.empty(size)
-    out = np.empty(u.shape, dtype=np.uint8)
-    above = np.empty(u.shape, dtype=bool)
-    flat_u, flat_out, flat_above = u.reshape(-1), out.reshape(-1), above.reshape(-1)
-    cdf = _cdf(p)
+    out = np.empty(size, dtype=np.uint8)
+    flat = out.reshape(-1)
+    edges = _edges(p)
     state = _splittable(rng)
-    spans = fanout.parts(u.size, DRAW_PART, None if state else 1)
+    spans = fanout.parts(flat.size, DRAW_PART, None if state else 1)
     streams = [rng] + [_stream_at(state, start) for start, _ in spans[1:]]
+    chunk = max(1, min(DRAW_PART, flat.size))
+    # Each part's uniforms and compare mask for one chunk, allocated here
+    # so that no worker thread grows an allocator arena of its own.
+    buffers = [(np.empty(chunk), np.empty(chunk, bool)) for _ in spans]
 
     def fill(j):
-        part = slice(*spans[j])
-        streams[j].random(out=flat_u[part])
-        _count_cdf(flat_u[part], cdf, flat_out[part], flat_above[part])
+        u, above = buffers[j]
+        start, stop = spans[j]
+        for c in range(start, stop, chunk):
+            length = min(chunk, stop - c)
+            streams[j].random(out=u[:length])
+            _count_cdf(u[:length], edges, flat[c : c + length], above[:length])
 
     fanout.fan_out(fill, range(len(spans)))
     if len(spans) > 1:
-        rng.bit_generator.advance(u.size - spans[0][1])
+        rng.bit_generator.advance(flat.size - spans[0][1])
     return out
 
 
@@ -313,68 +334,84 @@ def apply_channel(
 
     The rows split into contiguous parts of at least DRAW_PART entries
     over the calling thread's budget (``fanout.parts``), one part unless
-    the stream may be split (``_splittable``). The first fan-out builds
-    each part's rows of the expanded input and counts its symbols, which
-    fixes the offset of each (part, symbol); the second resamples each
-    part's entries of each symbol, in chunks of DRAW_PART, from a copy of
-    the stream advanced to that offset, and ``rng`` is then advanced past
-    every entry. A stream that may not be split is drawn from directly.
+    the stream may be split (``_splittable``), and each part walks its
+    rows in blocks of at most DRAW_PART entries, expanding each block of
+    d1 into a buffer as it goes. The first fan-out counts each part's
+    entries of each symbol, which fixes the offset of each (part, symbol);
+    the second resamples them from a copy of the stream advanced to that
+    offset, every symbol of a block at once, and ``rng`` is then advanced
+    past every entry. A stream that may not be split is drawn from
+    directly, one symbol at a time, so each symbol expands every block
+    again.
     """
     m, n = d1.shape
     if pattern.n != n:
         raise ValueError("pattern length must equal the column count of d1")
 
     cols = np.repeat(np.arange(n), pattern.s)
-    k = spec.alphabet_size
-    expanded = np.empty((m, cols.size), d1.dtype)
-    # noisy must be C-ordered, so that each part's flat view is a view of it
-    # and not a copy that silently drops every write.
-    noisy = np.empty(expanded.shape, np.uint8)
+    k, width = spec.alphabet_size, max(cols.size, 1)
+    edges = [_edges(p) for p in spec.p_y_given_x]
+    # noisy must be C-ordered, so that each block's flat view is a view of
+    # it and not a copy that silently drops every write.
+    noisy = np.empty((m, cols.size), np.uint8)
     state = _splittable(rng)
-    rows = fanout.parts(m, -(-DRAW_PART // max(cols.size, 1)), None if state else 1)
-    chunk = max(1, min(DRAW_PART, expanded.size))
-    # Each part's mask, uniforms and symbols for one chunk, allocated here
-    # so that no worker thread grows an allocator arena of its own.
-    buffers = [(np.empty(chunk, bool), np.empty(chunk), np.empty(chunk, np.uint8)) for _ in rows]
+    rows = fanout.parts(m, -(-DRAW_PART // width), None if state else 1)
+    step = max(1, min(DRAW_PART // width, m))
+    chunk = step * cols.size
+    # Each part's expanded input, mask, uniforms and symbols for one block,
+    # allocated here so that no worker thread grows an allocator arena of
+    # its own.
+    buffers = [
+        (np.empty(chunk, d1.dtype), np.empty(chunk, bool), np.empty(chunk), np.empty(chunk, np.uint8))
+        for _ in rows
+    ]
 
-    def chunks(j):
-        """Part j's (input, output) flat chunks, in row-major order."""
+    def blocks(j):
+        """Part j's (first row, last row + 1) blocks, in order."""
         r0, r1 = rows[j]
-        flat_in, flat_out = expanded[r0:r1].reshape(-1), noisy[r0:r1].reshape(-1)
-        starts = range(0, flat_in.size, chunk)
-        return [(flat_in[c : c + chunk], flat_out[c : c + chunk]) for c in starts]
+        return [(b0, min(b0 + step, r1)) for b0 in range(r0, r1, step)]
 
-    def expand(j):
-        r0, r1 = rows[j]
-        np.take(d1[r0:r1], cols, axis=1, out=expanded[r0:r1], mode="clip")
-        hit = buffers[j][0]
-        return [
-            sum(np.count_nonzero(np.equal(x_in, x, out=hit[: x_in.size])) for x_in, _ in chunks(j))
-            for x in range(1, k + 1)
-        ]
+    def expand(j, b0, b1):
+        """The flat input of rows b0..b1-1, in part j's buffer."""
+        x_in = buffers[j][0][: (b1 - b0) * cols.size]
+        np.take(d1[b0:b1], cols, axis=1, out=x_in.reshape(b1 - b0, cols.size), mode="clip")
+        return x_in
 
-    counts = np.array(fanout.fan_out(expand, range(len(rows))), np.int64)
-    if counts.sum() != expanded.size:  # before any draw, so rng is left as it was
+    def count(j):
+        hit, counts = buffers[j][1], [0] * k
+        for block in blocks(j):
+            x_in = expand(j, *block)
+            for x in range(k):
+                counts[x] += np.count_nonzero(np.equal(x_in, x + 1, out=hit[: x_in.size]))
+        return counts
+
+    counts = np.array(fanout.fan_out(count, range(len(rows))), np.int64)
+    if counts.sum() != noisy.size:  # before any draw, so rng is left as it was
         raise ValueError(f"d1 symbols must lie in 1..{k}")
     totals = counts.sum(axis=0)
     offsets = (np.cumsum(totals) - totals) + (np.cumsum(counts, axis=0) - counts)
     streams = [[_stream_at(state, int(o)) if state else rng for o in part] for part in offsets]
 
     def resample(j):
-        hit, u, out = buffers[j]
-        for x in range(k):
-            cdf = _cdf(spec.p_y_given_x[x])
-            for x_in, x_out in chunks(j):
-                at = np.flatnonzero(np.equal(x_in, x + 1, out=hit[: x_in.size]))
-                size = at.size
-                streams[j][x].random(out=u[:size])
-                _count_cdf(u[:size], cdf, out[:size], hit[:size])  # hit is free again
-                x_out[at] = out[:size]
-                del at  # before the next chunk's positions are allocated
+        _, hit, u, out = buffers[j]
+        if state:
+            order = [(block, x) for block in blocks(j) for x in range(k)]
+        else:
+            order = [(block, x) for x in range(k) for block in blocks(j)]
+        expanded = None
+        for block, x in order:
+            if block != expanded:
+                x_in, expanded = expand(j, *block), block
+            at = np.flatnonzero(np.equal(x_in, x + 1, out=hit[: x_in.size]))
+            size = at.size
+            streams[j][x].random(out=u[:size])
+            _count_cdf(u[:size], edges[x], out[:size], hit[:size])  # hit is free again
+            noisy[slice(*block)].reshape(-1)[at] = out[:size]
+            del at  # before the next block's positions are allocated
 
     fanout.fan_out(resample, range(len(rows)))
     if state:
-        rng.bit_generator.advance(expanded.size)
+        rng.bit_generator.advance(noisy.size)
     return noisy
 
 
@@ -425,18 +462,20 @@ def sample_instance(
 def instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
     """Upper bound on `sample_instance`'s working set on the caller's budget.
 
-    Kept: sigma's int64 entries and, for d1 and for g1, the uint8 source
-    rows and two uint8 arrays the size of the channel's output (the
-    expanded input and the output; on d1's side, d2 then takes the
-    input's place until the output is freed, before the seeds are drawn).
-    Transient, the larger of: the largest draw's float64 uniforms and
-    compare mask, 9 bytes per entry of at most max(m, num_seeds) * n; or
-    each channel part's chunk of DRAW_PART entries, one byte each of mask
-    and drawn symbols, its float64 uniforms and int64 positions. And
-    64 KiB of generators, cdfs and array headers (about 6 KiB measured).
+    Kept: sigma's int64 entries, the uint8 source rows of d1 and of g1, and
+    a uint8 channel output on each side, of at most n * max(s_max, 1)
+    columns; on d1's side d2 sits beside that output until it is freed,
+    before the seeds are drawn. Transient, the larger of the chunk buffers
+    of a draw or of a channel at the budget: each draw part holds DRAW_PART
+    float64 uniforms and their compare mask, 9 bytes each; each channel
+    part a block of at most DRAW_PART entries, one byte each of expanded
+    input, mask and drawn symbols, their float64 uniforms and int64
+    positions, 19 bytes each. And 64 KiB of generators, cdfs and array
+    headers (about 6 KiB measured).
     """
     k_max = n * max(s_max, 1)
     rows = max(m, num_seeds)
-    kept = (m + num_seeds) * (n + 2 * k_max) + 8 * m
-    parts = len(fanout.parts(rows, -(-DRAW_PART // k_max)))
-    return kept + max(9 * rows * n, 18 * DRAW_PART * parts) + 64 * 1024
+    kept = m * (n + 2 * k_max + 8) + num_seeds * (n + k_max)
+    draw = 9 * len(fanout.parts(rows * n, DRAW_PART))
+    channel = 19 * len(fanout.parts(rows, -(-DRAW_PART // k_max)))
+    return kept + max(draw, channel) * DRAW_PART + 64 * 1024

@@ -326,6 +326,7 @@ def test_match_rows_decides_the_same_whatever_order_the_tiles_come_in(ex, monkey
 )
 @example(k=2, lengths=[9, 1, 12, 10], m=40, seed=0)
 @example(k=8, lengths=[6, 1, 2], m=40, seed=0)
+@example(k=8, lengths=[3] * 8, m=40, seed=0)  # more than 256 distinct runs
 def test_cell_table_scores_each_distinct_run_once_as_reduceat_does(k, lengths, m, seed):
     # A run of 9 or more copies is where numpy's pairwise sum changes
     # form; the run lengths are capped where the code space outgrows
@@ -347,6 +348,7 @@ def test_cell_table_scores_each_distinct_run_once_as_reduceat_does(k, lengths, m
     assert gathered.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
     runs = {tuple(row[a : a + s]) for row in d2 for a, s in zip(starts, lengths)}
     assert table.shape == (k, len(runs))
+    assert ids.dtype == np.min_scalar_type(len(runs) - 1)
     assert len(runs) <= min(m * lengths.size, sum(k**s for s in range(1, lengths.max() + 1)))
 
 

@@ -222,6 +222,37 @@ def test_draw_is_bit_identical_to_choice(weights, size, seed):
     assert ours.random() == theirs.random()
 
 
+@pytest.mark.parametrize(
+    "weights, compares",
+    [
+        pytest.param([0.5, 0.5, 0.0], 1, id="trailing-zero"),
+        pytest.param([0.0, 0.5, 0.5], 1, id="leading-zero"),
+        pytest.param([0.4, 0.0, 0.6], 1, id="two-equal-edges"),
+        pytest.param([0.2, 0.0, 0.0, 0.3, 0.5], 2, id="three-equal-edges"),
+        pytest.param([0.2, 0.3, 0.5], 2, id="no-zero"),
+    ],
+)
+def test_draw_compares_each_reachable_cdf_edge_once(weights, compares):
+    # A uniform lies in [0, 1): a cdf edge at 1 never counts, one at 0
+    # always does, and a repeated edge counts once per repeat. So the draw
+    # compares each distinct edge inside (0, 1) once, and its symbols and
+    # the stream it leaves still match Generator.choice.
+    p = np.array(weights)
+    assert len(model._edges(p)[1]) == compares
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    got = _draw(p, 5000, ours)
+    want = theirs.choice(np.arange(1, p.size + 1, dtype=np.uint8), 5000, p=p)
+    assert np.array_equal(got, want)
+    assert ours.random() == theirs.random()
+
+
+def test_unit_trace_cyclic_channel_needs_one_compare_per_symbol():
+    # Each row of the channel holds a zero, so one of its two cdf edges is
+    # 0, 1 or a repeat of the other.
+    spec = unit_trace_cyclic_spec()
+    assert [len(model._edges(row)[1]) for row in spec.p_y_given_x] == [1, 1, 1]
+
+
 # Sizes below, at and above twice the part size (the least draw that is
 # split), with the part size forced down to 64 uniforms.
 SPLIT_PART = 64
@@ -346,6 +377,26 @@ def test_channel_holds_a_few_chunks_per_part(budget):
             tracemalloc.stop()
     assert noisy.size >= 4_000_000
     assert peak <= 2 * noisy.nbytes + 32 * model.DRAW_PART * budget
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_sampler_transient_does_not_grow_with_the_seed_count(budget):
+    # Every draw and every channel walks each part in chunks of DRAW_PART,
+    # so beyond the arrays it returns sample_instance holds a few chunks per
+    # part (and d2 beside the channel's output, m rows), however many seed
+    # rows it draws.
+    spec = unit_trace_cyclic_spec((0.3, 0.7))  # remap_sweep's model
+    sample_instance(16, 60, 1, spec, master_seed=7)  # imports numpy's lazy modules
+    for num_seeds in (10_000, 200_000):
+        with fanout.budget(budget):
+            tracemalloc.start()
+            try:
+                pair, seeds = sample_instance(1024, 60, num_seeds, spec, master_seed=7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        returned = sum(a.nbytes for a in (pair.d1, pair.d2, pair.sigma, seeds.g1, seeds.g2))
+        assert peak - returned <= 20 * model.DRAW_PART * budget
 
 
 @pytest.mark.parametrize("part", [SPLIT_PART, model.DRAW_PART])
