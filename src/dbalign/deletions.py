@@ -131,14 +131,17 @@ def deletion_threshold(num_seeds: int, n: int) -> float:
 
 
 def cooccurrence(
-    g1: np.ndarray, g2: np.ndarray, alphabet_size: int
+    g1: np.ndarray, g2: np.ndarray, alphabet_size: int, alloc=np.empty
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symbol co-occurrence counts between every g1 and every g2 column,
     and g1's symbol totals.
 
     ``C[x, i, y, j]`` (int64) is the number of seed rows where g1 column
     i holds symbol x+1 and g2 column j holds y+1; ``source_counts[x]``
-    (int64) is the number of g1 entries equal to x+1.
+    (int64) is the number of g1 entries equal to x+1. C and the float64
+    total of the first part come from ``alloc(shape, dtype)``, the total
+    before the tabulation and C after it; with ``fanout.borrow`` both are
+    carved in the caller's scope, C over the tabulation's operands.
 
     Only symbols 2..k are one-hot encoded, as float32 indicators, each
     operand closed by a column of ones. One GEMM per block of SEED_BLOCK
@@ -151,8 +154,9 @@ def cooccurrence(
     whose integer sums stay exact below 2^53, and the totals are cast to
     int64 once, as the counts are built. The blocks split into contiguous
     runs over the calling thread's budget (``fanout.parts``), each run
-    with its own operands, product and total, and the totals are summed:
-    exact integers, so the split never changes a count.
+    with its own operands, product and total, borrowed from the calling
+    thread's workspace (``fanout.borrow``), and the totals are summed into
+    the first: exact integers, so the split never changes a count.
     Symbol 1's rows and columns are the complements over the other
     symbols, in integers:
 
@@ -176,18 +180,13 @@ def cooccurrence(
     starts = range(0, num_seeds, SEED_BLOCK)
     spans = fanout.parts(len(starts), 1)
     width1, width2 = (k - 1) * n + 1, (k - 1) * kt + 1
-    buffers = [
-        (
-            np.ones((block, width1), dtype=np.float32),
-            np.ones((block, width2), dtype=np.float32),
-            np.empty((width1, width2), dtype=np.float32),
-            np.zeros((width1, width2)),
-        )
-        for _ in spans
-    ]
+    total = alloc((width1, width2), np.float64)
 
     def tabulate(j):
         hot1, hot2, product, total = buffers[j]
+        hot1[:, -1] = 1.0  # the column of ones; every other column is rewritten per block
+        hot2[:, -1] = 1.0
+        total.fill(0.0)
         for start in starts[slice(*spans[j])]:
             b1 = g1[start : start + SEED_BLOCK]
             b2 = g2[start : start + SEED_BLOCK]
@@ -197,21 +196,34 @@ def cooccurrence(
                 np.equal(b2, b2.dtype.type(x), out=hot2[:rows, (x - 2) * kt : (x - 1) * kt])
             np.matmul(hot1[:rows].T, hot2[:rows], out=product)
             total += product
-        return total
 
-    total, *others = fanout.fan_out(tabulate, range(len(spans)))
-    for other in others:
-        total += other
-    del buffers, others  # only the sum outlives the tabulation
+    with fanout.scope():
+        buffers = [
+            [
+                fanout.borrow((block, width1), np.float32),
+                fanout.borrow((block, width2), np.float32),
+                fanout.borrow((width1, width2), np.float32),
+                total if j == 0 else fanout.borrow((width1, width2), np.float64),
+            ]
+            for j in range(len(spans))
+        ]
+        fanout.fan_out(tabulate, range(len(spans)))
+        for other in buffers[1:]:
+            total += other[3]
+    del buffers
 
     n1 = total[:-1, -1].reshape(k - 1, n)
-    counts = np.empty((k, n, k, kt), dtype=np.int64)  # the totals are cast to int64 here
+    counts = alloc((k, n, k, kt), np.int64)  # the totals are cast to int64 here
     counts[1:, :, 1:] = total[:-1, :-1].reshape(k - 1, n, k - 1, kt)
     counts[1:, :, 0] = n1[..., None]
     counts[0, :, 1:] = total[-1, :-1].reshape(k - 1, kt)
     counts[0, :, 0] = num_seeds
-    counts[0] -= counts[1:].sum(axis=0)
-    counts[:, :, 0] -= counts[:, :, 1:].sum(axis=2)
+    with fanout.scope():
+        sums = fanout.borrow((n, k, kt), np.int64)
+        counts[0] -= np.sum(counts[1:], axis=0, out=sums)
+        sums = sums.reshape(k, n, kt)
+        counts[:, :, 0] -= np.sum(counts[:, :, 1:], axis=2, out=sums)
+        del sums  # outside a workspace, freed here
     source_counts = np.concatenate([[num_seeds * n - n1.sum()], n1.sum(axis=1)])
     return counts, source_counts.astype(np.int64)
 
@@ -227,7 +239,8 @@ def seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
     total of the products; then come the k^2 * n^2 int64 counts with one
     k * n^2 sum while symbol 1's counts are rebuilt. Each remapping of the
     sweep gathers k * n^2 counts, sums them to n^2 distances and scans
-    their float64 deviations.
+    their float64 deviations. Each of the 4 borrows per part and the 2
+    after them is carved on an ALIGN-byte boundary (``fanout.borrow``).
     """
     k = alphabet_size
     width = (k - 1) * n + 1
@@ -236,11 +249,11 @@ def seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
     operands = 4 * block * 2 * width
     products = (4 + 8) * width * width
     counts = 8 * k * k * n * n + 8 * (k + 4) * n * n
-    return parts * (operands + products) + counts
+    return parts * (operands + products) + counts + fanout.ALIGN * (4 * parts + 2)
 
 
 def cross_hamming(
-    g1: np.ndarray, g2: np.ndarray, phi: np.ndarray, counts: np.ndarray
+    g1: np.ndarray, g2: np.ndarray, phi: np.ndarray, counts: np.ndarray, alloc=np.empty
 ) -> np.ndarray:
     """Distances between every g1 column and every remapped g2 column.
 
@@ -248,7 +261,8 @@ def cross_hamming(
     g2 column j disagree. Read off the co-occurrence counts of g1 and g2
     (`cooccurrence` with ``alphabet_size == len(phi)``): g1 column i
     agrees with remapped g2 column j on every row where g2 holds y and g1
-    holds phi(y), so ``l = Lambda - sum_y C[phi(y)-1, :, y-1, :]``.
+    holds phi(y), so ``l = Lambda - sum_y C[phi(y)-1, :, y-1, :]``, in an
+    array from ``alloc``, called as ``np.empty`` is.
     """
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
@@ -260,10 +274,14 @@ def cross_hamming(
     k = phi.size
     if counts.shape != (k, n, k, kt):
         raise ValueError(f"counts must have shape {(k, n, k, kt)}")
-    agree = counts[phi.astype(np.intp) - 1, :, np.arange(k), :].sum(axis=0)
-    return num_seeds - agree
+    agree = alloc((n, kt), np.int64)
+    agree[...] = counts[int(phi[0]) - 1, :, 0]
+    for y in range(1, k):
+        agree += counts[int(phi[y]) - 1, :, y]
+    return np.subtract(num_seeds, agree, out=agree)
 
 
+@fanout.scope()  # the deviations and their mask are borrowed
 def scan_remapping(l: np.ndarray, tau_hat: float) -> np.ndarray | None:
     """Outlier scan of one remapping's distance matrix ``l``.
 
@@ -276,7 +294,9 @@ def scan_remapping(l: np.ndarray, tau_hat: float) -> np.ndarray | None:
     order, and any other arrangement is a misdetection.
     """
     mu = float(l.mean()) if l.size else 0.0
-    outlier = np.abs(l - mu) >= tau_hat
+    deviation = np.subtract(l, mu, out=fanout.borrow(l.shape))
+    outlier = fanout.borrow(l.shape, bool)
+    np.greater_equal(np.abs(deviation, out=deviation), tau_hat, out=outlier)
     counts = outlier.sum(axis=0)
     anomalies = np.flatnonzero(counts != 1)
     if anomalies.size:
@@ -292,6 +312,7 @@ def scan_remapping(l: np.ndarray, tau_hat: float) -> np.ndarray | None:
     return rows
 
 
+@fanout.scope()  # the counts are borrowed
 def detect_deletions(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> RetentionResult:
     """Infer which original columns survived, from replica-free seeds.
 
@@ -312,9 +333,10 @@ def detect_deletions(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> Rete
     if kt > n:
         raise ValueError("replica-free g2 cannot have more columns than g1")
     tau_hat = deletion_threshold(num_seeds, n)
-    counts, source_counts = cooccurrence(g1, g2, alphabet_size)
+    counts, source_counts = cooccurrence(g1, g2, alphabet_size, alloc=fanout.borrow)
     for phi in enumerate_remappings(alphabet_size):
-        rows = scan_remapping(cross_hamming(g1, g2, phi, counts), tau_hat)
+        with fanout.scope():  # each remapping's distances are returned before the next
+            rows = scan_remapping(cross_hamming(g1, g2, phi, counts, fanout.borrow), tau_hat)
         if rows is not None:
             deleted = np.setdiff1d(np.arange(n), rows)
             pair_counts = counts[:, rows, :, np.arange(kt)].sum(axis=0)

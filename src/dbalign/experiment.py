@@ -224,22 +224,27 @@ def _estimated_bytes(m: int, n: int, num_seeds: int, s_max: int, alphabet_size: 
     return matcher + instance + seeds
 
 
-def check_memory(what: str, working_set: int, cap: int, concurrent: int = 1) -> None:
+def check_memory(
+    what: str, working_set: int, cap: int, concurrent: int = 1, held: int = 0
+) -> None:
     """Raise InfeasibleSizeError unless ``concurrent`` working sets of
-    ``working_set`` bytes, each with half again as slack, fit ``cap``;
-    ``what`` names the size in the message."""
-    need = concurrent * int(1.5 * working_set)
+    ``working_set`` bytes, each with half again as slack, fit ``cap`` beside
+    ``held`` bytes already resident; ``what`` names the size in the message."""
+    need = concurrent * int(1.5 * working_set) + held
     if need > cap:
         trials = f" for {concurrent} concurrent trial(s)" if concurrent > 1 else ""
         raise InfeasibleSizeError(f"{what} needs ~{need} bytes{trials}, cap is {cap}")
 
 
+@fanout.scope()  # the instance is borrowed
 def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
     """One seeded end-to-end trial at ``config.points()[point]``, scored
     against ground truth; m, n, lambda and epsilon are that point's own."""
     cfg = config.points()[point]
     m, n, spec = cfg.m, cfg.n, cfg.spec
-    pair, seeds = sample_instance(m, n, cfg.num_seeds, spec, cfg.master_seed, point, trial)
+    pair, seeds = sample_instance(
+        m, n, cfg.num_seeds, spec, cfg.master_seed, point, trial, fanout.borrow
+    )
     result = matching.deanonymize(
         pair.d1,
         pair.d2,
@@ -296,26 +301,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     check_feasible(config.spec)
     concurrent = min(config.workers, config.trials)  # each part holds one trial at a time
     with fanout.cores(concurrent):
-        for p in config.points():
-            check_memory(
-                f"point m={p.m} n={p.n} lambda={p.num_seeds}",
-                _estimated_bytes(p.m, p.n, p.num_seeds, p.spec.s_max, p.spec.alphabet_size),
-                config.memory_cap_bytes,
-                concurrent,
-            )
-        return _report(config, fanout.parts(config.trials, 1, concurrent))
+        sizes = [
+            _estimated_bytes(p.m, p.n, p.num_seeds, p.spec.s_max, p.spec.alphabet_size)
+            for p in config.points()
+        ]
+        # The pooled workspaces stay resident: they are counted, or freed
+        # where a point fits only without them.
+        cap = config.memory_cap_bytes
+        if any(concurrent * int(1.5 * size) + fanout.held() > cap for size in sizes):
+            fanout.release()
+        for p, size in zip(config.points(), sizes):
+            what = f"point m={p.m} n={p.n} lambda={p.num_seeds}"
+            check_memory(what, size, cap, concurrent, fanout.held())
+        # Each trial part's workspace reserves a trial's whole working set;
+        # a page that no borrow reaches is never touched.
+        arena = max(sizes, default=0)
+        return _report(config, fanout.parts(config.trials, 1, concurrent), arena)
 
 
-def _report(config: ExperimentConfig, spans: list) -> ExperimentReport:
+def _report(config: ExperimentConfig, spans: list, arena: int) -> ExperimentReport:
     """Run every point's trials in the contiguous ``spans`` of trial
-    numbers, fanned out, each span on the calling thread's budget, and
-    summarise."""
+    numbers, fanned out, each span on the calling thread's budget and in a
+    workspace of ``arena`` bytes, and summarise."""
     threads = fanout.threads()
     summaries = []
     for point_idx, p in enumerate(config.points()):
 
         def part(span):
-            with fanout.budget(threads):
+            with fanout.budget(threads), fanout.workspace(arena):
                 return [run_trial(config, point_idx, i) for i in range(*span)]
 
         records = [r for rs in fanout.fan_out(part, spans) for r in rs]

@@ -1,4 +1,5 @@
-"""A thread's budget of cores, and the fan-out that spends it.
+"""A thread's budget of cores, the fan-out that spends it, and the
+workspace whose buffers the fanned-out parts borrow.
 
 ``cores`` pins the OpenBLAS that numpy loaded to one thread, so that no
 idle BLAS thread spins on a core that a part needs, and sets the calling
@@ -11,9 +12,21 @@ budget of 1 there is one part, run inline, so the serial path is the
 same loop. The budget is thread-local and 1 unless ``budget`` or
 ``cores`` sets it; a fan-out's threads start at 1, and a job that sets
 its own may fan out inside it, as an experiment's trial parts do around
-their stages. The parts must not depend on each other's results. Each
-stage allocates the buffers sized by a part before the fan-out, on the
-calling thread. Per-chunk and per-tile transients, such as the channel's
+their stages. The parts must not depend on each other's results.
+
+A stage takes every buffer sized by a part, and the large transients of
+its calling thread, from ``borrow``, on the calling thread before the
+fan-out, inside a ``scope`` that returns them when it ends. Inside
+``workspace`` a borrow is carved from the calling thread's workspace: a
+bump arena, one byte buffer that is reserved once and reused by every
+part, stage and trial, so that no stage frees and faults back in its
+buffers from one trial to the next. All of a stage's parts carve from
+the one arena, because only the calling thread borrows. A workspace
+outlives the block, in a pool that the next block takes it from,
+because the fan-outs start fresh threads and a caller may run one trial
+per experiment. Outside a workspace, and where it is full, a borrow is a
+plain ``np.empty``, so direct library calls run the same code. Per-chunk
+and per-tile transients of the worker threads, such as the channel's
 positions and the matcher's candidate lists and recheck chunks, are
 allocated on the worker, whose allocator arena keeps their high-water
 mark.
@@ -23,9 +36,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
+import mmap
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import ContextDecorator, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +60,13 @@ OPENBLAS_NAMES = (
 
 _PIN_LOCK = threading.Lock()
 _holders = _saved = 0  # the process-wide pin's holders, and the count it saved
+
+# Every borrow starts on a cache line: a carve wastes at most ALIGN - 1
+# bytes, which the memory bounds count per borrow.
+ALIGN = 64
+
+_POOL_LOCK = threading.Lock()
+_pool: list["Workspace"] = []  # workspaces kept for the next block that lends one
 
 
 def threads() -> int:
@@ -152,3 +174,98 @@ def fan_out(work, jobs) -> list:
         if exc is not None:
             raise exc
     return results
+
+
+def _mapping(nbytes: int) -> np.ndarray:
+    """``nbytes`` of an anonymous private mapping, as uint8. Its pages are
+    zero-filled on first touch and stay until it is unmapped: no allocator
+    trims them, and numpy advises no huge pages on them, so a page that a
+    borrow touches costs 4 KiB and one that none touches costs nothing."""
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), np.uint8)
+
+
+class Workspace:
+    """A bump arena: a byte buffer, the offset of its first free byte, the
+    most bytes ever carved from it (its resident part) and the offsets that
+    the open scopes return to. The buffer is only ever replaced by a larger
+    one between blocks, when no borrow is out, so no borrow ever moves."""
+
+    def __init__(self):
+        self.buffer = np.empty(0, np.uint8)
+        self.base = self.top = self.peak = 0
+        self.marks: list[int] = []
+
+    def reserve(self, nbytes: int) -> None:
+        """A buffer of at least ``nbytes``."""
+        if self.buffer.size < nbytes:
+            self.buffer = np.empty(0, np.uint8)  # unmapped before its successor
+            self.buffer, self.peak = _mapping(nbytes), 0
+            self.base = self.buffer.ctypes.data
+
+    def take(self, shape, dtype) -> np.ndarray | None:
+        """An array carved on an ALIGN-byte boundary, or None where it does
+        not fit."""
+        dtype = np.dtype(dtype)
+        start = -(-(self.base + self.top) // ALIGN) * ALIGN - self.base
+        stop = start + (math.prod(shape) if isinstance(shape, tuple) else shape) * dtype.itemsize
+        if stop > self.buffer.size:
+            return None
+        self.top, self.peak = stop, max(self.peak, stop)
+        return np.ndarray(shape, dtype, self.buffer, start)
+
+
+def borrow(shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array carved from the calling thread's workspace,
+    valid until the innermost enclosing ``scope`` ends; a plain ``np.empty``
+    outside a workspace or where it is full."""
+    ws = getattr(_LOCAL, "workspace", None)
+    out = None if ws is None else ws.take(shape, dtype)
+    return np.empty(shape, dtype) if out is None else out
+
+
+class scope(ContextDecorator):
+    """Return every borrow made inside the block, or the decorated call, to
+    the workspace when it ends, last in first out. No borrowed array may
+    outlive it."""
+
+    def __enter__(self):
+        ws = getattr(_LOCAL, "workspace", None)
+        if ws is not None:
+            ws.marks.append(ws.top)
+
+    def __exit__(self, *exc):
+        ws = getattr(_LOCAL, "workspace", None)
+        if ws is not None:
+            ws.top = ws.marks.pop()
+
+
+@contextmanager
+def workspace(nbytes: int):
+    """Lend the calling thread a workspace of at least ``nbytes`` from the
+    pool inside the block; it goes back to the pool, with its buffer, when
+    the block ends."""
+    with _POOL_LOCK:
+        ws = _pool.pop() if _pool else Workspace()
+    ws.reserve(nbytes)
+    saved = getattr(_LOCAL, "workspace", None)
+    _LOCAL.workspace = ws
+    try:
+        yield ws
+    finally:
+        _LOCAL.workspace = saved
+        ws.top, ws.marks = 0, []
+        with _POOL_LOCK:
+            _pool.append(ws)
+
+
+def held() -> int:
+    """Bytes that the pooled workspaces hold resident."""
+    with _POOL_LOCK:
+        return sum(ws.peak for ws in _pool)
+
+
+def release() -> None:
+    """Free every pooled workspace."""
+    with _POOL_LOCK:
+        _pool.clear()

@@ -145,13 +145,26 @@ def _blocks(m: int) -> list[slice]:
     return [slice(l0, l0 + MATCH_PART) for l0 in range(0, m, MATCH_PART)]
 
 
+def _block_buffers(ids: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Borrowed (``fanout.borrow``) buffers for one block of rows of ``ids``
+    (``_blocks``): its ids as intp, which ``np.take`` indexes by without a
+    hidden copy, and a gather of them in ``dtype``."""
+    shape = (min(ids.shape[0], MATCH_PART), *ids.shape[1:])
+    return fanout.borrow(shape, np.intp), fanout.borrow(shape, dtype)
+
+
+@fanout.scope()
 def _gathered_sums(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """``values.take(ids).sum(axis=1)`` in float64, gathered one block of
     rows of ``ids`` at a time (``_blocks``): each row is summed as in one
     gather, so the result is bit-identical and no gather outgrows a block."""
     out = np.empty(ids.shape[0])
+    index, gathered = _block_buffers(ids, values.dtype)
     for rows in _blocks(ids.shape[0]):
-        out[rows] = values.take(ids[rows]).sum(axis=1)
+        height = ids[rows].shape[0]
+        index[:height] = ids[rows]
+        np.take(values, index[:height], out=gathered[:height], mode="clip")
+        gathered[:height].sum(axis=1, out=out[rows])
     return out
 
 
@@ -172,7 +185,8 @@ def _cell_table(
     ``np.add.reduceat``, so each cell is the one a reduceat over the row
     itself would give. ``ids`` has the least unsigned dtype that holds the
     number of distinct runs, and the codes are built MATCH_PART rows of d2
-    at a time.
+    at a time. ``ids`` is borrowed in the caller's scope
+    (``fanout.borrow``), over the codes' bytes.
     """
     k = log_channel.shape[0]
     s_max = int(lengths.max(initial=0))
@@ -181,25 +195,36 @@ def _cell_table(
     # One Horner pass per copy over all runs at once: a run without copy t
     # is multiplied by 1 and adds 0. Every code is below base[-1]: within
     # TABLE_LIMIT by the check, or s_max + 1 when k = 1.
-    codes = np.empty((d2.shape[0], starts.size), dtype=np.min_scalar_type(int(base[-1]) - 1))
+    codes = fanout.borrow((d2.shape[0], starts.size), np.min_scalar_type(int(base[-1]) - 1))
     present = np.zeros(int(base[-1]), dtype=bool)
-    for rows in _blocks(d2.shape[0]):
-        run_codes = d2[rows].take(starts, axis=1).astype(np.int32)
-        for t in range(1, s_max):
-            live = lengths > t
-            copy = d2[rows].take(starts + t * live, axis=1)
-            copy *= live.astype(copy.dtype)
-            run_codes *= np.where(live, k, 1).astype(np.int32)
-            run_codes += copy
-        present[run_codes] = True
-        codes[rows] = run_codes
-    used = np.flatnonzero(present)
-    lookup = np.empty(present.size, dtype=np.min_scalar_type(max(used.size - 1, 0)))
-    lookup[used] = np.arange(used.size)
-    ids = np.empty(codes.shape, dtype=lookup.dtype)
-    for rows in _blocks(d2.shape[0]):
-        ids[rows] = lookup.take(codes[rows])
-    del codes
+    with fanout.scope():
+        run_codes, copy = _block_buffers(codes, d2.dtype)
+        for rows in _blocks(d2.shape[0]):
+            height = codes[rows].shape[0]
+            run, symbols = run_codes[:height], copy[:height]
+            np.take(d2[rows], starts, axis=1, out=symbols, mode="clip")
+            run[...] = symbols
+            for t in range(1, s_max):
+                live = lengths > t
+                np.take(d2[rows], starts + t * live, axis=1, out=symbols, mode="clip")
+                symbols *= live.astype(symbols.dtype)
+                run *= np.where(live, k, 1)
+                run += symbols
+            present[run] = True
+            codes[rows] = run
+        used = np.flatnonzero(present)
+        lookup = np.empty(present.size, dtype=np.min_scalar_type(max(used.size - 1, 0)))
+        lookup[used] = np.arange(used.size)
+        # The ids overwrite the codes' bytes from the front, no narrower
+        # than the codes, so every block's codes are read before any id
+        # reaches them.
+        ids = codes.reshape(-1).view(np.uint8)[: codes.size * lookup.itemsize]
+        ids = ids.view(lookup.dtype).reshape(codes.shape)
+        for rows in _blocks(d2.shape[0]):
+            height = codes[rows].shape[0]
+            run_codes[:height] = codes[rows]
+            np.take(lookup, run_codes[:height], out=ids[rows], mode="clip")
+        del codes, run_codes, copy, run, symbols  # outside a workspace, freed here
 
     # Each used run's copies in order, decoded from its code, then one
     # reduceat over them all.
@@ -240,7 +265,7 @@ def _screen(
     differences, each taken once per run in the table and gathered by
     ``ids``, base_l and a column of ones (NaN for Y-atypical rows); ``b``
     holds the one-hot cells of symbols 1..k-1, a row of ones and the
-    offset row.
+    offset row. Both are borrowed in the caller's scope (``fanout.borrow``).
 
     Soundness, with u = 2^-24 and gamma_j = j u / (1 - j u): let
     T_l = sum_t |a[l, t]| (t < w - 1) + max_i |offset[i]|, summed as ``a``
@@ -272,14 +297,22 @@ def _screen(
     scale = _gathered_sums(np.abs(differences).sum(axis=0, dtype=np.float64), ids)
     scale += np.abs(baseline)
     scale += np.fmax.reduce(np.abs(offset), initial=0.0)  # NaN marks skipped
-    a = np.empty((m2, w), dtype=np.float32)
-    for rows in _blocks(m2):
-        block = a[rows, : w - 2]
-        cells = block.reshape(block.shape[0], k - 1, r).transpose(1, 0, 2)
-        np.take(differences, ids[rows], axis=1, out=cells)
+    a = fanout.borrow((m2, w), np.float32)
+    with fanout.scope():
+        # One block's ids as intp, and their cells contiguous, as np.take
+        # writes them: each block is then copied into its rows of ``a``.
+        index = fanout.borrow((min(m2, MATCH_PART), r), np.intp)
+        gathered = fanout.borrow((k - 1) * index.size, np.float32)
+        for rows in _blocks(m2):
+            height = ids[rows].shape[0]
+            index[:height] = ids[rows]
+            cells = gathered[: (k - 1) * height * r].reshape(k - 1, height, r)
+            np.take(differences, index[:height], axis=1, out=cells, mode="clip")
+            a[rows, : w - 2].reshape(height, k - 1, r).transpose(1, 0, 2)[...] = cells
+        del index, gathered, cells  # outside a workspace, freed here as borrows are returned
     a[:, w - 2] = baseline
     a[:, w - 1] = np.where(y_typical, 1.0, np.nan)
-    b = np.empty((w, m1), dtype=np.float32)
+    b = fanout.borrow((w, m1), np.float32)
     symbols = np.arange(1, k, dtype=x_cells.dtype)
     np.equal(x_cells.T, symbols[:, None, None], out=b[: w - 2].reshape(k - 1, r, m1))
     b[w - 2] = 1.0
@@ -348,6 +381,7 @@ def _check_match_input(d1, d2, n: int, alphabet_size: int, epsilon: float) -> No
         raise ValueError(f"epsilon {epsilon:g} too large for {n} columns")
 
 
+@fanout.scope()  # the arrays sized by the instance that it does not return are borrowed
 def match_rows(
     d1: np.ndarray,
     segmented: SegmentedDatabase,
@@ -413,7 +447,8 @@ def match_rows(
     np.maximum(table, penalty, out=table)
     offset = np.where(dev_x <= epsilon, ll_x + n * est.joint_entropy, np.nan)
     bound = n * epsilon
-    x_cells = d1.take(retained, axis=1)
+    x_cells = fanout.borrow((m1, retained.size), d1.dtype)
+    np.take(d1, retained, axis=1, out=x_cells, mode="clip")
     x_cells -= 1  # 0-based, in d1's own dtype
     a, b, lo, hi = _screen(table, ids, dev_y <= epsilon, x_cells, offset, bound)
 
@@ -430,9 +465,12 @@ def match_rows(
     spans = fanout.parts(m2, MATCH_PART)
     rows = max(1, TILE_BYTES // (8 * MATCH_PART * len(spans)))
     chunk = max(1, TILE_BYTES // (16 * (retained.size + 3) * len(spans)))
-    counts, any_hit = np.zeros((2, m2), dtype=np.intp)
+    counts, any_hit = fanout.borrow((2, m2), np.intp)
+    counts.fill(0)
     sizes = [min(rows, p1 - p0) * MATCH_PART for p0, p1 in spans]
-    buffers = [(np.empty(size, np.float32), np.empty(-(-size // 8) * 8, bool)) for size in sizes]
+    buffers = [
+        (fanout.borrow(size, np.float32), fanout.borrow(-(-size // 8) * 8, bool)) for size in sizes
+    ]
 
     def recheck(l, i, band, hit):
         """Decide the pairs (l, i)[band] in float64 into ``hit``, ``chunk`` at a time."""
@@ -479,8 +517,9 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
 
     Every array it holds is linear in m, except the table of distinct runs, the
     blocks of its preparation, the tiles of joint scores and the chunks of the
-    float64 recheck. Per row it holds the run ids, in the least unsigned dtype
-    that holds the run count, the uint8 ``x_cells`` and the float32 GEMM
+    float64 recheck. Per row it holds the run ids, in the bytes of the run
+    codes (the least unsigned dtype that holds the code space), the uint8
+    ``x_cells`` and the float32 GEMM
     operands ``a`` and ``b`` (8 w bytes at the GEMM width w = (k - 1) n + 2);
     per-row vectors add 64 bytes. Its preparation gathers MATCH_PART rows at a
     time, at most 16 bytes per cell of a block: a float64 gather and its intp
@@ -496,19 +535,22 @@ def match_bytes(m: int, n: int, s_max: int, alphabet_size: int) -> int:
     the int64 index of the band to recheck; the search for candidates holds
     less, an int64 flat index and the two int64 halves it is built from. The
     recheck chunks of all parts hold at most 17 bytes per gathered cell between
-    them, under 2 * TILE_BYTES.
+    them, under 2 * TILE_BYTES. Each of its at most 8 borrows, and 2 per row
+    part, is carved on an ALIGN-byte boundary (``fanout.borrow``).
     """
     k = alphabet_size
     w = (k - 1) * n + 2
     codes = sum(k**s for s in range(s_max + 1))
     runs = min(m * n, codes)
     id_bytes = np.min_scalar_type(max(runs - 1, 0)).itemsize
-    per_row = (id_bytes + 1) * n + 8 * w + 64
+    code_bytes = np.min_scalar_type(codes - 1).itemsize
+    per_row = (code_bytes + 1) * n + 8 * w + 64
     block = 16 * min(m, MATCH_PART) * n
     table = (1 + id_bytes) * codes + runs * (8 * s_max * (k + 4) + 16 * k + 64)
     per_score = 4 + 1 + (8 + 8 + 4 + 1 + 1 + 8)  # tile, mask, then each candidate's share
     tile = per_score * max(TILE_BYTES // 8, m) + 2 * TILE_BYTES
-    return m * per_row + block + table + tile
+    padding = fanout.ALIGN * (8 + 2 * max(1, m // MATCH_PART))
+    return m * per_row + block + table + tile + padding
 
 
 @dataclass
@@ -551,6 +593,7 @@ class PipelineResult:
         }
 
 
+@fanout.scope()  # g2's first column of each run is borrowed
 def estimate_stages(
     d2: np.ndarray,
     g1: np.ndarray,
@@ -589,10 +632,13 @@ def estimate_stages(
             "replica", ValueError(f"{starts.size} replica runs for {n} original columns")
         )
 
+    first = fanout.borrow((g2.shape[0], starts.size), g2.dtype)  # g2[:, starts]
+    np.take(g2, starts, axis=1, out=first, mode="clip")
     try:
-        result.retention = deletions.detect_deletions(g1, g2[:, starts], alphabet_size)
+        result.retention = deletions.detect_deletions(g1, first, alphabet_size)
     except (deletions.MisdetectionError, deletions.NoUsefulRemappingError) as exc:
         return result.fail("deletion", exc)
+    del first  # outside a workspace, freed here
 
     s = np.zeros(n, dtype=np.int64)
     s[result.retention.retained] = lengths

@@ -262,8 +262,9 @@ def _count_cdf(u, edges, out, above) -> None:
         out += mask
 
 
-def _draw(p, size, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. symbols 1..len(p) from p, as uint8 of shape size.
+def _draw(p, size, rng: np.random.Generator, alloc=np.empty) -> np.ndarray:
+    """i.i.d. symbols 1..len(p) from p, as uint8 of shape size, in an array
+    from ``alloc(size, np.uint8)``.
 
     Bit-identical to ``rng.choice(np.arange(1, len(p) + 1, dtype=np.uint8),
     size, p=p)``, which returns 1 plus the number of entries of the
@@ -276,16 +277,13 @@ def _draw(p, size, rng: np.random.Generator) -> np.ndarray:
     past the rest. Any other stream draws in one part. Each part fills and
     counts its uniforms in chunks of DRAW_PART, in order.
     """
-    out = np.empty(size, dtype=np.uint8)
+    out = alloc(size, np.uint8)
     flat = out.reshape(-1)
     edges = _edges(p)
     state = _splittable(rng)
     spans = fanout.parts(flat.size, DRAW_PART, None if state else 1)
     streams = [rng] + [_stream_at(state, start) for start, _ in spans[1:]]
     chunk = max(1, min(DRAW_PART, flat.size))
-    # Each part's uniforms and compare mask for one chunk, allocated here
-    # so that no worker thread grows an allocator arena of its own.
-    buffers = [(np.empty(chunk), np.empty(chunk, bool)) for _ in spans]
 
     def fill(j):
         u, above = buffers[j]
@@ -295,17 +293,23 @@ def _draw(p, size, rng: np.random.Generator) -> np.ndarray:
             streams[j].random(out=u[:length])
             _count_cdf(u[:length], edges, flat[c : c + length], above[:length])
 
-    fanout.fan_out(fill, range(len(spans)))
+    with fanout.scope():
+        # Each part's uniforms and compare mask for one chunk.
+        buffers = [(fanout.borrow(chunk, float), fanout.borrow(chunk, bool)) for _ in spans]
+        fanout.fan_out(fill, range(len(spans)))
     if len(spans) > 1:
         rng.bit_generator.advance(flat.size - spans[0][1])
     return out
 
 
-def generate_database(m: int, n: int, spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. symbol matrix of shape (m, n) drawn from spec.p_x."""
+def generate_database(
+    m: int, n: int, spec: ModelSpec, rng: np.random.Generator, alloc=np.empty
+) -> np.ndarray:
+    """i.i.d. symbol matrix of shape (m, n) drawn from spec.p_x, in an array
+    from ``alloc``, called as ``np.empty`` is."""
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
-    return _draw(spec.p_x, (m, n), rng)
+    return _draw(spec.p_x, (m, n), rng, alloc)
 
 
 def draw_pattern(n: int, spec: ModelSpec, rng: np.random.Generator) -> RepetitionPattern:
@@ -319,9 +323,11 @@ def apply_channel(
     pattern: RepetitionPattern,
     spec: ModelSpec,
     rng: np.random.Generator,
+    alloc=np.empty,
 ) -> np.ndarray:
     """Repeat columns per the pattern and pass entries through the noise
-    channel; rows keep their order.
+    channel; rows keep their order. The output comes from ``alloc``,
+    called as ``np.empty`` is.
 
     Row i of the output holds, for each original column j in order,
     ``pattern.s[j]`` independent noisy copies of ``d1[i, j]``. Deleted
@@ -335,81 +341,96 @@ def apply_channel(
     The rows split into contiguous parts of at least DRAW_PART entries
     over the calling thread's budget (``fanout.parts``), one part unless
     the stream may be split (``_splittable``), and each part walks its
-    rows in blocks of at most DRAW_PART entries, expanding each block of
-    d1 into a buffer as it goes. The first fan-out counts each part's
-    entries of each symbol, which fixes the offset of each (part, symbol);
-    the second resamples them from a copy of the stream advanced to that
-    offset, every symbol of a block at once, and ``rng`` is then advanced
-    past every entry. A stream that may not be split is drawn from
-    directly, one symbol at a time, so each symbol expands every block
-    again.
+    rows in blocks of at most DRAW_PART entries. The first fan-out expands
+    each block of d1 into its rows of the output and counts its entries
+    of each symbol, which fixes the offset of each (part, symbol); the
+    second resamples them from a copy of the stream advanced to that
+    offset, every symbol of a block into a buffer before the block is
+    overwritten, and ``rng`` is then advanced past every entry. A stream
+    that may not be split is drawn from directly, one symbol at a time
+    over every block, so each symbol expands every block of d1 again.
     """
     m, n = d1.shape
     if pattern.n != n:
         raise ValueError("pattern length must equal the column count of d1")
+    k = spec.alphabet_size
+    if d1.dtype != np.uint8:  # expanded into the uint8 output, so no symbol may wrap
+        narrow = d1.astype(np.uint8)
+        if not np.array_equal(narrow, d1):
+            raise ValueError(f"d1 symbols must lie in 1..{k}")
+        d1 = narrow
 
     cols = np.repeat(np.arange(n), pattern.s)
-    k, width = spec.alphabet_size, max(cols.size, 1)
+    width = max(cols.size, 1)
     edges = [_edges(p) for p in spec.p_y_given_x]
     # noisy must be C-ordered, so that each block's flat view is a view of
     # it and not a copy that silently drops every write.
-    noisy = np.empty((m, cols.size), np.uint8)
+    noisy = alloc((m, cols.size), np.uint8)
     state = _splittable(rng)
     rows = fanout.parts(m, -(-DRAW_PART // width), None if state else 1)
     step = max(1, min(DRAW_PART // width, m))
     chunk = step * cols.size
-    # Each part's expanded input, mask, uniforms and symbols for one block,
-    # allocated here so that no worker thread grows an allocator arena of
-    # its own.
-    buffers = [
-        (np.empty(chunk, d1.dtype), np.empty(chunk, bool), np.empty(chunk), np.empty(chunk, np.uint8))
-        for _ in rows
-    ]
 
     def blocks(j):
         """Part j's (first row, last row + 1) blocks, in order."""
         r0, r1 = rows[j]
         return [(b0, min(b0 + step, r1)) for b0 in range(r0, r1, step)]
 
-    def expand(j, b0, b1):
-        """The flat input of rows b0..b1-1, in part j's buffer."""
-        x_in = buffers[j][0][: (b1 - b0) * cols.size]
-        np.take(d1[b0:b1], cols, axis=1, out=x_in.reshape(b1 - b0, cols.size), mode="clip")
-        return x_in
+    def expand(b0, b1, out):
+        """Rows b0..b1-1 of d1, columns repeated, into the flat ``out``."""
+        np.take(d1[b0:b1], cols, axis=1, out=out.reshape(b1 - b0, cols.size), mode="clip")
+        return out
 
     def count(j):
-        hit, counts = buffers[j][1], [0] * k
-        for block in blocks(j):
-            x_in = expand(j, *block)
+        hit, counts = buffers[j][0], [0] * k
+        for b0, b1 in blocks(j):
+            x_in = expand(b0, b1, noisy[b0:b1].reshape(-1))
             for x in range(k):
                 counts[x] += np.count_nonzero(np.equal(x_in, x + 1, out=hit[: x_in.size]))
         return counts
 
-    counts = np.array(fanout.fan_out(count, range(len(rows))), np.int64)
-    if counts.sum() != noisy.size:  # before any draw, so rng is left as it was
-        raise ValueError(f"d1 symbols must lie in 1..{k}")
-    totals = counts.sum(axis=0)
-    offsets = (np.cumsum(totals) - totals) + (np.cumsum(counts, axis=0) - counts)
-    streams = [[_stream_at(state, int(o)) if state else rng for o in part] for part in offsets]
+    def draw(j, x, x_in, target):
+        """Resample part j's entries of symbol x + 1 in the flat ``x_in``
+        into the same positions of the flat ``target``."""
+        hit, u, drawn = buffers[j][:3]
+        at = np.flatnonzero(np.equal(x_in, x + 1, out=hit[: x_in.size]))
+        size = at.size
+        streams[j][x].random(out=u[:size])
+        _count_cdf(u[:size], edges[x], drawn[:size], hit[:size])  # hit is free again
+        target[at] = drawn[:size]
 
     def resample(j):
-        _, hit, u, out = buffers[j]
         if state:
-            order = [(block, x) for block in blocks(j) for x in range(k)]
+            # Block by block: each block's input sits in its rows of noisy
+            # since the count, so its outputs go to a buffer until every
+            # symbol of the block is drawn.
+            out = buffers[j][3]
+            for b0, b1 in blocks(j):
+                x_in = noisy[b0:b1].reshape(-1)
+                for x in range(k):
+                    draw(j, x, x_in, out)
+                x_in[:] = out[: x_in.size]
         else:
-            order = [(block, x) for x in range(k) for block in blocks(j)]
-        expanded = None
-        for block, x in order:
-            if block != expanded:
-                x_in, expanded = expand(j, *block), block
-            at = np.flatnonzero(np.equal(x_in, x + 1, out=hit[: x_in.size]))
-            size = at.size
-            streams[j][x].random(out=u[:size])
-            _count_cdf(u[:size], edges[x], out[:size], hit[:size])  # hit is free again
-            noisy[slice(*block)].reshape(-1)[at] = out[:size]
-            del at  # before the next block's positions are allocated
+            x_in = buffers[j][3]
+            for x in range(k):
+                for b0, b1 in blocks(j):
+                    size = (b1 - b0) * cols.size
+                    draw(j, x, expand(b0, b1, x_in[:size]), noisy[b0:b1].reshape(-1))
 
-    fanout.fan_out(resample, range(len(rows)))
+    with fanout.scope():
+        # Each part's mask, uniforms and drawn symbols for one block, and
+        # its outputs or, on a stream that may not be split, its input.
+        buffers = [
+            [fanout.borrow(chunk, dtype) for dtype in (bool, float, np.uint8, np.uint8)]
+            for _ in rows
+        ]
+        counts = np.array(fanout.fan_out(count, range(len(rows))), np.int64)
+        if counts.sum() != noisy.size:  # before any draw, so rng is left as it was
+            raise ValueError(f"d1 symbols must lie in 1..{k}")
+        totals = counts.sum(axis=0)
+        offsets = (np.cumsum(totals) - totals) + (np.cumsum(counts, axis=0) - counts)
+        streams = [[_stream_at(state, int(o)) if state else rng for o in part] for part in offsets]
+        fanout.fan_out(resample, range(len(rows)))
     if state:
         rng.bit_generator.advance(noisy.size)
     return noisy
@@ -421,14 +442,16 @@ def generate_seeds(
     pattern: RepetitionPattern,
     spec: ModelSpec,
     rng: np.random.Generator,
+    alloc=np.empty,
 ) -> SeedPair:
     """Batch of pre-matched seed row pairs under the given pattern.
 
     g1 rows are i.i.d. from p_x; g2 is g1 pushed through the channel,
-    so row i of each matrix is a matched pair by construction.
+    so row i of each matrix is a matched pair by construction. Both come
+    from ``alloc``, called as ``np.empty`` is.
     """
-    g1 = generate_database(num_seeds, n, spec, rng)
-    return SeedPair(g1, apply_channel(g1, pattern, spec, rng))
+    g1 = generate_database(num_seeds, n, spec, rng, alloc)
+    return SeedPair(g1, apply_channel(g1, pattern, spec, rng, alloc))
 
 
 def sample_instance(
@@ -439,23 +462,29 @@ def sample_instance(
     master_seed: int,
     point: int = 0,
     trial: int = 0,
+    alloc=np.empty,
 ) -> tuple[DatabasePair, SeedPair]:
     """One full ground-truth instance from documented substreams.
 
     Substream key layout: ``(point, trial, role)`` with the ROLE_*
     constants above. Identical arguments always produce bit-identical
     instances. Row i of d1 passes through the channel into row sigma[i]
-    of d2.
+    of d2. d1, d2, g1 and g2 come from ``alloc``, called as ``np.empty``
+    is; the channel's output for d1 is borrowed (``fanout.borrow``) until
+    it is scattered into d2.
     """
     key = (point, trial)
-    d1 = generate_database(m, n, spec, substream(master_seed, *key, ROLE_DATABASE))
+    d1 = generate_database(m, n, spec, substream(master_seed, *key, ROLE_DATABASE), alloc)
     pattern = draw_pattern(n, spec, substream(master_seed, *key, ROLE_PATTERN))
     sigma = substream(master_seed, *key, ROLE_PERMUTATION).permutation(m)
-    noisy = apply_channel(d1, pattern, spec, substream(master_seed, *key, ROLE_CHANNEL))
-    d2 = np.empty_like(noisy)
-    d2[sigma] = noisy
-    del noisy  # before the seeds are drawn
-    seeds = generate_seeds(num_seeds, n, pattern, spec, substream(master_seed, *key, ROLE_SEEDS))
+    d2 = alloc((m, pattern.total), np.uint8)
+    with fanout.scope():
+        rng = substream(master_seed, *key, ROLE_CHANNEL)
+        noisy = apply_channel(d1, pattern, spec, rng, fanout.borrow)
+        d2[sigma] = noisy
+        del noisy  # before the seeds are drawn
+    rng = substream(master_seed, *key, ROLE_SEEDS)
+    seeds = generate_seeds(num_seeds, n, pattern, spec, rng, alloc)
     return DatabasePair(d1, d2, sigma, pattern), seeds
 
 
@@ -464,18 +493,21 @@ def instance_bytes(m: int, n: int, num_seeds: int, s_max: int) -> int:
 
     Kept: sigma's int64 entries, the uint8 source rows of d1 and of g1, and
     a uint8 channel output on each side, of at most n * max(s_max, 1)
-    columns; on d1's side d2 sits beside that output until it is freed,
+    columns; on d1's side d2 sits beside that output until it is returned,
     before the seeds are drawn. Transient, the larger of the chunk buffers
     of a draw or of a channel at the budget: each draw part holds DRAW_PART
     float64 uniforms and their compare mask, 9 bytes each; each channel
-    part a block of at most DRAW_PART entries, one byte each of expanded
-    input, mask and drawn symbols, their float64 uniforms and int64
-    positions, 19 bytes each. And 64 KiB of generators, cdfs and array
-    headers (about 6 KiB measured).
+    part a block of at most DRAW_PART entries, one byte each of mask, drawn
+    symbols and outputs (or expanded input), their float64 uniforms and the
+    int64 positions of one symbol, 19 bytes each. Each of the at most 5
+    kept or borrowed matrices and 4 borrows per part is carved on an
+    ALIGN-byte boundary (``fanout.borrow``). And 64 KiB of generators, cdfs
+    and array headers (about 6 KiB measured).
     """
     k_max = n * max(s_max, 1)
     rows = max(m, num_seeds)
     kept = m * (n + 2 * k_max + 8) + num_seeds * (n + k_max)
-    draw = 9 * len(fanout.parts(rows * n, DRAW_PART))
-    channel = 19 * len(fanout.parts(rows, -(-DRAW_PART // k_max)))
-    return kept + max(draw, channel) * DRAW_PART + 64 * 1024
+    draw = len(fanout.parts(rows * n, DRAW_PART))
+    channel = len(fanout.parts(rows, -(-DRAW_PART // k_max)))
+    padding = fanout.ALIGN * (5 + 4 * max(draw, channel))
+    return kept + max(9 * draw, 19 * channel) * DRAW_PART + padding + 64 * 1024

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fanout
+
 DEGENERATE_ATOL = 1e-12
 # Small negative discriminants are moment-estimator jitter, not evidence
 # of a one-component series.
@@ -50,6 +52,7 @@ class MixtureEstimate:
         return 0.5 * (self.p0_hat + self.p1_hat)
 
 
+@fanout.scope()  # the disagreement mask is borrowed
 def running_hamming(d2: np.ndarray) -> np.ndarray:
     """Hamming distance between each pair of adjacent columns.
 
@@ -57,7 +60,9 @@ def running_hamming(d2: np.ndarray) -> np.ndarray:
     adjacent pairs.
     """
     d2 = np.asarray(d2)
-    return (d2[:, 1:] != d2[:, :-1]).sum(axis=0, dtype=np.int64)
+    differ = fanout.borrow((d2.shape[0], max(d2.shape[1] - 1, 0)), bool)
+    np.not_equal(d2[:, 1:], d2[:, :-1], out=differ)
+    return differ.sum(axis=0, dtype=np.int64)
 
 
 def _factorial_moments(h: np.ndarray, m: int) -> tuple[float, float, float]:
