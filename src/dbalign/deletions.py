@@ -131,17 +131,16 @@ def deletion_threshold(num_seeds: int, n: int) -> float:
 
 
 def cooccurrence(
-    g1: np.ndarray, g2: np.ndarray, alphabet_size: int, alloc=np.empty
+    g1: np.ndarray, g2: np.ndarray, alphabet_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symbol co-occurrence counts between every g1 and every g2 column,
     and g1's symbol totals.
 
     ``C[x, i, y, j]`` (int64) is the number of seed rows where g1 column
     i holds symbol x+1 and g2 column j holds y+1; ``source_counts[x]``
-    (int64) is the number of g1 entries equal to x+1. C and the float64
-    total of the first part come from ``alloc(shape, dtype)``, the total
-    before the tabulation and C after it; with ``fanout.borrow`` both are
-    carved in the caller's scope, C over the tabulation's operands.
+    (int64) is the number of g1 entries equal to x+1. C is borrowed, and
+    so is the float64 total of the first part, before the tabulation's
+    scope opens; C comes after it closes, over the tabulation's operands.
 
     Only symbols 2..k are one-hot encoded, as float32 indicators, each
     operand closed by a column of ones. One GEMM per block of SEED_BLOCK
@@ -180,7 +179,7 @@ def cooccurrence(
     starts = range(0, num_seeds, SEED_BLOCK)
     spans = fanout.parts(len(starts), 1)
     width1, width2 = (k - 1) * n + 1, (k - 1) * kt + 1
-    total = alloc((width1, width2), np.float64)
+    total = fanout.borrow((width1, width2), np.float64)
 
     def tabulate(j):
         hot1, hot2, product, total = buffers[j]
@@ -213,7 +212,7 @@ def cooccurrence(
     del buffers
 
     n1 = total[:-1, -1].reshape(k - 1, n)
-    counts = alloc((k, n, k, kt), np.int64)  # the totals are cast to int64 here
+    counts = fanout.borrow((k, n, k, kt), np.int64)  # the totals are cast to int64 here
     counts[1:, :, 1:] = total[:-1, :-1].reshape(k - 1, n, k - 1, kt)
     counts[1:, :, 0] = n1[..., None]
     counts[0, :, 1:] = total[-1, :-1].reshape(k - 1, kt)
@@ -253,7 +252,7 @@ def seed_bytes(n: int, num_seeds: int, alphabet_size: int) -> int:
 
 
 def cross_hamming(
-    g1: np.ndarray, g2: np.ndarray, phi: np.ndarray, counts: np.ndarray, alloc=np.empty
+    g1: np.ndarray, g2: np.ndarray, phi: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Distances between every g1 column and every remapped g2 column.
 
@@ -261,8 +260,8 @@ def cross_hamming(
     g2 column j disagree. Read off the co-occurrence counts of g1 and g2
     (`cooccurrence` with ``alphabet_size == len(phi)``): g1 column i
     agrees with remapped g2 column j on every row where g2 holds y and g1
-    holds phi(y), so ``l = Lambda - sum_y C[phi(y)-1, :, y-1, :]``, in an
-    array from ``alloc``, called as ``np.empty`` is.
+    holds phi(y), so ``l = Lambda - sum_y C[phi(y)-1, :, y-1, :]``, in a
+    borrowed array.
     """
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
@@ -274,7 +273,7 @@ def cross_hamming(
     k = phi.size
     if counts.shape != (k, n, k, kt):
         raise ValueError(f"counts must have shape {(k, n, k, kt)}")
-    agree = alloc((n, kt), np.int64)
+    agree = fanout.borrow((n, kt), np.int64)
     agree[...] = counts[int(phi[0]) - 1, :, 0]
     for y in range(1, k):
         agree += counts[int(phi[y]) - 1, :, y]
@@ -333,10 +332,10 @@ def detect_deletions(g1: np.ndarray, g2: np.ndarray, alphabet_size: int) -> Rete
     if kt > n:
         raise ValueError("replica-free g2 cannot have more columns than g1")
     tau_hat = deletion_threshold(num_seeds, n)
-    counts, source_counts = cooccurrence(g1, g2, alphabet_size, alloc=fanout.borrow)
+    counts, source_counts = cooccurrence(g1, g2, alphabet_size)
     for phi in enumerate_remappings(alphabet_size):
         with fanout.scope():  # each remapping's distances are returned before the next
-            rows = scan_remapping(cross_hamming(g1, g2, phi, counts, fanout.borrow), tau_hat)
+            rows = scan_remapping(cross_hamming(g1, g2, phi, counts), tau_hat)
         if rows is not None:
             deleted = np.setdiff1d(np.arange(n), rows)
             pair_counts = counts[:, rows, :, np.arange(kt)].sum(axis=0)

@@ -242,9 +242,7 @@ def run_trial(config: ExperimentConfig, point: int, trial: int) -> TrialRecord:
     against ground truth; m, n, lambda and epsilon are that point's own."""
     cfg = config.points()[point]
     m, n, spec = cfg.m, cfg.n, cfg.spec
-    pair, seeds = sample_instance(
-        m, n, cfg.num_seeds, spec, cfg.master_seed, point, trial, fanout.borrow
-    )
+    pair, seeds = sample_instance(m, n, cfg.num_seeds, spec, cfg.master_seed, point, trial)
     result = matching.deanonymize(
         pair.d1,
         pair.d2,

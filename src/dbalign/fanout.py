@@ -30,6 +30,11 @@ and per-tile transients of the worker threads, such as the channel's
 positions and the matcher's candidate lists and recheck chunks, are
 allocated on the worker, whose allocator arena keeps their high-water
 mark.
+
+One rule says where a result lives: inside a workspace, an array that a
+function borrows and returns, such as an instance or the seed counts,
+lives until its caller's innermost scope ends; outside one it is a plain
+array. A stage whose results outlive it returns every borrow first.
 """
 
 from __future__ import annotations
@@ -204,15 +209,17 @@ class Workspace:
             self.base = self.buffer.ctypes.data
 
     def take(self, shape, dtype) -> np.ndarray | None:
-        """An array carved on an ALIGN-byte boundary, or None where it does
-        not fit."""
+        """An array of ``shape``, read as ``np.empty`` reads it, carved on an
+        ALIGN-byte boundary, or None where it does not fit."""
         dtype = np.dtype(dtype)
+        shape = (shape,) if hasattr(shape, "__index__") else tuple(shape)
         start = -(-(self.base + self.top) // ALIGN) * ALIGN - self.base
-        stop = start + (math.prod(shape) if isinstance(shape, tuple) else shape) * dtype.itemsize
+        stop = start + math.prod(shape) * dtype.itemsize
         if stop > self.buffer.size:
             return None
+        out = np.ndarray(shape, dtype, self.buffer, start)
         self.top, self.peak = stop, max(self.peak, stop)
-        return np.ndarray(shape, dtype, self.buffer, start)
+        return out
 
 
 def borrow(shape, dtype=np.float64) -> np.ndarray:

@@ -262,9 +262,9 @@ def _count_cdf(u, edges, out, above) -> None:
         out += mask
 
 
-def _draw(p, size, rng: np.random.Generator, alloc=np.empty) -> np.ndarray:
-    """i.i.d. symbols 1..len(p) from p, as uint8 of shape size, in an array
-    from ``alloc(size, np.uint8)``.
+def _draw(p, size, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. symbols 1..len(p) from p, as a borrowed uint8 array of shape
+    size.
 
     Bit-identical to ``rng.choice(np.arange(1, len(p) + 1, dtype=np.uint8),
     size, p=p)``, which returns 1 plus the number of entries of the
@@ -277,7 +277,7 @@ def _draw(p, size, rng: np.random.Generator, alloc=np.empty) -> np.ndarray:
     past the rest. Any other stream draws in one part. Each part fills and
     counts its uniforms in chunks of DRAW_PART, in order.
     """
-    out = alloc(size, np.uint8)
+    out = fanout.borrow(size, np.uint8)
     flat = out.reshape(-1)
     edges = _edges(p)
     state = _splittable(rng)
@@ -302,14 +302,11 @@ def _draw(p, size, rng: np.random.Generator, alloc=np.empty) -> np.ndarray:
     return out
 
 
-def generate_database(
-    m: int, n: int, spec: ModelSpec, rng: np.random.Generator, alloc=np.empty
-) -> np.ndarray:
-    """i.i.d. symbol matrix of shape (m, n) drawn from spec.p_x, in an array
-    from ``alloc``, called as ``np.empty`` is."""
+def generate_database(m: int, n: int, spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. symbol matrix of shape (m, n) drawn from spec.p_x, borrowed."""
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
-    return _draw(spec.p_x, (m, n), rng, alloc)
+    return _draw(spec.p_x, (m, n), rng)
 
 
 def draw_pattern(n: int, spec: ModelSpec, rng: np.random.Generator) -> RepetitionPattern:
@@ -323,11 +320,9 @@ def apply_channel(
     pattern: RepetitionPattern,
     spec: ModelSpec,
     rng: np.random.Generator,
-    alloc=np.empty,
 ) -> np.ndarray:
     """Repeat columns per the pattern and pass entries through the noise
-    channel; rows keep their order. The output comes from ``alloc``,
-    called as ``np.empty`` is.
+    channel, into a borrowed array; rows keep their order.
 
     Row i of the output holds, for each original column j in order,
     ``pattern.s[j]`` independent noisy copies of ``d1[i, j]``. Deleted
@@ -365,7 +360,7 @@ def apply_channel(
     edges = [_edges(p) for p in spec.p_y_given_x]
     # noisy must be C-ordered, so that each block's flat view is a view of
     # it and not a copy that silently drops every write.
-    noisy = alloc((m, cols.size), np.uint8)
+    noisy = fanout.borrow((m, cols.size), np.uint8)
     state = _splittable(rng)
     rows = fanout.parts(m, -(-DRAW_PART // width), None if state else 1)
     step = max(1, min(DRAW_PART // width, m))
@@ -442,16 +437,15 @@ def generate_seeds(
     pattern: RepetitionPattern,
     spec: ModelSpec,
     rng: np.random.Generator,
-    alloc=np.empty,
 ) -> SeedPair:
-    """Batch of pre-matched seed row pairs under the given pattern.
+    """Batch of pre-matched seed row pairs under the given pattern, both
+    borrowed.
 
     g1 rows are i.i.d. from p_x; g2 is g1 pushed through the channel,
-    so row i of each matrix is a matched pair by construction. Both come
-    from ``alloc``, called as ``np.empty`` is.
+    so row i of each matrix is a matched pair by construction.
     """
-    g1 = generate_database(num_seeds, n, spec, rng, alloc)
-    return SeedPair(g1, apply_channel(g1, pattern, spec, rng, alloc))
+    g1 = generate_database(num_seeds, n, spec, rng)
+    return SeedPair(g1, apply_channel(g1, pattern, spec, rng))
 
 
 def sample_instance(
@@ -462,29 +456,27 @@ def sample_instance(
     master_seed: int,
     point: int = 0,
     trial: int = 0,
-    alloc=np.empty,
 ) -> tuple[DatabasePair, SeedPair]:
     """One full ground-truth instance from documented substreams.
 
     Substream key layout: ``(point, trial, role)`` with the ROLE_*
     constants above. Identical arguments always produce bit-identical
     instances. Row i of d1 passes through the channel into row sigma[i]
-    of d2. d1, d2, g1 and g2 come from ``alloc``, called as ``np.empty``
-    is; the channel's output for d1 is borrowed (``fanout.borrow``) until
-    it is scattered into d2.
+    of d2. d1, d2, g1 and g2 are borrowed; the channel's output for d1 is
+    returned in a scope of its own once it is scattered into d2.
     """
     key = (point, trial)
-    d1 = generate_database(m, n, spec, substream(master_seed, *key, ROLE_DATABASE), alloc)
+    d1 = generate_database(m, n, spec, substream(master_seed, *key, ROLE_DATABASE))
     pattern = draw_pattern(n, spec, substream(master_seed, *key, ROLE_PATTERN))
     sigma = substream(master_seed, *key, ROLE_PERMUTATION).permutation(m)
-    d2 = alloc((m, pattern.total), np.uint8)
+    d2 = fanout.borrow((m, pattern.total), np.uint8)
     with fanout.scope():
         rng = substream(master_seed, *key, ROLE_CHANNEL)
-        noisy = apply_channel(d1, pattern, spec, rng, fanout.borrow)
+        noisy = apply_channel(d1, pattern, spec, rng)
         d2[sigma] = noisy
         del noisy  # before the seeds are drawn
     rng = substream(master_seed, *key, ROLE_SEEDS)
-    seeds = generate_seeds(num_seeds, n, pattern, spec, rng, alloc)
+    seeds = generate_seeds(num_seeds, n, pattern, spec, rng)
     return DatabasePair(d1, d2, sigma, pattern), seeds
 
 

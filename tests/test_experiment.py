@@ -1,4 +1,7 @@
 import csv
+import hashlib
+import importlib
+import itertools
 import json
 import math
 import sys
@@ -995,6 +998,23 @@ def test_report_json_is_byte_identical_to_committed():
     # each trial's failed stage, so one configuration is pinned in it too.
     expected = (GOLDEN / "report_bsc.json").read_text()
     assert render(_golden_report("bsc"), "json") == expected
+
+
+def test_benchmark_reports_match_their_committed_digests(monkeypatch):
+    # The sha256 of both reports of one batch of every benchmark workload,
+    # at master seeds 1 and 7919 and batches 0 and 1, as the benchmark
+    # builds them; a change that keeps the arithmetic keeps every digest.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    digests = json.loads((GOLDEN / "bench_reports.json").read_text())
+    keys = [(d["workload"], d["seed"], d["batch"]) for d in digests]
+    assert sorted(keys) == sorted(itertools.product(workloads.WORKLOADS, (1, 7919), (0, 1)))
+    for (name, seed, batch), want in zip(keys, digests):
+        config = workloads.build_config(workloads.WORKLOADS[name], workloads.batch_seed(seed, batch))
+        report = run_experiment(config)
+        for fmt in ("csv", "json"):
+            got = hashlib.sha256(render(report, fmt).encode()).hexdigest()
+            assert got == want[fmt], (name, seed, batch, fmt)
 
 
 EXPERIMENTS = Path(__file__).parents[1] / "experiments"

@@ -9,10 +9,17 @@ import pytest
 
 import dbalign
 from dbalign import fanout
-from dbalign.deletions import cooccurrence, detect_deletions
-from dbalign.experiment import ExperimentConfig, _estimated_bytes, render, run_experiment
-from dbalign.matching import deanonymize, match_rows, segment
+from dbalign.deletions import (
+    cooccurrence,
+    cross_hamming,
+    deletion_threshold,
+    detect_deletions,
+    scan_remapping,
+)
+from dbalign.experiment import ExperimentConfig, _estimated_bytes, render, run_experiment, run_trial
+from dbalign.matching import deanonymize, estimate_stages, match_rows, segment
 from dbalign.model import sample_instance
+from dbalign.replicas import running_hamming
 
 from conftest import bsc_spec, symmetric_spec
 
@@ -49,6 +56,16 @@ def test_a_borrow_that_does_not_fit_is_a_plain_array():
         assert not np.shares_memory(big, ws.buffer) and np.shares_memory(small, ws.buffer)
 
 
+def test_a_borrow_reads_its_shape_as_np_empty_does():
+    shapes = [6, np.int64(6), (2, 3), [2, 3]]
+    want = [np.empty(shape, np.int32).shape for shape in shapes]
+    assert [fanout.borrow(shape, np.int32).shape for shape in shapes] == want
+    with fanout.workspace(1 << 20) as ws:
+        inside = [fanout.borrow(shape, np.int32) for shape in shapes]
+        assert [a.shape for a in inside] == want
+        assert all(np.shares_memory(a, ws.buffer) for a in inside)
+
+
 def test_a_workspace_outlives_its_block_in_the_pool():
     fanout.release()
     with fanout.workspace(4096) as first:
@@ -62,6 +79,11 @@ def test_a_workspace_outlives_its_block_in_the_pool():
     assert fanout.held() == 0
 
 
+# The first outputs are returned borrowed: the co-occurrence counts and the
+# identity remapping's distances.
+BORROWED_OUTPUTS = 2
+
+
 def _outputs(d1, d2, g1, g2, alphabet_size):
     """Every array that the stages return for one instance."""
     k = alphabet_size
@@ -71,8 +93,11 @@ def _outputs(d1, d2, g1, g2, alphabet_size):
     g2_free = g2[:, (np.cumsum(s) - s)[s > 0]]
     retention = detect_deletions(g1, g2_free, k)
     match = match_rows(d1, segment(d2, result.pattern), result.estimate, 0.3)
+    counts, source_counts = cooccurrence(g1, g2_free, k)
     return [
-        *cooccurrence(g1, g2_free, k),
+        counts,
+        cross_hamming(g1, g2_free, np.arange(1, k + 1), counts),
+        source_counts,
         retention.retained,
         retention.deleted,
         retention.pair_counts,
@@ -97,15 +122,66 @@ def _instance(spec, m, n, num_seeds, seed):
     return returned, (pair.d1, pair.d2, seeds.g1, seeds.g2, spec.alphabet_size)
 
 
+def _borrowed_and_kept(spec, m, n, num_seeds):
+    """One instance's arrays that are returned borrowed (d1, d2, g1, g2 and
+    the seed counts), and the rest: sigma, the pattern and every array of
+    the stages' results."""
+    (d1, d2, sigma, s, g1, g2), args = _instance(spec, m, n, num_seeds, 3)
+    outputs = _outputs(*args)
+    borrowed = [d1, d2, g1, g2, *outputs[:BORROWED_OUTPUTS]]
+    return borrowed, [sigma, s, *outputs[BORROWED_OUTPUTS:]]
+
+
 @pytest.mark.parametrize("budget", [1, 2])
 def test_no_returned_array_shares_memory_with_the_workspace(budget):
-    with fanout.budget(budget), fanout.workspace(ARENA) as ws:
-        for spec, m, n, num_seeds in INSTANCES:
-            returned, args = _instance(spec, m, n, num_seeds, 3)
-            returned += _outputs(*args)
-            assert ws.peak > 0  # the stages did borrow
-            for array in returned:
-                assert not np.shares_memory(array, ws.buffer)
+    # No array of a stage's result shares the workspace's memory. The
+    # instance and the seed counts are returned borrowed: inside a
+    # workspace they live in it, outside one they own their data.
+    with fanout.budget(budget):
+        with fanout.workspace(ARENA) as ws:
+            for shape in INSTANCES:
+                borrowed, kept = _borrowed_and_kept(*shape)
+                assert all(np.shares_memory(array, ws.buffer) for array in borrowed)
+                assert not any(np.shares_memory(array, ws.buffer) for array in kept)
+        for shape in INSTANCES:
+            borrowed, _ = _borrowed_and_kept(*shape)
+            assert all(array.flags.owndata for array in borrowed)
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_every_scoped_stage_returns_its_borrows(budget, monkeypatch):
+    spec, m, n, num_seeds = INSTANCES[0]
+    k = spec.alphabet_size
+    config = ExperimentConfig(
+        spec=spec, m=m, n=n, num_seeds=num_seeds, trials=1, master_seed=3, epsilon=0.3
+    )
+    borrows, borrow = [], fanout.borrow
+
+    def counted(*args):
+        borrows.append(args)
+        return borrow(*args)
+
+    monkeypatch.setattr(fanout, "borrow", counted)
+    with fanout.budget(budget), fanout.workspace(ARENA) as ws, fanout.scope():
+        d1, d2, g1, g2, _ = _instance(spec, m, n, num_seeds, 3)[1]
+        result = estimate_stages(d2, g1, g2, k)
+        s = result.pattern.s
+        g2_free = g2[:, (np.cumsum(s) - s)[s > 0]]
+        l = cross_hamming(g1, g2_free, np.arange(1, k + 1), cooccurrence(g1, g2_free, k)[0])
+        stages = {
+            "run_trial": lambda: run_trial(config, 0, 0),
+            "deanonymize": lambda: deanonymize(d1, d2, g1, g2, k, epsilon=0.3),
+            "estimate_stages": lambda: estimate_stages(d2, g1, g2, k),
+            "detect_deletions": lambda: detect_deletions(g1, g2_free, k),
+            "match_rows": lambda: match_rows(d1, segment(d2, result.pattern), result.estimate, 0.3),
+            "running_hamming": lambda: running_hamming(d2),
+            "scan_remapping": lambda: scan_remapping(l, deletion_threshold(num_seeds, n)),
+        }
+        for name, stage in stages.items():
+            top, borrows[:] = ws.top, []
+            stage()
+            assert borrows, name  # the stage did borrow
+            assert ws.top == top, name
 
 
 @pytest.mark.parametrize("budget", [1, 2])
